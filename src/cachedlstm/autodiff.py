@@ -5,6 +5,11 @@ row dimension.  A ``Tape`` records every operation as it runs (define-by-run),
 so variable-length recurrences unroll naturally.  ``backward`` replays the
 tape once in reverse and returns a gradient for every leaf.
 
+A row gather (``take_rows``) yields a ``RowSparse`` gradient: the gathered
+ids and their gradient rows, never the dense matrix of its source.  An
+embedding matrix touched by T gathers therefore gets a gradient the size of
+the batch, not T copies of the vocabulary.
+
 The operation set is the minimum needed for gated recurrent cells and a
 softmax classifier: matrix products, elementwise arithmetic, sigmoid/tanh,
 column concatenation/slicing, row softmax, plus a few indexing helpers
@@ -18,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "RowSparse",
     "ShapeError",
     "Tape",
     "Var",
@@ -53,6 +59,91 @@ _TANH_HI = 1.0 - 2.0 ** -53
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an operation."""
+
+
+class RowSparse:
+    """A gradient that is zero outside some rows of a rows x cols matrix.
+
+    It stands for the dense matrix whose row ``ids[i]`` holds the sum of
+    ``rows[i]`` over every i naming that row; ids may repeat.  The sum of
+    two keeps both lists of (ids, rows) parts, so accumulating T gathers in
+    ``backward`` copies no gradient rows.  Adding a dense array gives a new
+    dense array, and ``np.asarray`` gives the dense matrix.
+    """
+
+    __slots__ = ("shape", "_parts", "_coalesced")
+    # ndarray + RowSparse then defers to RowSparse.__radd__.
+    __array_ufunc__ = None
+
+    def __init__(self, ids, rows, shape):
+        ids = np.asarray(ids, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.float64)
+        if ids.ndim != 1 or rows.shape != (ids.size, shape[1]):
+            raise ShapeError(
+                f"RowSparse: {ids.shape} ids and {rows.shape} rows do not fit "
+                f"a {tuple(shape)} matrix"
+            )
+        self.shape = tuple(shape)
+        self._parts = [(ids, rows)]
+        self._coalesced = False
+
+    @classmethod
+    def _from_parts(cls, parts: list, shape: tuple, coalesced: bool) -> "RowSparse":
+        out = cls.__new__(cls)
+        out.shape, out._parts, out._coalesced = shape, parts, coalesced
+        return out
+
+    def _joined(self) -> tuple:
+        if len(self._parts) > 1:
+            self._parts = [(np.concatenate([p[0] for p in self._parts]),
+                            np.concatenate([p[1] for p in self._parts]))]
+        return self._parts[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._joined()[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._joined()[1]
+
+    def coalesce(self) -> "RowSparse":
+        """The same gradient with sorted unique ids, each with its summed row."""
+        if self._coalesced:
+            return self
+        ids, rows = self._joined()
+        unique, inverse = np.unique(ids, return_inverse=True)
+        summed = np.zeros((unique.size, self.shape[1]))
+        np.add.at(summed, inverse, rows)
+        return RowSparse._from_parts([(unique, summed)], self.shape, True)
+
+    def _scatter_into(self, out: np.ndarray) -> np.ndarray:
+        for ids, rows in self._parts:
+            np.add.at(out, ids, rows)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("RowSparse: the dense matrix is always a new array")
+        dense = self._scatter_into(np.zeros(self.shape))
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __add__(self, other):
+        if other.shape != self.shape:
+            raise ShapeError(f"RowSparse: cannot add {other.shape} to {self.shape}")
+        if isinstance(other, RowSparse):
+            return RowSparse._from_parts(self._parts + other._parts, self.shape, False)
+        return self._scatter_into(np.array(other, dtype=np.float64))
+
+    __radd__ = __add__
+
+    def __mul__(self, scale: float) -> "RowSparse":
+        parts = [(ids, rows * scale) for ids, rows in self._parts]
+        return RowSparse._from_parts(parts, self.shape, self._coalesced)
+
+    def __repr__(self) -> str:
+        n = sum(p[0].size for p in self._parts)
+        return f"RowSparse({n} rows of {self.shape})"
 
 
 class _Node:
@@ -96,7 +187,9 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._leaf_ids: list[int] = []
-        self._transpose_memo: dict[int, Var] = {}
+        # Var node id -> node id of its transpose.  Ids, not Vars: a Var
+        # points back at its tape, and a cycle would outlive ``del tape``.
+        self._transpose_memo: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -255,12 +348,12 @@ def softmax_rows(a: Var) -> Var:
 
 def transpose(a: Var) -> Var:
     """Matrix transpose.  Repeated transposes of one Var share a tape node."""
-    memo = a.tape._transpose_memo
-    cached = memo.get(a.nid)
+    tape = a.tape
+    cached = tape._transpose_memo.get(a.nid)
     if cached is not None:
-        return cached
-    out = a.tape._record(a.value.T, (a.nid,), lambda g: (g.T,))
-    memo[a.nid] = out
+        return Var(tape, cached, tape._nodes[cached].value)
+    out = tape._record(a.value.T, (a.nid,), lambda g: (g.T,))
+    tape._transpose_memo[a.nid] = out.nid
     return out
 
 
@@ -300,7 +393,7 @@ def mul_colvec(a: Var, col: Var) -> Var:
 
 
 def take_rows(a: Var, ids) -> Var:
-    """Gather rows a[ids, :]; the gradient scatter-adds into the source rows."""
+    """Gather rows a[ids, :]; the source's gradient is ``RowSparse`` over ids."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows: ids must be 1-D, got shape {idx.shape}")
@@ -308,12 +401,8 @@ def take_rows(a: Var, ids) -> Var:
         raise IndexError(f"take_rows: id out of range for {a.rows} rows")
     shape = a.shape
 
-    def vjp(g):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return a.tape._record(a.value[idx, :], (a.nid,), vjp)
+    return a.tape._record(a.value[idx, :], (a.nid,),
+                          lambda g: (RowSparse(idx, g, shape),))
 
 
 def pick_cols(a: Var, cols) -> Var:
@@ -357,24 +446,27 @@ def sum_rows(a: Var) -> Var:
 
 def log_floor(a: Var, floor: float = 0.0) -> Var:
     """Natural log of max(a, floor); zero gradient where the floor is active."""
-    clipped = np.maximum(a.value, floor)
+    x = a.value
+    clipped = np.maximum(x, floor)
     out = np.log(clipped)
 
     def vjp(g):
         grad = g / clipped
         if floor > 0.0:
-            grad = np.where(a.value > floor, grad, 0.0)
+            grad = np.where(x > floor, grad, 0.0)
         return (grad,)
 
     return a.tape._record(out, (a.nid,), vjp)
 
 
-def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray | RowSparse]:
     """Reverse sweep from a scalar loss.
 
     Returns dLoss/dLeaf keyed by leaf node id, for every leaf on the tape;
     leaves the loss does not depend on get zero gradients.  Each recorded
-    node is visited exactly once, in reverse topological order.
+    node is visited exactly once, in reverse topological order.  A leaf
+    reached only through row gathers gets a ``RowSparse`` gradient; one
+    that also has a dense gradient gets the dense sum.
     """
     if loss.tape is not tape:
         raise ValueError("loss was recorded on a different tape")
@@ -382,7 +474,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
         raise ShapeError(f"backward: loss must be 1x1, got shape {loss.shape}")
 
     nodes = tape._nodes
-    grads: list[np.ndarray | None] = [None] * (loss.nid + 1)
+    grads: list = [None] * (loss.nid + 1)
     grads[loss.nid] = np.ones((1, 1))
 
     for nid in range(loss.nid, -1, -1):
@@ -392,6 +484,8 @@ def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
         node = nodes[nid]
         if node.vjp is None:
             continue
+        if type(g) is RowSparse:  # a gather from a computed matrix
+            g = np.asarray(g)
         for pid, pg in zip(node.parents, node.vjp(g)):
             if grads[pid] is None:
                 grads[pid] = pg
@@ -400,7 +494,7 @@ def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray]:
                 grads[pid] = grads[pid] + pg
         grads[nid] = None  # free intermediate gradient storage
 
-    out: dict[int, np.ndarray] = {}
+    out: dict[int, np.ndarray | RowSparse] = {}
     for lid in tape._leaf_ids:
         g = grads[lid] if lid < len(grads) else None
         out[lid] = g if g is not None else np.zeros(nodes[lid].value.shape)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -83,13 +85,46 @@ class RunConfig:
     output_dir: str
 
 
+_SCALAR_NAMES = {int: "an integer", float: "a finite number",
+                 bool: "true or false", str: "a string"}
+
+
+def _check_scalar(section: str, key: str, value, hint) -> None:
+    """Raise ConfigError unless value has the field's scalar type.
+
+    Integers exclude booleans, numbers must be finite, and ``X | None``
+    fields also take null.  An integer is accepted where a float is due.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return
+    kind = next(t for t in allowed if t is not type(None))
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        nullable = " or null" if type(None) in allowed else ""
+        raise ConfigError(
+            f"{section}.{key} must be {_SCALAR_NAMES[kind]}{nullable}, got {value!r}"
+        )
+
+
 def _build_section(cls, raw: dict, section: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a JSON object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(
             f"unknown key {section}.{sorted(unknown)[0]} (known: {sorted(known)})"
         )
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        _check_scalar(section, key, value, hints[key])
     try:
         return cls(**raw)
     except TypeError as exc:
@@ -236,7 +271,7 @@ def cmd_eval(args) -> int:
 
 def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
                       n_steps: int, batch: int, seed: int, eps: float,
-                      masked: bool = False, use_bias: bool = True) -> float:
+                      masked: bool = False) -> float:
     """Max relative error of the cell gradients against central differences.
 
     The loss reads every step's hidden state through a fixed random weight,
@@ -253,7 +288,7 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
 
     rng = np.random.default_rng(seed)
     proto = init_params(kind, width, hidden, n_groups=n_groups, seed=seed + 1,
-                        use_bias=use_bias)
+                        use_bias=True)
     xs_arr = [rng.normal(size=(batch, width)) for _ in range(n_steps)]
     readout = [rng.normal(size=(batch, hidden)) for _ in range(n_steps)]
     cfg = EncoderConfig(cell_kind=kind, d=width, H=hidden, K=n_groups, C=2)
@@ -336,7 +371,7 @@ def cmd_gradcheck(args) -> int:
         k = args.K if args.cell == "clstm" else 1
         err = encoder_gradcheck(args.cell, k, args.H, args.d, args.T,
                                 batch=2, seed=args.seed, eps=args.eps,
-                                masked=args.masked, use_bias=args.bias)
+                                masked=args.masked)
         label = f"cell {args.cell} K={k} H={args.H} T={args.T}"
     ok = err < GRADCHECK_TOLERANCE
     print(f"{label}: max relative gradient error {err:.3e} "
@@ -431,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="L2 strength for the cbow pipeline check")
     p.add_argument("--masked", action="store_true",
                    help="include variable-length padding in the check")
-    p.add_argument("--bias", action="store_true", default=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="train across memory-group counts")

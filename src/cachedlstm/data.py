@@ -133,8 +133,9 @@ def load_embeddings(path: str, vocab: Vocab, width: int, seed=0) -> EmbeddingMat
 
     Vocabulary tokens present in the file get its vector; missing ones are
     drawn uniform [-0.1, 0.1] from the seed, in vocabulary id order, so the
-    result does not depend on the file's line order.  Malformed lines and
-    width mismatches raise ValueError naming the line number.
+    result does not depend on the file's line order.  Malformed lines,
+    width mismatches and nan or inf values raise ValueError naming the line
+    number.
     """
     found: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
@@ -153,6 +154,8 @@ def load_embeddings(path: str, vocab: Vocab, width: int, seed=0) -> EmbeddingMat
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad float ({exc})") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: vector holds nan or inf")
             if token in vocab:
                 found[token] = vec
     rng = np.random.default_rng(seed)

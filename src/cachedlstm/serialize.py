@@ -152,4 +152,8 @@ def load_model(path: str):
         if need not in tensors:
             raise ValueError(f"container is missing tensor {need}")
     clf = ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"])
-    return DocModel(config, vocab, embedding, cell_fwd, cell_bwd, clf)
+    model = DocModel(config, vocab, embedding, cell_fwd, cell_bwd, clf)
+    unknown = sorted(set(tensors) - set(model.named_tensors()))
+    if unknown:
+        raise ValueError(f"container has unknown tensor {unknown[0]!r}")
+    return model

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
+    RowSparse,
     Tape,
     Var,
     add,
@@ -126,24 +127,41 @@ class AdagradState:
         self.eps = eps
         self.accumulators: dict[str, np.ndarray] = {}
 
-    def update(self, name: str, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    def update(self, name: str, theta: np.ndarray, grad, lr: float) -> None:
+        """One Adagrad step on theta.
+
+        A ``RowSparse`` grad updates only the rows it names, in theta and in
+        the accumulator.  That is exact: a zero gradient leaves both as they
+        are (Duchi, Hazan & Singer 2011).
+        """
         acc = self.accumulators.get(name)
         if acc is None:
             acc = np.zeros_like(theta)
             self.accumulators[name] = acc
-        adagrad_update(theta, grad, acc, lr, self.eps)
+        if isinstance(grad, RowSparse):
+            grad = grad.coalesce()
+            ids = grad.ids
+            rows_theta, rows_acc = theta[ids], acc[ids]
+            adagrad_update(rows_theta, grad.rows, rows_acc, lr, self.eps)
+            theta[ids] = rows_theta
+            acc[ids] = rows_acc
+        else:
+            adagrad_update(theta, grad, acc, lr, self.eps)
 
 
 def _clip_grads(named_grads: dict, clip_norm: float) -> dict:
+    coalesced = {name: g.coalesce() if isinstance(g, RowSparse) else g
+                 for name, g in named_grads.items()}
     total = 0.0
-    for g in named_grads.values():
-        total += float((g * g).sum())
+    for g in coalesced.values():
+        values = g.rows if isinstance(g, RowSparse) else g
+        total += float((values * values).sum())
     norm = np.sqrt(total)
     if norm <= clip_norm or norm == 0.0:
-        return named_grads
+        return coalesced
     scale = clip_norm / norm
     # Scale into new arrays; the originals may be views into tape buffers.
-    return {name: g * scale for name, g in named_grads.items()}
+    return {name: g * scale for name, g in coalesced.items()}
 
 
 def train_epoch(model: DocModel, batches: list, cfg: TrainConfig,

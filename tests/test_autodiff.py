@@ -1,10 +1,13 @@
 """Tape autodiff tests: forward values, gradient checks against central
 differences, graph-sharing cases, and shape error reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cachedlstm.autodiff import (
+    RowSparse,
     ShapeError,
     Tape,
     add,
@@ -155,6 +158,57 @@ class TestBackwardBasics:
         assert g[a.nid][0, 1] == 0.0
 
 
+class TestRowSparseGradients:
+    def test_gather_gradient_is_row_sparse_and_densifies_to_scatter(self):
+        # Integer-valued upstream gradients make every sum exact, so the
+        # densified gradient must equal the dense scatter bit for bit.
+        rng = np.random.default_rng(5)
+        steps = [np.array([2, 0, 2, 6]), np.array([6, 6, 1, 2]), np.array([0, 3, 3, 3])]
+        weights = [rng.integers(-4, 5, size=(4, 3)).astype(np.float64) for _ in steps]
+        tape = Tape()
+        a = _leaf(tape, rng.normal(size=(7, 3)))
+        loss = None
+        for ids, w in zip(steps, weights):
+            term = sum_all(mul(take_rows(a, ids), tape.leaf(w)))
+            loss = term if loss is None else add(loss, term)
+        g = backward(tape, loss)[a.nid]
+        assert isinstance(g, RowSparse)
+        want = np.zeros((7, 3))
+        for ids, w in zip(steps, weights):
+            np.add.at(want, ids, w)
+        np.testing.assert_array_equal(np.asarray(g), want)
+        co = g.coalesce()
+        np.testing.assert_array_equal(co.ids, [0, 1, 2, 3, 6])
+        np.testing.assert_array_equal(co.rows, want[[0, 1, 2, 3, 6]])
+
+    def test_dense_and_sparse_gradients_fold(self):
+        tape = Tape()
+        a = _leaf(tape, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        loss = add(sum_all(mul(a, a)), sum_all(take_rows(a, np.array([2, 2]))))
+        g = backward(tape, loss)[a.nid]
+        assert type(g) is np.ndarray
+        np.testing.assert_array_equal(g, 2.0 * a.value + [[0, 0], [0, 0], [2, 2]])
+
+    def test_backward_memory_scales_with_batch_not_vocabulary(self):
+        n_rows, width = 200_000, 8
+        big = np.random.default_rng(0).normal(size=(n_rows, width))
+        ids = [np.random.default_rng(t).integers(0, n_rows, size=16) for t in range(20)]
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            a = tape.leaf(big)
+            loss = None
+            for step_ids in ids:
+                term = sum_all(tanh_(take_rows(a, step_ids)))
+                loss = term if loss is None else add(loss, term)
+            g = backward(tape, loss)[a.nid]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g, RowSparse)
+        assert peak < n_rows * width * 8 / 50, f"traced peak {peak} bytes"
+
+
 def _check(build, arrays, tol=1e-6):
     """Run grad_check on loss = build(vars...) over the given leaf arrays."""
 
@@ -246,6 +300,15 @@ class TestGradChecks:
 
         def build(t, a):
             return sum_all(tanh_(take_rows(a, ids)))
+
+        _check(build, [a])
+
+    def test_take_rows_of_computed_matrix(self):
+        a = self.rng.normal(size=(6, 3))
+        ids = np.array([1, 4, 4, 0])
+
+        def build(t, a):
+            return sum_all(tanh_(take_rows(mul_const(a, 1.5), ids)))
 
         _check(build, [a])
 

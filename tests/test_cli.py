@@ -85,6 +85,39 @@ class TestTrain:
         assert run(["train", str(cfg_path)]) == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "train.batch_size=1.5",
+        "model.H=6.0",
+        "model.d=true",
+        "train.learning_rate=NaN",
+        "train.weight_decay=Infinity",
+        "train.gradient_clip_norm=true",
+        "model.bidirectional=1",
+        "data.min_count=\"2\"",
+    ])
+    def test_wrong_scalar_type_exits_2(self, tmp_path, needle_corpus, capsys,
+                                       override):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        assert run(["train", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_section_not_an_object_exits_2(self, tmp_path, needle_corpus, capsys):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        raw = json.loads(cfg_path.read_text())
+        raw["train"] = 5
+        cfg_path.write_text(json.dumps(raw))
+        assert run(["train", str(cfg_path)]) == 2
+        assert "train must be a JSON object" in capsys.readouterr().err
+
+    def test_null_accepted_for_optional_fields(self, tmp_path, needle_corpus):
+        cfg_path = write_config(tmp_path, needle_corpus,
+                                **{"train.max_epochs": 1,
+                                   "train.gradient_clip_norm": None})
+        assert run(["train", str(cfg_path)]) == 0
+
     def test_missing_corpus_exits_2(self, tmp_path, needle_corpus):
         cfg_path = write_config(
             tmp_path, needle_corpus,

@@ -126,6 +126,14 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="bad.txt:1"):
             load_embeddings(str(path), v, 2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_load_non_finite_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"ok 1.0 2.0\ntok 1.0 {value}\n")
+        v = build_vocab([Document(0, ["ok", "tok"])])
+        with pytest.raises(ValueError, match="bad.txt:2"):
+            load_embeddings(str(path), v, 2)
+
 
 class TestBatching:
     def _docs(self):

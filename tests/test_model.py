@@ -1,6 +1,9 @@
 """Model assembly tests: config validation, tensor naming, prediction, and
 gradient flow through the whole pipeline."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,9 +172,29 @@ class TestPipelineGradients:
         probs, leaves = model.forward_batch(tape, pad_batch([doc], v))
         loss = objective(probs, np.array([0]))
         grads = backward(tape, loss)
-        g_emb = grads[leaves["embedding"].nid]
+        g_emb = np.asarray(grads[leaves["embedding"].nid])
         row = v.id_for("t0")
         other = v.id_for("t5")
         assert np.abs(g_emb[row]).max() > 0.0
         assert (g_emb[other] == 0.0).all()
         assert (g_emb[0] == 0.0).all()  # pad row untouched
+
+
+class TestTapeLifetime:
+    def test_tape_freed_without_cycle_collector(self):
+        v = _toy_vocab()
+        model = build_model(ModelConfig(kind="clstm", d=3, H=4, K=2, C=2,
+                                        bidirectional=True), v, seed=2)
+        batch = pad_batch([Document(0, ["t0", "t1", "t2"]), Document(1, ["t3"])], v)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            probs, leaves = model.forward_batch(tape, batch)
+            backward(tape, objective(probs, batch.labels))
+            ref = weakref.ref(tape)
+            del tape, probs, leaves
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -115,6 +115,23 @@ class TestModelRoundtrip:
         with pytest.raises(ValueError, match="fwd.u_c"):
             load_model(str(path))
 
+    def test_unknown_tensor_rejected(self, tmp_path):
+        from cachedlstm.cli import main
+
+        docs = [Document(0, ["a", "b"]), Document(1, ["b", "c"])]
+        vocab = build_vocab(docs)
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), vocab, seed=0)
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        tensors, meta = load_container(str(path))
+        tensors["fwd.bogus"] = np.ones((2, 2))
+        save_container(str(path), tensors, meta)
+        with pytest.raises(ValueError, match="fwd.bogus"):
+            load_model(str(path))
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tb c\n")
+        assert main(["eval", str(path), str(corpus)]) == 2
+
     def test_not_a_model(self, tmp_path):
         path = tmp_path / "m.bin"
         save_container(str(path), {"w": np.ones((1, 1))}, {"format": "other"})

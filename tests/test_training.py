@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cachedlstm import training
 from cachedlstm.autodiff import Tape, backward, softmax_rows
 from cachedlstm.data import Document, build_vocab, make_batches
 from cachedlstm.model import ModelConfig, build_model
@@ -211,6 +212,45 @@ class TestTrainEpoch:
         moved2 = sum(np.abs(model2.named_tensors()[n] - before[n]).sum()
                      for n in before)
         assert moved < moved2
+
+
+class TestRowSparseTraining:
+    """Row-sparse embedding updates against the all-rows dense Adagrad step."""
+
+    @pytest.mark.parametrize("extra", [{"weight_decay": 1e-2},
+                                       {"gradient_clip_norm": 0.05}])
+    def test_matches_dense_gradient_reference(self, monkeypatch, extra):
+        docs = _separable_docs(12)
+        vocab = build_vocab(docs + [Document(0, [f"ghost{i}", "good"])
+                                    for i in range(4)])
+        config = ModelConfig(kind="lstm", d=4, H=5, C=2)
+        cfg = TrainConfig(learning_rate=0.1, batch_size=4, seed=0, **extra)
+        batches = make_batches(docs, vocab, 4, seed=3)
+        start = build_model(config, vocab, seed=2).named_tensors()
+
+        def run(densify):
+            if densify:
+                real = training.backward
+                monkeypatch.setattr(training, "backward", lambda tape, loss: {
+                    k: np.asarray(g) for k, g in real(tape, loss).items()})
+            model = build_model(config, vocab, seed=2)
+            opt = AdagradState()
+            for _ in range(2):
+                train_epoch(model, batches, cfg, opt)
+            monkeypatch.undo()
+            return model.named_tensors(), opt.accumulators
+
+        sparse, sparse_acc = run(densify=False)
+        dense, dense_acc = run(densify=True)
+        for name in dense:
+            scale = np.abs(dense[name]).max()
+            assert np.abs(sparse[name] - dense[name]).max() <= 1e-12 * scale, name
+        untouched = [vocab.id_for(f"ghost{i}") for i in range(4)]
+        assert (sparse["embedding"][untouched].tobytes()
+                == start["embedding"][untouched].tobytes())
+        assert (sparse_acc["embedding"][untouched].tobytes()
+                == dense_acc["embedding"][untouched].tobytes())
+        assert (sparse_acc["embedding"][untouched] == 0.0).all()
 
 
 class TestFit:
