@@ -16,7 +16,7 @@ Entries that disagree by more than the floor indicate a real bug.
 
 import time
 
-from cachedlstm.cli import encoder_gradcheck, pipeline_gradcheck
+from cachedlstm.gradcheck import encoder_gradcheck, pipeline_gradcheck
 
 
 def main():

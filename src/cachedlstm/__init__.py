@@ -10,19 +10,17 @@ and a command-line interface (``cachedlstm --help``).
 
 from .autodiff import ShapeError, Tape, Var, backward, grad_check
 from .cells import (
+    CellParams,
     CellState,
     CifgParams,
     ClstmParams,
     ForgetRates,
-    LstmParams,
-    RnnParams,
     bind_params,
     cifg_step,
     clstm_step,
     init_params,
     lstm_step,
-    rnn_step,
-    squash,
+    recurrence,
     zero_state,
 )
 from .data import (

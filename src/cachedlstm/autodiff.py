@@ -14,6 +14,8 @@ The operation set is the minimum needed for gated recurrent cells and a
 softmax classifier: matrix products, elementwise arithmetic, sigmoid/tanh,
 column concatenation/slicing, row softmax, plus a few indexing helpers
 (row gather, per-row column picks) used for embeddings and cross-entropy.
+``record`` adds a fused operation with a hand-written VJP as one node; the
+recurrent cells run a whole sequence that way.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ __all__ = [
     "take_rows",
     "pick_cols",
     "sum_all",
-    "sum_rows",
     "log_floor",
+    "record",
+    "logistic",
+    "bounded_tanh",
     "backward",
     "grad_check",
 ]
@@ -264,19 +268,27 @@ def sub_from_one(a: Var) -> Var:
     return a.tape._record(1.0 - a.value, (a.nid,), lambda g: (-g,))
 
 
-def sigmoid(a: Var) -> Var:
-    """Logistic sigmoid, clamped strictly inside (0, 1).
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Sigmoid of an array as 0.5 tanh(x/2) + 0.5, clamped strictly inside (0, 1).
 
-    Computed in the overflow-free branch form; saturated outputs are nudged
+    The tanh form cannot overflow for any x; saturated outputs are nudged
     off exact 0.0/1.0 so downstream open-interval invariants hold.
     """
-    x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    out = np.tanh(x * 0.5)
+    out *= 0.5
+    out += 0.5
+    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+
+
+def bounded_tanh(x: np.ndarray) -> np.ndarray:
+    """Hyperbolic tangent of an array, clamped strictly inside (-1, 1)."""
+    out = np.tanh(x)
+    return np.clip(out, -_TANH_HI, _TANH_HI, out=out)
+
+
+def sigmoid(a: Var) -> Var:
+    """Logistic sigmoid, clamped strictly inside (0, 1); see ``logistic``."""
+    out = logistic(a.value)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -286,8 +298,7 @@ def sigmoid(a: Var) -> Var:
 
 def tanh_(a: Var) -> Var:
     """Hyperbolic tangent, clamped strictly inside (-1, 1)."""
-    out = np.tanh(a.value)
-    np.clip(out, -_TANH_HI, _TANH_HI, out=out)
+    out = bounded_tanh(a.value)
 
     def vjp(g):
         return (g * (1.0 - out * out),)
@@ -434,16 +445,6 @@ def sum_all(a: Var) -> Var:
     return a.tape._record(a.value.sum().reshape(1, 1), (a.nid,), vjp)
 
 
-def sum_rows(a: Var) -> Var:
-    """Column sums: m x n -> 1 x n."""
-    m = a.rows
-
-    def vjp(g):
-        return (np.repeat(g, m, axis=0),)
-
-    return a.tape._record(a.value.sum(axis=0, keepdims=True), (a.nid,), vjp)
-
-
 def log_floor(a: Var, floor: float = 0.0) -> Var:
     """Natural log of max(a, floor); zero gradient where the floor is active."""
     x = a.value
@@ -457,6 +458,18 @@ def log_floor(a: Var, floor: float = 0.0) -> Var:
         return (grad,)
 
     return a.tape._record(out, (a.nid,), vjp)
+
+
+def record(value: np.ndarray, parents: Sequence[Var], vjp: Callable) -> Var:
+    """Record a fused operation computed outside the tape.
+
+    ``vjp(g)`` maps the gradient of ``value`` to one gradient per parent, in
+    the order given; a parent may appear more than once.
+    """
+    if not parents:
+        raise ValueError("record: need at least one parent")
+    tape = _same_tape(*parents)
+    return tape._record(value, tuple(p.nid for p in parents), vjp)
 
 
 def backward(tape: Tape, loss: Var) -> dict[int, np.ndarray | RowSparse]:

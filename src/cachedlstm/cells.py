@@ -1,14 +1,29 @@
-"""Single-timestep recurrent cells: RNN, LSTM, CIFG-LSTM, and grouped-memory CLSTM.
+"""Recurrent cells: one stacked-gate layout and one kernel for four kinds.
 
-All cells share the same conventions: inputs are row-batched (B x d), hidden
-and memory states are B x H, weights are stored input-side as H x d and
-recurrent-side as H x H, and a step computes ``x @ W^T + h @ U^T`` gates.
+rnn, lstm, cifg and clstm are one unit with different gate sets.  Inputs
+are row-batched (B x d) and states are B x H.  A kind with G gates stores
+them stacked along rows in the order of ``GATES``: ``w`` is G*H x d, ``u``
+is G*H x H and ``b`` is G*H x 1 or None.  With a_g = W_g x + U_g h + b_g,
+i, f, o = sigmoid(a) and c~ = tanh(a_c):
 
-The CLSTM cell partitions its H units into K equal groups.  Each group k has
-its own update rate r_k, produced by squashing a sigmoid into the interval
+    rnn    (h)          h' = tanh(a_h)
+    lstm   (i, f, o, c) c' = f c + i c~,        h' = o tanh(c')
+    cifg   (f, o, c)    c' = f c + (1 - f) c~,  h' = o tanh(c')
+    clstm  (r, o, c)    c' = (1 - r) c + r c~,  h' = o tanh(c')
+
+The clstm cell partitions its H units into K equal groups.  Group k's
+update rate r = sigmoid(a_r)/K + (k-1)/K lies strictly inside
 ((k-1)/K, k/K), so group 1 changes slowest (long-term memory) and group K
-fastest (cache-like short-term memory).  Group weights are stored as one
-concatenated matrix per gate with block addressing; see ``ClstmParams``.
+fastest (cache-like short-term memory).  Small r means long retention: the
+candidate is blended in at rate r.  Within each gate's block the rows of
+group k hold W^k, and their columns of group j in ``u`` hold the
+cross-group matrix U^{j->k}, so one product evaluates all K^2 cross-group
+terms.
+
+``recurrence`` runs a cell over T steps and records one tape node: one
+input GEMM for all steps, one recurrent GEMM per step, and a hand-written
+VJP that keeps the gate activations.  The single-step functions run it at
+T = 1.
 """
 
 from __future__ import annotations
@@ -18,249 +33,103 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tape,
-    Var,
-    add,
-    add_const,
-    add_rowvec,
-    matmul,
-    mul,
-    mul_const,
-    sigmoid,
-    slice_cols,
-    sub_from_one,
-    tanh_,
-    transpose,
-)
+from .autodiff import ShapeError, Tape, Var, bounded_tanh, logistic, record, slice_cols
 
 CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
+GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
 
 INIT_SCALE = 0.1  # weights start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
-def _shape(t) -> tuple[int, int]:
-    return tuple(t.shape)
-
-
 @dataclass
-class RnnParams:
-    """Elman cell weights: h' = tanh(W x + U h)."""
+class CellParams:
+    """Stacked weights of one cell; see the module docstring for the layout.
 
-    w: object  # (H, d)
-    u: object  # (H, H)
-    b: object | None = None  # (H, 1)
-
-    def __post_init__(self):
-        h, d = _shape(self.w)
-        if _shape(self.u) != (h, h):
-            raise ShapeError(f"RnnParams: U must be {h}x{h}, got {_shape(self.u)}")
-        if self.b is not None and _shape(self.b) != (h, 1):
-            raise ShapeError(f"RnnParams: b must be {h}x1, got {_shape(self.b)}")
-
-    @property
-    def hidden_size(self) -> int:
-        return _shape(self.w)[0]
-
-
-@dataclass
-class LstmParams:
-    """Standard LSTM weights for the input, forget, output, and candidate paths."""
-
-    w_i: object
-    w_f: object
-    w_o: object
-    w_c: object
-    u_i: object
-    u_f: object
-    u_o: object
-    u_c: object
-    b_i: object | None = None
-    b_f: object | None = None
-    b_o: object | None = None
-    b_c: object | None = None
-
-    def __post_init__(self):
-        h, d = _shape(self.w_i)
-        for name in ("w_f", "w_o", "w_c"):
-            if _shape(getattr(self, name)) != (h, d):
-                raise ShapeError(
-                    f"LstmParams: {name} must be {h}x{d}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("u_i", "u_f", "u_o", "u_c"):
-            if _shape(getattr(self, name)) != (h, h):
-                raise ShapeError(
-                    f"LstmParams: {name} must be {h}x{h}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("b_i", "b_f", "b_o", "b_c"):
-            t = getattr(self, name)
-            if t is not None and _shape(t) != (h, 1):
-                raise ShapeError(f"LstmParams: {name} must be {h}x1, got {_shape(t)}")
-
-    @property
-    def hidden_size(self) -> int:
-        return _shape(self.w_i)[0]
-
-
-@dataclass
-class CifgParams:
-    """Coupled input/forget gate LSTM weights; the input gate is 1 - f."""
-
-    w_f: object
-    w_o: object
-    w_c: object
-    u_f: object
-    u_o: object
-    u_c: object
-    b_f: object | None = None
-    b_o: object | None = None
-    b_c: object | None = None
-
-    def __post_init__(self):
-        h, d = _shape(self.w_f)
-        for name in ("w_o", "w_c"):
-            if _shape(getattr(self, name)) != (h, d):
-                raise ShapeError(
-                    f"CifgParams: {name} must be {h}x{d}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("u_f", "u_o", "u_c"):
-            if _shape(getattr(self, name)) != (h, h):
-                raise ShapeError(
-                    f"CifgParams: {name} must be {h}x{h}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("b_f", "b_o", "b_c"):
-            t = getattr(self, name)
-            if t is not None and _shape(t) != (h, 1):
-                raise ShapeError(f"CifgParams: {name} must be {h}x1, got {_shape(t)}")
-
-    @property
-    def hidden_size(self) -> int:
-        return _shape(self.w_f)[0]
-
-
-@dataclass
-class ClstmParams:
-    """Grouped-memory cell weights, stored concatenated with block addressing.
-
-    For K groups of size H/K, the per-group input matrices W^k (gate g) are
-    stacked vertically into one H x d matrix ``w_g``, and the cross-group
-    recurrent matrices U^{j->k} form the H x H matrix ``u_g`` whose block at
-    rows of group k and columns of group j is U^{j->k}.  One ``x @ w_g^T +
-    h_all @ u_g^T`` product therefore evaluates every group's gate, including
-    all K^2 cross-group terms, and ``w_block``/``u_block`` address the
-    individual matrices of the per-group formulation.
+    ``w_g``, ``u_g`` and ``b_g`` (for a gate letter g of the kind, such as
+    ``p.w_c`` or ``p.u_r``) are views of gate g's row block.
     """
 
+    kind: str
     n_groups: int
-    w_r: object  # (H, d) update-rate gate, group blocks stacked
-    w_o: object
-    w_c: object
-    u_r: object  # (H, H) cross-group blocks
-    u_o: object
-    u_c: object
-    b_r: object | None = None
-    b_o: object | None = None
-    b_c: object | None = None
+    w: object  # (G*H, d)
+    u: object  # (G*H, H)
+    b: object | None = None  # (G*H, 1)
 
     def __post_init__(self):
-        h, d = _shape(self.w_r)
-        if self.n_groups < 1:
-            raise ValueError(f"ClstmParams: n_groups must be >= 1, got {self.n_groups}")
-        if h % self.n_groups != 0:
-            raise ValueError(
-                f"ClstmParams: hidden size {h} not divisible by {self.n_groups} groups"
-            )
-        for name in ("w_o", "w_c"):
-            if _shape(getattr(self, name)) != (h, d):
-                raise ShapeError(
-                    f"ClstmParams: {name} must be {h}x{d}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("u_r", "u_o", "u_c"):
-            if _shape(getattr(self, name)) != (h, h):
-                raise ShapeError(
-                    f"ClstmParams: {name} must be {h}x{h}, got {_shape(getattr(self, name))}"
-                )
-        for name in ("b_r", "b_o", "b_c"):
+        if self.kind not in CELL_KINDS:
+            raise ValueError(f"unknown cell kind {self.kind!r}; expected one of {CELL_KINDS}")
+        if self.n_groups < 1 or (self.kind != "clstm" and self.n_groups != 1):
+            raise ValueError(f"{self.kind}: invalid group count {self.n_groups}")
+        n_gates = len(GATES[self.kind])
+        rows, width = tuple(self.w.shape)
+        hidden = rows // n_gates
+        for name, want in (("w", (n_gates * hidden, width)), ("u", (rows, hidden)),
+                           ("b", (rows, 1))):
             t = getattr(self, name)
-            if t is not None and _shape(t) != (h, 1):
-                raise ShapeError(f"ClstmParams: {name} must be {h}x1, got {_shape(t)}")
+            if t is not None and tuple(t.shape) != want:
+                raise ShapeError(f"{self.kind}: {name} must be {want[0]}x{want[1]}, "
+                                 f"got {tuple(t.shape)}")
+        if hidden % self.n_groups != 0:
+            raise ValueError(f"hidden size {hidden} not divisible by {self.n_groups} groups")
 
     @property
     def hidden_size(self) -> int:
-        return _shape(self.w_r)[0]
+        return self.u.shape[1]
 
-    @property
-    def group_size(self) -> int:
-        return self.hidden_size // self.n_groups
+    def __getattr__(self, name: str):
+        tensor, _, gate = name.partition("_")
+        gates = GATES.get(self.__dict__.get("kind"), "")
+        if tensor not in ("w", "u", "b") or len(gate) != 1 or gate not in gates:
+            raise AttributeError(name)
+        full = getattr(self, tensor)
+        if full is None:
+            return None
+        h = self.hidden_size
+        i = gates.index(gate)
+        return full[i * h:(i + 1) * h]
 
-    def _rows(self, k: int) -> slice:
-        if not 1 <= k <= self.n_groups:
-            raise ValueError(f"group index {k} out of range 1..{self.n_groups}")
-        gs = self.group_size
-        return slice((k - 1) * gs, k * gs)
 
-    def w_block(self, gate: str, k: int) -> np.ndarray:
-        """Input matrix of group k (1-based) for gate 'r', 'o', or 'c'."""
-        return getattr(self, f"w_{gate}")[self._rows(k), :]
+def _stacked(kind: str, n_groups: int, ws, us, bs) -> CellParams:
+    """CellParams from per-gate tensors; missing biases are zero if any is given."""
+    b = None
+    if any(t is not None for t in bs):
+        b = np.vstack([np.zeros((len(u), 1)) if t is None else t for t, u in zip(bs, us)])
+    return CellParams(kind, n_groups, np.vstack(ws), np.vstack(us), b)
 
-    def u_block(self, gate: str, j: int, k: int) -> np.ndarray:
-        """Recurrent matrix U^{j->k} (1-based) for gate 'r', 'o', or 'c'."""
-        return getattr(self, f"u_{gate}")[self._rows(k), self._rows(j)]
+
+def CifgParams(w_f, w_o, w_c, u_f, u_o, u_c, b_f=None, b_o=None, b_c=None) -> CellParams:
+    """cifg parameters stacked from per-gate tensors; the input gate is 1 - f."""
+    return _stacked("cifg", 1, (w_f, w_o, w_c), (u_f, u_o, u_c), (b_f, b_o, b_c))
+
+
+def ClstmParams(n_groups, w_r, w_o, w_c, u_r, u_o, u_c, b_r=None, b_o=None,
+                b_c=None) -> CellParams:
+    """clstm parameters stacked from per-gate, group-concatenated tensors."""
+    return _stacked("clstm", n_groups, (w_r, w_o, w_c), (u_r, u_o, u_c), (b_r, b_o, b_c))
 
 
 @dataclass
 class CellState:
-    """Memory and hidden state, groups stored concatenated along columns.
+    """Memory and hidden state, B x H each; ``c`` is None for the plain RNN.
 
-    ``c`` is None for the plain RNN, which carries only a hidden state.
-    Group k (1-based) occupies columns [(k-1)*H/K, k*H/K); ``c_group`` and
-    ``h_group`` slice it out as tape operations.
+    Group k (1-based) of a K-group state occupies columns
+    [(k-1)*H/K, k*H/K).
     """
 
     c: Var | None
     h: Var
     n_groups: int = 1
 
-    @property
-    def group_size(self) -> int:
-        return self.h.cols // self.n_groups
-
-    def _span(self, k: int) -> tuple[int, int]:
-        if not 1 <= k <= self.n_groups:
-            raise ValueError(f"group index {k} out of range 1..{self.n_groups}")
-        gs = self.group_size
-        return (k - 1) * gs, k * gs
-
-    def c_group(self, k: int) -> Var:
-        lo, hi = self._span(k)
-        return slice_cols(self.c, lo, hi)
-
-    def h_group(self, k: int) -> Var:
-        lo, hi = self._span(k)
-        return slice_cols(self.h, lo, hi)
-
 
 @dataclass
 class ForgetRates:
-    """Per-group update rates of one CLSTM step, concatenated along columns.
+    """Update rates of one clstm step, B x H, group k inside ((k-1)/K, k/K).
 
-    Every entry of group k lies strictly in ((k-1)/K, k/K), so the group
-    ranges are disjoint and ordered.
+    ``r`` is recorded as a tape constant: no gradient flows through it.
     """
 
     r: Var
     n_groups: int
-
-    @property
-    def group_size(self) -> int:
-        return self.r.cols // self.n_groups
-
-    def group(self, k: int) -> Var:
-        if not 1 <= k <= self.n_groups:
-            raise ValueError(f"group index {k} out of range 1..{self.n_groups}")
-        gs = self.group_size
-        return slice_cols(self.r, (k - 1) * gs, k * gs)
 
 
 def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1,
@@ -271,97 +140,189 @@ def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1,
     return CellState(c=c, h=z, n_groups=n_groups)
 
 
-def _gate_pre(x: Var, h: Var, w, u, b) -> Var:
-    pre = add(matmul(x, transpose(w)), matmul(h, transpose(u)))
-    if b is not None:
-        pre = add_rowvec(pre, transpose(b))
-    return pre
-
-
-def lstm_step(p: LstmParams, x: Var, prev: CellState) -> CellState:
-    """One LSTM transition.
-
-    i = sigmoid(W_i x + U_i h),  f = sigmoid(W_f x + U_f h),
-    o = sigmoid(W_o x + U_o h),  c~ = tanh(W_c x + U_c h),
-    c' = f * c + i * c~,         h' = o * tanh(c').
-    """
-    h = prev.h
-    i = sigmoid(_gate_pre(x, h, p.w_i, p.u_i, p.b_i))
-    f = sigmoid(_gate_pre(x, h, p.w_f, p.u_f, p.b_f))
-    o = sigmoid(_gate_pre(x, h, p.w_o, p.u_o, p.b_o))
-    ctil = tanh_(_gate_pre(x, h, p.w_c, p.u_c, p.b_c))
-    c_new = add(mul(f, prev.c), mul(i, ctil))
-    h_new = mul(o, tanh_(c_new))
-    return CellState(c=c_new, h=h_new, n_groups=1)
-
-
-def cifg_step(p: CifgParams, x: Var, prev: CellState) -> CellState:
-    """LSTM step with the input gate coupled to the forget gate as 1 - f."""
-    h = prev.h
-    f = sigmoid(_gate_pre(x, h, p.w_f, p.u_f, p.b_f))
-    o = sigmoid(_gate_pre(x, h, p.w_o, p.u_o, p.b_o))
-    ctil = tanh_(_gate_pre(x, h, p.w_c, p.u_c, p.b_c))
-    c_new = add(mul(f, prev.c), mul(sub_from_one(f), ctil))
-    h_new = mul(o, tanh_(c_new))
-    return CellState(c=c_new, h=h_new, n_groups=1)
-
-
-def squash(z: Var, k: int, n_groups: int) -> Var:
-    """Affine squash z/K + (k-1)/K confining group k's rate to ((k-1)/K, k/K).
-
-    ``k`` is 1-based; with a single group this is the identity map.
-    """
-    if not 1 <= k <= n_groups:
-        raise ValueError(f"squash: group index {k} out of range 1..{n_groups}")
-    return add_const(mul_const(z, 1.0 / n_groups), (k - 1) / n_groups)
-
-
-def _squash_offsets(hidden: int, n_groups: int) -> np.ndarray:
-    """Row of per-column squash offsets (k-1)/K for the concatenated layout."""
+def _band(hidden: int, n_groups: int) -> tuple:
+    """1/K, the per-column offset (k-1)/K, and the innermost floats of ((k-1)/K, k/K)."""
     gs = hidden // n_groups
-    return np.repeat(np.arange(n_groups) / n_groups, gs).reshape(1, hidden)
+    lo = np.repeat(np.arange(n_groups) / n_groups, gs).reshape(1, hidden)
+    hi = np.repeat(np.arange(1, n_groups + 1) / n_groups, gs).reshape(1, hidden)
+    return 1.0 / n_groups, lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)
 
 
-def clstm_step(p: ClstmParams, x: Var, prev: CellState) -> tuple[CellState, ForgetRates]:
-    """One grouped-memory transition; every group reads all groups' hidden states.
+def _rates(z: np.ndarray, band: tuple) -> np.ndarray:
+    """r = z/K + (k-1)/K, clamped so that a saturated z cannot reach a band edge."""
+    scale, off, lo, hi = band
+    r = z * scale
+    r += off
+    return np.clip(r, lo, hi, out=r)
 
-    Per group k:
-      r_k = squash_k(sigmoid(W_r^k x + sum_j U_r^{j->k} h_j))
-      o_k = sigmoid(W_o^k x + sum_j U_o^{j->k} h_j)
-      c~_k = tanh(W_c^k x + sum_j U_c^{j->k} h_j)
-      c_k' = (1 - r_k) * c_k + r_k * c~_k
-      h_k' = o_k * tanh(c_k')
 
-    Small r_k means long retention: the candidate is blended in at rate r_k.
-    Evaluated for all groups at once through the concatenated weights.
+def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
+    """(keep, write) of c' = keep * c + write * c~ from one step's activations."""
+    if kind == "lstm":
+        return a[:, hidden:2 * hidden], a[:, :hidden]
+    if kind == "cifg":
+        f = a[:, :hidden]
+        return f, 1.0 - f
+    r = _rates(a[:, :hidden], band)
+    return 1.0 - r, r
+
+
+def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
+                mask: np.ndarray | None = None) -> tuple:
+    """The kernel behind ``recurrence``; also returns the T x B x G*H activations."""
+    kind, n_groups = p.kind, p.n_groups
+    gated = kind != "rnn"
+    if gated and c0 is None:
+        raise ShapeError(f"{kind}: the initial state needs a memory c")
+    W, U = p.w.value, p.u.value
+    for t, x in enumerate(xs):
+        if x.cols != W.shape[1]:
+            raise ShapeError(f"step {t}: input width {x.cols}, expected {W.shape[1]}")
+    X = np.stack([x.value for x in xs])
+    T, B, d = X.shape
+    GH, H = U.shape
+    S = 2 * H if gated else H
+    bias = None if p.b is None else p.b.value.T
+    M = None if mask is None else (np.asarray(mask).T != 0)[:, :, None]
+    band = _band(H, n_groups) if kind == "clstm" else None
+    c0v = None if c0 is None else c0.value
+    h0v = h0.value
+
+    # Input projections of all steps; step t overwrites its own with the
+    # gate activations (sigmoids, then tanh(a_c)) that the VJP needs.
+    A = (X.reshape(T * B, d) @ W.T).reshape(T, B, GH)
+    TC = np.empty((T, B, H)) if gated else None  # tanh(c'), before the mask
+    out = np.empty((B, T, S))
+    c, h = c0v, h0v
+    for t in range(T):
+        a = A[t]
+        pre = a + h @ U.T
+        if bias is not None:
+            pre += bias
+        if gated:
+            a[:, :-H] = logistic(pre[:, :-H])
+            a[:, -H:] = bounded_tanh(pre[:, -H:])
+            keep, write = _keep_write(kind, a, H, band)
+            c_new = keep * c + write * a[:, -H:]
+            TC[t] = bounded_tanh(c_new)
+            h_new = a[:, -2 * H:-H] * TC[t]
+        else:
+            a[...] = bounded_tanh(pre)
+            h_new = a
+        if M is None:
+            c, h = (c_new if gated else None), h_new
+        else:
+            h = np.where(M[t], h_new, h)
+            c = np.where(M[t], c_new, c) if gated else None
+        if gated:
+            out[:, t, :H] = c
+        out[:, t, S - H:] = h
+
+    def vjp(g):
+        G = g.reshape(B, T, S)
+        dA = np.empty((T, B, GH))  # gradients of the pre-activations
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = dh + G[:, t, S - H:]
+            if gated:
+                dc = dc + G[:, t, :H]
+            if M is None:  # nothing carries past an unmasked step
+                dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
+            else:
+                m = M[t]
+                dh_new, dh = np.where(m, dh, 0.0), np.where(m, 0.0, dh)
+                if gated:
+                    dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
+            a, dp = A[t], dA[t]
+            if gated:
+                c_prev = c0v if t == 0 else out[:, t - 1, :H]
+                o, ctil, tc = a[:, -2 * H:-H], a[:, -H:], TC[t]
+                dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
+                keep, write = _keep_write(kind, a, H, band)
+                dkeep, dwrite = dc_new * c_prev, dc_new * ctil
+                dp[:, -2 * H:-H] = dh_new * tc * o * (1.0 - o)
+                dp[:, -H:] = dc_new * write * (1.0 - ctil * ctil)
+                first = a[:, :H]
+                if kind == "lstm":
+                    f = a[:, H:2 * H]
+                    dp[:, :H] = dwrite * first * (1.0 - first)
+                    dp[:, H:2 * H] = dkeep * f * (1.0 - f)
+                elif kind == "cifg":
+                    dp[:, :H] = (dkeep - dwrite) * first * (1.0 - first)
+                else:
+                    dp[:, :H] = (dwrite - dkeep) * (1.0 / n_groups) * first * (1.0 - first)
+                dc = dc + dc_new * keep
+            else:
+                dp[...] = dh_new * (1.0 - a * a)
+            dh = dh + dp @ U
+        flat = dA.reshape(T * B, GH)
+        h_prev = np.concatenate([h0v[None], out[:, :-1, S - H:].transpose(1, 0, 2)])
+        grads = list((flat @ W).reshape(T, B, d))
+        grads += [flat.T @ X.reshape(T * B, d), flat.T @ h_prev.reshape(T * B, H)]
+        if bias is not None:
+            grads.append(flat.sum(axis=0).reshape(GH, 1))
+        if gated:
+            grads.append(dc)
+        return grads + [dh]
+
+    parents = list(xs) + [p.w, p.u] + ([p.b] if p.b is not None else [])
+    parents += ([c0] if gated else []) + [h0]
+    return record(out.reshape(B, T * S), parents, vjp), A
+
+
+def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
+               mask: np.ndarray | None = None) -> Var:
+    """Run the cell over xs, T Vars of B x d, as one tape node.
+
+    The node's value is B x T*S: block t holds the state carried after
+    step t, [c_t | h_t] with S = 2H, or h_t alone for rnn (S = H).  With
+    ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
+    unchanged, bit for bit.  Gradients flow to every x_t, to w, u and b,
+    and to the initial state (c0 is None for rnn).
     """
+    return _recurrence(p, xs, c0, h0, mask)[0]
+
+
+def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:
+    if p.kind != kind:
+        raise ValueError(f"{kind} step given {p.kind} parameters")
+    out, acts = _recurrence(p, [x], prev.c, prev.h)
+    H = p.hidden_size
+    state = CellState(c=slice_cols(out, 0, H), h=slice_cols(out, H, 2 * H),
+                      n_groups=p.n_groups)
+    return state, acts[0]
+
+
+def lstm_step(p: CellParams, x: Var, prev: CellState) -> CellState:
+    """One lstm transition: the kernel at T = 1."""
+    return _gated_step("lstm", p, x, prev)[0]
+
+
+def cifg_step(p: CellParams, x: Var, prev: CellState) -> CellState:
+    """One coupled-gate transition, input gate 1 - f: the kernel at T = 1."""
+    return _gated_step("cifg", p, x, prev)[0]
+
+
+def clstm_step(p: CellParams, x: Var, prev: CellState) -> tuple[CellState, ForgetRates]:
+    """One grouped-memory transition and its update rates: the kernel at T = 1."""
     if prev.n_groups != p.n_groups:
         raise ShapeError(
             f"clstm_step: state has {prev.n_groups} groups, params {p.n_groups}"
         )
-    k = p.n_groups
-    h = prev.h
-    z = sigmoid(_gate_pre(x, h, p.w_r, p.u_r, p.b_r))
-    r = add_const(mul_const(z, 1.0 / k), _squash_offsets(p.hidden_size, k))
-    o = sigmoid(_gate_pre(x, h, p.w_o, p.u_o, p.b_o))
-    ctil = tanh_(_gate_pre(x, h, p.w_c, p.u_c, p.b_c))
-    c_new = add(mul(sub_from_one(r), prev.c), mul(r, ctil))
-    h_new = mul(o, tanh_(c_new))
-    return CellState(c=c_new, h=h_new, n_groups=k), ForgetRates(r=r, n_groups=k)
-
-
-def rnn_step(p: RnnParams, x: Var, prev_h: Var) -> Var:
-    """Elman transition h' = tanh(W x + U h)."""
-    return tanh_(_gate_pre(x, prev_h, p.w, p.u, p.b))
+    state, acts = _gated_step("clstm", p, x, prev)
+    H = p.hidden_size
+    r = _rates(acts[:, :H], _band(H, p.n_groups))
+    return state, ForgetRates(r=x.tape.leaf(r), n_groups=p.n_groups)
 
 
 def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
-                use_bias: bool = False):
-    """Seeded parameter set with every weight entry i.i.d. uniform [-0.1, 0.1].
+                use_bias: bool = False) -> CellParams:
+    """Seeded parameters with every weight entry i.i.d. uniform [-0.1, 0.1].
 
-    Biases, when enabled, start at zero.  Draw order is fixed (input
-    matrices in gate order, then recurrent matrices) so a seed fully
-    determines the parameters.
+    Biases, when enabled, start at zero.  ``w`` is drawn before ``u``, both
+    row-major in gate order, so a seed fully determines the parameters.
+    ``n_groups`` is ignored for kinds other than clstm.
     """
     if kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {kind!r}; expected one of {CELL_KINDS}")
@@ -369,35 +330,12 @@ def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
         raise ValueError(
             f"hidden size {hidden} not divisible into {n_groups} groups"
         )
+    rows = len(GATES[kind]) * hidden
     rng = np.random.default_rng(seed)
-
-    def u(rows, cols):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, cols))
-
-    def zb():
-        return np.zeros((hidden, 1)) if use_bias else None
-
-    if kind == "rnn":
-        return RnnParams(w=u(hidden, d), u=u(hidden, hidden), b=zb())
-    if kind == "lstm":
-        return LstmParams(
-            w_i=u(hidden, d), w_f=u(hidden, d), w_o=u(hidden, d), w_c=u(hidden, d),
-            u_i=u(hidden, hidden), u_f=u(hidden, hidden),
-            u_o=u(hidden, hidden), u_c=u(hidden, hidden),
-            b_i=zb(), b_f=zb(), b_o=zb(), b_c=zb(),
-        )
-    if kind == "cifg":
-        return CifgParams(
-            w_f=u(hidden, d), w_o=u(hidden, d), w_c=u(hidden, d),
-            u_f=u(hidden, hidden), u_o=u(hidden, hidden), u_c=u(hidden, hidden),
-            b_f=zb(), b_o=zb(), b_c=zb(),
-        )
-    return ClstmParams(
-        n_groups=n_groups,
-        w_r=u(hidden, d), w_o=u(hidden, d), w_c=u(hidden, d),
-        u_r=u(hidden, hidden), u_o=u(hidden, hidden), u_c=u(hidden, hidden),
-        b_r=zb(), b_o=zb(), b_c=zb(),
-    )
+    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, d))
+    u = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, hidden))
+    b = np.zeros((rows, 1)) if use_bias else None
+    return CellParams(kind, n_groups if kind == "clstm" else 1, w, u, b)
 
 
 def bind_params(tape: Tape, params):

@@ -29,9 +29,7 @@ import typing
 
 import numpy as np
 
-from .autodiff import Tape, backward, grad_check
 from .data import (
-    Document,
     build_vocab,
     init_embeddings,
     load_embeddings,
@@ -45,9 +43,10 @@ from .evaluation import (
     group_sweep,
     length_decile_report,
 )
+from .gradcheck import encoder_gradcheck, pipeline_gradcheck
 from .model import ModelConfig, build_model
 from .serialize import load_model, save_model
-from .training import TrainConfig, TrainingDiverged, fit, objective
+from .training import TrainConfig, TrainingDiverged, fit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -267,99 +266,6 @@ def cmd_eval(args) -> int:
     else:
         print("fewer than 10 documents; skipping the length-decile report")
     return EXIT_OK
-
-
-def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
-                      n_steps: int, batch: int, seed: int, eps: float,
-                      masked: bool = False) -> float:
-    """Max relative error of the cell gradients against central differences.
-
-    The loss reads every step's hidden state through a fixed random weight,
-    which gives each parameter a direct, well-conditioned gradient path.  A
-    readout of only the final state leaves some cross-group entries with
-    gradients of order 1e-8, where the relative-error metric measures
-    finite-difference noise rather than correctness.
-    """
-    import dataclasses
-
-    from .autodiff import add, mul, sum_all
-    from .cells import bind_params, init_params, named_tensors
-    from .encoder import EncoderConfig, encode_forward
-
-    rng = np.random.default_rng(seed)
-    proto = init_params(kind, width, hidden, n_groups=n_groups, seed=seed + 1,
-                        use_bias=True)
-    xs_arr = [rng.normal(size=(batch, width)) for _ in range(n_steps)]
-    readout = [rng.normal(size=(batch, hidden)) for _ in range(n_steps)]
-    cfg = EncoderConfig(cell_kind=kind, d=width, H=hidden, K=n_groups, C=2)
-    mask_arr = None
-    if masked:
-        # At least one row strictly shorter than the sequence.
-        lengths = np.concatenate(
-            [[n_steps], rng.integers(1, max(2, n_steps), size=batch - 1)])
-        mask_arr = [(np.arange(batch) * 0 + (t < lengths)).astype(np.float64)
-                    .reshape(batch, 1) for t in range(n_steps)]
-
-    def f(params):
-        tape = Tape()
-        bound, leaves = bind_params(tape, dataclasses.replace(proto, **params))
-        xs = [tape.leaf(a) for a in xs_arr]
-        mask = None if mask_arr is None else [tape.leaf(m) for m in mask_arr]
-        enc = encode_forward(cfg, bound, xs, mask=mask)
-        loss = None
-        for t in range(n_steps):
-            term = sum_all(mul(enc.steps_fwd[t], tape.leaf(readout[t])))
-            loss = term if loss is None else add(loss, term)
-        grads = backward(tape, loss)
-        return float(loss.value[0, 0]), {n: grads[v.nid] for n, v in leaves.items()}
-
-    params = {k: v.copy() for k, v in named_tensors(proto).items()}
-    return grad_check(f, params, eps=eps)
-
-
-def pipeline_gradcheck(kind: str, width: int, seed: int, eps: float,
-                       weight_decay: float = 0.001, hidden: int = 6,
-                       n_groups: int = 1, n_steps: int = 5,
-                       n_classes: int = 3, batch: int = 3,
-                       bidirectional: bool = False) -> float:
-    """Gradient check of the full training objective against central
-    differences: embedding lookup, encoder, softmax, cross-entropy, and the
-    L2 penalty, on a small padded batch.
-
-    The relative-error metric is only meaningful for parameter entries whose
-    true gradient sits clearly above the finite-difference noise floor
-    (about machine epsilon times the objective over 2*eps).  Entries with
-    gradients near 1e-8 report noise, not wrongness, so callers that need a
-    tight bound should use sizes and seeds where the smallest nonzero
-    gradient stays out of that region.
-    """
-    from .data import Batch
-
-    rng = np.random.default_rng(seed)
-    vocab = build_vocab([Document(label=0, tokens=[f"t{i}" for i in range(10)])])
-    config = ModelConfig(kind=kind, d=width, H=1 if kind == "cbow" else hidden,
-                         K=n_groups, C=n_classes, bidirectional=bidirectional)
-    model = build_model(config, vocab, seed=seed)
-    ids = rng.integers(0, len(vocab), size=(batch, n_steps))
-    lengths = np.concatenate(
-        [[n_steps], rng.integers(max(1, n_steps - 3), n_steps + 1,
-                                 size=batch - 1)])
-    mask = (np.arange(n_steps)[None, :] < lengths[:, None]).astype(np.float64)
-    ids[mask == 0.0] = 0
-    batch = Batch(ids=ids, mask=mask, lengths=lengths,
-                  labels=rng.integers(0, n_classes, size=batch))
-
-    def f(params):
-        model.set_named_tensors(params)
-        tape = Tape()
-        probs, leaves = model.forward_batch(tape, batch)
-        loss = objective(probs, batch.labels, list(leaves.values()),
-                         weight_decay=weight_decay)
-        grads = backward(tape, loss)
-        return float(loss.value[0, 0]), {n: grads[v.nid] for n, v in leaves.items()}
-
-    params = {name: t.copy() for name, t in model.named_tensors().items()}
-    return grad_check(f, params, eps=eps)
 
 
 def cmd_gradcheck(args) -> int:

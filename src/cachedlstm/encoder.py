@@ -8,10 +8,10 @@ the backward pass's h_1 at the first step is concatenated on.  Group 1 has
 the lowest update rate, so it is the part of the state that accumulates
 document-scale evidence rather than recent-token detail.
 
-Variable-length batches are handled with a per-step {0,1} mask: masked steps
-carry the previous state through unchanged, and their recorded outputs are
-zeroed.  Because the blend is c = m*new + (1-m)*old with m exactly 0 or 1,
-padding steps are bit-neutral to the final state.
+Each direction is one ``cells.recurrence`` tape node holding every step's
+carried state.  Variable-length batches are handled with a per-step {0,1}
+mask: a row's state passes its masked steps unchanged, so padding steps are
+bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -25,31 +25,20 @@ import numpy as np
 
 from .autodiff import (
     ShapeError,
-    Tape,
     Var,
     add,
     add_rowvec,
     concat_cols,
     matmul,
-    mul,
     mul_colvec,
-    sigmoid,
     slice_cols,
     softmax_rows,
-    sub_from_one,
     tanh_,
     transpose,
 )
-from .cells import (
-    CELL_KINDS,
-    CellState,
-    ForgetRates,
-    cifg_step,
-    clstm_step,
-    lstm_step,
-    rnn_step,
-    zero_state,
-)
+from .cells import CELL_KINDS, recurrence, zero_state
+# Not called here: perfbench's tracer patches these names in this module.
+from .cells import clstm_step, lstm_step  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -93,112 +82,59 @@ class EncoderConfig:
         """Width of the document representation fed to the classifier."""
         return (2 if self.bidirectional else 1) * self.group_size
 
+    @property
+    def state_width(self) -> int:
+        """Columns per step in a direction's output: [c_t | h_t], or h_t for rnn."""
+        return (1 if self.cell_kind == "rnn" else 2) * self.H
+
 
 @dataclass
 class EncodedSequence:
-    """Recorded outputs of an encoder run over T steps.
+    """The recurrence nodes of an encoder run over T steps.
 
-    steps_fwd[t] is the forward hidden state after consuming token t (zeroed
-    at masked steps); final_fwd is the state after the last step.  The
-    backward fields hold the reverse-direction run aligned to the same t
-    (steps_bwd[t] saw tokens T-1..t), or None for unidirectional runs.
+    ``fwd`` is B x T*S (S = ``cfg.state_width``): block t holds the state
+    carried after token t, with h_t in its last H columns.  ``bwd`` is the
+    reverse run's node, in its own order (block t saw tokens T-1..T-1-t),
+    or None for unidirectional runs.
     """
 
     cfg: EncoderConfig
-    steps_fwd: list
-    final_fwd: CellState
-    rates_fwd: list | None = None
-    steps_bwd: list | None = None
-    final_bwd: CellState | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps_fwd)
-
-    def step_output(self, t: int) -> Var:
-        """Hidden state at step t, both directions concatenated if present."""
-        if not 0 <= t < self.n_steps:
-            raise IndexError(f"step {t} out of range 0..{self.n_steps - 1}")
-        if self.steps_bwd is None:
-            return self.steps_fwd[t]
-        return concat_cols([self.steps_fwd[t], self.steps_bwd[t]])
+    fwd: Var
+    bwd: Var | None = None
 
 
-def _step(cfg: EncoderConfig, params, x: Var, st: CellState):
-    if cfg.cell_kind == "rnn":
-        h = rnn_step(params, x, st.h)
-        return CellState(c=None, h=h, n_groups=1), None
-    if cfg.cell_kind == "lstm":
-        return lstm_step(params, x, st), None
-    if cfg.cell_kind == "cifg":
-        return cifg_step(params, x, st), None
-    new_st, rates = clstm_step(params, x, st)
-    return new_st, rates
-
-
-def _blend(new: Var, old: Var, m: Var, m_not: Var) -> Var:
-    return add(mul_colvec(new, m), mul_colvec(old, m_not))
-
-
-def encode_forward(cfg: EncoderConfig, params, xs: list, mask: list | None = None,
-                   initial: CellState | None = None) -> EncodedSequence:
-    """Run the cell left to right over xs (a list of B x d Vars).
-
-    mask, when given, is a list of B x 1 Vars with entries in {0, 1}; a zero
-    freezes that row's state for the step and zeroes the recorded output.
-    """
+def _run(cfg: EncoderConfig, params, xs: list, mask: list | None) -> Var:
     if not xs:
         raise ValueError("encode_forward: empty sequence")
     if mask is not None and len(mask) != len(xs):
         raise ShapeError(f"mask has {len(mask)} steps, inputs have {len(xs)}")
-    tape = xs[0].tape
-    batch = xs[0].rows
-    if initial is None:
-        st = zero_state(tape, batch, cfg.H, n_groups=cfg.K,
-                        with_memory=cfg.cell_kind != "rnn")
-    else:
-        st = initial
-    steps, rates_log = [], []
-    for t, x in enumerate(xs):
-        if x.cols != cfg.d:
-            raise ShapeError(f"step {t}: input width {x.cols}, expected {cfg.d}")
-        new_st, rates = _step(cfg, params, x, st)
-        if mask is not None:
-            m = mask[t]
-            m_not = sub_from_one(m)
-            h = _blend(new_st.h, st.h, m, m_not)
-            c = None
-            if new_st.c is not None:
-                c = _blend(new_st.c, st.c, m, m_not)
-            st = CellState(c=c, h=h, n_groups=cfg.K)
-            steps.append(mul_colvec(new_st.h, m))
-        else:
-            st = new_st
-            steps.append(new_st.h)
-        if rates is not None:
-            rates_log.append(rates)
-    return EncodedSequence(
-        cfg=cfg, steps_fwd=steps, final_fwd=st,
-        rates_fwd=rates_log if rates_log else None,
-    )
+    st = zero_state(xs[0].tape, xs[0].rows, cfg.H, n_groups=cfg.K,
+                    with_memory=cfg.cell_kind != "rnn")
+    m = None if mask is None else np.hstack([v.value for v in mask])
+    return recurrence(params, xs, st.c, st.h, m)
+
+
+def encode_forward(cfg: EncoderConfig, params, xs: list,
+                   mask: list | None = None) -> EncodedSequence:
+    """Run the cell left to right over xs (a list of B x d Vars).
+
+    mask, when given, is a list of B x 1 Vars with entries in {0, 1}; a zero
+    carries that row's state through the step unchanged.
+    """
+    return EncodedSequence(cfg=cfg, fwd=_run(cfg, params, xs, mask))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs: list,
                          mask: list | None = None) -> EncodedSequence:
-    """Forward and reverse runs over the same steps, outputs time-aligned.
+    """Forward and reverse runs over the same steps.
 
     The reverse run consumes tokens last to first; with a mask the padded
     tail of each row is skipped exactly as in the forward direction, so the
     reverse final state reflects the row's first real token.
     """
-    rev_mask = None if mask is None else list(reversed(mask))
-    fwd = encode_forward(cfg, fwd_params, xs, mask=mask)
-    bwd = encode_forward(cfg, bwd_params, list(reversed(xs)), mask=rev_mask)
-    return EncodedSequence(
-        cfg=cfg,
-        steps_fwd=fwd.steps_fwd, final_fwd=fwd.final_fwd, rates_fwd=fwd.rates_fwd,
-        steps_bwd=list(reversed(bwd.steps_fwd)), final_bwd=bwd.final_fwd,
-    )
+    rev_mask = None if mask is None else mask[::-1]
+    return EncodedSequence(cfg=cfg, fwd=_run(cfg, fwd_params, xs, mask),
+                           bwd=_run(cfg, bwd_params, xs[::-1], rev_mask))
 
 
 def doc_representation(enc: EncodedSequence) -> Var:
@@ -208,11 +144,14 @@ def doc_representation(enc: EncodedSequence) -> Var:
     hidden state, matching the usual last-state representation.
     """
     cfg = enc.cfg
-    gs = cfg.group_size
-    fwd_part = slice_cols(enc.final_fwd.h, 0, gs)
-    if enc.final_bwd is None:
-        return fwd_part
-    return concat_cols([fwd_part, slice_cols(enc.final_bwd.h, 0, gs)])
+
+    def first_group(run: Var) -> Var:
+        start = run.cols - cfg.H  # h of the last block
+        return slice_cols(run, start, start + cfg.group_size)
+
+    if enc.bwd is None:
+        return first_group(enc.fwd)
+    return concat_cols([first_group(enc.fwd), first_group(enc.bwd)])
 
 
 @dataclass

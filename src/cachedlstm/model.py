@@ -177,9 +177,16 @@ class DocModel:
         return probs, leaves
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
-        """Most probable class per row; ties resolve to the lower index."""
-        probs, _ = self.forward_batch(Tape(), batch)
-        return np.argmax(probs.value, axis=1)
+        """Most probable class per row; ties resolve to the lower index.
+
+        Raises ValueError if a probability is NaN or infinite, which a
+        model holding non-finite weights produces.
+        """
+        probs = self.forward_batch(Tape(), batch)[0].value
+        if not np.isfinite(probs).all():
+            raise ValueError("model gives non-finite class probabilities "
+                             "(its weights hold NaN or inf)")
+        return np.argmax(probs, axis=1)
 
     def predict(self, docs: list, batch_size: int = 64) -> np.ndarray:
         """Predictions for a document list, in input order."""

@@ -25,6 +25,8 @@ import struct
 
 import numpy as np
 
+from .cells import GATES, CellParams
+
 MAGIC = b"TBOX"
 VERSION = 1
 
@@ -94,8 +96,19 @@ def save_model(path: str, model) -> None:
     save_container(path, model.named_tensors(), meta)
 
 
+def _stack_legacy_gates(tensors: dict, prefix: str, kind: str) -> None:
+    """Stack per-gate tensors of older files (``fwd.w_i``, ...) into ``fwd.w`` etc."""
+    for part in "wub":
+        names = [f"{prefix}{part}_{g}" for g in GATES[kind]]
+        if prefix + part not in tensors and all(n in tensors for n in names):
+            tensors[prefix + part] = np.vstack([tensors.pop(n) for n in names])
+
+
 def load_model(path: str):
-    """Rebuild a DocModel from a container written by save_model."""
+    """Rebuild a DocModel from a container written by save_model.
+
+    Files that store each gate's tensors under its own name load as well.
+    """
     from .data import EmbeddingMatrix, Vocab
     from .encoder import ClassifierParams
     from .model import DocModel, ModelConfig
@@ -116,38 +129,27 @@ def load_model(path: str):
         )
 
     def cell_from(prefix):
-        from .cells import init_params
-
-        sub = {k[len(prefix):]: v for k, v in tensors.items() if k.startswith(prefix)}
-        if not sub:
-            return None
-        proto = init_params(config.kind, config.d, config.H, n_groups=config.K,
-                            seed=0, use_bias=config.use_bias)
-        import dataclasses
-
-        reps = {}
-        for f in dataclasses.fields(proto):
-            cur = getattr(proto, f.name)
-            if isinstance(cur, np.ndarray):
-                if f.name not in sub:
-                    raise ValueError(f"container is missing tensor {prefix}{f.name}")
-                if sub[f.name].shape != cur.shape:
-                    raise ValueError(
-                        f"tensor {prefix}{f.name}: shape {sub[f.name].shape} != "
-                        f"expected {cur.shape}"
-                    )
-                reps[f.name] = sub[f.name]
-        return dataclasses.replace(proto, **reps)
+        _stack_legacy_gates(tensors, prefix, config.kind)
+        rows = len(GATES[config.kind]) * config.H
+        want = {"w": (rows, config.d), "u": (rows, config.H)}
+        if config.use_bias:
+            want["b"] = (rows, 1)
+        for part, shape in want.items():
+            name = prefix + part
+            if name not in tensors:
+                raise ValueError(f"container is missing tensor {name}")
+            if tensors[name].shape != shape:
+                raise ValueError(
+                    f"tensor {name}: shape {tensors[name].shape} != expected {shape}")
+        bias = tensors[prefix + "b"] if config.use_bias else None
+        return CellParams(config.kind, config.K, tensors[prefix + "w"],
+                          tensors[prefix + "u"], bias)
 
     cell_fwd = cell_bwd = None
     if config.kind != "cbow":
         cell_fwd = cell_from("fwd.")
-        if cell_fwd is None:
-            raise ValueError("container is missing the forward cell tensors")
         if config.bidirectional:
             cell_bwd = cell_from("bwd.")
-            if cell_bwd is None:
-                raise ValueError("container is missing the backward cell tensors")
     for need in ("clf.w", "clf.b"):
         if need not in tensors:
             raise ValueError(f"container is missing tensor {need}")

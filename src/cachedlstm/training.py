@@ -233,7 +233,10 @@ def _snapshot(model: DocModel) -> dict:
 
 
 def _dev_metrics(model: DocModel, dev_docs: list, batch_size: int):
-    preds = model.predict(dev_docs, batch_size=batch_size)
+    try:
+        preds = model.predict(dev_docs, batch_size=batch_size)
+    except ValueError as exc:  # the last update left non-finite weights
+        raise TrainingDiverged(f"dev scoring failed: {exc}") from None
     gold = np.array([d.label for d in dev_docs])
     return accuracy(preds, gold), mse(preds, gold)
 

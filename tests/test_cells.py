@@ -1,8 +1,8 @@
 """Cell step tests.
 
 The grouped cell is checked against a straightforward per-group numpy
-reference that loops over blocks, plus closed-form values for zero weights
-and gradient checks through unrolled steps.
+reference that loops over blocks of the stacked layout, plus closed-form
+values for zero weights and gradient checks through unrolled steps.
 """
 
 import numpy as np
@@ -17,19 +17,18 @@ from cachedlstm.autodiff import (
     sum_all,
 )
 from cachedlstm.cells import (
+    GATES,
+    CellParams,
     CellState,
     CifgParams,
     ClstmParams,
-    LstmParams,
-    RnnParams,
     bind_params,
     cifg_step,
     clstm_step,
     init_params,
     lstm_step,
     named_tensors,
-    rnn_step,
-    squash,
+    recurrence,
     zero_state,
 )
 
@@ -38,24 +37,36 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def clstm_reference(p: ClstmParams, x, c_prev, h_prev):
+def block(p: CellParams, tensor: str, gate: str, k: int, j: int | None = None):
+    """W^k of a gate (j None) or U^{j->k}, sliced out of the stacked layout.
+
+    Gate blocks are H rows each in GATES order; inside one, the rows of
+    group k and, in ``u``, the columns of group j hold U^{j->k}.
+    """
+    gs = p.hidden_size // p.n_groups
+    row = GATES[p.kind].index(gate) * p.hidden_size + (k - 1) * gs
+    rows = getattr(p, tensor)[row:row + gs]
+    return rows if j is None else rows[:, (j - 1) * gs:j * gs]
+
+
+def clstm_reference(p: CellParams, x, c_prev, h_prev):
     """Per-group loop evaluating the grouped cell the long way.
 
-    Uses the block accessors so the test also pins down the storage layout:
-    rows of group k, recurrent columns of group j hold U^{j->k}.
+    Uses ``block`` so the test also pins down the storage layout: rows of
+    group k, recurrent columns of group j hold U^{j->k}.
     """
     K = p.n_groups
-    gs = p.group_size
+    gs = p.hidden_size // K
     h_groups = [h_prev[:, j * gs:(j + 1) * gs] for j in range(K)]
     cs, hs, rs = [], [], []
     for k in range(1, K + 1):
-        pre_r = x @ p.w_block("r", k).T
-        pre_o = x @ p.w_block("o", k).T
-        pre_c = x @ p.w_block("c", k).T
+        pre_r = x @ block(p, "w", "r", k).T
+        pre_o = x @ block(p, "w", "o", k).T
+        pre_c = x @ block(p, "w", "c", k).T
         for j in range(1, K + 1):
-            pre_r = pre_r + h_groups[j - 1] @ p.u_block("r", j, k).T
-            pre_o = pre_o + h_groups[j - 1] @ p.u_block("o", j, k).T
-            pre_c = pre_c + h_groups[j - 1] @ p.u_block("c", j, k).T
+            pre_r = pre_r + h_groups[j - 1] @ block(p, "u", "r", k, j).T
+            pre_o = pre_o + h_groups[j - 1] @ block(p, "u", "o", k, j).T
+            pre_c = pre_c + h_groups[j - 1] @ block(p, "u", "c", k, j).T
         if p.b_r is not None:
             pre_r = pre_r + p.b_r[(k - 1) * gs:k * gs, 0]
             pre_o = pre_o + p.b_o[(k - 1) * gs:k * gs, 0]
@@ -71,31 +82,45 @@ def clstm_reference(p: ClstmParams, x, c_prev, h_prev):
     return np.hstack(cs), np.hstack(hs), np.hstack(rs)
 
 
+def _rates_at(n_groups, bias, hidden=None):
+    """Rates of one clstm step with zero weights and a constant rate bias."""
+    hidden = hidden or 2 * n_groups
+    p = init_params("clstm", 2, hidden, n_groups=n_groups, seed=0, use_bias=True)
+    p.w[:] = 0.0
+    p.u[:] = 0.0
+    p.b_r[:] = bias
+    tape = Tape()
+    bound, _ = bind_params(tape, p)
+    _, rates = clstm_step(bound, tape.leaf(np.ones((1, 2))),
+                          zero_state(tape, 1, hidden, n_groups=n_groups))
+    return rates.r.value[0]
+
+
 class TestSquash:
+    """The rate squash z/K + (k-1)/K, seen through clstm_step."""
+
     def test_known_values(self):
-        tape = Tape()
-        z = tape.leaf(np.array([[0.5]]))
-        assert squash(z, 1, 3).value[0, 0] == pytest.approx(1.0 / 6.0)
-        assert squash(z, 4, 4).value[0, 0] == pytest.approx(0.875)
+        # sigmoid(0) = 0.5.
+        assert _rates_at(3, 0.0)[0] == pytest.approx(1.0 / 6.0)
+        assert _rates_at(4, 0.0)[-1] == pytest.approx(0.875)
 
     def test_single_group_is_identity(self):
-        tape = Tape()
-        z = tape.leaf(np.array([[0.3, 0.9]]))
-        np.testing.assert_allclose(squash(z, 1, 1).value, [[0.3, 0.9]])
+        for z in (0.3, 0.9):
+            r = _rates_at(1, np.log(z / (1.0 - z)))
+            np.testing.assert_allclose(r, z, rtol=1e-14)
 
     def test_interval_endpoints(self):
-        tape = Tape()
-        z = tape.leaf(np.array([[0.0, 1.0]]))
-        out = squash(z, 2, 4).value
-        np.testing.assert_allclose(out, [[0.25, 0.5]])
-
-    def test_rejects_bad_group_index(self):
-        tape = Tape()
-        z = tape.leaf(np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            squash(z, 0, 3)
-        with pytest.raises(ValueError):
-            squash(z, 4, 3)
+        # A saturated rate gate approaches its band's edges (k-1)/K and
+        # k/K but never reaches them, so the bands stay open intervals.
+        for n_groups in (2, 3, 4, 5):
+            for bias in (-40.0, 40.0, -1e4, 1e4):
+                r = _rates_at(n_groups, bias, hidden=3 * n_groups)
+                for k in range(1, n_groups + 1):
+                    seg = r[(k - 1) * 3:k * 3]
+                    lo, hi = (k - 1) / n_groups, k / n_groups
+                    assert (seg > lo).all() and (seg < hi).all(), (n_groups, bias, k)
+                    edge = lo if bias < 0 else hi
+                    assert np.abs(seg - edge).max() < 1e-15
 
 
 class TestClosedForms:
@@ -103,12 +128,7 @@ class TestClosedForms:
         # All gates sit at 0.5 and the candidate is 0, so c' = 0.5 and
         # h' = 0.5 * tanh(0.5).
         d, H = 3, 4
-        p = LstmParams(
-            w_i=np.zeros((H, d)), w_f=np.zeros((H, d)),
-            w_o=np.zeros((H, d)), w_c=np.zeros((H, d)),
-            u_i=np.zeros((H, H)), u_f=np.zeros((H, H)),
-            u_o=np.zeros((H, H)), u_c=np.zeros((H, H)),
-        )
+        p = CellParams("lstm", 1, w=np.zeros((4 * H, d)), u=np.zeros((4 * H, H)))
         tape = Tape()
         bound, _ = bind_params(tape, p)
         x = tape.leaf(np.ones((2, d)))
@@ -132,8 +152,8 @@ class TestClosedForms:
         prev = CellState(c=tape.leaf(np.ones((1, H))), h=tape.leaf(np.zeros((1, H))),
                          n_groups=K)
         st, rates = clstm_step(bound, x, prev)
-        np.testing.assert_allclose(rates.group(1).value, 0.25)
-        np.testing.assert_allclose(rates.group(2).value, 0.75)
+        np.testing.assert_allclose(rates.r.value[:, :2], 0.25)
+        np.testing.assert_allclose(rates.r.value[:, 2:], 0.75)
         np.testing.assert_allclose(st.c.value[:, :2], 0.75)
         np.testing.assert_allclose(st.c.value[:, 2:], 0.25)
         np.testing.assert_allclose(st.h.value[:, :2], 0.5 * np.tanh(0.75))
@@ -148,7 +168,7 @@ class TestClosedForms:
         h_arr = rng.normal(size=(B, H))
         tape = Tape()
         bound, _ = bind_params(tape, p)
-        h2 = rnn_step(bound, tape.leaf(x_arr), tape.leaf(h_arr))
+        h2 = recurrence(bound, [tape.leaf(x_arr)], None, tape.leaf(h_arr))
         want = np.tanh(x_arr @ p.w.T + h_arr @ p.u.T + p.b[:, 0])
         np.testing.assert_allclose(h2.value, want, atol=1e-12)
 
@@ -187,7 +207,7 @@ class TestClstmAgainstReference:
             x = tape.leaf(rng.normal(size=(B, d)) * 3.0)
             st, rates = clstm_step(bound, x, st)
             for k in range(1, K + 1):
-                rk = rates.group(k).value
+                rk = rates.r.value[:, (k - 1) * 2:k * 2]
                 assert (rk > (k - 1) / K).all()
                 assert (rk < k / K).all()
 
@@ -207,8 +227,9 @@ class TestClstmAgainstReference:
         for _ in range(T):
             x = tape.leaf(rng.normal(size=(B, d)))
             st, _rates = clstm_step(bound, x, st)
-        slow = st.c_group(1).value
-        fast = st.c_group(K).value
+        gs = H // K
+        slow = st.c.value[:, :gs]
+        fast = st.c.value[:, (K - 1) * gs:]
         assert slow.min() > fast.max()
         assert fast.max() < 1e-6  # fastest group decays towards nothing
 
@@ -254,7 +275,7 @@ class TestGradientsThroughSteps:
             if kind == "rnn":
                 h = tape.leaf(np.zeros((B, H)))
                 for x in xs:
-                    h = rnn_step(bound, tape.leaf(x), h)
+                    h = recurrence(bound, [tape.leaf(x)], None, h)
                 out = h
             else:
                 st = zero_state(tape, B, H, n_groups=K)
@@ -301,7 +322,7 @@ class TestValidation:
 
     def test_recurrent_matrix_shape_checked(self):
         with pytest.raises(ShapeError, match="4x4"):
-            RnnParams(w=np.zeros((4, 3)), u=np.zeros((4, 5)))
+            CellParams("rnn", 1, w=np.zeros((4, 3)), u=np.zeros((4, 5)))
 
     def test_bias_shape_checked(self):
         with pytest.raises(ShapeError):
@@ -320,16 +341,22 @@ class TestValidation:
             clstm_step(bound, tape.leaf(np.zeros((1, 3))), st)
 
     def test_block_accessors_bounds(self):
+        # Per-gate views exist only for the kind's own gates.
         p = init_params("clstm", 3, 6, n_groups=2, seed=0)
-        with pytest.raises(ValueError):
-            p.w_block("r", 0)
-        with pytest.raises(ValueError):
-            p.u_block("o", 1, 3)
+        assert p.b_r is None
+        with pytest.raises(AttributeError):
+            p.w_i
+        with pytest.raises(AttributeError):
+            p.u_h
 
     def test_block_accessor_geometry(self):
+        # H=8, gates (r, o, c): gate c is rows 16..24, group 2 its rows 2..4.
         p = init_params("clstm", 3, 8, n_groups=4, seed=9)
-        np.testing.assert_array_equal(p.w_block("c", 2), p.w_c[2:4, :])
-        np.testing.assert_array_equal(p.u_block("r", 3, 1), p.u_r[0:2, 4:6])
+        np.testing.assert_array_equal(block(p, "w", "c", 2), p.w[18:20, :])
+        np.testing.assert_array_equal(block(p, "w", "c", 2), p.w_c[2:4, :])
+        np.testing.assert_array_equal(block(p, "u", "r", 1, 3), p.u[0:2, 4:6])
+        np.testing.assert_array_equal(block(p, "u", "o", 1, 3), p.u_o[0:2, 4:6])
+        assert np.shares_memory(p.w_c, p.w)
 
 
 class TestInit:

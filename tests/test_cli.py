@@ -167,6 +167,25 @@ class TestEval:
         assert run(["eval", str(tmp_path / "no.bin"),
                     str(needle_corpus / "dev.tsv")]) == 2
 
+    @pytest.mark.parametrize("tensor", ["clf.w", "embedding"])
+    def test_eval_of_a_nan_model_exits_2(self, tmp_path, capsys, tensor):
+        from cachedlstm.data import Document, build_vocab
+        from cachedlstm.model import ModelConfig, build_model
+        from cachedlstm.serialize import save_model
+
+        vocab = build_vocab([Document(0, ["a", "b"]), Document(1, ["c"])])
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), vocab, seed=0)
+        if tensor == "clf.w":
+            model.clf.w[:] = np.nan
+        else:  # one row, of a token the corpus below uses
+            model.embedding.vectors[vocab.id_for("c")] = np.nan
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tc a\n")
+        assert run(["eval", str(path), str(corpus)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_by_default(self, capsys):
@@ -176,15 +195,15 @@ class TestGradcheckCommand:
 
     def test_detects_wrong_gradients(self, monkeypatch, capsys):
         # Corrupt the backward pass and the check must fail with exit 1.
-        import cachedlstm.cli as cli_mod
+        import cachedlstm.gradcheck as gradcheck_mod
 
-        real = cli_mod.backward
+        real = gradcheck_mod.backward
 
         def crooked(tape, loss):
             grads = real(tape, loss)
             return {k: v * 1.001 for k, v in grads.items()}
 
-        monkeypatch.setattr(cli_mod, "backward", crooked)
+        monkeypatch.setattr(gradcheck_mod, "backward", crooked)
         assert run(["gradcheck", "--cell", "lstm"]) == 1
         assert "FAILED" in capsys.readouterr().out
 

@@ -29,6 +29,13 @@ def _embed(tape, rng, T, B, d):
     return [tape.leaf(rng.normal(size=(B, d))) for _ in range(T)]
 
 
+def _block(run, cfg, t, part="h"):
+    """Columns of h_t (or c_t) in a direction's output, as a numpy array."""
+    S, H = cfg.state_width, cfg.H
+    start = t * S + (S - H if part == "h" else 0)
+    return run.value[:, start:start + H]
+
+
 class TestConfig:
     def test_rep_width(self):
         cfg = EncoderConfig(cell_kind="clstm", d=5, H=12, K=3, C=4)
@@ -64,19 +71,9 @@ class TestForwardUnroll:
         st = zero_state(tape, B, H)
         for x in xs:
             st = lstm_step(bound, x, st)
-        np.testing.assert_array_equal(enc.final_fwd.h.value, st.h.value)
-        np.testing.assert_array_equal(enc.final_fwd.c.value, st.c.value)
-        assert enc.n_steps == T
-
-    def test_clstm_records_rates(self):
-        rng = np.random.default_rng(9)
-        cfg = EncoderConfig(cell_kind="clstm", d=3, H=6, K=2, C=2)
-        p = init_params("clstm", 3, 6, n_groups=2, seed=1)
-        tape = Tape()
-        bound, _ = bind_params(tape, p)
-        enc = encode_forward(cfg, bound, _embed(tape, rng, 4, 2, 3))
-        assert len(enc.rates_fwd) == 4
-        assert enc.rates_fwd[0].n_groups == 2
+        np.testing.assert_array_equal(_block(enc.fwd, cfg, T - 1), st.h.value)
+        np.testing.assert_array_equal(_block(enc.fwd, cfg, T - 1, "c"), st.c.value)
+        assert enc.fwd.shape == (B, T * 2 * H)
 
     def test_empty_sequence_rejected(self):
         cfg = EncoderConfig(cell_kind="rnn", d=3, H=4, C=2)
@@ -129,26 +126,14 @@ class TestMasking:
             bound2, _ = bind_params(tape2, p)
             xs2 = [tape2.leaf(row[t:t + 1]) for t in range(lengths[i])]
             solo = encode_forward(cfg, bound2, xs2)
-            np.testing.assert_allclose(
-                enc.final_fwd.h.value[i], solo.final_fwd.h.value[0], atol=1e-12)
-            if kind != "rnn":
+            last = lengths[i] - 1
+            for t in (last, T - 1):  # padding steps carry the final state
                 np.testing.assert_allclose(
-                    enc.final_fwd.c.value[i], solo.final_fwd.c.value[0], atol=1e-12)
-
-    def test_masked_step_outputs_are_zero(self):
-        rng = np.random.default_rng(32)
-        cfg = EncoderConfig(cell_kind="lstm", d=2, H=3, C=2)
-        p = init_params("lstm", 2, 3, seed=5)
-        tape = Tape()
-        bound, _ = bind_params(tape, p)
-        xs = [tape.leaf(rng.normal(size=(2, 2))) for _ in range(3)]
-        mask = [tape.leaf(np.array([[1.0], [1.0]])),
-                tape.leaf(np.array([[1.0], [0.0]])),
-                tape.leaf(np.array([[1.0], [0.0]]))]
-        enc = encode_forward(cfg, bound, xs, mask=mask)
-        assert (enc.steps_fwd[1].value[1] == 0.0).all()
-        assert (enc.steps_fwd[2].value[1] == 0.0).all()
-        assert (enc.steps_fwd[1].value[0] != 0.0).any()
+                    _block(enc.fwd, cfg, t)[i], _block(solo.fwd, cfg, last)[0], atol=1e-12)
+                if kind != "rnn":
+                    np.testing.assert_allclose(
+                        _block(enc.fwd, cfg, t, "c")[i],
+                        _block(solo.fwd, cfg, last, "c")[0], atol=1e-12)
 
     def test_mask_length_mismatch(self):
         cfg = EncoderConfig(cell_kind="rnn", d=2, H=3, C=2)
@@ -179,25 +164,10 @@ class TestBidirectional:
         tape2 = Tape()
         bb2, _ = bind_params(tape2, pb)
         rev = encode_forward(uni, bb2, [tape2.leaf(a) for a in reversed(arrays)])
-        np.testing.assert_allclose(enc.final_bwd.h.value, rev.final_fwd.h.value,
-                                   atol=1e-12)
-        # steps_bwd[0] is the reverse pass after its final step (token 0).
-        np.testing.assert_array_equal(enc.steps_bwd[0].value, rev.steps_fwd[-1].value)
-
-    def test_step_output_concatenates(self):
-        rng = np.random.default_rng(34)
-        cfg = EncoderConfig(cell_kind="rnn", d=2, H=3, C=2, bidirectional=True)
-        pf = init_params("rnn", 2, 3, seed=1)
-        pb = init_params("rnn", 2, 3, seed=2)
-        tape = Tape()
-        bf, _ = bind_params(tape, pf)
-        bb, _ = bind_params(tape, pb)
-        xs = [tape.leaf(rng.normal(size=(2, 2))) for _ in range(3)]
-        enc = encode_bidirectional(cfg, bf, bb, xs)
-        out = enc.step_output(1)
-        assert out.shape == (2, 6)
-        np.testing.assert_array_equal(out.value[:, :3], enc.steps_fwd[1].value)
-        np.testing.assert_array_equal(out.value[:, 3:], enc.steps_bwd[1].value)
+        # The reverse node, in its own order, is the reverse run's node.
+        np.testing.assert_array_equal(enc.bwd.value, rev.fwd.value)
+        np.testing.assert_array_equal(_block(enc.bwd, cfg, T - 1),
+                                      _block(rev.fwd, uni, T - 1))
 
 
 class TestDocRepresentation:
@@ -210,7 +180,7 @@ class TestDocRepresentation:
         enc = encode_forward(cfg, bound, _embed(tape, rng, 3, 2, 3))
         rep = doc_representation(enc)
         assert rep.shape == (2, 2)
-        np.testing.assert_array_equal(rep.value, enc.final_fwd.h.value[:, :2])
+        np.testing.assert_array_equal(rep.value, _block(enc.fwd, cfg, 2)[:, :2])
 
     def test_bidirectional_width(self):
         rng = np.random.default_rng(36)
@@ -223,7 +193,7 @@ class TestDocRepresentation:
         enc = encode_bidirectional(cfg, bf, bb, _embed(tape, rng, 4, 2, 3))
         rep = doc_representation(enc)
         assert rep.shape == (2, 4)
-        np.testing.assert_array_equal(rep.value[:, 2:], enc.final_bwd.h.value[:, :2])
+        np.testing.assert_array_equal(rep.value[:, 2:], _block(enc.bwd, cfg, 3)[:, :2])
 
 
 class TestClassifier:
@@ -285,14 +255,14 @@ class TestGradientsThroughEncoder:
     """
 
     def test_masked_clstm_encoder_grad(self):
-        from cachedlstm.cli import encoder_gradcheck
+        from cachedlstm.gradcheck import encoder_gradcheck
 
         err = encoder_gradcheck("clstm", 2, hidden=4, width=2, n_steps=3,
                                 batch=2, seed=9, eps=1e-5, masked=True)
         assert err < 1e-6
 
     def test_masked_lstm_encoder_grad(self):
-        from cachedlstm.cli import encoder_gradcheck
+        from cachedlstm.gradcheck import encoder_gradcheck
 
         err = encoder_gradcheck("lstm", 1, hidden=5, width=3, n_steps=4,
                                 batch=3, seed=13, eps=1e-5, masked=True)
@@ -318,7 +288,8 @@ class TestGradientsThroughEncoder:
         enc2 = encode_forward(cfg, bound2, xs2)
         from cachedlstm.autodiff import slice_cols
 
-        loss2 = sum_all(mul(slice_cols(enc2.final_fwd.h, 0, 2), tape2.leaf(weight)))
+        h_last = 2 * 2 * 4 + 4  # h_2 of the three [c_t | h_t] blocks, 8 wide
+        loss2 = sum_all(mul(slice_cols(enc2.fwd, h_last, h_last + 2), tape2.leaf(weight)))
         grads2 = backward(tape2, loss2)
         for name in leaves:
             np.testing.assert_array_equal(grads[leaves[name].nid],

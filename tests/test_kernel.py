@@ -1,0 +1,154 @@
+"""The fused recurrence kernel against the per-step tape graph it replaced.
+
+``composed_run`` builds the same computation from elementary tape ops, one
+node per operation and step, in the [c_t | h_t] output layout of
+``cells.recurrence``.  Values and gradients for every input must agree.
+"""
+
+import numpy as np
+import pytest
+
+from cachedlstm.autodiff import (
+    Tape,
+    add,
+    add_const,
+    add_rowvec,
+    backward,
+    concat_cols,
+    matmul,
+    mul,
+    mul_colvec,
+    mul_const,
+    sigmoid,
+    slice_cols,
+    sub_from_one,
+    sum_all,
+    tanh_,
+    transpose,
+)
+from cachedlstm.cells import GATES, bind_params, init_params, recurrence
+from cachedlstm.data import Batch, Document, build_vocab
+from cachedlstm.model import ModelConfig, build_model
+
+CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 2),
+         ("clstm", 3)]
+
+
+def composed_run(p, xs, c0, h0, mask):
+    """Per-step tape graph of the cell; p holds bound Vars."""
+    tape = xs[0].tape
+    kind, H, K = p.kind, p.hidden_size, p.n_groups
+    gates = GATES[kind]
+    w_t, u_t = transpose(p.w), transpose(p.u)
+    b_t = None if p.b is None else transpose(p.b)
+    offsets = np.repeat(np.arange(K) / K, H // K).reshape(1, H)
+
+    def pre(gate, x, h):
+        lo = gates.index(gate) * H
+        a = add(matmul(x, slice_cols(w_t, lo, lo + H)),
+                matmul(h, slice_cols(u_t, lo, lo + H)))
+        return a if b_t is None else add_rowvec(a, slice_cols(b_t, lo, lo + H))
+
+    c, h = c0, h0
+    blocks = []
+    for t, x in enumerate(xs):
+        if kind == "rnn":
+            h_new = tanh_(pre("h", x, h))
+        else:
+            o = sigmoid(pre("o", x, h))
+            ctil = tanh_(pre("c", x, h))
+            if kind == "lstm":
+                keep, write = sigmoid(pre("f", x, h)), sigmoid(pre("i", x, h))
+            elif kind == "cifg":
+                keep = sigmoid(pre("f", x, h))
+                write = sub_from_one(keep)
+            else:
+                write = add_const(mul_const(sigmoid(pre("r", x, h)), 1.0 / K), offsets)
+                keep = sub_from_one(write)
+            c_new = add(mul(keep, c), mul(write, ctil))
+            h_new = mul(o, tanh_(c_new))
+        if mask is None:
+            h = h_new
+            c = c_new if kind != "rnn" else None
+        else:
+            m = tape.leaf(mask[:, t:t + 1])
+            m_not = sub_from_one(m)
+            h = add(mul_colvec(h_new, m), mul_colvec(h, m_not))
+            if kind != "rnn":
+                c = add(mul_colvec(c_new, m), mul_colvec(c, m_not))
+        blocks += [h] if kind == "rnn" else [c, h]
+    return concat_cols(blocks)
+
+
+def _run_both(kind, n_groups, masked, seed):
+    rng = np.random.default_rng(seed)
+    B, d, H, T = 4, 5, 6, 7
+    params = init_params(kind, d, H, n_groups=n_groups, seed=seed, use_bias=True)
+    params.w[:] = rng.uniform(-0.6, 0.6, params.w.shape)
+    params.u[:] = rng.uniform(-0.6, 0.6, params.u.shape)
+    params.b[:] = rng.normal(scale=0.3, size=params.b.shape)
+    xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
+    c0_arr = rng.normal(size=(B, H))
+    h0_arr = rng.uniform(-1, 1, (B, H))
+    lengths = np.array([T, 1, 4, T - 1])
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float) if masked else None
+    width = (1 if kind == "rnn" else 2) * H
+    readout = rng.normal(size=(B, T * width))
+    out = []
+    for run in (recurrence, composed_run):
+        tape = Tape()
+        bound, leaves = bind_params(tape, params)
+        xs = [tape.leaf(a) for a in xs_arr]
+        c0 = None if kind == "rnn" else tape.leaf(c0_arr)
+        h0 = tape.leaf(h0_arr)
+        value = run(bound, xs, c0, h0, mask)
+        grads = backward(tape, sum_all(mul(value, tape.leaf(readout))))
+        inputs = dict(leaves, h0=h0, **({} if c0 is None else {"c0": c0}))
+        inputs.update({f"x{t}": x for t, x in enumerate(xs)})
+        out.append((value.value, {n: np.asarray(grads[v.nid]) for n, v in inputs.items()},
+                    len(tape)))
+    return out
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind,n_groups", CASES)
+def test_kernel_matches_composed_tape(kind, n_groups, masked):
+    (value, grads, _), (ref_value, ref_grads, _) = _run_both(kind, n_groups, masked, seed=3)
+    assert value.shape == ref_value.shape
+    assert np.abs(value - ref_value).max() <= 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        scale = max(1.0, np.abs(ref_grads[name]).max())
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_masked_steps_carry_state():
+    (value, _, _), _ = _run_both("lstm", 1, masked=True, seed=4)
+    blocks = value.reshape(4, 7, 12)
+    # Row 1 has one real token: every later block repeats block 0 exactly.
+    assert (blocks[1, 1:] == blocks[1, 0]).all()
+    assert (blocks[2, 4:] == blocks[2, 3]).all()
+    assert (blocks[0, 1] != blocks[0, 0]).any()
+
+
+def test_kernel_is_one_node():
+    (_, _, nodes), (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
+    # Leaves: w, u, b, 7 inputs, c0, h0 and the readout, then one kernel
+    # node, the product with the readout and the sum.
+    assert nodes == 3 + 7 + 2 + 1 + 3
+    assert ref_nodes > 7 * 20
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_forward_batch_records_no_per_step_cell_nodes(bidirectional):
+    cfg = ModelConfig(kind="clstm", d=4, H=6, K=3, C=3, bidirectional=bidirectional)
+    model = build_model(cfg, build_vocab([Document(0, ["a"])]), seed=0)
+    sizes = []
+    for n_steps in (5, 40):
+        ids = np.zeros((2, n_steps), dtype=np.int64)
+        batch = Batch(ids=ids, mask=np.ones((2, n_steps)),
+                      lengths=np.array([n_steps, n_steps]), labels=np.zeros(2, dtype=np.int64))
+        tape = Tape()
+        model.forward_batch(tape, batch)
+        sizes.append(len(tape) - n_steps)  # one embedding gather per step
+    assert sizes[0] == sizes[1]

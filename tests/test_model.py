@@ -58,7 +58,8 @@ class TestBuildModel:
         cfg = ModelConfig(kind="clstm", d=4, H=6, K=2, C=3, bidirectional=True)
         names = set(build_model(cfg, v, seed=0).named_tensors())
         assert "embedding" in names
-        assert "fwd.w_r" in names and "bwd.u_c" in names
+        assert {"fwd.w", "fwd.u", "bwd.w", "bwd.u"} <= names
+        assert "fwd.b" not in names  # biases are off by default
         assert "clf.w" in names and "clf.b" in names
         cbow_names = set(build_model(ModelConfig(kind="cbow", d=4, C=3),
                                      v, seed=0).named_tensors())
@@ -149,7 +150,7 @@ class TestForwardAndPredict:
 
 class TestPipelineGradients:
     def test_cbow_pipeline_gradcheck(self):
-        from cachedlstm.cli import pipeline_gradcheck
+        from cachedlstm.gradcheck import pipeline_gradcheck
 
         assert pipeline_gradcheck("cbow", width=6, seed=0, eps=1e-5) < 1e-6
 
@@ -160,7 +161,7 @@ class TestPipelineGradients:
         # relative errors around 1e-4 without being wrong; the strict 1e-6
         # bound is enforced by the encoder-level checks where every path is
         # well conditioned.
-        from cachedlstm.cli import pipeline_gradcheck
+        from cachedlstm.gradcheck import pipeline_gradcheck
 
         assert pipeline_gradcheck("lstm", width=5, seed=11, eps=1e-5) < 1e-3
 

@@ -1,11 +1,14 @@
 """Container format tests: exact roundtrips, determinism, corruption
 handling, and whole-model save/load."""
 
+import json
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
+from cachedlstm.autodiff import Tape
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.model import ModelConfig, build_model
 from cachedlstm.serialize import (
@@ -110,9 +113,9 @@ class TestModelRoundtrip:
         path = tmp_path / "model.bin"
         save_model(str(path), model)
         tensors, meta = load_container(str(path))
-        del tensors["fwd.u_c"]
+        del tensors["fwd.u"]
         save_container(str(path), tensors, meta)
-        with pytest.raises(ValueError, match="fwd.u_c"):
+        with pytest.raises(ValueError, match="fwd.u"):
             load_model(str(path))
 
     def test_unknown_tensor_rejected(self, tmp_path):
@@ -148,4 +151,35 @@ class TestModelRoundtrip:
         tensors["embedding"] = tensors["embedding"][:-1]
         save_container(str(path), tensors, meta)
         with pytest.raises(ValueError, match="vocabulary"):
+            load_model(str(path))
+
+
+class TestLegacyFiles:
+    """Files that name each gate's tensor (fwd.w_i, fwd.u_r, ...) still load.
+
+    The fixtures in tests/data were saved with per-gate names, together
+    with the class probabilities that model gave for three documents.
+    """
+
+    DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+    @pytest.mark.parametrize("kind", ["lstm", "cifg", "clstm"])
+    def test_same_predictions(self, kind):
+        expected = json.loads((self.DATA / "legacy_probs.json").read_text())
+        tensors, _ = load_container(str(self.DATA / f"legacy_{kind}.bin"))
+        assert any(name.startswith("fwd.w_") for name in tensors)
+        model = load_model(str(self.DATA / f"legacy_{kind}.bin"))
+        docs = [Document(0, tokens) for tokens in expected["docs"]]
+        probs, _ = model.forward_batch(Tape(), pad_batch(docs, model.vocab))
+        want = np.array(expected["models"][kind])
+        assert np.abs(probs.value - want).max() <= 1e-12
+        np.testing.assert_array_equal(probs.value.argmax(axis=1), want.argmax(axis=1))
+        assert set(model.named_tensors()) >= {"fwd.w", "fwd.u"}
+
+    def test_partial_gate_set_is_missing_a_tensor(self, tmp_path):
+        tensors, meta = load_container(str(self.DATA / "legacy_lstm.bin"))
+        del tensors["fwd.u_o"]
+        path = tmp_path / "model.bin"
+        save_container(str(path), tensors, meta)
+        with pytest.raises(ValueError, match="fwd.u"):
             load_model(str(path))

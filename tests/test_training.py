@@ -192,6 +192,17 @@ class TestTrainEpoch:
             train_epoch(model, make_batches(docs, vocab, 4, seed=0), cfg,
                         AdagradState())
 
+    def test_non_finite_dev_scores_abort_as_divergence(self):
+        # Scoring dev with NaN weights is a diverged run (exit 3 in the
+        # CLI), not bad input.
+        docs = _separable_docs(8)
+        vocab = build_vocab(docs)
+        model = build_model(ModelConfig(kind="cbow", d=4, C=2), vocab, seed=5)
+        model.clf.w[:] = np.nan
+        cfg = TrainConfig(learning_rate=0.1, batch_size=4, seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            fit(model, docs[:6], docs[6:], cfg)
+
     def test_gradient_clip_bounds_update(self):
         docs = _separable_docs(8)
         vocab = build_vocab(docs)
