@@ -50,6 +50,7 @@ __all__ = [
     "record",
     "logistic",
     "bounded_tanh",
+    "softmax",
     "backward",
     "grad_check",
 ]
@@ -343,12 +344,15 @@ def slice_cols(a: Var, start: int, stop: int) -> Var:
     return a.tape._record(np.ascontiguousarray(a.value[:, start:stop]), (a.nid,), vjp)
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array, with per-row max subtraction for stability."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(a: Var) -> Var:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    x = a.value
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax; see ``softmax``."""
+    out = softmax(a.value)
 
     def vjp(g):
         dot = (g * out).sum(axis=1, keepdims=True)

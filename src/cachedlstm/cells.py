@@ -21,9 +21,10 @@ cross-group matrix U^{j->k}, so one product evaluates all K^2 cross-group
 terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node: one
-input GEMM for all steps, one recurrent GEMM per step, and a hand-written
-VJP that keeps the gate activations.  The single-step functions run it at
-T = 1.
+batched input product for all steps, one recurrent GEMM per step, and a
+hand-written VJP that keeps the gate activations.  The single-step
+functions run it at T = 1.  ``final_state`` runs the same step function
+without a tape and keeps only the carried state, for scoring.
 """
 
 from __future__ import annotations
@@ -167,6 +168,54 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
     return 1.0 - r, r
 
 
+def _step(kind: str, a: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias, band,
+          m: np.ndarray | None = None) -> tuple:
+    """One cell step from its input projection a = x_t W^T, B x G*H.
+
+    Adds h U^T, then the bias, and overwrites ``a`` with the gate
+    activations (sigmoids, then tanh(a_c)).  Returns the carried (c, h) and
+    tanh(c') before the mask (None for rnn, whose h is ``a`` itself).  A row
+    whose entry of ``m``, a B x 1 bool array, is False keeps its (c, h).
+    """
+    H = U.shape[1]
+    pre = a + h @ U.T
+    if bias is not None:
+        pre += bias
+    if kind == "rnn":
+        a[...] = bounded_tanh(pre)
+        c_new, h_new, tc = None, a, None
+    else:
+        a[:, :-H] = logistic(pre[:, :-H])
+        a[:, -H:] = bounded_tanh(pre[:, -H:])
+        keep, write = _keep_write(kind, a, H, band)
+        c_new = keep * c + write * a[:, -H:]
+        tc = bounded_tanh(c_new)
+        h_new = a[:, -2 * H:-H] * tc
+    if m is None:
+        return c_new, h_new, tc
+    c_new = None if c_new is None else np.where(m, c_new, c)
+    return c_new, np.where(m, h_new, h), tc
+
+
+def final_state(p: CellParams, steps, rows: int) -> tuple:
+    """(c_T, h_T) after running the cell over ``steps``, without a tape.
+
+    ``steps`` yields (x_t, m_t): a B x d input and a B x 1 {0, 1} mask
+    column or None.  Each step is projected as it arrives and only the
+    carried state is kept, so memory does not grow with T.  The values equal
+    the last block of ``recurrence`` bit for bit; c_T is None for rnn.
+    """
+    W, U = p.w, p.u
+    H = U.shape[1]
+    bias = None if p.b is None else p.b.T
+    band = _band(H, p.n_groups) if p.kind == "clstm" else None
+    h = np.zeros((rows, H))
+    c = None if p.kind == "rnn" else np.zeros((rows, H))
+    for x, m in steps:
+        c, h, _ = _step(p.kind, x @ W.T, c, h, U, bias, band, None if m is None else m != 0)
+    return c, h
+
+
 def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None) -> tuple:
     """The kernel behind ``recurrence``; also returns the T x B x G*H activations."""
@@ -188,33 +237,17 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     c0v = None if c0 is None else c0.value
     h0v = h0.value
 
-    # Input projections of all steps; step t overwrites its own with the
-    # gate activations (sigmoids, then tanh(a_c)) that the VJP needs.
-    A = (X.reshape(T * B, d) @ W.T).reshape(T, B, GH)
+    # Input projections of all steps, one B-row product per step as in
+    # ``final_state`` (a row of one big product can differ in its last bit);
+    # step t overwrites its own with the gate activations the VJP needs.
+    A = np.matmul(X, W.T)
     TC = np.empty((T, B, H)) if gated else None  # tanh(c'), before the mask
     out = np.empty((B, T, S))
     c, h = c0v, h0v
     for t in range(T):
-        a = A[t]
-        pre = a + h @ U.T
-        if bias is not None:
-            pre += bias
+        c, h, tc = _step(kind, A[t], c, h, U, bias, band, None if M is None else M[t])
         if gated:
-            a[:, :-H] = logistic(pre[:, :-H])
-            a[:, -H:] = bounded_tanh(pre[:, -H:])
-            keep, write = _keep_write(kind, a, H, band)
-            c_new = keep * c + write * a[:, -H:]
-            TC[t] = bounded_tanh(c_new)
-            h_new = a[:, -2 * H:-H] * TC[t]
-        else:
-            a[...] = bounded_tanh(pre)
-            h_new = a
-        if M is None:
-            c, h = (c_new if gated else None), h_new
-        else:
-            h = np.where(M[t], h_new, h)
-            c = np.where(M[t], c_new, c) if gated else None
-        if gated:
+            TC[t] = tc
             out[:, t, :H] = c
         out[:, t, S - H:] = h
 

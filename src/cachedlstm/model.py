@@ -1,8 +1,8 @@
 """Document classifier assembly: embeddings + encoder + softmax head.
 
-A DocModel owns the numpy parameter arrays.  Each forward pass binds them to
-a fresh tape, so training steps can mutate the arrays in place between
-passes without holding stale graph state.
+A DocModel owns the numpy parameter arrays.  Each training forward pass
+binds them to a fresh tape, so training steps can mutate the arrays in place
+between passes without holding stale graph state.  Scoring records no tape.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Var, take_rows
-from .cells import CELL_KINDS, bind_params, init_params, named_tensors
+from .autodiff import Tape, Var, bounded_tanh, softmax, take_rows
+from .cells import CELL_KINDS, bind_params, final_state, init_params, named_tensors
 from .data import Batch, EmbeddingMatrix, Vocab, init_embeddings, pad_batch
 from .encoder import (
     ClassifierParams,
@@ -176,13 +176,46 @@ class DocModel:
         probs = classify(rep, bound_clf)
         return probs, leaves
 
+    def probabilities(self, batch: Batch) -> np.ndarray:
+        """Class probabilities for one padded batch, B x C, without a tape.
+
+        Each step gathers its embedding rows and updates each direction's
+        carried state; no per-step history is kept.  The result equals
+        ``forward_batch(Tape(), batch)[0].value`` bit for bit.
+        """
+        cfg = self.config
+        if batch.n_steps == 0:
+            raise ValueError("cannot score a batch of empty documents")
+        emb, ids = self.embedding.vectors, batch.ids
+        mask = None if batch.uniform_length else batch.mask
+
+        def steps(order):
+            for t in order:
+                yield emb[ids[:, t]], None if mask is None else mask[:, t:t + 1]
+
+        forward = range(batch.n_steps)
+        if cfg.kind == "cbow":
+            total = None
+            for x, m in steps(forward):
+                term = x if m is None else x * m
+                total = term if total is None else total + term
+            rep = bounded_tanh(total)
+        else:
+            width = cfg.H // cfg.K  # the slowest group of the final h
+            runs = [(self.cell_fwd, forward)]
+            if cfg.bidirectional:
+                runs.append((self.cell_bwd, reversed(forward)))
+            rep = np.concatenate([final_state(cell, steps(order), batch.size)[1][:, :width]
+                                  for cell, order in runs], axis=1)
+        return softmax(rep @ self.clf.w.T + self.clf.b.T)
+
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Most probable class per row; ties resolve to the lower index.
 
         Raises ValueError if a probability is NaN or infinite, which a
         model holding non-finite weights produces.
         """
-        probs = self.forward_batch(Tape(), batch)[0].value
+        probs = self.probabilities(batch)
         if not np.isfinite(probs).all():
             raise ValueError("model gives non-finite class probabilities "
                              "(its weights hold NaN or inf)")
@@ -190,6 +223,8 @@ class DocModel:
 
     def predict(self, docs: list, batch_size: int = 64) -> np.ndarray:
         """Predictions for a document list, in input order."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         preds = np.empty(len(docs), dtype=np.int64)
         for lo in range(0, len(docs), batch_size):
             chunk = docs[lo:lo + batch_size]

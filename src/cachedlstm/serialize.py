@@ -21,6 +21,7 @@ and meta always produce the same bytes (JSON keys are sorted).
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -60,9 +61,25 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _read_tensor(fh, rows: int, cols: int, name: str, size: int) -> np.ndarray:
+    """A rows x cols float64 tensor read straight into its own array.
+
+    ``size`` is the file's length: a header that claims more data than is
+    left is rejected before anything is allocated.
+    """
+    truncated = f"truncated container: expected {rows * cols * 8} bytes of data of {name!r}"
+    if rows * cols * 8 > size - fh.tell():
+        raise ValueError(truncated)
+    out = np.empty((rows, cols), dtype="<f8")
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(truncated)
+    return out
+
+
 def load_container(path: str) -> tuple:
     """Read a container back as (tensors, meta); inverse of save_container."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise ValueError(f"not a model container (bad magic {magic!r})")
@@ -77,8 +94,7 @@ def load_container(path: str) -> tuple:
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             rows, cols = struct.unpack("<II", _read_exact(fh, 8, "shape"))
-            data = _read_exact(fh, rows * cols * 8, f"data of {name!r}")
-            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+            tensors[name] = _read_tensor(fh, rows, cols, name, size)
         trailing = fh.read(1)
         if trailing:
             raise ValueError("trailing bytes after last tensor")

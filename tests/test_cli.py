@@ -187,6 +187,24 @@ class TestEval:
         assert "non-finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_eval_rejects_batch_size_below_one(self, tmp_path, capsys, size):
+        from cachedlstm.data import Document, build_vocab
+        from cachedlstm.model import ModelConfig, build_model
+        from cachedlstm.serialize import save_model
+
+        vocab = build_vocab([Document(0, ["a", "b"]), Document(1, ["c"])])
+        path = tmp_path / "model.bin"
+        save_model(str(path), build_model(ModelConfig(kind="lstm", d=3, H=4, C=2),
+                                          vocab, seed=0))
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tc a\n")
+        assert run(["eval", str(path), str(corpus), "--batch-size", size]) == 2
+        captured = capsys.readouterr()
+        assert f"batch_size must be >= 1, got {size}" in captured.err
+        assert "accuracy" not in captured.out
+
+
 class TestGradcheckCommand:
     def test_passes_by_default(self, capsys):
         assert run(["gradcheck", "--cell", "clstm", "--K", "2"]) == 0

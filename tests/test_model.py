@@ -2,6 +2,7 @@
 gradient flow through the whole pipeline."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from cachedlstm.autodiff import Tape, backward, grad_check
 from cachedlstm.data import Batch, Document, build_vocab, pad_batch
+from cachedlstm.evaluation import evaluate, length_decile_report
 from cachedlstm.model import DocModel, ModelConfig, build_model
 from cachedlstm.training import objective
 
@@ -146,6 +148,97 @@ class TestForwardAndPredict:
         model.cell_bwd.w_c[:] += 0.05
         after, _ = model.forward_batch(Tape(), pad_batch([doc], v))
         assert np.abs(before.value - after.value).max() > 0.0
+
+
+SCORING_KINDS = [("cbow", {}), ("rnn", {"H": 12}), ("lstm", {"H": 12}), ("cifg", {"H": 12}),
+                 ("clstm", {"H": 12, "K": 1}), ("clstm", {"H": 12, "K": 2}),
+                 ("clstm", {"H": 12, "K": 3})]
+SCORING_CASES = [(kind, extra, bidirectional) for kind, extra in SCORING_KINDS
+                 for bidirectional in ((False,) if kind == "cbow" else (False, True))]
+
+
+def _scoring_model(kind, extra, bidirectional, use_bias, d, vocab, seed):
+    cfg = ModelConfig(kind=kind, d=d, C=3, bidirectional=bidirectional,
+                      use_bias=use_bias, **extra)
+    model = build_model(cfg, vocab, seed=seed)
+    # Weights well above their initial scale, so that a last-bit difference
+    # anywhere in the recurrence reaches the probabilities.
+    rng = np.random.default_rng(seed)
+    model.embedding.vectors[:] = rng.normal(size=model.embedding.vectors.shape)
+    for cell in (model.cell_fwd, model.cell_bwd):
+        if cell is not None:
+            cell.w[:] = rng.uniform(-1.0, 1.0, cell.w.shape)
+            cell.u[:] = rng.uniform(-1.0, 1.0, cell.u.shape)
+            if cell.b is not None:
+                cell.b[:] = rng.normal(scale=0.5, size=cell.b.shape)
+    model.clf.w[:] = rng.normal(size=model.clf.w.shape)
+    model.clf.b[:] = rng.normal(size=model.clf.b.shape)
+    return model
+
+
+class TestTapeFreeScoring:
+    """``probabilities`` against the taped forward pass it replaced."""
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("kind,extra,bidirectional", SCORING_CASES)
+    def test_bit_identical_to_taped_forward(self, kind, extra, bidirectional,
+                                            use_bias, padded):
+        v = _toy_vocab()
+        model = _scoring_model(kind, extra, bidirectional, use_bias, 50, v, seed=6)
+        lengths = [9, 2, 5, 1, 9] if padded else [9] * 5
+        docs = [Document(i % 3, [f"t{(3 * i + j) % 9}" for j in range(n)])
+                for i, n in enumerate(lengths)]
+        batch = pad_batch(docs, v)
+        assert batch.uniform_length is not padded
+        taped = model.forward_batch(Tape(), batch)[0].value
+        np.testing.assert_array_equal(model.probabilities(batch), taped)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64, 128])
+    def test_bit_identical_at_preset_width(self, rows):
+        v = build_vocab([Document(0, [f"w{i}" for i in range(300)])])
+        model = _scoring_model("clstm", {"H": 12, "K": 3}, True, True, 50, v, seed=7)
+        rng = np.random.default_rng(rows)
+        docs = [Document(0, [f"w{i}" for i in rng.integers(0, 320, rng.integers(1, 30))])
+                for _ in range(rows)]
+        batch = pad_batch(docs, v)
+        taped = model.forward_batch(Tape(), batch)[0].value
+        np.testing.assert_array_equal(model.probabilities(batch), taped)
+
+    def test_memory_does_not_grow_with_document_length(self):
+        # B=64, T=200 at the preset shape.  The taped forward kept every
+        # step's inputs, activations and tanh(c): ~160 MB here.  Scoring
+        # keeps each direction's carried state, so its peak stays within a
+        # few steps' working set of B x G*H doubles.
+        B, T, d, H = 64, 200, 50, 120
+        v = build_vocab([Document(0, [f"w{i}" for i in range(500)])])
+        model = build_model(ModelConfig(kind="clstm", d=d, H=H, K=3, C=5,
+                                        bidirectional=True), v, seed=0)
+        rng = np.random.default_rng(0)
+        lengths = np.where(np.arange(B) % 3 == 0, T // 2, T)
+        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+        ids = rng.integers(1, len(v), size=(B, T)) * mask.astype(np.int64)
+        batch = Batch(ids=ids, mask=mask, lengths=lengths,
+                      labels=np.zeros(B, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            model.predict_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * B * 3 * H * 8
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_batch_size_must_be_positive(self, size):
+        v = _toy_vocab()
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), v, seed=3)
+        docs = [Document(0, ["t0", "t1"])]
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {size}"):
+            model.predict(docs, batch_size=size)
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(model, docs, batch_size=size)
+        with pytest.raises(ValueError, match="batch_size"):
+            length_decile_report(model, docs * 10, batch_size=size)
 
 
 class TestPipelineGradients:

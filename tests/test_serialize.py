@@ -70,6 +70,23 @@ class TestContainer:
         with pytest.raises(ValueError, match="truncated"):
             load_container(str(path))
 
+    def test_oversized_shape_is_truncation(self, tmp_path):
+        # A header claiming more data than the file holds is rejected before
+        # the tensor is allocated.
+        path = tmp_path / "m.bin"
+        save_container(str(path), {"w": np.ones((2, 2))})
+        data = path.read_bytes()
+        at = data.index(b"w") + 1
+        path.write_bytes(data[:at] + struct.pack("<II", 2 ** 31, 2 ** 31) + data[at + 8:])
+        with pytest.raises(ValueError, match="truncated"):
+            load_container(str(path))
+
+    def test_empty_tensors_roundtrip(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_container(str(path), {"a": np.zeros((0, 3)), "b": np.ones((1, 1))})
+        back, _ = load_container(str(path))
+        assert back["a"].shape == (0, 3) and back["b"].tolist() == [[1.0]]
+
     def test_trailing_garbage_detected(self, tmp_path):
         path = tmp_path / "m.bin"
         save_container(str(path), {"w": np.ones((2, 2))})
@@ -170,10 +187,13 @@ class TestLegacyFiles:
         assert any(name.startswith("fwd.w_") for name in tensors)
         model = load_model(str(self.DATA / f"legacy_{kind}.bin"))
         docs = [Document(0, tokens) for tokens in expected["docs"]]
-        probs, _ = model.forward_batch(Tape(), pad_batch(docs, model.vocab))
+        batch = pad_batch(docs, model.vocab)
+        probs = model.forward_batch(Tape(), batch)[0].value
+        scored = model.probabilities(batch)
         want = np.array(expected["models"][kind])
-        assert np.abs(probs.value - want).max() <= 1e-12
-        np.testing.assert_array_equal(probs.value.argmax(axis=1), want.argmax(axis=1))
+        for got in (probs, scored):
+            assert np.abs(got - want).max() <= 1e-12
+            np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
         assert set(model.named_tensors()) >= {"fwd.w", "fwd.u"}
 
     def test_partial_gate_set_is_missing_a_tensor(self, tmp_path):
