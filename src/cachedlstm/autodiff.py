@@ -11,7 +11,7 @@ embedding matrix touched by T gathers therefore gets a gradient the size of
 the batch, not T copies of the vocabulary.
 
 The operation set is the minimum needed for gated recurrent cells and a
-softmax classifier: matrix products, elementwise arithmetic, sigmoid/tanh,
+softmax classifier: matrix products, elementwise arithmetic, tanh,
 column concatenation/slicing, row softmax, plus a few indexing helpers
 (row gather, per-row column picks) used for embeddings and cross-entropy.
 ``record`` adds a fused operation with a hand-written VJP as one node; the
@@ -32,15 +32,12 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "sub_from_one",
-    "sigmoid",
     "tanh_",
     "concat_cols",
     "slice_cols",
     "softmax_rows",
     "transpose",
     "mul_const",
-    "add_const",
     "add_rowvec",
     "mul_colvec",
     "take_rows",
@@ -264,37 +261,32 @@ def mul(a: Var, b: Var) -> Var:
     return tape._record(av * bv, (a.nid, b.nid), lambda g: (g * bv, g * av))
 
 
-def sub_from_one(a: Var) -> Var:
-    """1 - a elementwise, as used by coupled-gate and update-rate blends."""
-    return a.tape._record(1.0 - a.value, (a.nid,), lambda g: (-g,))
-
-
-def logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid of an array as 0.5 tanh(x/2) + 0.5, clamped strictly inside (0, 1).
 
     The tanh form cannot overflow for any x; saturated outputs are nudged
-    off exact 0.0/1.0 so downstream open-interval invariants hold.
+    off exact 0.0/1.0 so downstream open-interval invariants hold.  With
+    ``out`` (which may be ``x`` itself) the result is written there.
     """
-    out = np.tanh(x * 0.5)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
-    return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    return _clamp(out, _SIG_LO, _SIG_HI)
 
 
-def bounded_tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent of an array, clamped strictly inside (-1, 1)."""
-    out = np.tanh(x)
-    return np.clip(out, -_TANH_HI, _TANH_HI, out=out)
+def bounded_tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hyperbolic tangent of an array, clamped strictly inside (-1, 1).
+
+    With ``out`` (which may be ``x`` itself) the result is written there.
+    """
+    return _clamp(np.tanh(x, out=out), -_TANH_HI, _TANH_HI)
 
 
-def sigmoid(a: Var) -> Var:
-    """Logistic sigmoid, clamped strictly inside (0, 1); see ``logistic``."""
-    out = logistic(a.value)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return a.tape._record(out, (a.nid,), vjp)
+def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
+    """``np.clip(x, lo, hi, out=x)`` with the same bits, at half its call cost."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
 
 
 def tanh_(a: Var) -> Var:
@@ -375,11 +367,6 @@ def transpose(a: Var) -> Var:
 def mul_const(a: Var, c: float) -> Var:
     """Scale by a python scalar (not a tape value)."""
     return a.tape._record(a.value * c, (a.nid,), lambda g: (g * c,))
-
-
-def add_const(a: Var, c) -> Var:
-    """Add a constant scalar or broadcastable array (not a tape value)."""
-    return a.tape._record(a.value + c, (a.nid,), lambda g: (g,))
 
 
 def add_rowvec(a: Var, row: Var) -> Var:
@@ -525,10 +512,12 @@ def grad_check(f, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
     ``(loss_value, grads)`` where ``grads`` maps each parameter name to its
     tape gradient.  Every parameter entry is perturbed by +-eps in place;
     the reported score is the maximum of
-    ``|g_tape - g_fd| / max(1e-8, |g_tape| + |g_fd|)`` over all entries.
+    ``|g_tape - g_fd| / max(1e-8, |g_tape| + |g_fd|)`` over all entries,
+    or ``inf`` as soon as an entry's tape gradient or central difference is
+    NaN or infinite, so a NaN gradient or objective cannot read as a pass.
     """
-    if eps <= 0:
-        raise ValueError("grad_check: eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"grad_check: eps must be a positive finite number, got {eps}")
     _, tape_grads = f(params)
     worst = 0.0
     for name, theta in params.items():
@@ -542,6 +531,8 @@ def grad_check(f, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
             f_minus = f(params)[0]
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
+            if not (np.isfinite(fd) and np.isfinite(gflat[i])):
+                return float("inf")
             err = abs(gflat[i] - fd) / max(1e-8, abs(gflat[i]) + abs(fd))
             if err > worst:
                 worst = err

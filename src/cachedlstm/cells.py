@@ -25,6 +25,14 @@ batched input product for all steps, one recurrent GEMM per step, and a
 hand-written VJP that keeps the gate activations.  The single-step
 functions run it at T = 1.  ``final_state`` runs the same step function
 without a tape and keeps only the carried state, for scoring.
+
+Inside the kernel the batch runs along columns: a step's activations are
+G*H x B (``W X^T``) and its carried c and h are H x B, so each gate block
+is one contiguous slab of rows and every elementwise gate operation reads
+contiguous memory.  The bias is added as its G*H x 1 column, a step's
+mask is a 1 x B row, and the clstm band offsets and clamps are H x B
+arrays built once per run.  Only the kernel sees this layout: tape values
+and the results of ``final_state`` stay row-batched.
 """
 
 from __future__ import annotations
@@ -141,12 +149,17 @@ def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1,
     return CellState(c=c, h=z, n_groups=n_groups)
 
 
-def _band(hidden: int, n_groups: int) -> tuple:
-    """1/K, the per-column offset (k-1)/K, and the innermost floats of ((k-1)/K, k/K)."""
+def _band(hidden: int, n_groups: int, batch: int) -> tuple:
+    """1/K, the per-unit offset (k-1)/K, and the innermost floats of ((k-1)/K, k/K).
+
+    The last three are H x B, each column the same, so the per-step rate
+    arithmetic runs on contiguous arrays without broadcasting.
+    """
     gs = hidden // n_groups
-    lo = np.repeat(np.arange(n_groups) / n_groups, gs).reshape(1, hidden)
-    hi = np.repeat(np.arange(1, n_groups + 1) / n_groups, gs).reshape(1, hidden)
-    return 1.0 / n_groups, lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)
+    off = np.repeat(np.arange(n_groups) / n_groups, gs)
+    top = np.repeat(np.arange(1, n_groups + 1) / n_groups, gs)
+    units = (off, np.nextafter(off, 1.0), np.nextafter(top, 0.0))
+    return (1.0 / n_groups, *(np.repeat(v[:, None], batch, axis=1) for v in units))
 
 
 def _rates(z: np.ndarray, band: tuple) -> np.ndarray:
@@ -154,51 +167,83 @@ def _rates(z: np.ndarray, band: tuple) -> np.ndarray:
     scale, off, lo, hi = band
     r = z * scale
     r += off
-    return np.clip(r, lo, hi, out=r)
+    np.maximum(r, lo, out=r)
+    return np.minimum(r, hi, out=r)
 
 
 def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
     """(keep, write) of c' = keep * c + write * c~ from one step's activations."""
     if kind == "lstm":
-        return a[:, hidden:2 * hidden], a[:, :hidden]
+        return a[hidden:2 * hidden], a[:hidden]
     if kind == "cifg":
-        f = a[:, :hidden]
+        f = a[:hidden]
         return f, 1.0 - f
-    r = _rates(a[:, :hidden], band)
+    r = _rates(a[:hidden], band)
     return 1.0 - r, r
 
 
 def _step(kind: str, a: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias, band,
           m: np.ndarray | None = None) -> tuple:
-    """One cell step from its input projection a = x_t W^T, B x G*H.
+    """One cell step from its input projection a = W x_t, G*H x B.
 
-    Adds h U^T, then the bias, and overwrites ``a`` with the gate
-    activations (sigmoids, then tanh(a_c)).  Returns the carried (c, h) and
-    tanh(c') before the mask (None for rnn, whose h is ``a`` itself).  A row
-    whose entry of ``m``, a B x 1 bool array, is False keeps its (c, h).
+    States are H x B, one column per row of the batch, so each gate block
+    ``a[g*H:(g+1)*H]`` is one contiguous slab.  Adds U h, then the G*H x 1
+    bias, and overwrites ``a`` with the gate activations (sigmoids, then
+    tanh(a_c)).  Returns the carried (c, h) and tanh(c') before the mask
+    (None for rnn, whose h is ``a`` itself).  A column whose entry of ``m``,
+    a 1 x B bool row, is False keeps its (c, h).
     """
     H = U.shape[1]
-    pre = a + h @ U.T
+    a += U @ h
     if bias is not None:
-        pre += bias
+        a += bias
     if kind == "rnn":
-        a[...] = bounded_tanh(pre)
-        c_new, h_new, tc = None, a, None
+        c_new, h_new, tc = None, bounded_tanh(a, out=a), None
     else:
-        a[:, :-H] = logistic(pre[:, :-H])
-        a[:, -H:] = bounded_tanh(pre[:, -H:])
+        logistic(a[:-H], out=a[:-H])
+        bounded_tanh(a[-H:], out=a[-H:])
         keep, write = _keep_write(kind, a, H, band)
-        c_new = keep * c + write * a[:, -H:]
+        c_new = keep * c + write * a[-H:]
         tc = bounded_tanh(c_new)
-        h_new = a[:, -2 * H:-H] * tc
+        h_new = a[-2 * H:-H] * tc
     if m is None:
         return c_new, h_new, tc
     c_new = None if c_new is None else np.where(m, c_new, c)
     return c_new, np.where(m, h_new, h), tc
 
 
+def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray,
+                dc: np.ndarray, band, up: np.ndarray) -> np.ndarray:
+    """Backward through one gated step; overwrites ``a`` with dLoss/dpre.
+
+    ``a`` holds the step's gate activations (G*H x B) and ``tc`` its
+    tanh(c'); ``dh`` and ``dc`` are the gradients of its h' and c' (dc
+    without the path through h').  ``up`` is G*H - H x B scratch.  Returns
+    the part of dc' that the blend carries back to c, dc' * keep.
+    """
+    H = tc.shape[0]
+    sig, o, ctil = a[:-H], a[-2 * H:-H], a[-H:]
+    dc = dc + dh * o * (1.0 - tc * tc)
+    keep, write = _keep_write(kind, a, H, band)
+    dkeep, dwrite = dc * c_prev, dc * ctil
+    carried = dc * keep
+    ctil[...] = dc * write * (1.0 - ctil * ctil)
+    # Each sigmoid gate s with upstream gradient u gets u s (1 - s).
+    np.multiply(dh, tc, out=up[-H:])
+    if kind == "lstm":
+        up[:H], up[H:2 * H] = dwrite, dkeep
+    elif kind == "cifg":
+        np.subtract(dkeep, dwrite, out=up[:H])
+    else:
+        np.subtract(dwrite, dkeep, out=up[:H])
+        up[:H] *= band[0]
+    up *= sig
+    np.multiply(up, 1.0 - sig, out=sig)
+    return carried
+
+
 def final_state(p: CellParams, steps, rows: int) -> tuple:
-    """(c_T, h_T) after running the cell over ``steps``, without a tape.
+    """(c_T, h_T), B x H each, after running the cell over ``steps``, without a tape.
 
     ``steps`` yields (x_t, m_t): a B x d input and a B x 1 {0, 1} mask
     column or None.  Each step is projected as it arrives and only the
@@ -207,18 +252,18 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
     """
     W, U = p.w, p.u
     H = U.shape[1]
-    bias = None if p.b is None else p.b.T
-    band = _band(H, p.n_groups) if p.kind == "clstm" else None
-    h = np.zeros((rows, H))
-    c = None if p.kind == "rnn" else np.zeros((rows, H))
+    band = _band(H, p.n_groups, rows) if p.kind == "clstm" else None
+    h = np.zeros((H, rows))
+    c = None if p.kind == "rnn" else np.zeros((H, rows))
     for x, m in steps:
-        c, h, _ = _step(p.kind, x @ W.T, c, h, U, bias, band, None if m is None else m != 0)
-    return c, h
+        c, h, _ = _step(p.kind, W @ x.T, c, h, U, p.b, band, None if m is None else m.T != 0)
+    # Row-major, as the tape's values are: later products see the same layout.
+    return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
 
 
 def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None) -> tuple:
-    """The kernel behind ``recurrence``; also returns the T x B x G*H activations."""
+    """The kernel behind ``recurrence``; also returns the T x G*H x B activations."""
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
     if gated and c0 is None:
@@ -231,35 +276,44 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     T, B, d = X.shape
     GH, H = U.shape
     S = 2 * H if gated else H
-    bias = None if p.b is None else p.b.value.T
-    M = None if mask is None else (np.asarray(mask).T != 0)[:, :, None]
-    band = _band(H, n_groups) if kind == "clstm" else None
-    c0v = None if c0 is None else c0.value
+    bias = None if p.b is None else p.b.value
+    M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
+    band = _band(H, n_groups, B) if kind == "clstm" else None
+    # An array view: a Var held by the VJP would tie a reference cycle to its tape.
+    c0v = None if c0 is None else c0.value.T
     h0v = h0.value
 
-    # Input projections of all steps, one B-row product per step as in
-    # ``final_state`` (a row of one big product can differ in its last bit);
-    # step t overwrites its own with the gate activations the VJP needs.
-    A = np.matmul(X, W.T)
-    TC = np.empty((T, B, H)) if gated else None  # tanh(c'), before the mask
+    # Input projections of all steps, one B-column product per step as in
+    # ``final_state`` (a column of one big product can differ in its last
+    # bit); step t overwrites its own with the gate activations.
+    A = np.matmul(W, X.transpose(0, 2, 1))
+    TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
     out = np.empty((B, T, S))
-    c, h = c0v, h0v
+    out_t = out.transpose(1, 2, 0)  # step t's [c_t | h_t] as S x B
+    # H x B and C-contiguous, as ``final_state``'s zero state is.
+    c = None if c0 is None else np.ascontiguousarray(c0v)
+    h = np.ascontiguousarray(h0v.T)
     for t in range(T):
         c, h, tc = _step(kind, A[t], c, h, U, bias, band, None if M is None else M[t])
         if gated:
             TC[t] = tc
-            out[:, t, :H] = c
-        out[:, t, S - H:] = h
+            out_t[t, :H] = c
+        out_t[t, S - H:] = h
 
     def vjp(g):
-        G = g.reshape(B, T, S)
-        dA = np.empty((T, B, GH))  # gradients of the pre-activations
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        # Step t's activations in A[t] are overwritten with the gradients of
+        # its pre-activations once read, so the VJP can run only once.
+        nonlocal A
+        if A is None:
+            raise RuntimeError("recurrence: the VJP of this node has already run")
+        G = g.reshape(B, T, S).transpose(1, 2, 0)
+        up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
+        dh = np.zeros((H, B))
+        dc = np.zeros((H, B))
         for t in range(T - 1, -1, -1):
-            dh = dh + G[:, t, S - H:]
+            dh = dh + G[t, S - H:]
             if gated:
-                dc = dc + G[:, t, :H]
+                dc = dc + G[t, :H]
             if M is None:  # nothing carries past an unmasked step
                 dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
             else:
@@ -267,37 +321,24 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 dh_new, dh = np.where(m, dh, 0.0), np.where(m, 0.0, dh)
                 if gated:
                     dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
-            a, dp = A[t], dA[t]
             if gated:
-                c_prev = c0v if t == 0 else out[:, t - 1, :H]
-                o, ctil, tc = a[:, -2 * H:-H], a[:, -H:], TC[t]
-                dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
-                keep, write = _keep_write(kind, a, H, band)
-                dkeep, dwrite = dc_new * c_prev, dc_new * ctil
-                dp[:, -2 * H:-H] = dh_new * tc * o * (1.0 - o)
-                dp[:, -H:] = dc_new * write * (1.0 - ctil * ctil)
-                first = a[:, :H]
-                if kind == "lstm":
-                    f = a[:, H:2 * H]
-                    dp[:, :H] = dwrite * first * (1.0 - first)
-                    dp[:, H:2 * H] = dkeep * f * (1.0 - f)
-                elif kind == "cifg":
-                    dp[:, :H] = (dkeep - dwrite) * first * (1.0 - first)
-                else:
-                    dp[:, :H] = (dwrite - dkeep) * (1.0 / n_groups) * first * (1.0 - first)
-                dc = dc + dc_new * keep
+                c_prev = c0v if t == 0 else out_t[t - 1, :H]
+                dc = dc + _gate_grads(kind, A[t], TC[t], c_prev, dh_new, dc_new, band, up)
             else:
-                dp[...] = dh_new * (1.0 - a * a)
-            dh = dh + dp @ U
-        flat = dA.reshape(T * B, GH)
+                np.multiply(dh_new, 1.0 - A[t] * A[t], out=A[t])
+            dh = dh + U.T @ A[t]
+        # One row-major T*B x G*H copy for the weight products, which then
+        # make the calls (and give the bits) of a row-batched kernel.
+        flat = A.transpose(0, 2, 1).reshape(T * B, GH)
+        A = None  # nothing else refers to the buffer now, so this frees it
         h_prev = np.concatenate([h0v[None], out[:, :-1, S - H:].transpose(1, 0, 2)])
         grads = list((flat @ W).reshape(T, B, d))
         grads += [flat.T @ X.reshape(T * B, d), flat.T @ h_prev.reshape(T * B, H)]
         if bias is not None:
             grads.append(flat.sum(axis=0).reshape(GH, 1))
         if gated:
-            grads.append(dc)
-        return grads + [dh]
+            grads.append(dc.T)
+        return grads + [dh.T]
 
     parents = list(xs) + [p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
@@ -312,7 +353,9 @@ def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     step t, [c_t | h_t] with S = 2H, or h_t alone for rnn (S = H).  With
     ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
     unchanged, bit for bit.  Gradients flow to every x_t, to w, u and b,
-    and to the initial state (c0 is None for rnn).
+    and to the initial state (c0 is None for rnn).  The node's VJP reuses
+    the kernel's activation buffer, so a second backward pass through it
+    raises RuntimeError.
     """
     return _recurrence(p, xs, c0, h0, mask)[0]
 
@@ -345,8 +388,8 @@ def clstm_step(p: CellParams, x: Var, prev: CellState) -> tuple[CellState, Forge
         )
     state, acts = _gated_step("clstm", p, x, prev)
     H = p.hidden_size
-    r = _rates(acts[:, :H], _band(H, p.n_groups))
-    return state, ForgetRates(r=x.tape.leaf(r), n_groups=p.n_groups)
+    r = _rates(acts[:H], _band(H, p.n_groups, acts.shape[1]))
+    return state, ForgetRates(r=x.tape.leaf(r.T), n_groups=p.n_groups)
 
 
 def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
@@ -355,10 +398,12 @@ def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
 
     Biases, when enabled, start at zero.  ``w`` is drawn before ``u``, both
     row-major in gate order, so a seed fully determines the parameters.
-    ``n_groups`` is ignored for kinds other than clstm.
+    ``n_groups`` must be at least 1 and is ignored for kinds other than clstm.
     """
     if kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {kind!r}; expected one of {CELL_KINDS}")
+    if n_groups < 1:
+        raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if kind == "clstm" and hidden % n_groups != 0:
         raise ValueError(
             f"hidden size {hidden} not divisible into {n_groups} groups"

@@ -269,6 +269,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.weight_decay) and args.weight_decay >= 0):
+        raise ConfigError(f"--weight-decay must be a finite number >= 0, "
+                          f"got {args.weight_decay}")
     if args.cell == "cbow":
         err = pipeline_gradcheck("cbow", args.d, args.seed, args.eps,
                                  weight_decay=args.weight_decay)

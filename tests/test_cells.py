@@ -320,6 +320,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown cell kind"):
             init_params("gru", 4, 8)
 
+    @pytest.mark.parametrize("kind", ["clstm", "lstm"])
+    @pytest.mark.parametrize("n_groups", [0, -2])
+    def test_group_count_must_be_positive(self, kind, n_groups):
+        with pytest.raises(ValueError, match=f"n_groups must be >= 1, got {n_groups}"):
+            init_params(kind, 4, 6, n_groups=n_groups)
+
     def test_recurrent_matrix_shape_checked(self):
         with pytest.raises(ShapeError, match="4x4"):
             CellParams("rnn", 1, w=np.zeros((4, 3)), u=np.zeros((4, 5)))

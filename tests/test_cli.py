@@ -228,6 +228,35 @@ class TestGradcheckCommand:
     def test_cbow_pipeline(self):
         assert run(["gradcheck", "--cell", "cbow", "--d", "6"]) == 0
 
+    def test_nan_gradients_fail_the_check(self, monkeypatch, capsys):
+        # A NaN gradient has no finite error; it must not read as a pass.
+        import cachedlstm.gradcheck as gradcheck_mod
+
+        real = gradcheck_mod.backward
+
+        def poisoned(tape, loss):
+            return {k: v * np.nan for k, v in real(tape, loss).items()}
+
+        monkeypatch.setattr(gradcheck_mod, "backward", poisoned)
+        assert run(["gradcheck", "--cell", "clstm"]) == 1
+        assert "inf (FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--eps", "nan"], "eps must be a positive finite number"),
+        (["--eps", "inf"], "eps must be a positive finite number"),
+        (["--eps", "0"], "eps must be a positive finite number"),
+        (["--K", "0"], "n_groups must be >= 1, got 0"),
+        (["--K", "-3"], "n_groups must be >= 1, got -3"),
+        (["--weight-decay", "-1"], "--weight-decay must be a finite number >= 0"),
+        (["--weight-decay", "nan"], "--weight-decay must be a finite number >= 0"),
+        (["--cell", "cbow", "--weight-decay", "inf"], "--weight-decay must be"),
+    ])
+    def test_bad_flags_exit_2(self, flags, message, capsys):
+        assert run(["gradcheck", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "OK" not in captured.out and "Traceback" not in captured.err
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv_and_reports_skips(self, tmp_path, needle_corpus,

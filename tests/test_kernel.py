@@ -3,6 +3,8 @@
 ``composed_run`` builds the same computation from elementary tape ops, one
 node per operation and step, in the [c_t | h_t] output layout of
 ``cells.recurrence``.  Values and gradients for every input must agree.
+The three ops below exist only for that reference; they are built on
+``autodiff.record`` and checked against central differences here.
 """
 
 import numpy as np
@@ -11,17 +13,17 @@ import pytest
 from cachedlstm.autodiff import (
     Tape,
     add,
-    add_const,
     add_rowvec,
     backward,
     concat_cols,
+    grad_check,
+    logistic,
     matmul,
     mul,
     mul_colvec,
     mul_const,
-    sigmoid,
+    record,
     slice_cols,
-    sub_from_one,
     sum_all,
     tanh_,
     transpose,
@@ -32,6 +34,50 @@ from cachedlstm.model import ModelConfig, build_model
 
 CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 2),
          ("clstm", 3)]
+
+
+def sigmoid(a):
+    """Logistic sigmoid as a tape op; see ``autodiff.logistic``."""
+    out = logistic(a.value)
+    return record(out, [a], lambda g: (g * out * (1.0 - out),))
+
+
+def sub_from_one(a):
+    """1 - a elementwise."""
+    return record(1.0 - a.value, [a], lambda g: (-g,))
+
+
+def add_const(a, c):
+    """a + c for a constant scalar or broadcastable array c."""
+    return record(a.value + c, [a], lambda g: (g,))
+
+
+def _op_check(build, *arrays):
+    def f(params):
+        tape = Tape()
+        vs = [tape.leaf(params[k]) for k in sorted(params)]
+        loss = build(*vs)
+        grads = backward(tape, loss)
+        return float(loss.value[0, 0]), {k: grads[v.nid] for k, v in zip(sorted(params), vs)}
+
+    return grad_check(f, {f"p{i}": a for i, a in enumerate(arrays)}, eps=1e-5)
+
+
+def test_reference_sigmoid_gradient():
+    a = np.random.default_rng(20240817).normal(size=(4, 6))
+    assert _op_check(lambda a: sum_all(mul(sigmoid(a), a)), a) < 1e-6
+
+
+def test_reference_sub_from_one_gradient():
+    a = np.random.default_rng(20240818).normal(size=(3, 3))
+    assert _op_check(lambda a: sum_all(mul(sub_from_one(a), a)), a) < 1e-6
+
+
+def test_reference_add_const_gradient():
+    a = np.random.default_rng(20240819).normal(size=(3, 6))
+    off = np.repeat(np.arange(3) / 3.0, 2).reshape(1, 6)
+    assert _op_check(lambda a: sum_all(tanh_(add_const(mul_const(sigmoid(a), 1 / 3), off))),
+                     a) < 1e-6
 
 
 def composed_run(p, xs, c0, h0, mask):
@@ -80,9 +126,9 @@ def composed_run(p, xs, c0, h0, mask):
     return concat_cols(blocks)
 
 
-def _run_both(kind, n_groups, masked, seed):
+def _run_both(kind, n_groups, masked, seed, B=4):
     rng = np.random.default_rng(seed)
-    B, d, H, T = 4, 5, 6, 7
+    d, H, T = 5, 6, 7
     params = init_params(kind, d, H, n_groups=n_groups, seed=seed, use_bias=True)
     params.w[:] = rng.uniform(-0.6, 0.6, params.w.shape)
     params.u[:] = rng.uniform(-0.6, 0.6, params.u.shape)
@@ -90,7 +136,7 @@ def _run_both(kind, n_groups, masked, seed):
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
     c0_arr = rng.normal(size=(B, H))
     h0_arr = rng.uniform(-1, 1, (B, H))
-    lengths = np.array([T, 1, 4, T - 1])
+    lengths = np.array([T, 1, 4, T - 1]) if B == 4 else np.full(B, 4)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float) if masked else None
     width = (1 if kind == "rnn" else 2) * H
     readout = rng.normal(size=(B, T * width))
@@ -113,13 +159,36 @@ def _run_both(kind, n_groups, masked, seed):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("kind,n_groups", CASES)
 def test_kernel_matches_composed_tape(kind, n_groups, masked):
-    (value, grads, _), (ref_value, ref_grads, _) = _run_both(kind, n_groups, masked, seed=3)
+    _assert_match(*_run_both(kind, n_groups, masked, seed=3))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind,n_groups", CASES)
+def test_kernel_matches_composed_tape_single_row(kind, n_groups, masked):
+    # B = 1: every per-step product has one column.
+    _assert_match(*_run_both(kind, n_groups, masked, seed=8, B=1))
+
+
+def _assert_match(run, ref):
+    (value, grads, _), (ref_value, ref_grads, _) = run, ref
     assert value.shape == ref_value.shape
     assert np.abs(value - ref_value).max() <= 1e-12
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         scale = max(1.0, np.abs(ref_grads[name]).max())
         assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_vjp_raises_on_a_second_call():
+    # The VJP overwrites the saved activations with gradients.
+    tape = Tape()
+    bound, _ = bind_params(tape, init_params("clstm", 3, 6, n_groups=2, seed=0))
+    xs = [tape.leaf(np.ones((2, 3))) for _ in range(3)]
+    run = recurrence(bound, xs, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
+    loss = sum_all(run)
+    backward(tape, loss)
+    with pytest.raises(RuntimeError, match="already run"):
+        backward(tape, loss)
 
 
 def test_masked_steps_carry_state():

@@ -205,6 +205,22 @@ class TestTapeFreeScoring:
         taped = model.forward_batch(Tape(), batch)[0].value
         np.testing.assert_array_equal(model.probabilities(batch), taped)
 
+    @pytest.mark.parametrize("d,H,rows,n_steps,padded", [
+        (20, 30, 32, 200, False),  # the needle shape of criterion 6
+        (50, 120, 128, 40, True),  # the preset shape
+    ])
+    def test_bit_identical_at_benchmark_shapes(self, d, H, rows, n_steps, padded):
+        # OpenBLAS results depend on the call shape, so check these shapes.
+        v = build_vocab([Document(0, [f"w{i}" for i in range(500)])])
+        model = _scoring_model("clstm", {"H": H, "K": 3}, True, False, d, v, seed=9)
+        rng = np.random.default_rng(rows)
+        lengths = rng.integers(1, n_steps + 1, rows) if padded else np.full(rows, n_steps)
+        docs = [Document(0, [f"w{i}" for i in rng.integers(0, 520, n)]) for n in lengths]
+        batch = pad_batch(docs, v)
+        assert batch.ids.shape == (rows, max(lengths))
+        taped = model.forward_batch(Tape(), batch)[0].value
+        np.testing.assert_array_equal(model.probabilities(batch), taped)
+
     def test_memory_does_not_grow_with_document_length(self):
         # B=64, T=200 at the preset shape.  The taped forward kept every
         # step's inputs, activations and tanh(c): ~160 MB here.  Scoring
