@@ -189,9 +189,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[_Node] = []
         self._leaf_ids: list[int] = []
-        # Var node id -> node id of its transpose.  Ids, not Vars: a Var
-        # points back at its tape, and a cycle would outlive ``del tape``.
-        self._transpose_memo: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -205,13 +202,6 @@ class Tape:
         self._nodes.append(_Node(arr, (), None))
         self._leaf_ids.append(nid)
         return Var(self, nid, arr)
-
-    def node_parents(self, nid: int) -> tuple[int, ...]:
-        return self._nodes[nid].parents
-
-    @property
-    def leaf_ids(self) -> list[int]:
-        return list(self._leaf_ids)
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp: Callable) -> Var:
         nid = len(self._nodes)
@@ -354,14 +344,8 @@ def softmax_rows(a: Var) -> Var:
 
 
 def transpose(a: Var) -> Var:
-    """Matrix transpose.  Repeated transposes of one Var share a tape node."""
-    tape = a.tape
-    cached = tape._transpose_memo.get(a.nid)
-    if cached is not None:
-        return Var(tape, cached, tape._nodes[cached].value)
-    out = tape._record(a.value.T, (a.nid,), lambda g: (g.T,))
-    tape._transpose_memo[a.nid] = out.nid
-    return out
+    """Matrix transpose."""
+    return a.tape._record(a.value.T, (a.nid,), lambda g: (g.T,))
 
 
 def mul_const(a: Var, c: float) -> Var:

@@ -20,9 +20,10 @@ group k hold W^k, and their columns of group j in ``u`` hold the
 cross-group matrix U^{j->k}, so one product evaluates all K^2 cross-group
 terms.
 
-``recurrence`` runs a cell over T steps and records one tape node: one
-batched input product for all steps, one recurrent GEMM per step, and a
-hand-written VJP that keeps the gate activations.  The single-step
+``recurrence`` runs a cell over T steps and records one tape node whose
+value is the final state [c_T | h_T]: one batched input product for all
+steps, one recurrent GEMM per step, and a hand-written VJP that keeps the
+gate activations and each step's carried state.  The single-step
 functions run it at T = 1.  ``final_state`` runs the same step function
 without a tape and keeps only the carried state, for scoring.
 
@@ -31,8 +32,10 @@ G*H x B (``W X^T``) and its carried c and h are H x B, so each gate block
 is one contiguous slab of rows and every elementwise gate operation reads
 contiguous memory.  The bias is added as its G*H x 1 column, a step's
 mask is a 1 x B row, and the clstm band offsets and clamps are H x B
-arrays built once per run.  Only the kernel sees this layout: tape values
-and the results of ``final_state`` stay row-batched.
+arrays built once per run.  The per-step history is private to the VJP
+and kept in this layout: the T x G*H x B activations, and tanh(c') and
+the carried c and h as T x H x B buffers.  Tape values and the results
+of ``final_state`` stay row-batched.
 """
 
 from __future__ import annotations
@@ -248,7 +251,7 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
     ``steps`` yields (x_t, m_t): a B x d input and a B x 1 {0, 1} mask
     column or None.  Each step is projected as it arrives and only the
     carried state is kept, so memory does not grow with T.  The values equal
-    the last block of ``recurrence`` bit for bit; c_T is None for rnn.
+    the value of ``recurrence`` bit for bit; c_T is None for rnn.
     """
     W, U = p.w, p.u
     H = U.shape[1]
@@ -275,30 +278,28 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     X = np.stack([x.value for x in xs])
     T, B, d = X.shape
     GH, H = U.shape
-    S = 2 * H if gated else H
     bias = None if p.b is None else p.b.value
     M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
     band = _band(H, n_groups, B) if kind == "clstm" else None
-    # An array view: a Var held by the VJP would tie a reference cycle to its tape.
-    c0v = None if c0 is None else c0.value.T
-    h0v = h0.value
 
     # Input projections of all steps, one B-column product per step as in
     # ``final_state`` (a column of one big product can differ in its last
     # bit); step t overwrites its own with the gate activations.
     A = np.matmul(W, X.transpose(0, 2, 1))
     TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
-    out = np.empty((B, T, S))
-    out_t = out.transpose(1, 2, 0)  # step t's [c_t | h_t] as S x B
+    # The (c, h) that step t starts from, for the VJP only.
+    Cs = np.empty((T, H, B)) if gated else None
+    Hs = np.empty((T, H, B))
     # H x B and C-contiguous, as ``final_state``'s zero state is.
-    c = None if c0 is None else np.ascontiguousarray(c0v)
-    h = np.ascontiguousarray(h0v.T)
+    c = None if c0 is None else np.ascontiguousarray(c0.value.T)
+    h = np.ascontiguousarray(h0.value.T)
     for t in range(T):
+        if gated:
+            Cs[t] = c
+        Hs[t] = h
         c, h, tc = _step(kind, A[t], c, h, U, bias, band, None if M is None else M[t])
         if gated:
             TC[t] = tc
-            out_t[t, :H] = c
-        out_t[t, S - H:] = h
 
     def vjp(g):
         # Step t's activations in A[t] are overwritten with the gradients of
@@ -306,14 +307,10 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
         nonlocal A
         if A is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
-        G = g.reshape(B, T, S).transpose(1, 2, 0)
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
-        dh = np.zeros((H, B))
-        dc = np.zeros((H, B))
+        dh = np.ascontiguousarray(g[:, -H:].T)
+        dc = np.ascontiguousarray(g[:, :H].T) if gated else None
         for t in range(T - 1, -1, -1):
-            dh = dh + G[t, S - H:]
-            if gated:
-                dc = dc + G[t, :H]
             if M is None:  # nothing carries past an unmasked step
                 dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
             else:
@@ -322,8 +319,7 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 if gated:
                     dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
             if gated:
-                c_prev = c0v if t == 0 else out_t[t - 1, :H]
-                dc = dc + _gate_grads(kind, A[t], TC[t], c_prev, dh_new, dc_new, band, up)
+                dc = dc + _gate_grads(kind, A[t], TC[t], Cs[t], dh_new, dc_new, band, up)
             else:
                 np.multiply(dh_new, 1.0 - A[t] * A[t], out=A[t])
             dh = dh + U.T @ A[t]
@@ -331,7 +327,7 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
         # make the calls (and give the bits) of a row-batched kernel.
         flat = A.transpose(0, 2, 1).reshape(T * B, GH)
         A = None  # nothing else refers to the buffer now, so this frees it
-        h_prev = np.concatenate([h0v[None], out[:, :-1, S - H:].transpose(1, 0, 2)])
+        h_prev = np.ascontiguousarray(Hs.transpose(0, 2, 1))
         grads = list((flat @ W).reshape(T, B, d))
         grads += [flat.T @ X.reshape(T * B, d), flat.T @ h_prev.reshape(T * B, H)]
         if bias is not None:
@@ -342,20 +338,21 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
 
     parents = list(xs) + [p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
-    return record(out.reshape(B, T * S), parents, vjp), A
+    final = h if c is None else np.vstack([c, h])
+    return record(final.T.copy(), parents, vjp), A
 
 
 def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                mask: np.ndarray | None = None) -> Var:
     """Run the cell over xs, T Vars of B x d, as one tape node.
 
-    The node's value is B x T*S: block t holds the state carried after
-    step t, [c_t | h_t] with S = 2H, or h_t alone for rnn (S = H).  With
-    ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
-    unchanged, bit for bit.  Gradients flow to every x_t, to w, u and b,
-    and to the initial state (c0 is None for rnn).  The node's VJP reuses
-    the kernel's activation buffer, so a second backward pass through it
-    raises RuntimeError.
+    The node's value is the final state, B x S: [c_T | h_T] with S = 2H,
+    or h_T alone for rnn (S = H).  The per-step states stay private to the
+    node's VJP.  With ``mask``, a B x T array of {0, 1}, a row's state
+    passes a zero step unchanged, bit for bit.  Gradients flow to every
+    x_t, to w, u and b, and to the initial state (c0 is None for rnn).  The
+    node's VJP reuses the kernel's activation buffer, so a second backward
+    pass through it raises RuntimeError.
     """
     return _recurrence(p, xs, c0, h0, mask)[0]
 

@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .evaluation import (
 )
 from .gradcheck import encoder_gradcheck, pipeline_gradcheck
 from .model import ModelConfig, build_model
+from .schema import ConfigError, build_section
 from .serialize import load_model, save_model
 from .training import TrainConfig, TrainingDiverged, fit
 
@@ -54,10 +54,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 GRADCHECK_TOLERANCE = 1e-6
-
-
-class ConfigError(ValueError):
-    """A config file problem, reported with the offending key."""
 
 
 @dataclasses.dataclass
@@ -84,54 +80,6 @@ class RunConfig:
     output_dir: str
 
 
-_SCALAR_NAMES = {int: "an integer", float: "a finite number",
-                 bool: "true or false", str: "a string"}
-
-
-def _check_scalar(section: str, key: str, value, hint) -> None:
-    """Raise ConfigError unless value has the field's scalar type.
-
-    Integers exclude booleans, numbers must be finite, and ``X | None``
-    fields also take null.  An integer is accepted where a float is due.
-    """
-    allowed = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in allowed:
-        return
-    kind = next(t for t in allowed if t is not type(None))
-    if kind is float:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        nullable = " or null" if type(None) in allowed else ""
-        raise ConfigError(
-            f"{section}.{key} must be {_SCALAR_NAMES[kind]}{nullable}, got {value!r}"
-        )
-
-
-def _build_section(cls, raw: dict, section: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown key {section}.{sorted(unknown)[0]} (known: {sorted(known)})"
-        )
-    hints = typing.get_type_hints(cls)
-    for key, value in raw.items():
-        _check_scalar(section, key, value, hints[key])
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
 def parse_run_config(raw: dict) -> RunConfig:
     """Validate a config dict: sections model/train/data plus output_dir."""
     if not isinstance(raw, dict):
@@ -145,9 +93,9 @@ def parse_run_config(raw: dict) -> RunConfig:
     for need in ("model", "data", "output_dir"):
         if need not in raw:
             raise ConfigError(f"config is missing {need!r}")
-    model = _build_section(ModelConfig, raw["model"], "model")
-    train = _build_section(TrainConfig, raw.get("train", {}), "train")
-    data = _build_section(DataConfig, raw["data"], "data")
+    model = build_section(ModelConfig, raw["model"], "model")
+    train = build_section(TrainConfig, raw.get("train", {}), "train")
+    data = build_section(DataConfig, raw["data"], "data")
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ConfigError("output_dir must be a non-empty string")
     return RunConfig(model=model, train=train, data=data,

@@ -8,10 +8,10 @@ the backward pass's h_1 at the first step is concatenated on.  Group 1 has
 the lowest update rate, so it is the part of the state that accumulates
 document-scale evidence rather than recent-token detail.
 
-Each direction is one ``cells.recurrence`` tape node holding every step's
-carried state.  Variable-length batches are handled with a per-step {0,1}
-mask: a row's state passes its masked steps unchanged, so padding steps are
-bit-neutral to the final state.
+Each direction is one ``cells.recurrence`` tape node whose value is its
+final carried state.  Variable-length batches are handled with a per-step
+{0,1} mask: a row's state passes its masked steps unchanged, so padding
+steps are bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -82,20 +82,15 @@ class EncoderConfig:
         """Width of the document representation fed to the classifier."""
         return (2 if self.bidirectional else 1) * self.group_size
 
-    @property
-    def state_width(self) -> int:
-        """Columns per step in a direction's output: [c_t | h_t], or h_t for rnn."""
-        return (1 if self.cell_kind == "rnn" else 2) * self.H
-
 
 @dataclass
 class EncodedSequence:
     """The recurrence nodes of an encoder run over T steps.
 
-    ``fwd`` is B x T*S (S = ``cfg.state_width``): block t holds the state
-    carried after token t, with h_t in its last H columns.  ``bwd`` is the
-    reverse run's node, in its own order (block t saw tokens T-1..T-1-t),
-    or None for unidirectional runs.
+    ``fwd`` is the final state after the last token, B x S: [c_T | h_T],
+    or h_T alone for rnn, so h_T is its last H columns.  ``bwd`` is the
+    reverse run's node, whose final state has read the tokens last to
+    first, or None for unidirectional runs.
     """
 
     cfg: EncoderConfig
@@ -146,7 +141,7 @@ def doc_representation(enc: EncodedSequence) -> Var:
     cfg = enc.cfg
 
     def first_group(run: Var) -> Var:
-        start = run.cols - cfg.H  # h of the last block
+        start = run.cols - cfg.H  # h_T
         return slice_cols(run, start, start + cfg.group_size)
 
     if enc.bwd is None:

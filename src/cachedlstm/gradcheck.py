@@ -1,10 +1,10 @@
 """Gradient checks of the tape against central finite differences.
 
 ``encoder_gradcheck`` differentiates one recurrent encoder through a
-readout of every step's hidden state; ``pipeline_gradcheck`` differentiates
-the full training objective.  Both return the maximum relative error of
-``autodiff.grad_check``; the ``gradcheck`` subcommand, the demos and the
-tests call them.
+readout of every step's hidden state, each read from a prefix run;
+``pipeline_gradcheck`` differentiates the full training objective.  Both
+return the maximum relative error of ``autodiff.grad_check``; the
+``gradcheck`` subcommand, the demos and the tests call them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .autodiff import Tape, backward, grad_check, mul, sum_all
+from .autodiff import Tape, add, backward, grad_check, mul, slice_cols, sum_all
 from .cells import bind_params, init_params, named_tensors
 from .data import Batch, Document, build_vocab
 from .encoder import EncoderConfig, encode_forward
@@ -26,22 +26,20 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
                       masked: bool = False) -> float:
     """Max relative error of the cell gradients against central differences.
 
-    The loss reads every step's hidden state through a fixed random weight,
-    which gives each parameter a direct, well-conditioned gradient path.  A
-    readout of only the final state leaves some cross-group entries with
-    gradients of order 1e-8, where the relative-error metric measures
-    finite-difference noise rather than correctness.
+    The loss reads every step's hidden state h_t through a fixed random
+    weight, which gives each parameter a direct, well-conditioned gradient
+    path.  A readout of only the final state leaves some cross-group
+    entries with gradients of order 1e-8, where the relative-error metric
+    measures finite-difference noise rather than correctness.  An encoder
+    node holds only its final state, so h_t is read as the final h of the
+    run over the prefix xs[:t+1].
     """
     rng = np.random.default_rng(seed)
     proto = init_params(kind, width, hidden, n_groups=n_groups, seed=seed + 1,
                         use_bias=True)
     xs_arr = [rng.normal(size=(batch, width)) for _ in range(n_steps)]
     cfg = EncoderConfig(cell_kind=kind, d=width, H=hidden, K=n_groups, C=2)
-    # Readout weights on the h_t columns of every step's [c_t | h_t] block.
-    readout = np.zeros((batch, n_steps, cfg.state_width))
-    for t in range(n_steps):
-        readout[:, t, -hidden:] = rng.normal(size=(batch, hidden))
-    readout = readout.reshape(batch, -1)
+    readouts = [rng.normal(size=(batch, hidden)) for _ in range(n_steps)]
     mask_arr = None
     if masked:
         # At least one row strictly shorter than the sequence.
@@ -55,8 +53,13 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
         bound, leaves = bind_params(tape, dataclasses.replace(proto, **params))
         xs = [tape.leaf(a) for a in xs_arr]
         mask = None if mask_arr is None else [tape.leaf(m) for m in mask_arr]
-        enc = encode_forward(cfg, bound, xs, mask=mask)
-        loss = sum_all(mul(enc.fwd, tape.leaf(readout)))
+        loss = None
+        for t, weight in enumerate(readouts):
+            run = encode_forward(cfg, bound, xs[:t + 1],
+                                 mask=None if mask is None else mask[:t + 1]).fwd
+            term = sum_all(mul(slice_cols(run, run.cols - hidden, run.cols),
+                               tape.leaf(weight)))
+            loss = term if loss is None else add(loss, term)
         grads = backward(tape, loss)
         return float(loss.value[0, 0]), {n: grads[v.nid] for n, v in leaves.items()}
 

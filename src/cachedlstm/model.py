@@ -24,6 +24,7 @@ from .encoder import (
     encode_forward,
     init_classifier,
 )
+from .schema import build_section
 
 MODEL_KINDS = ("cbow",) + CELL_KINDS
 
@@ -83,7 +84,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        return cls(**raw)
+        """Inverse of ``to_dict``; raises ConfigError naming a malformed key."""
+        return build_section(cls, raw, "config")
 
 
 class DocModel:

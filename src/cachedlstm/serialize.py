@@ -27,6 +27,7 @@ import struct
 import numpy as np
 
 from .cells import GATES, CellParams
+from .schema import check_scalar
 
 MAGIC = b"TBOX"
 VERSION = 1
@@ -130,14 +131,24 @@ def load_model(path: str):
     from .model import DocModel, ModelConfig
 
     tensors, meta = load_container(path)
+    if not isinstance(meta, dict):
+        raise ValueError("container meta must be a JSON object")
     if meta.get("format") != "doc-classifier":
         raise ValueError(f"container is not a saved model: format={meta.get('format')!r}")
-    config = ModelConfig.from_dict(meta["config"])
-    vocab = Vocab(meta["vocab_tokens"])
+    config = ModelConfig.from_dict(meta.get("config"))
+    tokens = meta.get("vocab_tokens")
+    if not isinstance(tokens, list):
+        raise ValueError(f"container meta vocab_tokens must be a list, "
+                         f"got {type(tokens).__name__}")
+    try:
+        vocab = Vocab(tokens)
+    except TypeError:  # a token that cannot be a dict key
+        raise ValueError("container meta vocab_tokens must hold strings") from None
     if "embedding" not in tensors:
         raise ValueError("container is missing the embedding tensor")
-    embedding = EmbeddingMatrix(vectors=tensors["embedding"],
-                                trainable=bool(meta.get("embedding_trainable", True)))
+    trainable = meta.get("embedding_trainable", True)
+    check_scalar("meta", "embedding_trainable", trainable, bool)
+    embedding = EmbeddingMatrix(vectors=tensors["embedding"], trainable=trainable)
     if embedding.vectors.shape[0] != len(vocab):
         raise ValueError(
             f"embedding has {embedding.vectors.shape[0]} rows for a "

@@ -13,6 +13,7 @@ never mention them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,6 +62,11 @@ class TrainConfig:
     target_dev_acc: float | None = None
 
     def __post_init__(self):
+        # NaN fails every comparison below, so non-finite values are caught first.
+        for name in ("learning_rate", "weight_decay", "gradient_clip_norm", "target_dev_acc"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.weight_decay < 0:

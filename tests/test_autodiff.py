@@ -404,8 +404,3 @@ class TestDeterminism:
         assert l1.tobytes() == l2.tobytes()
         assert ga1.tobytes() == ga2.tobytes()
         assert gb1.tobytes() == gb2.tobytes()
-
-    def test_transpose_memoized_per_tape(self):
-        tape = Tape()
-        a = _leaf(tape, np.ones((2, 3)))
-        assert transpose(a).nid == transpose(a).nid

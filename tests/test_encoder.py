@@ -29,13 +29,6 @@ def _embed(tape, rng, T, B, d):
     return [tape.leaf(rng.normal(size=(B, d))) for _ in range(T)]
 
 
-def _block(run, cfg, t, part="h"):
-    """Columns of h_t (or c_t) in a direction's output, as a numpy array."""
-    S, H = cfg.state_width, cfg.H
-    start = t * S + (S - H if part == "h" else 0)
-    return run.value[:, start:start + H]
-
-
 class TestConfig:
     def test_rep_width(self):
         cfg = EncoderConfig(cell_kind="clstm", d=5, H=12, K=3, C=4)
@@ -71,9 +64,10 @@ class TestForwardUnroll:
         st = zero_state(tape, B, H)
         for x in xs:
             st = lstm_step(bound, x, st)
-        np.testing.assert_array_equal(_block(enc.fwd, cfg, T - 1), st.h.value)
-        np.testing.assert_array_equal(_block(enc.fwd, cfg, T - 1, "c"), st.c.value)
-        assert enc.fwd.shape == (B, T * 2 * H)
+        # The node holds the final state [c_T | h_T] only.
+        assert enc.fwd.shape == (B, 2 * H)
+        np.testing.assert_array_equal(enc.fwd.value[:, H:], st.h.value)
+        np.testing.assert_array_equal(enc.fwd.value[:, :H], st.c.value)
 
     def test_empty_sequence_rejected(self):
         cfg = EncoderConfig(cell_kind="rnn", d=3, H=4, C=2)
@@ -118,22 +112,20 @@ class TestMasking:
                     m[i, 0] = 1.0
             xs.append(tape.leaf(step))
             mask.append(tape.leaf(m))
-        enc = encode_forward(cfg, bound, xs, mask=mask)
+        # The padded batch's final state after each prefix of t + 1 steps.
+        finals = [encode_forward(cfg, bound, xs[:t + 1], mask=mask[:t + 1]).fwd.value
+                  for t in range(T)]
 
         # Each row alone, no padding.
         for i, row in enumerate(rows):
             tape2 = Tape()
             bound2, _ = bind_params(tape2, p)
             xs2 = [tape2.leaf(row[t:t + 1]) for t in range(lengths[i])]
-            solo = encode_forward(cfg, bound2, xs2)
+            solo = encode_forward(cfg, bound2, xs2).fwd.value
+            assert solo.shape == (1, H if kind == "rnn" else 2 * H)
             last = lengths[i] - 1
             for t in (last, T - 1):  # padding steps carry the final state
-                np.testing.assert_allclose(
-                    _block(enc.fwd, cfg, t)[i], _block(solo.fwd, cfg, last)[0], atol=1e-12)
-                if kind != "rnn":
-                    np.testing.assert_allclose(
-                        _block(enc.fwd, cfg, t, "c")[i],
-                        _block(solo.fwd, cfg, last, "c")[0], atol=1e-12)
+                np.testing.assert_allclose(finals[t][i], solo[0], atol=1e-12)
 
     def test_mask_length_mismatch(self):
         cfg = EncoderConfig(cell_kind="rnn", d=2, H=3, C=2)
@@ -164,10 +156,9 @@ class TestBidirectional:
         tape2 = Tape()
         bb2, _ = bind_params(tape2, pb)
         rev = encode_forward(uni, bb2, [tape2.leaf(a) for a in reversed(arrays)])
-        # The reverse node, in its own order, is the reverse run's node.
+        # The reverse node holds the reverse run's final state [c_T | h_T].
+        assert enc.bwd.shape == (B, 2 * H)
         np.testing.assert_array_equal(enc.bwd.value, rev.fwd.value)
-        np.testing.assert_array_equal(_block(enc.bwd, cfg, T - 1),
-                                      _block(rev.fwd, uni, T - 1))
 
 
 class TestDocRepresentation:
@@ -180,7 +171,8 @@ class TestDocRepresentation:
         enc = encode_forward(cfg, bound, _embed(tape, rng, 3, 2, 3))
         rep = doc_representation(enc)
         assert rep.shape == (2, 2)
-        np.testing.assert_array_equal(rep.value, _block(enc.fwd, cfg, 2)[:, :2])
+        # Group 1 of h_T, which follows c_T in the 16-wide final state.
+        np.testing.assert_array_equal(rep.value, enc.fwd.value[:, 8:10])
 
     def test_bidirectional_width(self):
         rng = np.random.default_rng(36)
@@ -193,7 +185,7 @@ class TestDocRepresentation:
         enc = encode_bidirectional(cfg, bf, bb, _embed(tape, rng, 4, 2, 3))
         rep = doc_representation(enc)
         assert rep.shape == (2, 4)
-        np.testing.assert_array_equal(rep.value[:, 2:], _block(enc.bwd, cfg, 3)[:, :2])
+        np.testing.assert_array_equal(rep.value[:, 2:], enc.bwd.value[:, 6:8])
 
 
 class TestClassifier:
@@ -250,8 +242,9 @@ class TestGradientsThroughEncoder:
 
     Reading out only the final state leaves some cross-group parameters with
     gradients around 1e-8, where the relative-error metric measures
-    finite-difference noise instead of correctness; summing every step's
-    output keeps all paths well conditioned.
+    finite-difference noise instead of correctness; summing a readout of
+    every step's h_t, each the final h of a prefix run, keeps all paths
+    well conditioned.
     """
 
     def test_masked_clstm_encoder_grad(self):
@@ -288,8 +281,8 @@ class TestGradientsThroughEncoder:
         enc2 = encode_forward(cfg, bound2, xs2)
         from cachedlstm.autodiff import slice_cols
 
-        h_last = 2 * 2 * 4 + 4  # h_2 of the three [c_t | h_t] blocks, 8 wide
-        loss2 = sum_all(mul(slice_cols(enc2.fwd, h_last, h_last + 2), tape2.leaf(weight)))
+        # Group 1 of h_T in the final state [c_T | h_T], 8 wide.
+        loss2 = sum_all(mul(slice_cols(enc2.fwd, 4, 6), tape2.leaf(weight)))
         grads2 = backward(tape2, loss2)
         for name in leaves:
             np.testing.assert_array_equal(grads[leaves[name].nid],

@@ -1,8 +1,10 @@
 """The fused recurrence kernel against the per-step tape graph it replaced.
 
 ``composed_run`` builds the same computation from elementary tape ops, one
-node per operation and step, in the [c_t | h_t] output layout of
-``cells.recurrence``.  Values and gradients for every input must agree.
+node per operation and step, and lays every step's [c_t | h_t] side by
+side.  ``cells.recurrence`` records only the final state, so
+``kernel_run`` lays out the final states of the runs over each prefix
+xs[:t+1] the same way.  Values and gradients for every input must agree.
 The three ops below exist only for that reference; they are built on
 ``autodiff.record`` and checked against central differences here.
 """
@@ -28,7 +30,7 @@ from cachedlstm.autodiff import (
     tanh_,
     transpose,
 )
-from cachedlstm.cells import GATES, bind_params, init_params, recurrence
+from cachedlstm.cells import GATES, bind_params, final_state, init_params, recurrence
 from cachedlstm.data import Batch, Document, build_vocab
 from cachedlstm.model import ModelConfig, build_model
 
@@ -126,6 +128,13 @@ def composed_run(p, xs, c0, h0, mask):
     return concat_cols(blocks)
 
 
+def kernel_run(p, xs, c0, h0, mask):
+    """The kernel's final state after each prefix xs[:t+1], side by side."""
+    return concat_cols([recurrence(p, xs[:t + 1], c0, h0,
+                                   None if mask is None else mask[:, :t + 1])
+                        for t in range(len(xs))])
+
+
 def _run_both(kind, n_groups, masked, seed, B=4):
     rng = np.random.default_rng(seed)
     d, H, T = 5, 6, 7
@@ -141,7 +150,7 @@ def _run_both(kind, n_groups, masked, seed, B=4):
     width = (1 if kind == "rnn" else 2) * H
     readout = rng.normal(size=(B, T * width))
     out = []
-    for run in (recurrence, composed_run):
+    for run in (kernel_run, composed_run):
         tape = Tape()
         bound, leaves = bind_params(tape, params)
         xs = [tape.leaf(a) for a in xs_arr]
@@ -193,19 +202,41 @@ def test_vjp_raises_on_a_second_call():
 
 def test_masked_steps_carry_state():
     (value, _, _), _ = _run_both("lstm", 1, masked=True, seed=4)
-    blocks = value.reshape(4, 7, 12)
-    # Row 1 has one real token: every later block repeats block 0 exactly.
-    assert (blocks[1, 1:] == blocks[1, 0]).all()
-    assert (blocks[2, 4:] == blocks[2, 3]).all()
-    assert (blocks[0, 1] != blocks[0, 0]).any()
+    finals = value.reshape(4, 7, 12)  # the final state of each prefix
+    # Row 1 has one real token: every longer prefix ends in the state after it.
+    assert (finals[1, 1:] == finals[1, 0]).all()
+    assert (finals[2, 4:] == finals[2, 3]).all()
+    assert (finals[0, 1] != finals[0, 0]).any()
 
 
 def test_kernel_is_one_node():
-    (_, _, nodes), (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
-    # Leaves: w, u, b, 7 inputs, c0, h0 and the readout, then one kernel
-    # node, the product with the readout and the sum.
-    assert nodes == 3 + 7 + 2 + 1 + 3
+    _, (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
+    tape = Tape()
+    bound, _ = bind_params(tape, init_params("clstm", 5, 6, n_groups=3, seed=5, use_bias=True))
+    xs = [tape.leaf(np.ones((4, 5))) for _ in range(7)]
+    state = [tape.leaf(np.zeros((4, 6))) for _ in range(2)]
+    before = len(tape)  # w, u, b, 7 inputs, c0 and h0
+    recurrence(bound, xs, *state)
+    assert (before, len(tape)) == (3 + 7 + 2, 3 + 7 + 2 + 1)
     assert ref_nodes > 7 * 20
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm", "cifg", "clstm"])
+def test_value_is_the_final_state(kind):
+    # B x S at any T: [c_T | h_T], or h_T for rnn, as ``final_state`` gives it.
+    rng = np.random.default_rng(12)
+    B, d, H, T = 3, 4, 6, 40
+    params = init_params(kind, d, H, n_groups=3 if kind == "clstm" else 1, seed=2)
+    tape = Tape()
+    bound, _ = bind_params(tape, params)
+    xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
+    c0 = None if kind == "rnn" else tape.leaf(np.zeros((B, H)))
+    run = recurrence(bound, [tape.leaf(x) for x in xs_arr], c0, tape.leaf(np.zeros((B, H))))
+    c, h = final_state(params, ((x, None) for x in xs_arr), B)
+    assert run.shape == (B, H if kind == "rnn" else 2 * H)
+    np.testing.assert_array_equal(run.value[:, -H:], h)
+    if c is not None:
+        np.testing.assert_array_equal(run.value[:, :H], c)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])

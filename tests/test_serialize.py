@@ -171,6 +171,72 @@ class TestModelRoundtrip:
             load_model(str(path))
 
 
+def _unknown_key(meta):
+    meta["config"]["bogus"] = 1
+
+
+def _string_width(meta):
+    meta["config"]["d"] = "3"
+
+
+def _config_list(meta):
+    meta["config"] = [meta["config"]]
+
+
+def _tokens_string(meta):
+    meta["vocab_tokens"] = "a b c"
+
+
+def _token_list(meta):
+    meta["vocab_tokens"] = [["a"], "b"]
+
+
+def _trainable_string(meta):
+    meta["embedding_trainable"] = "no"
+
+
+class TestMalformedMeta:
+    """A container whose meta block is malformed is rejected with exit 2."""
+
+    def _save(self, tmp_path, edit=None, meta_override=None):
+        docs = [Document(0, ["a", "b"]), Document(1, ["b", "c"])]
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), build_vocab(docs), seed=0)
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        tensors, meta = load_container(str(path))
+        if edit is not None:
+            edit(meta)
+        save_container(str(path), tensors, meta if meta_override is None else meta_override)
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tb c\n")
+        return path, corpus
+
+    def _assert_rejected(self, path, corpus, message, capsys):
+        from cachedlstm.cli import main
+
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+        assert main(["eval", str(path), str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (_unknown_key, "unknown key config.bogus"),
+        (_string_width, "config.d must be an integer, got '3'"),
+        (_config_list, "config must be a JSON object"),
+        (_tokens_string, "vocab_tokens must be a list, got str"),
+        (_token_list, "vocab_tokens must hold strings"),
+        (_trainable_string, "meta.embedding_trainable must be true or false"),
+    ])
+    def test_bad_meta_field(self, tmp_path, capsys, edit, message):
+        self._assert_rejected(*self._save(tmp_path, edit), message, capsys)
+
+    def test_meta_that_is_an_array(self, tmp_path, capsys):
+        path, corpus = self._save(tmp_path, meta_override=["doc-classifier"])
+        self._assert_rejected(path, corpus, "container meta must be a JSON object", capsys)
+
+
 class TestLegacyFiles:
     """Files that name each gate's tensor (fwd.w_i, fwd.u_r, ...) still load.
 

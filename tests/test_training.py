@@ -1,11 +1,13 @@
 """Objective, Adagrad, and training loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cachedlstm import training
 from cachedlstm.autodiff import Tape, backward, softmax_rows
-from cachedlstm.data import Document, build_vocab, make_batches
+from cachedlstm.data import Document, build_vocab, make_batches, pad_batch, synth_needle
 from cachedlstm.model import ModelConfig, build_model
 from cachedlstm.training import (
     AdagradState,
@@ -118,6 +120,14 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(gradient_clip_norm=0.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "gradient_clip_norm",
+                                      "target_dev_acc"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scalars_rejected(self, name, value):
+        # NaN passes every range comparison; a NaN weight_decay used to drop the L2 term.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
 
 
 def _separable_docs(n=24):
@@ -262,6 +272,28 @@ class TestRowSparseTraining:
         assert (sparse_acc["embedding"][untouched].tobytes()
                 == dense_acc["embedding"][untouched].tobytes())
         assert (sparse_acc["embedding"][untouched] == 0.0).all()
+
+
+def test_needle_step_memory_bound():
+    # One bidirectional clstm training step at the needle shape (d=20, H=30,
+    # K=3, B=32, T=200, V=505).  A recurrence node holds only its final
+    # state, so backward builds no B x T*S gradient per direction.  The
+    # bound lies between the traced peaks of the two designs: ~5,080 bytes
+    # per token position for nodes that hold every step's state, ~4,130
+    # for final-state nodes.
+    train, _ = synth_needle(40, 200, 3, seed=0)
+    vocab = build_vocab(train)
+    model = build_model(ModelConfig(kind="clstm", d=20, H=30, K=3, C=3, bidirectional=True),
+                        vocab, seed=0)
+    batch = pad_batch(train[:32], vocab)
+    assert len(vocab) == 505 and batch.ids.shape == (32, 200)
+    tracemalloc.start()
+    try:
+        train_epoch(model, [batch], TrainConfig(learning_rate=0.05), AdagradState())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4600 * batch.ids.size, f"traced peak {peak} bytes"
 
 
 class TestFit:
