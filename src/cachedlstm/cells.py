@@ -35,12 +35,34 @@ mask is a 1 x B row, and the clstm band offsets and clamps are H x B
 arrays built once per run.  The per-step history is private to the VJP
 and kept in this layout: the T x G*H x B activations, and tanh(c') and
 the carried c and h as T x H x B buffers.  Tape values and the results
-of ``final_state`` stay row-batched.
+of ``final_state`` stay row-batched.  The VJP sums the weight gradients
+inside its step loop, last step first (``dW += a @ X[t]``,
+``dU += a @ Hs[t].T``, ``db += a.sum(1)``, ``dX[t] = a.T @ W``), so it makes
+no T*B x G*H copy of the step gradients.
+
+``recurrence_pair`` records two recurrences of one shape, the directions
+of a bidirectional encoder, as one node whose value is their final states
+side by side.  From H*B = ``THREAD_MIN_WORK`` on, and when the process may
+use two CPUs, it runs the two kernels, and later the two VJPs, on two
+worker threads, which numpy lets overlap inside BLAS calls and large
+elementwise loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100,
+padded; serial over threaded time, forward and backward): 1.55x and 1.52x
+at H*B = 15,360 (H=120, B=128), 1.23-1.34x and 1.30-1.31x at 7,680,
+0.99-1.37x at 5,760, 0.87-1.27x at 3,840, and 0.73x and 0.64x at the
+needle shape's 960, where the GIL makes the threads wait on each other.
+The workers only compute; the calling thread records every node.  Each
+direction runs the same code on its own buffers, so threaded and serial
+runs give the same bits.  Scoring (``final_state``) stays on one thread:
+two directions at once doubled its per-step temporaries, which are most
+of its memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +73,14 @@ CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
 GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
 
 INIT_SCALE = 0.1  # weights start uniform in [-INIT_SCALE, INIT_SCALE]
+
+# ``recurrence_pair`` runs its two kernels on two threads from this H*B on;
+# below it the threads can lose more to the GIL than they gain.  It is the
+# smallest H*B at which no measured shape ran slower threaded (see the
+# module docstring).
+THREAD_MIN_WORK = 5760
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass
@@ -206,13 +236,18 @@ def _step(kind: str, a: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias, band,
         logistic(a[:-H], out=a[:-H])
         bounded_tanh(a[-H:], out=a[-H:])
         keep, write = _keep_write(kind, a, H, band)
-        c_new = keep * c + write * a[-H:]
+        c_new = keep * c
+        c_new += write * a[-H:]
         tc = bounded_tanh(c_new)
         h_new = a[-2 * H:-H] * tc
     if m is None:
         return c_new, h_new, tc
-    c_new = None if c_new is None else np.where(m, c_new, c)
-    return c_new, np.where(m, h_new, h), tc
+    if c_new is None:  # rnn: h' is ``a`` itself, which the VJP reads
+        return None, np.where(m, h_new, h), tc
+    old = ~m
+    np.copyto(c_new, c, where=old)
+    np.copyto(h_new, h, where=old)
+    return c_new, h_new, tc
 
 
 def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray,
@@ -266,7 +301,12 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
 
 def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None) -> tuple:
-    """The kernel behind ``recurrence``; also returns the T x G*H x B activations."""
+    """The kernel behind ``recurrence``; it reads Var values and records nothing.
+
+    Returns (value, parents, vjp, A): the final state B x S, the Vars it
+    depends on, the VJP from its gradient to one gradient per parent, and
+    the T x G*H x B activations.  Two calls may run on two threads.
+    """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
     if gated and c0 is None:
@@ -308,6 +348,9 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
         if A is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
+        dX = np.empty((T, B, d))
+        dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
+        db = None if bias is None else np.zeros((GH, 1))
         dh = np.ascontiguousarray(g[:, -H:].T)
         dc = np.ascontiguousarray(g[:, :H].T) if gated else None
         for t in range(T - 1, -1, -1):
@@ -318,20 +361,23 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 dh_new, dh = np.where(m, dh, 0.0), np.where(m, 0.0, dh)
                 if gated:
                     dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
+            a = A[t]
             if gated:
-                dc = dc + _gate_grads(kind, A[t], TC[t], Cs[t], dh_new, dc_new, band, up)
+                dc = dc + _gate_grads(kind, a, TC[t], Cs[t], dh_new, dc_new, band, up)
             else:
-                np.multiply(dh_new, 1.0 - A[t] * A[t], out=A[t])
-            dh = dh + U.T @ A[t]
-        # One row-major T*B x G*H copy for the weight products, which then
-        # make the calls (and give the bits) of a row-batched kernel.
-        flat = A.transpose(0, 2, 1).reshape(T * B, GH)
+                np.multiply(dh_new, 1.0 - a * a, out=a)
+            dh = dh + U.T @ a
+            # The weight gradients are summed over the steps as they go, last
+            # step first, so no T*B x G*H copy of the step gradients is made.
+            # Their last bits differ from those of one product over all T*B
+            # rows.
+            dW += a @ X[t]
+            dU += a @ Hs[t].T
+            if db is not None:
+                db += a.sum(axis=1, keepdims=True)
+            np.matmul(a.T, W, out=dX[t])
         A = None  # nothing else refers to the buffer now, so this frees it
-        h_prev = np.ascontiguousarray(Hs.transpose(0, 2, 1))
-        grads = list((flat @ W).reshape(T, B, d))
-        grads += [flat.T @ X.reshape(T * B, d), flat.T @ h_prev.reshape(T * B, H)]
-        if bias is not None:
-            grads.append(flat.sum(axis=0).reshape(GH, 1))
+        grads = list(dX) + [dW, dU] + ([] if db is None else [db])
         if gated:
             grads.append(dc.T)
         return grads + [dh.T]
@@ -339,7 +385,46 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     parents = list(xs) + [p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
-    return record(final.T.copy(), parents, vjp), A
+    return final.T.copy(), parents, vjp, A
+
+
+def _threaded(work: int) -> bool:
+    """Whether two kernels of H*B = ``work`` run on two threads."""
+    if work < THREAD_MIN_WORK:
+        return False
+    cpus = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(cpus(0)) >= 2 if cpus else (os.cpu_count() or 1) >= 2
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The two worker threads, started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=2, thread_name_prefix="cachedlstm")
+    return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child: its parent's worker threads do not exist there."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _both(f1, f2, work: int) -> tuple:
+    """(f1(), f2()), on the two worker threads when ``_threaded(work)``.
+
+    Both calls finish before an error of either is raised.
+    """
+    if not _threaded(work):
+        return f1(), f2()
+    futures = [_pool().submit(f) for f in (f1, f2)]
+    wait(futures)
+    return tuple(f.result() for f in futures)
 
 
 def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
@@ -354,13 +439,36 @@ def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     node's VJP reuses the kernel's activation buffer, so a second backward
     pass through it raises RuntimeError.
     """
-    return _recurrence(p, xs, c0, h0, mask)[0]
+    return record(*_recurrence(p, xs, c0, h0, mask)[:3])
+
+
+def recurrence_pair(first: tuple, second: tuple) -> Var:
+    """Two independent recurrences of one shape as one tape node.
+
+    ``first`` and ``second`` are the arguments (p, xs, c0, h0, mask) of
+    ``recurrence``.  The node's value is [final_1 | final_2], B x 2S, equal
+    bit for bit to the two ``recurrence`` values side by side, and its
+    gradients equal theirs.  The two kernels, and later their two VJPs, run
+    on two threads when the shape is large enough (see ``THREAD_MIN_WORK``);
+    the threads only compute, and this thread records the node.
+    """
+    work = first[0].hidden_size * first[1][0].rows
+    (v1, par1, vjp1, _), (v2, par2, vjp2, _) = _both(
+        lambda: _recurrence(*first), lambda: _recurrence(*second), work)
+    S = v1.shape[1]
+
+    def vjp(g):
+        g1, g2 = _both(lambda: vjp1(g[:, :S]), lambda: vjp2(g[:, S:]), work)
+        return g1 + g2
+
+    return record(np.concatenate([v1, v2], axis=1), par1 + par2, vjp)
 
 
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:
     if p.kind != kind:
         raise ValueError(f"{kind} step given {p.kind} parameters")
-    out, acts = _recurrence(p, [x], prev.c, prev.h)
+    *node, acts = _recurrence(p, [x], prev.c, prev.h)
+    out = record(*node)
     H = p.hidden_size
     state = CellState(c=slice_cols(out, 0, H), h=slice_cols(out, H, 2 * H),
                       n_groups=p.n_groups)

@@ -8,10 +8,12 @@ the backward pass's h_1 at the first step is concatenated on.  Group 1 has
 the lowest update rate, so it is the part of the state that accumulates
 document-scale evidence rather than recent-token detail.
 
-Each direction is one ``cells.recurrence`` tape node whose value is its
-final carried state.  Variable-length batches are handled with a per-step
-{0,1} mask: a row's state passes its masked steps unchanged, so padding
-steps are bit-neutral to the final state.
+A unidirectional run is one ``cells.recurrence`` tape node whose value is
+its final carried state; a bidirectional run is one
+``cells.recurrence_pair`` node holding both directions' final states.
+Variable-length batches are handled with a per-step {0,1} mask: a row's
+state passes its masked steps unchanged, so padding steps are bit-neutral
+to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -36,7 +38,7 @@ from .autodiff import (
     tanh_,
     transpose,
 )
-from .cells import CELL_KINDS, recurrence, zero_state
+from .cells import CELL_KINDS, recurrence, recurrence_pair, zero_state
 # Not called here: perfbench's tracer patches these names in this module.
 from .cells import clstm_step, lstm_step  # noqa: F401
 
@@ -85,12 +87,13 @@ class EncoderConfig:
 
 @dataclass
 class EncodedSequence:
-    """The recurrence nodes of an encoder run over T steps.
+    """The final states of an encoder run over T steps.
 
     ``fwd`` is the final state after the last token, B x S: [c_T | h_T],
     or h_T alone for rnn, so h_T is its last H columns.  ``bwd`` is the
-    reverse run's node, whose final state has read the tokens last to
-    first, or None for unidirectional runs.
+    reverse run's final state, which has read the tokens last to first, or
+    None for unidirectional runs; bidirectional, both are column slices of
+    one two-direction node.
     """
 
     cfg: EncoderConfig
@@ -98,7 +101,8 @@ class EncodedSequence:
     bwd: Var | None = None
 
 
-def _run(cfg: EncoderConfig, params, xs: list, mask: list | None) -> Var:
+def _args(cfg: EncoderConfig, params, xs: list, mask: list | None) -> tuple:
+    """The arguments of ``cells.recurrence`` for one run over xs from the zero state."""
     if not xs:
         raise ValueError("encode_forward: empty sequence")
     if mask is not None and len(mask) != len(xs):
@@ -106,7 +110,7 @@ def _run(cfg: EncoderConfig, params, xs: list, mask: list | None) -> Var:
     st = zero_state(xs[0].tape, xs[0].rows, cfg.H, n_groups=cfg.K,
                     with_memory=cfg.cell_kind != "rnn")
     m = None if mask is None else np.hstack([v.value for v in mask])
-    return recurrence(params, xs, st.c, st.h, m)
+    return params, xs, st.c, st.h, m
 
 
 def encode_forward(cfg: EncoderConfig, params, xs: list,
@@ -116,7 +120,7 @@ def encode_forward(cfg: EncoderConfig, params, xs: list,
     mask, when given, is a list of B x 1 Vars with entries in {0, 1}; a zero
     carries that row's state through the step unchanged.
     """
-    return EncodedSequence(cfg=cfg, fwd=_run(cfg, params, xs, mask))
+    return EncodedSequence(cfg=cfg, fwd=recurrence(*_args(cfg, params, xs, mask)))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs: list,
@@ -125,11 +129,15 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs: list,
 
     The reverse run consumes tokens last to first; with a mask the padded
     tail of each row is skipped exactly as in the forward direction, so the
-    reverse final state reflects the row's first real token.
+    reverse final state reflects the row's first real token.  Both runs are
+    one ``cells.recurrence_pair`` node, which runs them on two threads at
+    large shapes; ``fwd`` and ``bwd`` are its two halves.
     """
     rev_mask = None if mask is None else mask[::-1]
-    return EncodedSequence(cfg=cfg, fwd=_run(cfg, fwd_params, xs, mask),
-                           bwd=_run(cfg, bwd_params, xs[::-1], rev_mask))
+    both = recurrence_pair(_args(cfg, fwd_params, xs, mask),
+                           _args(cfg, bwd_params, xs[::-1], rev_mask))
+    S = both.cols // 2
+    return EncodedSequence(cfg=cfg, fwd=slice_cols(both, 0, S), bwd=slice_cols(both, S, 2 * S))
 
 
 def doc_representation(enc: EncodedSequence) -> Var:

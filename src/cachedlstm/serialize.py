@@ -88,6 +88,8 @@ def load_container(path: str) -> tuple:
         if version != VERSION:
             raise ValueError(f"unsupported container version {version}")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "meta length"))
+        if meta_len > size - fh.tell():  # checked before the read allocates it
+            raise ValueError(f"truncated container: expected {meta_len} bytes of meta")
         meta = json.loads(_read_exact(fh, meta_len, "meta").decode("utf-8"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = {}

@@ -167,6 +167,15 @@ class TestEval:
         assert run(["eval", str(tmp_path / "no.bin"),
                     str(needle_corpus / "dev.tsv")]) == 2
 
+    def test_eval_of_a_container_claiming_too_much_meta_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"TBOX" + (1).to_bytes(4, "little") + (64 << 20).to_bytes(4, "little")
+                         + b"{}")
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n")
+        assert run(["eval", str(path), str(corpus)]) == 2
+        assert "truncated container" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tensor", ["clf.w", "embedding"])
     def test_eval_of_a_nan_model_exits_2(self, tmp_path, capsys, tensor):
         from cachedlstm.data import Document, build_vocab

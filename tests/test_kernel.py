@@ -135,9 +135,8 @@ def kernel_run(p, xs, c0, h0, mask):
                         for t in range(len(xs))])
 
 
-def _run_both(kind, n_groups, masked, seed, B=4):
+def _run_both(kind, n_groups, masked, seed, B=4, d=5, H=6, T=7):
     rng = np.random.default_rng(seed)
-    d, H, T = 5, 6, 7
     params = init_params(kind, d, H, n_groups=n_groups, seed=seed, use_bias=True)
     params.w[:] = rng.uniform(-0.6, 0.6, params.w.shape)
     params.u[:] = rng.uniform(-0.6, 0.6, params.u.shape)
@@ -145,7 +144,10 @@ def _run_both(kind, n_groups, masked, seed, B=4):
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
     c0_arr = rng.normal(size=(B, H))
     h0_arr = rng.uniform(-1, 1, (B, H))
-    lengths = np.array([T, 1, 4, T - 1]) if B == 4 else np.full(B, 4)
+    if B == 4:
+        lengths = np.array([T, 1, 4, T - 1])
+    else:
+        lengths = np.full(B, 4) if B == 1 else rng.integers(1, T + 1, B)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float) if masked else None
     width = (1 if kind == "rnn" else 2) * H
     readout = rng.normal(size=(B, T * width))
@@ -176,6 +178,13 @@ def test_kernel_matches_composed_tape(kind, n_groups, masked):
 def test_kernel_matches_composed_tape_single_row(kind, n_groups, masked):
     # B = 1: every per-step product has one column.
     _assert_match(*_run_both(kind, n_groups, masked, seed=8, B=1))
+
+
+@pytest.mark.parametrize("kind,n_groups", [("lstm", 1), ("clstm", 3)])
+def test_kernel_matches_composed_tape_at_preset_shape(kind, n_groups):
+    # Padded, with bias, at the preset's d=50, H=120 and B=128: the weight
+    # gradients are sums of T per-step products of these shapes.
+    _assert_match(*_run_both(kind, n_groups, True, seed=11, B=128, d=50, H=120, T=8))
 
 
 def _assert_match(run, ref):

@@ -4,6 +4,7 @@ handling, and whole-model save/load."""
 import json
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ class TestContainer:
         path.write_bytes(data[:at] + struct.pack("<II", 2 ** 31, 2 ** 31) + data[at + 8:])
         with pytest.raises(ValueError, match="truncated"):
             load_container(str(path))
+
+    def test_oversized_meta_is_truncation_without_allocating(self, tmp_path):
+        # 14 bytes whose header claims 64 MiB of meta.
+        path = tmp_path / "m.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, 64 << 20) + b"{}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated container"):
+                load_container(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"traced peak {peak} bytes"
 
     def test_empty_tensors_roundtrip(self, tmp_path):
         path = tmp_path / "m.bin"

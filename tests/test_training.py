@@ -1,11 +1,12 @@
 """Objective, Adagrad, and training loop tests."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cachedlstm import training
+from cachedlstm import cells, training
 from cachedlstm.autodiff import Tape, backward, softmax_rows
 from cachedlstm.data import Document, build_vocab, make_batches, pad_batch, synth_needle
 from cachedlstm.model import ModelConfig, build_model
@@ -294,6 +295,53 @@ def test_needle_step_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 4600 * batch.ids.size, f"traced peak {peak} bytes"
+
+
+def _preset_batch(seed=0):
+    # The preset shape: bidirectional clstm, d=50, H=120, K=3, B=128,
+    # padded to T=100.
+    rng = np.random.default_rng(seed)
+    docs = [Document(int(rng.integers(10)), [f"w{i}" for i in rng.integers(0, 3000, n)])
+            for n in rng.integers(1, 101, 128)]
+    docs[0] = Document(0, [f"w{i}" for i in rng.integers(0, 3000, 100)])
+    vocab = build_vocab(docs)
+    model = build_model(ModelConfig(kind="clstm", d=50, H=120, K=3, C=10, bidirectional=True),
+                        vocab, seed=0)
+    batch = pad_batch(docs, vocab)
+    assert batch.ids.shape == (128, 100) and not batch.uniform_length
+    return model, batch
+
+
+def test_preset_step_memory_bound():
+    # One training step at the preset shape.  The VJP sums the weight
+    # gradients step by step instead of copying the T x G*H x B activations
+    # into one T*B x G*H matrix.  The bound lies between the traced peaks of
+    # the two designs: ~16,340 bytes per token position with the copy,
+    # ~14,650 without it (both directions' VJPs running at once).
+    model, batch = _preset_batch()
+    tracemalloc.start()
+    try:
+        train_epoch(model, [batch], TrainConfig(learning_rate=0.05, weight_decay=1e-4),
+                    AdagradState())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15500 * batch.ids.size, f"traced peak {peak} bytes"
+
+
+def test_preset_training_is_deterministic_on_two_threads(monkeypatch):
+    # The preset shape runs each direction on its own thread; criterion 8
+    # runs at shapes that stay on one.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert 120 * 128 >= cells.THREAD_MIN_WORK
+    runs = []
+    for _ in range(2):
+        model, batch = _preset_batch(seed=1)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=1e-4)
+        opt = AdagradState()
+        losses = [train_epoch(model, [batch], cfg, opt) for _ in range(2)]
+        runs.append((losses, {k: v.tobytes() for k, v in model.named_tensors().items()}))
+    assert runs[0] == runs[1]
 
 
 class TestFit:
