@@ -21,36 +21,38 @@ cross-group matrix U^{j->k}, so one product evaluates all K^2 cross-group
 terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node whose
-value is the final state [c_T | h_T]: one batched input product for all
-steps, one recurrent GEMM per step, and a hand-written VJP that keeps the
-gate activations and each step's carried state.  The single-step
-functions run it at T = 1.  ``final_state`` runs the same step function
-without a tape and keeps only the carried state, for scoring.
+value is the final state [c_T | h_T], with a hand-written VJP that keeps
+the gate activations and each step's carried state.  The single-step
+functions run it at T = 1.  ``final_state`` runs the same step function,
+``_step``, without a tape and keeps only the carried state, for scoring.
+``_step`` projects its own B x d input rows, so both make the same products.
 
 Inside the kernel the batch runs along columns: a step's activations are
-G*H x B (``W X^T``) and its carried c and h are H x B, so each gate block
+G*H x B (``W x_t^T``) and its carried c and h are H x B, so each gate block
 is one contiguous slab of rows and every elementwise gate operation reads
 contiguous memory.  The bias is added as its G*H x 1 column, a step's
 mask is a 1 x B row, and the clstm band offsets and clamps are H x B
 arrays built once per run.  The per-step history is private to the VJP
 and kept in this layout: the T x G*H x B activations, and tanh(c') and
-the carried c and h as T x H x B buffers.  Tape values and the results
-of ``final_state`` stay row-batched.  The VJP sums the weight gradients
-inside its step loop, last step first (``dW += a @ X[t]``,
-``dU += a @ Hs[t].T``, ``db += a.sum(1)``, ``dX[t] = a.T @ W``), so it makes
-no T*B x G*H copy of the step gradients.
+the carried c and h as T x H x B buffers; each x_t is read from the array
+the tape holds for it.  Tape values and the results of ``final_state``
+stay row-batched.  The VJP sums the weight gradients inside its step
+loop, last step first (``dW += a @ x_t``, ``dU += a @ Hs[t].T``,
+``db += a.sum(1)``, ``dx_t = a.T @ W``), so it makes no T*B x G*H copy of
+the step gradients.
 
 ``recurrence_pair`` records two recurrences of one shape, the directions
 of a bidirectional encoder, as one node whose value is their final states
 side by side.  From H*B = ``THREAD_MIN_WORK`` on, and when the process may
-use two CPUs, it runs the two kernels, and later the two VJPs, on two
-worker threads, which numpy lets overlap inside BLAS calls and large
-elementwise loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100,
-padded; serial over threaded time, forward and backward): 1.55x and 1.52x
-at H*B = 15,360 (H=120, B=128), 1.23-1.34x and 1.30-1.31x at 7,680,
+use two CPUs, the second kernel, and later the second VJP, run on a helper
+thread started and joined per call while the calling thread runs the
+first; numpy lets the two overlap inside BLAS calls and large elementwise
+loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100, padded;
+serial over threaded time, forward and backward): 1.55x and 1.52x at
+H*B = 15,360 (H=120, B=128), 1.23-1.34x and 1.30-1.31x at 7,680,
 0.99-1.37x at 5,760, 0.87-1.27x at 3,840, and 0.73x and 0.64x at the
 needle shape's 960, where the GIL makes the threads wait on each other.
-The workers only compute; the calling thread records every node.  Each
+The helper only computes; the calling thread records every node.  Each
 direction runs the same code on its own buffers, so threaded and serial
 runs give the same bits.  Scoring (``final_state``) stays on one thread:
 two directions at once doubled its per-step temporaries, which are most
@@ -61,8 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,6 @@ INIT_SCALE = 0.1  # weights start uniform in [-INIT_SCALE, INIT_SCALE]
 # smallest H*B at which no measured shape ran slower threaded (see the
 # module docstring).
 THREAD_MIN_WORK = 5760
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 @dataclass
@@ -215,18 +214,20 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
     return 1.0 - r, r
 
 
-def _step(kind: str, a: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias, band,
-          m: np.ndarray | None = None) -> tuple:
-    """One cell step from its input projection a = W x_t, G*H x B.
+def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias,
+          band, m: np.ndarray | None = None, out: np.ndarray | None = None) -> tuple:
+    """One cell step from its B x d input rows x_t.
 
     States are H x B, one column per row of the batch, so each gate block
-    ``a[g*H:(g+1)*H]`` is one contiguous slab.  Adds U h, then the G*H x 1
-    bias, and overwrites ``a`` with the gate activations (sigmoids, then
-    tanh(a_c)).  Returns the carried (c, h) and tanh(c') before the mask
-    (None for rnn, whose h is ``a`` itself).  A column whose entry of ``m``,
-    a 1 x B bool row, is False keeps its (c, h).
+    ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
+    G*H x B, into ``out`` (a new array when None), adds U h, then the
+    G*H x 1 bias, and overwrites ``a`` with the gate activations (sigmoids,
+    then tanh(a_c)).  Returns the carried (c, h) and tanh(c') before the
+    mask (None for rnn, whose h is ``a`` itself).  A column whose entry of
+    ``m``, a 1 x B bool row, is False keeps its (c, h).
     """
     H = U.shape[1]
+    a = np.matmul(W, x.T, out=out)
     a += U @ h
     if bias is not None:
         a += bias
@@ -284,9 +285,9 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
     """(c_T, h_T), B x H each, after running the cell over ``steps``, without a tape.
 
     ``steps`` yields (x_t, m_t): a B x d input and a B x 1 {0, 1} mask
-    column or None.  Each step is projected as it arrives and only the
-    carried state is kept, so memory does not grow with T.  The values equal
-    the value of ``recurrence`` bit for bit; c_T is None for rnn.
+    column or None.  Only the carried state is kept, so memory does not grow
+    with T.  The values equal the value of ``recurrence`` bit for bit; c_T
+    is None for rnn.
     """
     W, U = p.w, p.u
     H = U.shape[1]
@@ -294,7 +295,7 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
     h = np.zeros((H, rows))
     c = None if p.kind == "rnn" else np.zeros((H, rows))
     for x, m in steps:
-        c, h, _ = _step(p.kind, W @ x.T, c, h, U, p.b, band, None if m is None else m.T != 0)
+        c, h, _ = _step(p.kind, x, W, c, h, U, p.b, band, None if m is None else m.T != 0)
     # Row-major, as the tape's values are: later products see the same layout.
     return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
 
@@ -311,21 +312,23 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     gated = kind != "rnn"
     if gated and c0 is None:
         raise ShapeError(f"{kind}: the initial state needs a memory c")
+    if not xs:
+        raise ValueError("recurrence: empty sequence")
     W, U = p.w.value, p.u.value
+    B, d = xs[0].rows, W.shape[1]
     for t, x in enumerate(xs):
-        if x.cols != W.shape[1]:
-            raise ShapeError(f"step {t}: input width {x.cols}, expected {W.shape[1]}")
-    X = np.stack([x.value for x in xs])
-    T, B, d = X.shape
-    GH, H = U.shape
+        if x.cols != d:
+            raise ShapeError(f"step {t}: input width {x.cols}, expected {d}")
+        if x.rows != B:
+            raise ShapeError(f"step {t}: {x.rows} input rows, expected {B}")
+    # The step inputs as arrays: Vars would tie the VJP to the tape.
+    X = [x.value for x in xs]
+    T, (GH, H) = len(X), U.shape
     bias = None if p.b is None else p.b.value
     M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
     band = _band(H, n_groups, B) if kind == "clstm" else None
 
-    # Input projections of all steps, one B-column product per step as in
-    # ``final_state`` (a column of one big product can differ in its last
-    # bit); step t overwrites its own with the gate activations.
-    A = np.matmul(W, X.transpose(0, 2, 1))
+    A = np.empty((T, GH, B))  # step t's activations, written by its ``_step``
     TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
     # The (c, h) that step t starts from, for the VJP only.
     Cs = np.empty((T, H, B)) if gated else None
@@ -337,7 +340,8 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
         if gated:
             Cs[t] = c
         Hs[t] = h
-        c, h, tc = _step(kind, A[t], c, h, U, bias, band, None if M is None else M[t])
+        c, h, tc = _step(kind, X[t], W, c, h, U, bias, band, None if M is None else M[t],
+                         out=A[t])
         if gated:
             TC[t] = tc
 
@@ -396,35 +400,17 @@ def _threaded(work: int) -> bool:
     return len(cpus(0)) >= 2 if cpus else (os.cpu_count() or 1) >= 2
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The two worker threads, started on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=2, thread_name_prefix="cachedlstm")
-    return _POOL
-
-
-def _forget_pool() -> None:
-    """In a forked child: its parent's worker threads do not exist there."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _both(f1, f2, work: int) -> tuple:
-    """(f1(), f2()), on the two worker threads when ``_threaded(work)``.
+    """(f1(), f2()), f2 on a helper thread when ``_threaded(work)``.
 
-    Both calls finish before an error of either is raised.
+    Both calls finish, and the helper has ended, before an error of either is raised.
     """
     if not _threaded(work):
         return f1(), f2()
-    futures = [_pool().submit(f) for f in (f1, f2)]
-    wait(futures)
-    return tuple(f.result() for f in futures)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cachedlstm") as helper:
+        second = helper.submit(f2)
+        first = f1()
+    return first, second.result()
 
 
 def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
@@ -450,7 +436,7 @@ def recurrence_pair(first: tuple, second: tuple) -> Var:
     bit for bit to the two ``recurrence`` values side by side, and its
     gradients equal theirs.  The two kernels, and later their two VJPs, run
     on two threads when the shape is large enough (see ``THREAD_MIN_WORK``);
-    the threads only compute, and this thread records the node.
+    the helper thread only computes, and this thread records the node.
     """
     work = first[0].hidden_size * first[1][0].rows
     (v1, par1, vjp1, _), (v2, par2, vjp2, _) = _both(

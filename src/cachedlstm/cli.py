@@ -121,7 +121,8 @@ def _apply_overrides(raw: dict, sets: list) -> dict:
             value = json.loads(literal)
         except json.JSONDecodeError:
             value = literal  # bare strings are allowed unquoted
-        raw.setdefault(section, {})[key] = value
+        if isinstance(raw.setdefault(section, {}), dict):  # else parse_run_config rejects it
+            raw[section][key] = value
     return raw
 
 
@@ -133,7 +134,7 @@ def _load_config(path: str, sets: list) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return parse_run_config(_apply_overrides(raw, sets))
+    return parse_run_config(_apply_overrides(raw, sets) if isinstance(raw, dict) else raw)
 
 
 def _read_split(path: str, n_classes: int, what: str) -> list:
@@ -225,6 +226,8 @@ def cmd_gradcheck(args) -> int:
                                  weight_decay=args.weight_decay)
         label = "cbow pipeline"
     else:
+        if args.T < 1:
+            raise ConfigError(f"--T must be >= 1, got {args.T}")
         k = args.K if args.cell == "clstm" else 1
         err = encoder_gradcheck(args.cell, k, args.H, args.d, args.T,
                                 batch=2, seed=args.seed, eps=args.eps,

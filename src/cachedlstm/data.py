@@ -5,9 +5,10 @@ The canonical corpus format is one document per line, ``label<TAB>text``,
 with 0-based integer labels.  Tokenization lowercases, splits on whitespace,
 and drops the sentence separator marker "<sssss>" that review corpora use.
 
-Vocabulary ids are stable: 0 is padding, 1 is the unknown token, and the
-remaining tokens are numbered by descending frequency with ties broken
-lexicographically.  The padding embedding row is pinned to zero.
+Vocabulary ids are stable: 0 is padding, 1 is the unknown token (also for
+a literal "<pad>" or "<unk>" in a document), and the remaining tokens are
+numbered by descending frequency with ties broken lexicographically.  The
+padding embedding row is pinned to zero.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class Vocab:
         self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
         if len(self._token_to_id) != len(self._id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
+        self._token_to_id[PAD_TOKEN] = UNK_ID  # a "<pad>" in a document is a word
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -83,16 +85,18 @@ class Vocab:
 def build_vocab(docs: list, min_count: int = 1) -> Vocab:
     """Vocabulary over the documents' tokens.
 
-    Tokens seen fewer than min_count times are left out (they map to the
-    unknown id).  Ordering is by descending count, then lexicographic, so
-    the same corpus always yields the same ids.
+    Tokens seen fewer than min_count times, and the reserved ``<pad>`` and
+    ``<unk>``, are left out (they map to the unknown id).  Ordering is by
+    descending count, then lexicographic, so the same corpus always yields
+    the same ids.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts = Counter()
     for doc in docs:
         counts.update(doc.tokens)
-    kept = [t for t, c in counts.items() if c >= min_count]
+    kept = [t for t, c in counts.items()
+            if c >= min_count and t not in (PAD_TOKEN, UNK_TOKEN)]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocab(kept)
 
@@ -279,6 +283,9 @@ def convert_external(path: str, field_sep: str, label_index: int, text_index: in
     and shifted by label_offset (use -1 for 1-based ratings).  Errors name
     the offending line.
     """
+    for name, index in (("label_index", label_index), ("text_index", text_index)):
+        if index < 0:
+            raise ValueError(f"{name} must be >= 0, got {index}")
     docs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -143,9 +143,10 @@ def load_model(path: str):
         raise ValueError(f"container meta vocab_tokens must be a list, "
                          f"got {type(tokens).__name__}")
     try:
-        vocab = Vocab(tokens)
-    except TypeError:  # a token that cannot be a dict key
+        "".join(tokens)  # one C-level pass that raises TypeError on a non-string
+    except TypeError:
         raise ValueError("container meta vocab_tokens must hold strings") from None
+    vocab = Vocab(tokens)
     if "embedding" not in tensors:
         raise ValueError("container is missing the embedding tensor")
     trainable = meta.get("embedding_trainable", True)

@@ -112,6 +112,30 @@ class TestTrain:
         assert run(["train", str(cfg_path)]) == 2
         assert "train must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--k", "1,2"]])
+    @pytest.mark.parametrize("wrap,message", [
+        (lambda raw: [raw], "config root must be a JSON object"),
+        (lambda raw: dict(raw, model=5), "model must be a JSON object"),
+    ])
+    def test_set_on_a_config_that_is_not_an_object_exits_2(self, tmp_path, needle_corpus,
+                                                           capsys, command, wrap, message):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        cfg_path.write_text(json.dumps(wrap(json.loads(cfg_path.read_text()))))
+        assert run([command[0], str(cfg_path), *command[1:], "--set", "model.d=3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("token", ["<unk>", "<pad>", "<PAD>"])
+    def test_corpus_with_a_reserved_token_trains(self, tmp_path, needle_corpus, token):
+        train = needle_corpus / "train.tsv"
+        lines = train.read_text().splitlines()
+        lines[0] += f" {token} {token}"
+        train.write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path, needle_corpus, **{"train.max_epochs": 1})
+        assert run(["train", str(cfg_path)]) == 0
+        model = load_model(str(tmp_path / "out" / "model.bin"))
+        assert token.lower() not in model.vocab.tokens
+
     def test_null_accepted_for_optional_fields(self, tmp_path, needle_corpus):
         cfg_path = write_config(tmp_path, needle_corpus,
                                 **{"train.max_epochs": 1,
@@ -268,6 +292,8 @@ class TestGradcheckCommand:
         (["--weight-decay", "-1"], "--weight-decay must be a finite number >= 0"),
         (["--weight-decay", "nan"], "--weight-decay must be a finite number >= 0"),
         (["--cell", "cbow", "--weight-decay", "inf"], "--weight-decay must be"),
+        (["--T", "0"], "--T must be >= 1, got 0"),
+        (["--T", "-4"], "--T must be >= 1, got -4"),
     ])
     def test_bad_flags_exit_2(self, flags, message, capsys):
         assert run(["gradcheck", *flags]) == 2
@@ -313,6 +339,19 @@ class TestConvertCommand:
         assert run(["convert", "--input", str(raw), "--output", str(out),
                     "--label-index", "2", "--text-index", "3"]) == 2
         assert "raw.txt:1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--label-index", "0", "--text-index", "-9"], "text_index must be >= 0, got -9"),
+        (["--label-index", "-1", "--text-index", "1"], "label_index must be >= 0, got -1"),
+    ])
+    def test_negative_field_index_exits_2(self, tmp_path, capsys, flags, message):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("1\t\tgood\n")
+        out = tmp_path / "c.tsv"
+        assert run(["convert", "--input", str(raw), "--output", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestUsage:

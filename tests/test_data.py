@@ -59,6 +59,21 @@ class TestVocab:
         docs = [Document(0, list("the quick brown fox the lazy dog the".split()))]
         assert build_vocab(docs).tokens == build_vocab(docs).tokens
 
+    def test_reserved_tokens_in_a_corpus_are_left_out(self):
+        v = build_vocab([Document(0, ["<unk>", "a", "<pad>", "<pad>", "a"])])
+        assert v.tokens == ["a"]
+        assert v.ids(["<pad>", "<unk>", "a"]) == [UNK_ID, UNK_ID, 2]
+
+    def test_literal_pad_token_is_not_padding(self):
+        # "<pad>" that is not in the corpus the vocabulary came from.
+        v = build_vocab([Document(0, ["a", "b"])])
+        docs = [Document(0, ["a", "<pad>", "b"]), Document(1, ["<pad>"])]
+        b = pad_batch(docs, v)
+        inside = np.arange(b.ids.shape[1])[None, :] < b.lengths[:, None]
+        assert (b.ids[inside] != PAD_ID).all()
+        assert b.ids[0, 1] == b.ids[1, 0] == UNK_ID
+        assert b.ids[1, 1:].tolist() == [PAD_ID, PAD_ID]
+
     def test_bad_min_count(self):
         with pytest.raises(ValueError):
             build_vocab([], min_count=0)

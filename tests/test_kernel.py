@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cachedlstm.autodiff import (
+    ShapeError,
     Tape,
     add,
     add_rowvec,
@@ -207,6 +208,20 @@ def test_vjp_raises_on_a_second_call():
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already run"):
         backward(tape, loss)
+
+
+@pytest.mark.parametrize("rows,error,message", [
+    ((2, 2, 3), ShapeError, "step 2: 3 input rows, expected 2"),
+    ((), ValueError, "empty sequence"),
+])
+@pytest.mark.parametrize("kind", ["rnn", "clstm"])
+def test_empty_or_ragged_steps_are_rejected(kind, rows, error, message):
+    tape = Tape()
+    bound, _ = bind_params(tape, init_params(kind, 3, 6, n_groups=2 if kind == "clstm" else 1))
+    xs = [tape.leaf(np.ones((n, 3))) for n in rows]
+    c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
+    with pytest.raises(error, match=message):
+        recurrence(bound, xs, c0, tape.leaf(np.zeros((2, 6))))
 
 
 def test_masked_steps_carry_state():

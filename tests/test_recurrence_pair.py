@@ -1,10 +1,10 @@
 """The two-direction recurrence node and when it runs on two threads.
 
 ``cells.recurrence_pair`` records both directions of a bidirectional
-encoder as one tape node.  Its kernels and VJPs run on two worker threads
-from ``THREAD_MIN_WORK`` = H*B on, when the process may use two CPUs, and
-otherwise on the calling thread.  Either way the values and gradients must
-be the same bits.
+encoder as one tape node.  From ``THREAD_MIN_WORK`` = H*B on, when the
+process may use two CPUs, its second kernel and second VJP run on a helper
+thread while the calling thread runs the first; otherwise both run on the
+calling thread.  Either way the values and gradients must be the same bits.
 """
 
 import os
@@ -94,8 +94,8 @@ def test_threaded_equals_serial(kind, K, monkeypatch, two_cpus, kernel_threads):
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
     del kernel_threads[:]
     threaded = _step_arrays(model, batch)
-    # Both kernels and both VJPs ran on the worker threads.
-    assert len(kernel_threads) == 4 and "MainThread" not in kernel_threads
+    # One kernel and one VJP ran on the calling thread, the others on a helper.
+    assert len(kernel_threads) == 4 and kernel_threads.count("MainThread") == 2
     _assert_same_bits(threaded, serial)
 
 
@@ -105,7 +105,7 @@ def test_threaded_equals_serial_at_preset_shape(monkeypatch, two_cpus, kernel_th
                                     use_bias=False)
     assert 120 * 128 >= cells.THREAD_MIN_WORK
     threaded = _step_arrays(model, batch)
-    assert "MainThread" not in kernel_threads
+    assert len(kernel_threads) == 4 and kernel_threads.count("MainThread") == 2
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", SERIAL)
     _assert_same_bits(threaded, _step_arrays(model, batch))
 
@@ -132,6 +132,16 @@ def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
         out.append([node.value] + [grads[v.nid] for v in leaves])
     for a, b in zip(*out):
         assert a.tobytes() == b.tobytes()
+
+
+def test_threaded_step_leaves_no_thread_behind(monkeypatch, two_cpus, kernel_threads):
+    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
+    before = threading.active_count()
+    _step_arrays(model, batch)
+    helpers = set(kernel_threads) - {"MainThread"}
+    assert helpers and not [t for t in threading.enumerate() if t.name in helpers]
+    assert threading.active_count() == before
 
 
 def test_second_backward_raises(monkeypatch, two_cpus):
@@ -175,7 +185,7 @@ def test_needle_shape_runs_serially(two_cpus, kernel_threads):
 
 
 def test_concurrent_callers_get_their_own_results(monkeypatch, two_cpus):
-    # Four callers, more than the two CPUs, share the two worker threads;
+    # Four callers, more than the two CPUs, each with its own helper thread;
     # a short switch interval interleaves them often.
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
     cases = [_model_and_batch("clstm", 4, 6, 3, rows=5, n_steps=8, seed=s) for s in range(4)]

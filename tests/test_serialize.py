@@ -205,6 +205,10 @@ def _token_list(meta):
     meta["vocab_tokens"] = [["a"], "b"]
 
 
+def _numeric_tokens(meta):
+    meta["vocab_tokens"] = [3, 4.5, "a"]
+
+
 def _trainable_string(meta):
     meta["embedding_trainable"] = "no"
 
@@ -241,6 +245,7 @@ class TestMalformedMeta:
         (_config_list, "config must be a JSON object"),
         (_tokens_string, "vocab_tokens must be a list, got str"),
         (_token_list, "vocab_tokens must hold strings"),
+        (_numeric_tokens, "vocab_tokens must hold strings"),
         (_trainable_string, "meta.embedding_trainable must be true or false"),
     ])
     def test_bad_meta_field(self, tmp_path, capsys, edit, message):
