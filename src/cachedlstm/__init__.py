@@ -60,7 +60,6 @@ from .evaluation import (
     group_sweep,
     length_decile_report,
     mse,
-    parse_convergence_log,
 )
 from .model import DocModel, ModelConfig, build_model
 from .serialize import load_container, load_model, save_container, save_model

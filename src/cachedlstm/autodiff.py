@@ -420,17 +420,14 @@ def sum_all(a: Var) -> Var:
     return a.tape._record(a.value.sum().reshape(1, 1), (a.nid,), vjp)
 
 
-def log_floor(a: Var, floor: float = 0.0) -> Var:
+def log_floor(a: Var, floor: float) -> Var:
     """Natural log of max(a, floor); zero gradient where the floor is active."""
     x = a.value
     clipped = np.maximum(x, floor)
     out = np.log(clipped)
 
     def vjp(g):
-        grad = g / clipped
-        if floor > 0.0:
-            grad = np.where(x > floor, grad, 0.0)
-        return (grad,)
+        return (np.where(x > floor, g / clipped, 0.0),)
 
     return a.tape._record(out, (a.nid,), vjp)
 

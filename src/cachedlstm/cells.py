@@ -48,9 +48,9 @@ use two CPUs, the second kernel, and later the second VJP, run on a helper
 thread started and joined per call while the calling thread runs the
 first; numpy lets the two overlap inside BLAS calls and large elementwise
 loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100, padded;
-serial over threaded time, forward and backward): 1.55x and 1.52x at
-H*B = 15,360 (H=120, B=128), 1.23-1.34x and 1.30-1.31x at 7,680,
-0.99-1.37x at 5,760, 0.87-1.27x at 3,840, and 0.73x and 0.64x at the
+serial over threaded time, forward and backward): 1.72x and 1.86x at
+H*B = 15,360 (H=120, B=128), 1.58-1.63x and 1.38-1.58x at 7,680,
+1.04-1.50x at 5,760, 0.93-1.32x at 3,840, and 0.61x and 0.66x at the
 needle shape's 960, where the GIL makes the threads wait on each other.
 The helper only computes; the calling thread records every node.  Each
 direction runs the same code on its own buffers, so threaded and serial

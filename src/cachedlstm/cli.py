@@ -30,6 +30,7 @@ import numpy as np
 
 from .data import (
     build_vocab,
+    convert_external,
     init_embeddings,
     load_embeddings,
     read_corpus,
@@ -38,9 +39,10 @@ from .data import (
 )
 from .evaluation import (
     convergence_log,
+    deciles_from,
     evaluate,
     group_sweep,
-    length_decile_report,
+    metrics_from,
 )
 from .gradcheck import encoder_gradcheck, pipeline_gradcheck
 from .model import ModelConfig, build_model
@@ -203,10 +205,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     docs = read_corpus(args.corpus, model.config.C)
-    metrics = evaluate(model, docs, batch_size=args.batch_size)
+    preds = model.predict(docs, batch_size=args.batch_size)
+    metrics = metrics_from(preds, docs)
     print(f"n {metrics.n}  accuracy {metrics.accuracy:.4f}  mse {metrics.mse:.4f}")
     if len(docs) >= 10:
-        report = length_decile_report(model, docs, batch_size=args.batch_size)
+        report = deciles_from(preds, docs)
         out_path = args.deciles or os.path.join(
             os.path.dirname(os.path.abspath(args.model)), "deciles.csv")
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -276,8 +279,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    from .data import convert_external
-
     sep = args.field_sep.replace("\\t", "\t")
     docs = convert_external(args.input, sep, args.label_index, args.text_index,
                             label_offset=args.label_offset, n_classes=args.classes)

@@ -13,9 +13,8 @@ padding embedding row is pinned to zero.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +64,6 @@ class Vocab:
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
-
-    def id_for(self, token: str) -> int:
-        """The token's id, or the unknown id for out-of-vocabulary tokens."""
-        return self._token_to_id.get(token, UNK_ID)
 
     def token_for(self, idx: int) -> str:
         return self._id_to_token[idx]
@@ -286,6 +281,10 @@ def convert_external(path: str, field_sep: str, label_index: int, text_index: in
     for name, index in (("label_index", label_index), ("text_index", text_index)):
         if index < 0:
             raise ValueError(f"{name} must be >= 0, got {index}")
+    if not field_sep:
+        raise ValueError("field_sep must not be empty")
+    if n_classes is not None and n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     docs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -332,6 +331,8 @@ def synth_needle(n_docs: int, length: int, n_classes: int,
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     if n_docs < 2 * n_classes:
         raise ValueError(f"need at least {2 * n_classes} docs, got {n_docs}")
+    if noise_vocab_size < 1:
+        raise ValueError(f"noise_vocab_size must be >= 1, got {noise_vocab_size}")
     rng = np.random.default_rng(seed)
     docs = []
     head = max(1, length // 10)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Document
+from .data import EmbeddingMatrix
 from .model import DocModel, ModelConfig, build_model
 
 
@@ -50,13 +50,17 @@ def mse(preds, gold) -> float:
     return float(np.mean((preds - gold) ** 2))
 
 
-def evaluate(model: DocModel, docs: list, batch_size: int = 64) -> Metrics:
-    """Accuracy and MSE of the model over the documents."""
+def metrics_from(preds: np.ndarray, docs: list) -> Metrics:
+    """Accuracy and MSE of predictions, one per document in the same order."""
     if not docs:
         raise ValueError("evaluate: no documents")
-    preds = model.predict(docs, batch_size=batch_size)
     gold = np.array([d.label for d in docs])
     return Metrics(accuracy=accuracy(preds, gold), mse=mse(preds, gold), n=len(docs))
+
+
+def evaluate(model: DocModel, docs: list, batch_size: int = 64) -> Metrics:
+    """Accuracy and MSE of the model over the documents."""
+    return metrics_from(model.predict(docs, batch_size=batch_size), docs)
 
 
 def _fmt(x: float) -> str:
@@ -75,22 +79,6 @@ def convergence_log(report) -> str:
             f"{_fmt(e.dev_mse)},{_fmt(e.seconds)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_convergence_log(text: str) -> list:
-    """Inverse of convergence_log; floats come back exactly."""
-    from .training import EpochStats
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != EPOCH_LOG_HEADER:
-        raise ValueError(f"bad convergence log header: {lines[0] if lines else ''!r}")
-    out = []
-    for ln in lines[1:]:
-        epoch, loss, acc, mse_, sec = ln.split(",")
-        out.append(EpochStats(epoch=int(epoch), train_loss=float(loss),
-                              dev_acc=float(acc), dev_mse=float(mse_),
-                              seconds=float(sec)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -133,12 +121,13 @@ def length_deciles(lengths: np.ndarray) -> list:
     return buckets
 
 
-def length_decile_report(model: DocModel, docs: list,
-                         batch_size: int = 64) -> DecileReport:
-    """Accuracy per document-length decile, shortest documents first."""
+def deciles_from(preds: np.ndarray, docs: list) -> DecileReport:
+    """Accuracy per document-length decile, shortest documents first.
+
+    preds holds one prediction per document, in the documents' order.
+    """
     lengths = np.array([d.length for d in docs])
     buckets = length_deciles(lengths)
-    preds = model.predict(docs, batch_size=batch_size)
     gold = np.array([d.label for d in docs])
     rows = []
     for i, idx in enumerate(buckets, start=1):
@@ -150,6 +139,12 @@ def length_decile_report(model: DocModel, docs: list,
             accuracy=accuracy(preds[idx], gold[idx]),
         ))
     return DecileReport(buckets=tuple(rows))
+
+
+def length_decile_report(model: DocModel, docs: list,
+                         batch_size: int = 64) -> DecileReport:
+    """Accuracy per document-length decile, shortest documents first."""
+    return deciles_from(model.predict(docs, batch_size=batch_size), docs)
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ class SweepReport:
 
 
 def group_sweep(base_config: ModelConfig, k_values: list, train_docs: list,
-                dev_docs: list, train_cfg, vocab=None,
+                dev_docs: list, train_cfg, vocab,
                 embedding=None) -> SweepReport:
     """Train one model per group count K, holding everything else fixed.
 
@@ -183,13 +178,10 @@ def group_sweep(base_config: ModelConfig, k_values: list, train_docs: list,
     raising, so a sweep over 1..K_max degrades gracefully.  Each run starts
     from the same seed; only K differs.
     """
-    from .data import build_vocab
-    from .training import fit
+    from .training import fit  # not at module top: training imports this module
 
     if base_config.kind != "clstm":
         raise ValueError(f"group sweep needs a clstm config, got {base_config.kind!r}")
-    if vocab is None:
-        vocab = build_vocab(train_docs)
     entries, skipped = [], []
     for k in k_values:
         if k < 1:
@@ -202,7 +194,6 @@ def group_sweep(base_config: ModelConfig, k_values: list, train_docs: list,
         emb_k = None
         if embedding is not None:
             # Each run trains its own copy; the caller's matrix stays put.
-            from .data import EmbeddingMatrix
             emb_k = EmbeddingMatrix(vectors=embedding.vectors.copy(),
                                     trainable=embedding.trainable)
         model = build_model(cfg_k, vocab, seed=train_cfg.seed, embedding=emb_k)

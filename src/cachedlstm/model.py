@@ -7,7 +7,8 @@ between passes without holding stale graph state.  Scoring records no tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,11 +77,7 @@ class ModelConfig:
         return self.encoder_config().rep_width
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "d": self.d, "H": self.H, "K": self.K,
-            "C": self.C, "bidirectional": self.bidirectional,
-            "use_bias": self.use_bias,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
@@ -92,8 +89,8 @@ class DocModel:
     """A complete classifier: weights, vocabulary, and the forward pass."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
-                 embedding: EmbeddingMatrix, cell_fwd=None, cell_bwd=None,
-                 clf: ClassifierParams | None = None):
+                 embedding: EmbeddingMatrix, cell_fwd, cell_bwd,
+                 clf: ClassifierParams):
         if embedding.width != config.d:
             raise ValueError(
                 f"embedding width {embedding.width} != config d {config.d}"
@@ -102,8 +99,6 @@ class DocModel:
             raise ValueError("recurrent model needs cell parameters")
         if config.bidirectional and cell_bwd is None:
             raise ValueError("bidirectional model needs backward cell parameters")
-        if clf is None:
-            raise ValueError("model needs classifier parameters")
         if clf.n_classes != config.C:
             raise ValueError(f"classifier has {clf.n_classes} classes, config {config.C}")
         if clf.w.shape[1] != config.rep_width:

@@ -27,6 +27,9 @@ import struct
 import numpy as np
 
 from .cells import GATES, CellParams
+from .data import EmbeddingMatrix, Vocab
+from .encoder import ClassifierParams
+from .model import DocModel, ModelConfig
 from .schema import check_scalar
 
 MAGIC = b"TBOX"
@@ -128,10 +131,6 @@ def load_model(path: str):
 
     Files that store each gate's tensors under its own name load as well.
     """
-    from .data import EmbeddingMatrix, Vocab
-    from .encoder import ClassifierParams
-    from .model import DocModel, ModelConfig
-
     tensors, meta = load_container(path)
     if not isinstance(meta, dict):
         raise ValueError("container meta must be a JSON object")

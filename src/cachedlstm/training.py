@@ -13,6 +13,7 @@ never mention them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -79,16 +80,7 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive when set")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-            "gradient_clip_norm": self.gradient_clip_norm,
-            "sort_bucket": self.sort_bucket,
-            "target_dev_acc": self.target_dev_acc,
-        }
+        return dataclasses.asdict(self)
 
 
 def objective(probs: Var, gold: np.ndarray, reg_vars: list | None = None,
@@ -120,17 +112,16 @@ def objective(probs: Var, gold: np.ndarray, reg_vars: list | None = None,
 
 
 def adagrad_update(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray,
-                   lr: float, eps: float = ADAGRAD_EPS) -> None:
-    """One in-place Adagrad step: acc += g*g; theta -= lr * g / (sqrt(acc) + eps)."""
+                   lr: float) -> None:
+    """One in-place Adagrad step: acc += g*g; theta -= lr * g / (sqrt(acc) + ADAGRAD_EPS)."""
     acc += grad * grad
-    theta -= lr * grad / (np.sqrt(acc) + eps)
+    theta -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
 class AdagradState:
     """Per-tensor squared-gradient accumulators, created lazily."""
 
-    def __init__(self, eps: float = ADAGRAD_EPS):
-        self.eps = eps
+    def __init__(self):
         self.accumulators: dict[str, np.ndarray] = {}
 
     def update(self, name: str, theta: np.ndarray, grad, lr: float) -> None:
@@ -148,11 +139,11 @@ class AdagradState:
             grad = grad.coalesce()
             ids = grad.ids
             rows_theta, rows_acc = theta[ids], acc[ids]
-            adagrad_update(rows_theta, grad.rows, rows_acc, lr, self.eps)
+            adagrad_update(rows_theta, grad.rows, rows_acc, lr)
             theta[ids] = rows_theta
             acc[ids] = rows_acc
         else:
-            adagrad_update(theta, grad, acc, lr, self.eps)
+            adagrad_update(theta, grad, acc, lr)
 
 
 def _clip_grads(named_grads: dict, clip_norm: float) -> dict:

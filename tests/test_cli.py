@@ -51,6 +51,13 @@ class TestSynth:
     def test_bad_parameters_exit_2(self, tmp_path):
         assert run(["synth", "--out-dir", str(tmp_path), "--length", "4"]) == 2
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_noise_vocab_below_one_exits_2(self, tmp_path, capsys, size):
+        out = tmp_path / "data"
+        assert run(["synth", "--out-dir", str(out), "--noise-vocab", size]) == 2
+        assert capsys.readouterr().err == f"error: noise_vocab_size must be >= 1, got {size}\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_full_run_writes_outputs(self, tmp_path, needle_corpus, capsys):
@@ -211,7 +218,7 @@ class TestEval:
         if tensor == "clf.w":
             model.clf.w[:] = np.nan
         else:  # one row, of a token the corpus below uses
-            model.embedding.vectors[vocab.id_for("c")] = np.nan
+            model.embedding.vectors[vocab.ids(["c"])[0]] = np.nan
         path = tmp_path / "model.bin"
         save_model(str(path), model)
         corpus = tmp_path / "c.tsv"
@@ -219,6 +226,28 @@ class TestEval:
         assert run(["eval", str(path), str(corpus)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_eval_scores_each_document_once(self, tmp_path, needle_corpus, monkeypatch):
+        from cachedlstm.data import build_vocab, read_corpus
+        from cachedlstm.model import DocModel, ModelConfig, build_model
+        from cachedlstm.serialize import save_model
+
+        corpus = needle_corpus / "train.tsv"
+        docs = read_corpus(str(corpus), 2)
+        path = tmp_path / "model.bin"
+        save_model(str(path), build_model(ModelConfig(kind="lstm", d=3, H=4, C=2),
+                                          build_vocab(docs), seed=0))
+        scored = []
+        real = DocModel.probabilities
+
+        def counted(model, batch):
+            scored.append(batch.size)
+            return real(model, batch)
+
+        monkeypatch.setattr(DocModel, "probabilities", counted)
+        assert run(["eval", str(path), str(corpus), "--batch-size", "10",
+                    "--deciles", str(tmp_path / "dec.csv")]) == 0
+        assert len(docs) >= 10 and (tmp_path / "dec.csv").exists()
+        assert sum(scored) == len(docs)
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_eval_rejects_batch_size_below_one(self, tmp_path, capsys, size):
@@ -344,6 +373,10 @@ class TestConvertCommand:
     @pytest.mark.parametrize("flags,message", [
         (["--label-index", "0", "--text-index", "-9"], "text_index must be >= 0, got -9"),
         (["--label-index", "-1", "--text-index", "1"], "label_index must be >= 0, got -1"),
+        (["--label-index", "0", "--text-index", "1", "--field-sep", ""],
+         "field_sep must not be empty"),
+        (["--label-index", "0", "--text-index", "1", "--classes", "0"],
+         "n_classes must be >= 1, got 0"),
     ])
     def test_negative_field_index_exits_2(self, tmp_path, capsys, flags, message):
         raw = tmp_path / "raw.txt"

@@ -38,9 +38,9 @@ class TestVocab:
     def test_reserved_ids(self):
         v = build_vocab([Document(0, ["b", "a", "b"])])
         assert len(v) == 4
-        assert v.id_for("b") == 2  # most frequent first
-        assert v.id_for("a") == 3
-        assert v.id_for("zzz") == UNK_ID
+        assert v.ids(["b"])[0] == 2  # most frequent first
+        assert v.ids(["a"])[0] == 3
+        assert v.ids(["zzz"])[0] == UNK_ID
         assert v.token_for(PAD_ID) == "<pad>"
 
     def test_frequency_then_lexicographic(self):
@@ -53,7 +53,7 @@ class TestVocab:
         docs = [Document(0, ["a", "a", "b"])]
         v = build_vocab(docs, min_count=2)
         assert "a" in v and "b" not in v
-        assert v.id_for("b") == UNK_ID
+        assert v.ids(["b"])[0] == UNK_ID
 
     def test_determinism(self):
         docs = [Document(0, list("the quick brown fox the lazy dog the".split()))]
@@ -111,10 +111,10 @@ class TestEmbeddings:
         path.write_text("apple 1.0 2.0\nmissingtok 9.0 9.0\npear -1.5 0.25\n")
         v = build_vocab([Document(0, ["apple", "pear", "plum"])])
         m = load_embeddings(str(path), v, 2, seed=0)
-        np.testing.assert_array_equal(m.vectors[v.id_for("apple")], [1.0, 2.0])
-        np.testing.assert_array_equal(m.vectors[v.id_for("pear")], [-1.5, 0.25])
+        np.testing.assert_array_equal(m.vectors[v.ids(["apple"])[0]], [1.0, 2.0])
+        np.testing.assert_array_equal(m.vectors[v.ids(["pear"])[0]], [-1.5, 0.25])
         # plum is missing from the file: random but within the init range.
-        assert (np.abs(m.vectors[v.id_for("plum")]) <= 0.1).all()
+        assert (np.abs(m.vectors[v.ids(["plum"])[0]]) <= 0.1).all()
         assert (m.vectors[PAD_ID] == 0.0).all()
 
     def test_load_is_independent_of_file_order(self, tmp_path):

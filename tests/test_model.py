@@ -283,8 +283,8 @@ class TestPipelineGradients:
         loss = objective(probs, np.array([0]))
         grads = backward(tape, loss)
         g_emb = np.asarray(grads[leaves["embedding"].nid])
-        row = v.id_for("t0")
-        other = v.id_for("t5")
+        row = v.ids(["t0"])[0]
+        other = v.ids(["t5"])[0]
         assert np.abs(g_emb[row]).max() > 0.0
         assert (g_emb[other] == 0.0).all()
         assert (g_emb[0] == 0.0).all()  # pad row untouched

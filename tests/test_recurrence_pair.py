@@ -218,13 +218,13 @@ def _threaded_step_in_child(queue):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_starts_its_own_workers(monkeypatch, two_cpus):
-    # The parent's worker threads do not exist in a forked child; a child
-    # that reused the parent's pool would wait for them forever.
+    # A forked child inherits none of the parent's threads, so a threaded
+    # step in the child must start its own helper rather than wait on one.
     import multiprocessing
 
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=7)
-    want = _step_arrays(model, batch)["loss"].item()  # starts the parent's workers
+    want = _step_arrays(model, batch)["loss"].item()  # a threaded step in the parent first
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_threaded_step_in_child, args=(queue,))
@@ -240,7 +240,7 @@ def test_forked_child_starts_its_own_workers(monkeypatch, two_cpus):
 
 
 def test_import_starts_no_thread():
-    # The worker threads start on first use, not at import.
+    # Importing starts no thread; a helper thread exists only during a threaded call.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = "import threading, cachedlstm; print(threading.active_count())"

@@ -168,9 +168,9 @@ class TestTrainEpoch:
         docs = [Document(0, ["alpha"]), Document(1, ["beta"])]
         vocab = build_vocab(docs + [Document(0, ["ghost"])])
         model = build_model(ModelConfig(kind="cbow", d=4, C=2), vocab, seed=3)
-        ghost_row = vocab.id_for("ghost")
+        ghost_row = vocab.ids(["ghost"])[0]
         ghost_before = model.embedding.vectors[ghost_row].copy()
-        alpha_row = vocab.id_for("alpha")
+        alpha_row = vocab.ids(["alpha"])[0]
         cfg = TrainConfig(learning_rate=0.01, batch_size=2, seed=0,
                           weight_decay=0.5)
         train_epoch(model, make_batches(docs, vocab, 2, seed=0), cfg,
@@ -267,7 +267,7 @@ class TestRowSparseTraining:
         for name in dense:
             scale = np.abs(dense[name]).max()
             assert np.abs(sparse[name] - dense[name]).max() <= 1e-12 * scale, name
-        untouched = [vocab.id_for(f"ghost{i}") for i in range(4)]
+        untouched = [vocab.ids([f"ghost{i}"])[0] for i in range(4)]
         assert (sparse["embedding"][untouched].tobytes()
                 == start["embedding"][untouched].tobytes())
         assert (sparse_acc["embedding"][untouched].tobytes()
