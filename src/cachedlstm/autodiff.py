@@ -1,21 +1,23 @@
-"""Dense 2-D float64 tensors with a dynamic reverse-mode differentiation tape.
+"""Dense float64 tensors with a dynamic reverse-mode differentiation tape.
 
 Values are plain numpy arrays of shape (rows, cols); batching is always the
-row dimension.  A ``Tape`` records every operation as it runs (define-by-run),
-so variable-length recurrences unroll naturally.  ``backward`` replays the
-tape once in reverse and returns a gradient for every leaf.
+row dimension.  The one exception is a sequence: ``stack_steps``, and
+``take_rows`` over 2-D ids, give a T x B x d value, one B x d slab per
+step, which a recurrence reads as its one input.  A ``Tape`` records every
+operation as it runs (define-by-run).  ``backward`` replays the tape once
+in reverse and returns a gradient for every leaf.
 
 A row gather (``take_rows``) yields a ``RowSparse`` gradient: the gathered
-ids and their gradient rows, never the dense matrix of its source.  An
-embedding matrix touched by T gathers therefore gets a gradient the size of
-the batch, not T copies of the vocabulary.
+ids and their gradient rows, one list of each, never the dense matrix of
+its source.  A batch gathers its embeddings once, over its T x B token ids,
+so the embedding matrix gets a gradient the size of the batch.
 
 The operation set is the minimum needed for gated recurrent cells and a
-softmax classifier: matrix products, elementwise arithmetic, tanh,
-column concatenation/slicing, row softmax, plus a few indexing helpers
-(row gather, per-row column picks) used for embeddings and cross-entropy.
+softmax classifier: matrix products, elementwise arithmetic, column
+concatenation/slicing, row softmax, plus a few indexing helpers (row
+gather, per-row column picks) used for embeddings and cross-entropy.
 ``record`` adds a fused operation with a hand-written VJP as one node; the
-recurrent cells run a whole sequence that way.
+recurrent cells and the bag-of-words encoder run a whole sequence that way.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ __all__ = [
     "matmul",
     "add",
     "mul",
-    "tanh_",
     "concat_cols",
     "slice_cols",
     "softmax_rows",
     "transpose",
     "mul_const",
     "add_rowvec",
-    "mul_colvec",
     "take_rows",
+    "stack_steps",
     "pick_cols",
     "sum_all",
     "log_floor",
@@ -68,12 +69,13 @@ class RowSparse:
 
     It stands for the dense matrix whose row ``ids[i]`` holds the sum of
     ``rows[i]`` over every i naming that row; ids may repeat.  The sum of
-    two keeps both lists of (ids, rows) parts, so accumulating T gathers in
-    ``backward`` copies no gradient rows.  Adding a dense array gives a new
-    dense array, and ``np.asarray`` gives the dense matrix.
+    two joins their (ids, rows) lists, the first one's first.  Adding a
+    dense array gives a new dense array, and ``np.asarray`` gives the dense
+    matrix.  Repeated ids are summed in list order, so the order fixes the
+    bits.
     """
 
-    __slots__ = ("shape", "_parts", "_coalesced")
+    __slots__ = ("ids", "rows", "shape")
     # ndarray + RowSparse then defers to RowSparse.__radd__.
     __array_ufunc__ = None
 
@@ -85,67 +87,44 @@ class RowSparse:
                 f"RowSparse: {ids.shape} ids and {rows.shape} rows do not fit "
                 f"a {tuple(shape)} matrix"
             )
-        self.shape = tuple(shape)
-        self._parts = [(ids, rows)]
-        self._coalesced = False
-
-    @classmethod
-    def _from_parts(cls, parts: list, shape: tuple, coalesced: bool) -> "RowSparse":
-        out = cls.__new__(cls)
-        out.shape, out._parts, out._coalesced = shape, parts, coalesced
-        return out
-
-    def _joined(self) -> tuple:
-        if len(self._parts) > 1:
-            self._parts = [(np.concatenate([p[0] for p in self._parts]),
-                            np.concatenate([p[1] for p in self._parts]))]
-        return self._parts[0]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._joined()[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._joined()[1]
+        self.ids, self.rows, self.shape = ids, rows, tuple(shape)
 
     def coalesce(self) -> "RowSparse":
-        """The same gradient with sorted unique ids, each with its summed row."""
-        if self._coalesced:
-            return self
-        ids, rows = self._joined()
-        unique, inverse = np.unique(ids, return_inverse=True)
-        summed = np.zeros((unique.size, self.shape[1]))
-        np.add.at(summed, inverse, rows)
-        return RowSparse._from_parts([(unique, summed)], self.shape, True)
+        """The same gradient with sorted unique ids, each with its summed row.
 
-    def _scatter_into(self, out: np.ndarray) -> np.ndarray:
-        for ids, rows in self._parts:
-            np.add.at(out, ids, rows)
-        return out
+        One whose ids already increase strictly is returned as it is, bit for bit.
+        """
+        if (self.ids[1:] > self.ids[:-1]).all():
+            return self
+        unique, inverse = np.unique(self.ids, return_inverse=True)
+        summed = np.zeros((unique.size, self.shape[1]))
+        np.add.at(summed, inverse, self.rows)
+        return RowSparse(unique, summed, self.shape)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("RowSparse: the dense matrix is always a new array")
-        dense = self._scatter_into(np.zeros(self.shape))
+        dense = np.zeros(self.shape)
+        np.add.at(dense, self.ids, self.rows)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def __add__(self, other):
         if other.shape != self.shape:
             raise ShapeError(f"RowSparse: cannot add {other.shape} to {self.shape}")
         if isinstance(other, RowSparse):
-            return RowSparse._from_parts(self._parts + other._parts, self.shape, False)
-        return self._scatter_into(np.array(other, dtype=np.float64))
+            return RowSparse(np.concatenate([self.ids, other.ids]),
+                             np.concatenate([self.rows, other.rows]), self.shape)
+        out = np.array(other, dtype=np.float64)
+        np.add.at(out, self.ids, self.rows)
+        return out
 
     __radd__ = __add__
 
     def __mul__(self, scale: float) -> "RowSparse":
-        parts = [(ids, rows * scale) for ids, rows in self._parts]
-        return RowSparse._from_parts(parts, self.shape, self._coalesced)
+        return RowSparse(self.ids, self.rows * scale, self.shape)
 
     def __repr__(self) -> str:
-        n = sum(p[0].size for p in self._parts)
-        return f"RowSparse({n} rows of {self.shape})"
+        return f"RowSparse({self.ids.size} rows of {self.shape})"
 
 
 class _Node:
@@ -168,7 +147,7 @@ class Var:
         self.value = value
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple:
         return self.value.shape
 
     @property
@@ -279,16 +258,6 @@ def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(x, hi, out=x)
 
 
-def tanh_(a: Var) -> Var:
-    """Hyperbolic tangent, clamped strictly inside (-1, 1)."""
-    out = bounded_tanh(a.value)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return a.tape._record(out, (a.nid,), vjp)
-
-
 def concat_cols(parts: Sequence[Var]) -> Var:
     """Column-wise concatenation of equal-row tensors."""
     if not parts:
@@ -365,30 +334,41 @@ def add_rowvec(a: Var, row: Var) -> Var:
     return tape._record(a.value + row.value, (a.nid, row.nid), vjp)
 
 
-def mul_colvec(a: Var, col: Var) -> Var:
-    """Scale each row of an m x n tensor by the matching m x 1 entry."""
-    tape = _same_tape(a, col)
-    if col.cols != 1 or col.rows != a.rows:
-        raise ShapeError(f"mul_colvec: expected {a.rows}x1 column, got {col.shape}")
-    av, cv = a.value, col.value
-
-    def vjp(g):
-        return g * cv, (g * av).sum(axis=1, keepdims=True)
-
-    return tape._record(av * cv, (a.nid, col.nid), vjp)
-
-
 def take_rows(a: Var, ids) -> Var:
-    """Gather rows a[ids, :]; the source's gradient is ``RowSparse`` over ids."""
+    """Gather rows a[ids, :] for 1-D or 2-D ids; the value is ids.shape x cols.
+
+    The source's gradient is one ``RowSparse`` over ids.  For 2-D ids, such
+    as a batch's T x B token ids, it lists the rows of ids last one first,
+    the order in which ``backward`` would meet T gathers of one row each.
+    """
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: ids must be 1-D, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"take_rows: ids must be 1-D or 2-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise IndexError(f"take_rows: id out of range for {a.rows} rows")
     shape = a.shape
 
-    return a.tape._record(a.value[idx, :], (a.nid,),
-                          lambda g: (RowSparse(idx, g, shape),))
+    def vjp(g):
+        if idx.ndim == 1:
+            return (RowSparse(idx, g, shape),)
+        return (RowSparse(idx[::-1].ravel(), g[::-1].reshape(idx.size, shape[1]), shape),)
+
+    return a.tape._record(a.value[idx], (a.nid,), vjp)
+
+
+def stack_steps(xs: Sequence[Var]) -> Var:
+    """T Vars of B x d as one T x B x d Var, the input of a recurrence."""
+    if not xs:
+        raise ValueError("stack_steps: empty sequence")
+    tape = _same_tape(*xs)
+    B, d = xs[0].shape
+    for t, x in enumerate(xs):
+        if x.cols != d:
+            raise ShapeError(f"step {t}: input width {x.cols}, expected {d}")
+        if x.rows != B:
+            raise ShapeError(f"step {t}: {x.rows} input rows, expected {B}")
+    return tape._record(np.stack([x.value for x in xs]), tuple(x.nid for x in xs),
+                        lambda g: tuple(g))
 
 
 def pick_cols(a: Var, cols) -> Var:

@@ -22,8 +22,9 @@ terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node whose
 value is the final state [c_T | h_T], with a hand-written VJP that keeps
-the gate activations and each step's carried state.  The single-step
-functions run it at T = 1.  ``final_state`` runs the same step function,
+the gate activations and each step's carried state.  Its input is one
+T x B x d Var, X, and its mask a B x T array.  The single-step functions
+run it at T = 1.  ``final_state`` runs the same step function,
 ``_step``, without a tape and keeps only the carried state, for scoring.
 ``_step`` projects its own B x d input rows, so both make the same products.
 
@@ -34,20 +35,22 @@ contiguous memory.  The bias is added as its G*H x 1 column, a step's
 mask is a 1 x B row, and the clstm band offsets and clamps are H x B
 arrays built once per run.  The per-step history is private to the VJP
 and kept in this layout: the T x G*H x B activations, and tanh(c') and
-the carried c and h as T x H x B buffers; each x_t is read from the array
-the tape holds for it.  Tape values and the results of ``final_state``
-stay row-batched.  The VJP sums the weight gradients inside its step
-loop, last step first (``dW += a @ x_t``, ``dU += a @ Hs[t].T``,
-``db += a.sum(1)``, ``dx_t = a.T @ W``), so it makes no T*B x G*H copy of
-the step gradients.
+the carried c and h as T x H x B buffers; x_t is the slab X[t].  Tape
+values and the results of ``final_state`` stay row-batched.  The VJP sums
+the weight gradients inside its step loop, last step first
+(``dW += a @ x_t``, ``dU += a @ Hs[t].T``, ``db += a.sum(1)``), so it
+makes no T*B x G*H copy of the step gradients, and writes each
+``a.T @ W`` into one T x B x d gradient dX.
 
-``recurrence_pair`` records two recurrences of one shape, the directions
-of a bidirectional encoder, as one node whose value is their final states
-side by side.  From H*B = ``THREAD_MIN_WORK`` on, and when the process may
-use two CPUs, the second kernel, and later the second VJP, run on a helper
-thread started and joined per call while the calling thread runs the
-first; numpy lets the two overlap inside BLAS calls and large elementwise
-loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100, padded;
+``recurrence_pair`` records the two directions of a bidirectional encoder
+as one node whose value is their final states side by side.  Both read
+one X; the second runs with ``reverse``, from X[T-1] to X[0], and writes
+its dX in X's order.  The node lists X once, with the sum of the two dX,
+so nothing is copied in reverse.  From H*B = ``THREAD_MIN_WORK`` on, and
+when the process may use two CPUs, the second kernel, and later the
+second VJP, run on a helper thread started and joined per call while the
+calling thread runs the first; numpy lets the two overlap inside BLAS
+calls and large elementwise loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100, padded;
 serial over threaded time, forward and backward): 1.72x and 1.86x at
 H*B = 15,360 (H=120, B=128), 1.58-1.63x and 1.38-1.58x at 7,680,
 1.04-1.50x at 5,760, 0.93-1.32x at 3,840, and 0.61x and 0.66x at the
@@ -69,6 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError, Tape, Var, bounded_tanh, logistic, record, slice_cols
+from .autodiff import stack_steps
 
 CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
 GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
@@ -300,33 +304,33 @@ def final_state(p: CellParams, steps, rows: int) -> tuple:
     return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
 
 
-def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
-                mask: np.ndarray | None = None) -> tuple:
+def _recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
+                mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
     """The kernel behind ``recurrence``; it reads Var values and records nothing.
 
     Returns (value, parents, vjp, A): the final state B x S, the Vars it
     depends on, the VJP from its gradient to one gradient per parent, and
-    the T x G*H x B activations.  Two calls may run on two threads.
+    the T x G*H x B activations.  With ``reverse`` the run reads X last
+    step first; every per-step buffer, dX too, is indexed by position in
+    X.  Two calls may run on two threads.
     """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
     if gated and c0 is None:
         raise ShapeError(f"{kind}: the initial state needs a memory c")
-    if not xs:
-        raise ValueError("recurrence: empty sequence")
     W, U = p.w.value, p.u.value
-    B, d = xs[0].rows, W.shape[1]
-    for t, x in enumerate(xs):
-        if x.cols != d:
-            raise ShapeError(f"step {t}: input width {x.cols}, expected {d}")
-        if x.rows != B:
-            raise ShapeError(f"step {t}: {x.rows} input rows, expected {B}")
-    # The step inputs as arrays: Vars would tie the VJP to the tape.
-    X = [x.value for x in xs]
-    T, (GH, H) = len(X), U.shape
+    # The input as an array: a Var would tie the VJP to the tape.
+    Xv = X.value
+    (T, B, width), d = Xv.shape, W.shape[1]
+    if width != d:
+        raise ShapeError(f"input width {width}, expected {d}")
+    if T == 0:
+        raise ValueError("recurrence: empty sequence")
+    GH, H = U.shape
     bias = None if p.b is None else p.b.value
     M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
     band = _band(H, n_groups, B) if kind == "clstm" else None
+    order = range(T - 1, -1, -1) if reverse else range(T)
 
     A = np.empty((T, GH, B))  # step t's activations, written by its ``_step``
     TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
@@ -336,11 +340,11 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
     # H x B and C-contiguous, as ``final_state``'s zero state is.
     c = None if c0 is None else np.ascontiguousarray(c0.value.T)
     h = np.ascontiguousarray(h0.value.T)
-    for t in range(T):
+    for t in order:
         if gated:
             Cs[t] = c
         Hs[t] = h
-        c, h, tc = _step(kind, X[t], W, c, h, U, bias, band, None if M is None else M[t],
+        c, h, tc = _step(kind, Xv[t], W, c, h, U, bias, band, None if M is None else M[t],
                          out=A[t])
         if gated:
             TC[t] = tc
@@ -357,7 +361,7 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
         db = None if bias is None else np.zeros((GH, 1))
         dh = np.ascontiguousarray(g[:, -H:].T)
         dc = np.ascontiguousarray(g[:, :H].T) if gated else None
-        for t in range(T - 1, -1, -1):
+        for t in reversed(order):
             if M is None:  # nothing carries past an unmasked step
                 dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
             else:
@@ -372,21 +376,21 @@ def _recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
                 np.multiply(dh_new, 1.0 - a * a, out=a)
             dh = dh + U.T @ a
             # The weight gradients are summed over the steps as they go, last
-            # step first, so no T*B x G*H copy of the step gradients is made.
-            # Their last bits differ from those of one product over all T*B
-            # rows.
-            dW += a @ X[t]
+            # step of the run first, so no T*B x G*H copy of the step
+            # gradients is made.  Their last bits differ from those of one
+            # product over all T*B rows.
+            dW += a @ Xv[t]
             dU += a @ Hs[t].T
             if db is not None:
                 db += a.sum(axis=1, keepdims=True)
             np.matmul(a.T, W, out=dX[t])
         A = None  # nothing else refers to the buffer now, so this frees it
-        grads = list(dX) + [dW, dU] + ([] if db is None else [db])
+        grads = [dX, dW, dU] + ([] if db is None else [db])
         if gated:
             grads.append(dc.T)
         return grads + [dh.T]
 
-    parents = list(xs) + [p.w, p.u] + ([p.b] if p.b is not None else [])
+    parents = [X, p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
     return final.T.copy(), parents, vjp, A
@@ -413,47 +417,51 @@ def _both(f1, f2, work: int) -> tuple:
     return first, second.result()
 
 
-def recurrence(p: CellParams, xs: list, c0: Var | None, h0: Var,
+def recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
                mask: np.ndarray | None = None) -> Var:
-    """Run the cell over xs, T Vars of B x d, as one tape node.
+    """Run the cell over X, a T x B x d Var, as one tape node.
 
     The node's value is the final state, B x S: [c_T | h_T] with S = 2H,
     or h_T alone for rnn (S = H).  The per-step states stay private to the
     node's VJP.  With ``mask``, a B x T array of {0, 1}, a row's state
-    passes a zero step unchanged, bit for bit.  Gradients flow to every
-    x_t, to w, u and b, and to the initial state (c0 is None for rnn).  The
-    node's VJP reuses the kernel's activation buffer, so a second backward
-    pass through it raises RuntimeError.
+    passes a zero step unchanged, bit for bit.  Gradients flow to X as one
+    T x B x d array, to w, u and b, and to the initial state (c0 is None
+    for rnn).  The node's VJP reuses the kernel's activation buffer, so a
+    second backward pass through it raises RuntimeError.
     """
-    return record(*_recurrence(p, xs, c0, h0, mask)[:3])
+    return record(*_recurrence(p, X, c0, h0, mask)[:3])
 
 
-def recurrence_pair(first: tuple, second: tuple) -> Var:
-    """Two independent recurrences of one shape as one tape node.
+def recurrence_pair(X: Var, mask, first: tuple, second: tuple) -> Var:
+    """The two directions of a bidirectional encoder over one X as one tape node.
 
-    ``first`` and ``second`` are the arguments (p, xs, c0, h0, mask) of
-    ``recurrence``.  The node's value is [final_1 | final_2], B x 2S, equal
-    bit for bit to the two ``recurrence`` values side by side, and its
-    gradients equal theirs.  The two kernels, and later their two VJPs, run
-    on two threads when the shape is large enough (see ``THREAD_MIN_WORK``);
+    X and mask are as in ``recurrence``; ``first`` and ``second`` are each
+    direction's (p, c0, h0), and ``second`` reads X last step first.  The
+    value, [final_1 | final_2], and the gradients equal those of a
+    ``recurrence`` over X and one over X's steps reversed, bit for bit; X
+    gets the sum of the two dX.  The two kernels, and later their VJPs, run
+    on two threads when the shape is large enough (``THREAD_MIN_WORK``);
     the helper thread only computes, and this thread records the node.
     """
-    work = first[0].hidden_size * first[1][0].rows
+    (p1, c1, h1), (p2, c2, h2) = first, second
+    work = p1.hidden_size * X.shape[1]
     (v1, par1, vjp1, _), (v2, par2, vjp2, _) = _both(
-        lambda: _recurrence(*first), lambda: _recurrence(*second), work)
+        lambda: _recurrence(p1, X, c1, h1, mask),
+        lambda: _recurrence(p2, X, c2, h2, mask, reverse=True), work)
     S = v1.shape[1]
 
     def vjp(g):
         g1, g2 = _both(lambda: vjp1(g[:, :S]), lambda: vjp2(g[:, S:]), work)
-        return g1 + g2
+        g1[0] += g2[0]  # X's; after both VJPs joined, so no thread writes the other's dX
+        return g1 + g2[1:]  # X, each run's first parent, is listed once
 
-    return record(np.concatenate([v1, v2], axis=1), par1 + par2, vjp)
+    return record(np.concatenate([v1, v2], axis=1), par1 + par2[1:], vjp)
 
 
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:
     if p.kind != kind:
         raise ValueError(f"{kind} step given {p.kind} parameters")
-    *node, acts = _recurrence(p, [x], prev.c, prev.h)
+    *node, acts = _recurrence(p, stack_steps([x]), prev.c, prev.h)
     out = record(*node)
     H = p.hidden_size
     state = CellState(c=slice_cols(out, 0, H), h=slice_cols(out, H, 2 * H),

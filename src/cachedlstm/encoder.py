@@ -8,12 +8,13 @@ the backward pass's h_1 at the first step is concatenated on.  Group 1 has
 the lowest update rate, so it is the part of the state that accumulates
 document-scale evidence rather than recent-token detail.
 
-A unidirectional run is one ``cells.recurrence`` tape node whose value is
-its final carried state; a bidirectional run is one
-``cells.recurrence_pair`` node holding both directions' final states.
-Variable-length batches are handled with a per-step {0,1} mask: a row's
-state passes its masked steps unchanged, so padding steps are bit-neutral
-to the final state.
+Each encoder is one tape node over one T x B x d input Var, X, and a {0,1}
+B x T mask array; the recurrent ones also take a list of B x d step Vars,
+joined by ``autodiff.stack_steps``, and a list of B x 1 mask Vars.  A unidirectional run is a ``cells.recurrence`` node whose
+value is its final carried state; a bidirectional run is a
+``cells.recurrence_pair`` node holding both directions' final states, and
+X gets the sum of their gradients.  A row's state passes its masked steps
+unchanged, so padding steps are bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -21,6 +22,7 @@ classifier head and serves as the non-recurrent baseline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +30,14 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Var,
-    add,
     add_rowvec,
+    bounded_tanh,
     concat_cols,
     matmul,
-    mul_colvec,
+    record,
     slice_cols,
     softmax_rows,
-    tanh_,
+    stack_steps,
     transpose,
 )
 from .cells import CELL_KINDS, recurrence, recurrence_pair, zero_state
@@ -101,31 +103,37 @@ class EncodedSequence:
     bwd: Var | None = None
 
 
-def _args(cfg: EncoderConfig, params, xs: list, mask: list | None) -> tuple:
-    """The arguments of ``cells.recurrence`` for one run over xs from the zero state."""
-    if not xs:
-        raise ValueError("encode_forward: empty sequence")
-    if mask is not None and len(mask) != len(xs):
-        raise ShapeError(f"mask has {len(mask)} steps, inputs have {len(xs)}")
-    st = zero_state(xs[0].tape, xs[0].rows, cfg.H, n_groups=cfg.K,
+def _steps(xs, mask) -> tuple:
+    """(X, mask) as the kernel takes them, from lists of B x d and B x 1 Vars or as given."""
+    X = xs if isinstance(xs, Var) else stack_steps(xs)
+    if isinstance(mask, list):
+        if len(mask) != X.shape[0]:
+            raise ShapeError(f"mask has {len(mask)} steps, inputs have {X.shape[0]}")
+        mask = np.hstack([v.value for v in mask])
+    return X, mask
+
+
+def _zero(cfg: EncoderConfig, X: Var) -> tuple:
+    """(c0, h0), the zero initial state of one run over X."""
+    st = zero_state(X.tape, X.shape[1], cfg.H, n_groups=cfg.K,
                     with_memory=cfg.cell_kind != "rnn")
-    m = None if mask is None else np.hstack([v.value for v in mask])
-    return params, xs, st.c, st.h, m
+    return st.c, st.h
 
 
-def encode_forward(cfg: EncoderConfig, params, xs: list,
-                   mask: list | None = None) -> EncodedSequence:
-    """Run the cell left to right over xs (a list of B x d Vars).
+def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence:
+    """Run the cell left to right over xs.
 
-    mask, when given, is a list of B x 1 Vars with entries in {0, 1}; a zero
+    xs is a T x B x d Var or a list of T B x d Vars.  mask, when given, is
+    a B x T array or a list of B x 1 Vars, with entries in {0, 1}; a zero
     carries that row's state through the step unchanged.
     """
-    return EncodedSequence(cfg=cfg, fwd=recurrence(*_args(cfg, params, xs, mask)))
+    X, mask = _steps(xs, mask)
+    return EncodedSequence(cfg=cfg, fwd=recurrence(params, X, *_zero(cfg, X), mask))
 
 
-def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs: list,
-                         mask: list | None = None) -> EncodedSequence:
-    """Forward and reverse runs over the same steps.
+def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
+                         mask=None) -> EncodedSequence:
+    """Forward and reverse runs over the same steps; xs and mask as in ``encode_forward``.
 
     The reverse run consumes tokens last to first; with a mask the padded
     tail of each row is skipped exactly as in the forward direction, so the
@@ -133,9 +141,8 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs: list,
     one ``cells.recurrence_pair`` node, which runs them on two threads at
     large shapes; ``fwd`` and ``bwd`` are its two halves.
     """
-    rev_mask = None if mask is None else mask[::-1]
-    both = recurrence_pair(_args(cfg, fwd_params, xs, mask),
-                           _args(cfg, bwd_params, xs[::-1], rev_mask))
+    X, mask = _steps(xs, mask)
+    both = recurrence_pair(X, mask, (fwd_params, *_zero(cfg, X)), (bwd_params, *_zero(cfg, X)))
     S = both.cols // 2
     return EncodedSequence(cfg=cfg, fwd=slice_cols(both, 0, S), bwd=slice_cols(both, S, 2 * S))
 
@@ -193,17 +200,20 @@ def classify(rep: Var, clf: ClassifierParams) -> Var:
     return softmax_rows(logits)
 
 
-def cbow_encode(xs: list, mask: list | None = None) -> Var:
-    """Order-free document vector: tanh of the sum of token vectors.
+def cbow_encode(X: Var, mask=None) -> Var:
+    """Order-free document vector: tanh of the sum of token vectors, one tape node.
 
-    Masked steps contribute nothing.  Width equals the token vector width.
+    X is a T x B x d Var and mask, when given, a B x T {0, 1} array; masked
+    steps contribute nothing.  The steps are summed in order, as
+    ``DocModel.probabilities`` does.  Width equals the token vector width.
     """
-    if not xs:
+    if X.shape[0] == 0:
         raise ValueError("cbow_encode: empty sequence")
-    if mask is not None and len(mask) != len(xs):
-        raise ShapeError(f"mask has {len(mask)} steps, inputs have {len(xs)}")
-    total = None
-    for t, x in enumerate(xs):
-        term = x if mask is None else mul_colvec(x, mask[t])
-        total = term if total is None else add(total, term)
-    return tanh_(total)
+    M = None if mask is None else np.asarray(mask).T[:, :, None]  # T x B x 1
+    out = bounded_tanh(functools.reduce(np.add, X.value if M is None else X.value * M))
+
+    def vjp(g):
+        g = g * (1.0 - out * out)
+        return (np.broadcast_to(g, X.shape) if M is None else g * M,)
+
+    return record(out, [X], vjp)

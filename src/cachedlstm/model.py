@@ -141,19 +141,18 @@ class DocModel:
         """Class probabilities for one padded batch.
 
         Returns (probs, leaves): a B x C Var and the name -> leaf Var map
-        for every parameter that entered the graph.  The mask path is
-        skipped entirely when no row of the batch is padded.
+        for every parameter that entered the graph.  The embeddings are
+        gathered once, as one T x B x d Var, so the tape's size does not
+        depend on T.  The mask path is skipped when no row is padded.
         """
         cfg = self.config
         leaves: dict[str, Var] = {}
         emb = tape.leaf(self.embedding.vectors)
         leaves["embedding"] = emb
-        xs = [take_rows(emb, batch.ids[:, t]) for t in range(batch.n_steps)]
-        mask = None
-        if not batch.uniform_length:
-            mask = [tape.leaf(batch.mask[:, t:t + 1]) for t in range(batch.n_steps)]
+        X = take_rows(emb, batch.ids.T)
+        mask = None if batch.uniform_length else batch.mask
         if cfg.kind == "cbow":
-            rep = cbow_encode(xs, mask)
+            rep = cbow_encode(X, mask)
         else:
             enc_cfg = cfg.encoder_config()
             bound_f, leaves_f = bind_params(tape, self.cell_fwd)
@@ -163,9 +162,9 @@ class DocModel:
                 bound_b, leaves_b = bind_params(tape, self.cell_bwd)
                 for name, v in leaves_b.items():
                     leaves[f"bwd.{name}"] = v
-                enc = encode_bidirectional(enc_cfg, bound_f, bound_b, xs, mask)
+                enc = encode_bidirectional(enc_cfg, bound_f, bound_b, X, mask)
             else:
-                enc = encode_forward(enc_cfg, bound_f, xs, mask)
+                enc = encode_forward(enc_cfg, bound_f, X, mask)
             rep = doc_representation(enc)
         bound_clf, leaves_c = bind_params(tape, self.clf)
         for name, v in leaves_c.items():

@@ -161,6 +161,36 @@ def _clip_grads(named_grads: dict, clip_norm: float) -> dict:
     return {name: g * scale for name, g in coalesced.items()}
 
 
+def _train_step(model: DocModel, batch, index: int, cfg: TrainConfig,
+                opt: AdagradState) -> float:
+    """Forward, backward and update on one batch; returns its objective.
+
+    Its locals hold the batch's tape and gradients, so they are freed when
+    it returns, before the next batch's forward pass.
+    """
+    tape = Tape()
+    probs, leaves = model.forward_batch(tape, batch)
+    reg = []
+    if cfg.weight_decay > 0.0:
+        reg = [v for name, v in leaves.items() if name != "embedding"]
+        if model.embedding.trainable:
+            reg.append(take_rows(leaves["embedding"], np.unique(batch.ids)))
+    loss = objective(probs, batch.labels, reg, cfg.weight_decay)
+    value = float(loss.value[0, 0])
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite objective ({value}) at batch {index}")
+    grads = backward(tape, loss)
+    named_grads = {name: grads[v.nid] for name, v in leaves.items()}
+    if not model.embedding.trainable:
+        named_grads.pop("embedding", None)
+    if cfg.gradient_clip_norm is not None:
+        named_grads = _clip_grads(named_grads, cfg.gradient_clip_norm)
+    tensors = model.named_tensors()
+    for name, grad in named_grads.items():
+        opt.update(name, tensors[name], grad, cfg.learning_rate)
+    return value
+
+
 def train_epoch(model: DocModel, batches: list, cfg: TrainConfig,
                 opt: AdagradState) -> float:
     """One pass over the batches; returns the mean batch objective.
@@ -170,37 +200,8 @@ def train_epoch(model: DocModel, batches: list, cfg: TrainConfig,
     """
     if not batches:
         raise ValueError("train_epoch: no batches")
-    emb_trainable = model.embedding.trainable
-    losses = []
-    for index, batch in enumerate(batches):
-        tape = Tape()
-        probs, leaves = model.forward_batch(tape, batch)
-        reg = []
-        if cfg.weight_decay > 0.0:
-            for name, v in leaves.items():
-                if name == "embedding":
-                    continue
-                reg.append(v)
-            if emb_trainable:
-                touched = np.unique(batch.ids)
-                reg.append(take_rows(leaves["embedding"], touched))
-        loss = objective(probs, batch.labels, reg, cfg.weight_decay)
-        value = float(loss.value[0, 0])
-        if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"non-finite objective ({value}) at batch {index}"
-            )
-        grads = backward(tape, loss)
-        named_grads = {name: grads[v.nid] for name, v in leaves.items()}
-        if not emb_trainable:
-            named_grads.pop("embedding", None)
-        if cfg.gradient_clip_norm is not None:
-            named_grads = _clip_grads(named_grads, cfg.gradient_clip_norm)
-        tensors = model.named_tensors()
-        for name, grad in named_grads.items():
-            opt.update(name, tensors[name], grad, cfg.learning_rate)
-        losses.append(value)
-    return float(np.mean(losses))
+    return float(np.mean([_train_step(model, batch, index, cfg, opt)
+                          for index, batch in enumerate(batches)]))
 
 
 @dataclass

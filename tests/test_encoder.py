@@ -10,6 +10,7 @@ from cachedlstm.autodiff import (
     backward,
     grad_check,
     mul,
+    stack_steps,
     sum_all,
 )
 from cachedlstm.cells import CellState, bind_params, init_params, lstm_step, zero_state
@@ -223,16 +224,15 @@ class TestCbow:
         rng = np.random.default_rng(38)
         arrays = [rng.normal(size=(2, 4)) for _ in range(3)]
         tape = Tape()
-        out = cbow_encode([tape.leaf(a) for a in arrays])
+        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]))
         np.testing.assert_allclose(out.value, np.tanh(sum(arrays)), atol=1e-12)
 
     def test_mask_removes_contributions(self):
         rng = np.random.default_rng(39)
         arrays = [rng.normal(size=(1, 3)) for _ in range(4)]
         tape = Tape()
-        mask = [tape.leaf(np.array([[1.0]])), tape.leaf(np.array([[0.0]])),
-                tape.leaf(np.array([[1.0]])), tape.leaf(np.array([[0.0]]))]
-        out = cbow_encode([tape.leaf(a) for a in arrays], mask)
+        mask = np.array([[1.0, 0.0, 1.0, 0.0]])
+        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]), mask)
         np.testing.assert_allclose(out.value, np.tanh(arrays[0] + arrays[2]),
                                    atol=1e-12)
 

@@ -5,8 +5,9 @@ node per operation and step, and lays every step's [c_t | h_t] side by
 side.  ``cells.recurrence`` records only the final state, so
 ``kernel_run`` lays out the final states of the runs over each prefix
 xs[:t+1] the same way.  Values and gradients for every input must agree.
-The three ops below exist only for that reference; they are built on
-``autodiff.record`` and checked against central differences here.
+The five ops below exist only for that reference and for the gradient
+checks of ``test_autodiff``; they are built on ``autodiff.record`` and
+checked against central differences here.
 """
 
 import numpy as np
@@ -18,17 +19,17 @@ from cachedlstm.autodiff import (
     add,
     add_rowvec,
     backward,
+    bounded_tanh,
     concat_cols,
     grad_check,
     logistic,
     matmul,
     mul,
-    mul_colvec,
     mul_const,
     record,
     slice_cols,
+    stack_steps,
     sum_all,
-    tanh_,
     transpose,
 )
 from cachedlstm.cells import GATES, bind_params, final_state, init_params, recurrence
@@ -53,6 +54,18 @@ def sub_from_one(a):
 def add_const(a, c):
     """a + c for a constant scalar or broadcastable array c."""
     return record(a.value + c, [a], lambda g: (g,))
+
+
+def tanh_(a):
+    """Hyperbolic tangent, clamped strictly inside (-1, 1); see ``autodiff.bounded_tanh``."""
+    out = bounded_tanh(a.value)
+    return record(out, [a], lambda g: (g * (1.0 - out * out),))
+
+
+def mul_colvec(a, col):
+    """Scale each row of an m x n tensor by the matching entry of an m x 1 column."""
+    av, cv = a.value, col.value
+    return record(av * cv, [a, col], lambda g: (g * cv, (g * av).sum(axis=1, keepdims=True)))
 
 
 def _op_check(build, *arrays):
@@ -81,6 +94,17 @@ def test_reference_add_const_gradient():
     off = np.repeat(np.arange(3) / 3.0, 2).reshape(1, 6)
     assert _op_check(lambda a: sum_all(tanh_(add_const(mul_const(sigmoid(a), 1 / 3), off))),
                      a) < 1e-6
+
+
+def test_reference_tanh_gradient():
+    a = np.random.default_rng(20240820).normal(size=(4, 6))
+    assert _op_check(lambda a: sum_all(mul(tanh_(a), a)), a) < 1e-6
+
+
+def test_reference_mul_colvec_gradient():
+    rng = np.random.default_rng(20240817)
+    a, c = rng.normal(size=(5, 4)), rng.normal(size=(5, 1))
+    assert _op_check(lambda a, c: sum_all(tanh_(mul_colvec(a, c))), a, c) < 1e-6
 
 
 def composed_run(p, xs, c0, h0, mask):
@@ -131,7 +155,7 @@ def composed_run(p, xs, c0, h0, mask):
 
 def kernel_run(p, xs, c0, h0, mask):
     """The kernel's final state after each prefix xs[:t+1], side by side."""
-    return concat_cols([recurrence(p, xs[:t + 1], c0, h0,
+    return concat_cols([recurrence(p, stack_steps(xs[:t + 1]), c0, h0,
                                    None if mask is None else mask[:, :t + 1])
                         for t in range(len(xs))])
 
@@ -202,8 +226,8 @@ def test_vjp_raises_on_a_second_call():
     # The VJP overwrites the saved activations with gradients.
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 3, 6, n_groups=2, seed=0))
-    xs = [tape.leaf(np.ones((2, 3))) for _ in range(3)]
-    run = recurrence(bound, xs, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
+    X = stack_steps([tape.leaf(np.ones((2, 3))) for _ in range(3)])
+    run = recurrence(bound, X, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
     loss = sum_all(run)
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already run"):
@@ -221,7 +245,7 @@ def test_empty_or_ragged_steps_are_rejected(kind, rows, error, message):
     xs = [tape.leaf(np.ones((n, 3))) for n in rows]
     c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
     with pytest.raises(error, match=message):
-        recurrence(bound, xs, c0, tape.leaf(np.zeros((2, 6))))
+        recurrence(bound, stack_steps(xs), c0, tape.leaf(np.zeros((2, 6))))
 
 
 def test_masked_steps_carry_state():
@@ -237,11 +261,11 @@ def test_kernel_is_one_node():
     _, (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 5, 6, n_groups=3, seed=5, use_bias=True))
-    xs = [tape.leaf(np.ones((4, 5))) for _ in range(7)]
+    X = stack_steps([tape.leaf(np.ones((4, 5))) for _ in range(7)])
     state = [tape.leaf(np.zeros((4, 6))) for _ in range(2)]
-    before = len(tape)  # w, u, b, 7 inputs, c0 and h0
-    recurrence(bound, xs, *state)
-    assert (before, len(tape)) == (3 + 7 + 2, 3 + 7 + 2 + 1)
+    before = len(tape)  # w, u, b, 7 inputs, their stack, c0 and h0
+    recurrence(bound, X, *state)
+    assert (before, len(tape)) == (3 + 7 + 1 + 2, 3 + 7 + 1 + 2 + 1)
     assert ref_nodes > 7 * 20
 
 
@@ -255,7 +279,8 @@ def test_value_is_the_final_state(kind):
     bound, _ = bind_params(tape, params)
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
     c0 = None if kind == "rnn" else tape.leaf(np.zeros((B, H)))
-    run = recurrence(bound, [tape.leaf(x) for x in xs_arr], c0, tape.leaf(np.zeros((B, H))))
+    run = recurrence(bound, stack_steps([tape.leaf(x) for x in xs_arr]), c0,
+                     tape.leaf(np.zeros((B, H))))
     c, h = final_state(params, ((x, None) for x in xs_arr), B)
     assert run.shape == (B, H if kind == "rnn" else 2 * H)
     np.testing.assert_array_equal(run.value[:, -H:], h)
@@ -263,16 +288,22 @@ def test_value_is_the_final_state(kind):
         np.testing.assert_array_equal(run.value[:, :H], c)
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_forward_batch_records_no_per_step_cell_nodes(bidirectional):
-    cfg = ModelConfig(kind="clstm", d=4, H=6, K=3, C=3, bidirectional=bidirectional)
-    model = build_model(cfg, build_vocab([Document(0, ["a"])]), seed=0)
-    sizes = []
-    for n_steps in (5, 40):
-        ids = np.zeros((2, n_steps), dtype=np.int64)
-        batch = Batch(ids=ids, mask=np.ones((2, n_steps)),
-                      lengths=np.array([n_steps, n_steps]), labels=np.zeros(2, dtype=np.int64))
-        tape = Tape()
-        model.forward_batch(tape, batch)
-        sizes.append(len(tape) - n_steps)  # one embedding gather per step
-    assert sizes[0] == sizes[1]
+@pytest.mark.parametrize("padded", [False, True])
+def test_forward_batch_records_no_per_step_cell_nodes(padded):
+    # The tape's size does not depend on T: one embedding gather and one
+    # encoder node per batch, for cbow and for uni- and bidirectional clstm.
+    for kind, bidirectional in (("cbow", False), ("clstm", False), ("clstm", True)):
+        cfg = ModelConfig(kind=kind, d=4, H=6, K=1 if kind == "cbow" else 3, C=3,
+                          bidirectional=bidirectional)
+        model = build_model(cfg, build_vocab([Document(0, ["a"])]), seed=0)
+        sizes = []
+        for n_steps in (5, 40):
+            lengths = np.array([n_steps, n_steps - 2 if padded else n_steps])
+            mask = (np.arange(n_steps)[None, :] < lengths[:, None]).astype(float)
+            batch = Batch(ids=np.zeros((2, n_steps), dtype=np.int64), mask=mask,
+                          lengths=lengths, labels=np.zeros(2, dtype=np.int64))
+            assert batch.uniform_length is not padded
+            tape = Tape()
+            model.forward_batch(tape, batch)
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1], kind

@@ -8,8 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import Tape, backward, grad_check
+from cachedlstm.autodiff import Tape, backward, grad_check, take_rows
+from cachedlstm.cells import bind_params
 from cachedlstm.data import Batch, Document, build_vocab, pad_batch
+from cachedlstm.encoder import classify, doc_representation, encode_bidirectional
 from cachedlstm.evaluation import evaluate, length_decile_report
 from cachedlstm.model import DocModel, ModelConfig, build_model
 from cachedlstm.training import objective
@@ -109,6 +111,19 @@ class TestForwardAndPredict:
             assert probs.shape == (3, 3)
             assert np.abs(probs.value.sum(axis=1) - 1.0).max() < 1e-12
             assert "embedding" in leaves
+
+    @pytest.mark.parametrize("kind,extra,message", [
+        ("cbow", {}, "cbow_encode: empty sequence"),
+        ("clstm", {"H": 6, "K": 3}, "recurrence: empty sequence"),
+        ("clstm", {"H": 6, "K": 3, "bidirectional": True}, "recurrence: empty sequence"),
+    ])
+    def test_batch_with_no_steps_is_rejected(self, kind, extra, message):
+        # A 0-step batch gathers a 0 x B x d input, which each encoder rejects.
+        model = build_model(ModelConfig(kind=kind, d=4, C=3, **extra), _toy_vocab(), seed=2)
+        batch = Batch(ids=np.zeros((2, 0), dtype=np.int64), mask=np.zeros((2, 0)),
+                      lengths=np.zeros(2, dtype=np.int64), labels=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            model.forward_batch(Tape(), batch)
 
     def test_predict_tie_goes_to_lower_index(self):
         v = _toy_vocab()
@@ -288,6 +303,45 @@ class TestPipelineGradients:
         assert np.abs(g_emb[row]).max() > 0.0
         assert (g_emb[other] == 0.0).all()
         assert (g_emb[0] == 0.0).all()  # pad row untouched
+
+
+def test_one_gather_equals_per_step_gathers():
+    # A padded bi-clstm batch with weight decay, once through forward_batch's
+    # one gather and mask array, and once through T per-step gathers fed to
+    # encode_bidirectional as lists.  Every gradient must be byte-equal: the
+    # one gather's RowSparse lists its rows in the order in which backward
+    # meets the per-step gathers.
+    rng = np.random.default_rng(14)
+    words = [f"w{i}" for i in range(12)]
+    docs = [Document(int(rng.integers(3)), list(rng.choice(words, n))) for n in (7, 3, 5, 1)]
+    vocab = build_vocab(docs)
+    model = build_model(ModelConfig(kind="clstm", d=4, H=6, K=3, C=3, bidirectional=True,
+                                    use_bias=True), vocab, seed=3)
+    batch = pad_batch(docs, vocab)
+    assert not batch.uniform_length
+
+    def gradients(probs, leaves, tape):
+        reg = [v for name, v in leaves.items() if name != "embedding"]
+        reg.append(take_rows(leaves["embedding"], np.unique(batch.ids)))
+        grads = backward(tape, objective(probs, batch.labels, reg, 1e-3))
+        return {name: np.asarray(grads[v.nid]).tobytes() for name, v in leaves.items()}
+
+    tape = Tape()
+    whole = gradients(*model.forward_batch(tape, batch), tape)
+
+    tape = Tape()
+    emb = tape.leaf(model.embedding.vectors)
+    bound_f, leaves_f = bind_params(tape, model.cell_fwd)
+    bound_b, leaves_b = bind_params(tape, model.cell_bwd)
+    xs = [take_rows(emb, batch.ids[:, t]) for t in range(batch.n_steps)]
+    mask = [tape.leaf(batch.mask[:, t:t + 1]) for t in range(batch.n_steps)]
+    enc = encode_bidirectional(model.config.encoder_config(), bound_f, bound_b, xs, mask)
+    bound_c, leaves_c = bind_params(tape, model.clf)
+    leaves = {"embedding": emb, **{f"fwd.{n}": v for n, v in leaves_f.items()},
+              **{f"bwd.{n}": v for n, v in leaves_b.items()},
+              **{f"clf.{n}": v for n, v in leaves_c.items()}}
+    per_step = gradients(classify(doc_representation(enc), bound_c), leaves, tape)
+    assert whole == per_step
 
 
 class TestTapeLifetime:

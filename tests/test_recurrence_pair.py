@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from cachedlstm import cells
-from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, mul, sum_all
+from cachedlstm.autodiff import (ShapeError, Tape, backward, concat_cols, mul, stack_steps,
+                                 sum_all)
 from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
@@ -37,9 +38,9 @@ def kernel_threads(monkeypatch):
     names = []
     real = cells._recurrence
 
-    def traced(*args):
+    def traced(*args, **kwargs):
         names.append(threading.current_thread().name)
-        value, parents, vjp, acts = real(*args)
+        value, parents, vjp, acts = real(*args, **kwargs)
 
         def traced_vjp(g):
             names.append(threading.current_thread().name)
@@ -125,8 +126,13 @@ def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
         (pf, lf), (pb, lb) = (bind_params(tape, p) for p in params)
         xs = [tape.leaf(x) for x in xs_arr]
         z = [tape.leaf(np.zeros((B, H))) for _ in range(4)]
-        runs = ((pf, xs, z[0], z[1], mask), (pb, xs[::-1], z[2], z[3], mask[:, ::-1]))
-        node = recurrence_pair(*runs) if paired else concat_cols([recurrence(*r) for r in runs])
+        if paired:  # one X, which the second run reads last step first
+            X = stack_steps(xs)
+            node = recurrence_pair(X, mask, (pf, z[0], z[1]), (pb, z[2], z[3]))
+        else:
+            node = concat_cols([recurrence(pf, stack_steps(xs), z[0], z[1], mask),
+                                recurrence(pb, stack_steps(xs[::-1]), z[2], z[3],
+                                           mask[:, ::-1])])
         grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         leaves = [*lf.values(), *lb.values(), *xs, *z]
         out.append([node.value] + [grads[v.nid] for v in leaves])
