@@ -521,15 +521,8 @@ def bind_params(tape: Tape, params):
     Returns (bound, leaves): a copy of the container whose tensor fields are
     Vars, and a name -> Var map for gradient lookup after backward.
     """
-    leaves: dict[str, Var] = {}
-    reps = {}
-    for field in dataclasses.fields(params):
-        t = getattr(params, field.name)
-        if isinstance(t, np.ndarray):
-            v = tape.leaf(t)
-            leaves[field.name] = v
-            reps[field.name] = v
-    return dataclasses.replace(params, **reps), leaves
+    leaves = {name: tape.leaf(t) for name, t in named_tensors(params).items()}
+    return dataclasses.replace(params, **leaves), leaves
 
 
 def named_tensors(params) -> dict[str, np.ndarray]:

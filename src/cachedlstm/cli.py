@@ -141,9 +141,12 @@ def _load_config(path: str, sets: list) -> RunConfig:
 
 def _read_split(path: str, n_classes: int, what: str) -> list:
     try:
-        return read_corpus(path, n_classes)
+        docs = read_corpus(path, n_classes)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} corpus: {exc}") from None
+    if not docs:
+        raise ConfigError(f"{what} corpus {path} holds no documents")
+    return docs
 
 
 def _prepare(cfg: RunConfig):

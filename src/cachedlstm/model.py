@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var, bounded_tanh, softmax, take_rows
-from .cells import CELL_KINDS, bind_params, final_state, init_params, named_tensors
+from .autodiff import Tape, bounded_tanh, softmax, take_rows
+from .cells import CELL_KINDS, GATES, final_state, init_params, named_tensors
 from .data import Batch, EmbeddingMatrix, Vocab, init_embeddings, pad_batch
 from .encoder import (
     ClassifierParams,
@@ -76,6 +76,43 @@ class ModelConfig:
             return self.d
         return self.encoder_config().rep_width
 
+    def tensor_shapes(self, vocab_size: int) -> dict:
+        """Name -> shape of every tensor a model of this config holds.
+
+        The names are those of ``DocModel.named_tensors``, in its order: the
+        embedding, each direction's stacked cell tensors, then the classifier.
+        """
+        shapes = {"embedding": (vocab_size, self.d)}
+        if self.kind != "cbow":
+            rows = len(GATES[self.kind]) * self.H
+            for prefix in ("fwd.", "bwd.")[:1 + self.bidirectional]:
+                shapes[prefix + "w"] = (rows, self.d)
+                shapes[prefix + "u"] = (rows, self.H)
+                if self.use_bias:
+                    shapes[prefix + "b"] = (rows, 1)
+        shapes["clf.w"] = (self.C, self.rep_width)
+        shapes["clf.b"] = (self.C, 1)
+        return shapes
+
+    def check_tensors(self, tensors: dict, vocab_size: int, holder: str) -> None:
+        """Raise ValueError, naming the tensor, unless ``tensors`` holds
+        exactly the names and shapes that ``tensor_shapes`` lists.
+
+        ``holder`` ("model", "container") says what holds them.
+        """
+        want = self.tensor_shapes(vocab_size)
+        for name, shape in want.items():
+            if name not in tensors:
+                raise ValueError(f"{holder} is missing tensor {name}")
+            got = tuple(tensors[name].shape)
+            if got != shape:
+                raise ValueError(f"tensor {name} has shape {got}; the config and its "
+                                 f"{vocab_size}-entry vocabulary need {shape} (rows, width)")
+        for name in tensors:
+            if name not in want:
+                raise ValueError(f"{holder} has unknown tensor {name!r}; "
+                                 f"its config holds {', '.join(want)}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -91,38 +128,26 @@ class DocModel:
     def __init__(self, config: ModelConfig, vocab: Vocab,
                  embedding: EmbeddingMatrix, cell_fwd, cell_bwd,
                  clf: ClassifierParams):
-        if embedding.width != config.d:
-            raise ValueError(
-                f"embedding width {embedding.width} != config d {config.d}"
-            )
-        if config.kind != "cbow" and cell_fwd is None:
-            raise ValueError("recurrent model needs cell parameters")
-        if config.bidirectional and cell_bwd is None:
-            raise ValueError("bidirectional model needs backward cell parameters")
-        if clf.n_classes != config.C:
-            raise ValueError(f"classifier has {clf.n_classes} classes, config {config.C}")
-        if clf.w.shape[1] != config.rep_width:
-            raise ValueError(
-                f"classifier width {clf.w.shape[1]} != representation width {config.rep_width}"
-            )
+        for direction, cell in (("fwd", cell_fwd), ("bwd", cell_bwd)):
+            if cell is not None and (cell.kind, cell.n_groups) != (config.kind, config.K):
+                raise ValueError(
+                    f"{direction} cell is {cell.kind} with K={cell.n_groups}, "
+                    f"config is {config.kind} with K={config.K}")
         self.config = config
         self.vocab = vocab
         self.embedding = embedding
         self.cell_fwd = cell_fwd
         self.cell_bwd = cell_bwd
         self.clf = clf
+        config.check_tensors(self.named_tensors(), len(vocab), "model")
 
     def named_tensors(self) -> dict:
         """All parameter arrays keyed by stable dotted names."""
         out = {"embedding": self.embedding.vectors}
-        if self.cell_fwd is not None:
-            for name, t in named_tensors(self.cell_fwd).items():
-                out[f"fwd.{name}"] = t
-        if self.cell_bwd is not None:
-            for name, t in named_tensors(self.cell_bwd).items():
-                out[f"bwd.{name}"] = t
-        for name, t in named_tensors(self.clf).items():
-            out[f"clf.{name}"] = t
+        for prefix, params in (("fwd.", self.cell_fwd), ("bwd.", self.cell_bwd),
+                               ("clf.", self.clf)):
+            if params is not None:
+                out.update({prefix + name: t for name, t in named_tensors(params).items()})
         return out
 
     def set_named_tensors(self, tensors: dict) -> None:
@@ -146,30 +171,25 @@ class DocModel:
         depend on T.  The mask path is skipped when no row is padded.
         """
         cfg = self.config
-        leaves: dict[str, Var] = {}
-        emb = tape.leaf(self.embedding.vectors)
-        leaves["embedding"] = emb
-        X = take_rows(emb, batch.ids.T)
+        leaves = {name: tape.leaf(t) for name, t in self.named_tensors().items()}
+
+        def bound(prefix, params):
+            return dataclasses.replace(
+                params, **{name: leaves[prefix + name] for name in named_tensors(params)})
+
+        X = take_rows(leaves["embedding"], batch.ids.T)
         mask = None if batch.uniform_length else batch.mask
         if cfg.kind == "cbow":
             rep = cbow_encode(X, mask)
         else:
             enc_cfg = cfg.encoder_config()
-            bound_f, leaves_f = bind_params(tape, self.cell_fwd)
-            for name, v in leaves_f.items():
-                leaves[f"fwd.{name}"] = v
             if cfg.bidirectional:
-                bound_b, leaves_b = bind_params(tape, self.cell_bwd)
-                for name, v in leaves_b.items():
-                    leaves[f"bwd.{name}"] = v
-                enc = encode_bidirectional(enc_cfg, bound_f, bound_b, X, mask)
+                enc = encode_bidirectional(enc_cfg, bound("fwd.", self.cell_fwd),
+                                           bound("bwd.", self.cell_bwd), X, mask)
             else:
-                enc = encode_forward(enc_cfg, bound_f, X, mask)
+                enc = encode_forward(enc_cfg, bound("fwd.", self.cell_fwd), X, mask)
             rep = doc_representation(enc)
-        bound_clf, leaves_c = bind_params(tape, self.clf)
-        for name, v in leaves_c.items():
-            leaves[f"clf.{name}"] = v
-        probs = classify(rep, bound_clf)
+        probs = classify(rep, bound("clf.", self.clf))
         return probs, leaves
 
     def probabilities(self, batch: Batch) -> np.ndarray:

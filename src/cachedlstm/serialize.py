@@ -146,45 +146,19 @@ def load_model(path: str):
     except TypeError:
         raise ValueError("container meta vocab_tokens must hold strings") from None
     vocab = Vocab(tokens)
-    if "embedding" not in tensors:
-        raise ValueError("container is missing the embedding tensor")
     trainable = meta.get("embedding_trainable", True)
     check_scalar("meta", "embedding_trainable", trainable, bool)
-    embedding = EmbeddingMatrix(vectors=tensors["embedding"], trainable=trainable)
-    if embedding.vectors.shape[0] != len(vocab):
-        raise ValueError(
-            f"embedding has {embedding.vectors.shape[0]} rows for a "
-            f"{len(vocab)}-entry vocabulary"
-        )
-
-    def cell_from(prefix):
-        _stack_legacy_gates(tensors, prefix, config.kind)
-        rows = len(GATES[config.kind]) * config.H
-        want = {"w": (rows, config.d), "u": (rows, config.H)}
-        if config.use_bias:
-            want["b"] = (rows, 1)
-        for part, shape in want.items():
-            name = prefix + part
-            if name not in tensors:
-                raise ValueError(f"container is missing tensor {name}")
-            if tensors[name].shape != shape:
-                raise ValueError(
-                    f"tensor {name}: shape {tensors[name].shape} != expected {shape}")
-        bias = tensors[prefix + "b"] if config.use_bias else None
-        return CellParams(config.kind, config.K, tensors[prefix + "w"],
-                          tensors[prefix + "u"], bias)
-
-    cell_fwd = cell_bwd = None
     if config.kind != "cbow":
-        cell_fwd = cell_from("fwd.")
-        if config.bidirectional:
-            cell_bwd = cell_from("bwd.")
-    for need in ("clf.w", "clf.b"):
-        if need not in tensors:
-            raise ValueError(f"container is missing tensor {need}")
-    clf = ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"])
-    model = DocModel(config, vocab, embedding, cell_fwd, cell_bwd, clf)
-    unknown = sorted(set(tensors) - set(model.named_tensors()))
-    if unknown:
-        raise ValueError(f"container has unknown tensor {unknown[0]!r}")
-    return model
+        for prefix in ("fwd.", "bwd.")[:1 + config.bidirectional]:
+            _stack_legacy_gates(tensors, prefix, config.kind)
+    config.check_tensors(tensors, len(vocab), "container")
+
+    def cell(prefix):
+        if prefix + "w" not in tensors:  # a direction the config does not have
+            return None
+        return CellParams(config.kind, config.K, tensors[prefix + "w"],
+                          tensors[prefix + "u"], tensors.get(prefix + "b"))
+
+    return DocModel(config, vocab, EmbeddingMatrix(tensors["embedding"], trainable),
+                    cell("fwd."), cell("bwd."),
+                    ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"]))

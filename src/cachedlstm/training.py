@@ -253,10 +253,9 @@ def fit(model: DocModel, train_docs: list, dev_docs: list,
         raise ValueError("fit: no training documents")
     if not dev_docs:
         raise ValueError("fit: no dev documents")
-    train_keys = {(d.label, tuple(d.tokens)) for d in train_docs}
-    for d in dev_docs:
-        if (d.label, tuple(d.tokens)) in train_keys:
-            raise ValueError("fit: train and dev sets overlap")
+    dev_keys = {(d.label, tuple(d.tokens)) for d in dev_docs}
+    if any((d.label, tuple(d.tokens)) in dev_keys for d in train_docs):
+        raise ValueError("fit: train and dev sets overlap")
     opt = AdagradState()
     best_acc, best_mse_ = _dev_metrics(model, dev_docs, cfg.batch_size)
     best_epoch = 0

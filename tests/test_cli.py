@@ -111,6 +111,20 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("split", ["train", "dev", "test"])
+    def test_empty_split_exits_2_without_outputs(self, tmp_path, needle_corpus, capsys,
+                                                 split):
+        # A test split with no documents used to be replaced by dev silently.
+        empty = tmp_path / f"empty_{split}.tsv"
+        empty.write_text("\n \n")
+        cfg_path = write_config(tmp_path, needle_corpus, **{
+            "data.test_path": str(needle_corpus / "dev.tsv"),
+            f"data.{split}_path": str(empty)})
+        assert run(["train", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {split} corpus {empty} holds no documents\n"
+        assert not (tmp_path / "out").exists()
+
     def test_section_not_an_object_exits_2(self, tmp_path, needle_corpus, capsys):
         cfg_path = write_config(tmp_path, needle_corpus)
         raw = json.loads(cfg_path.read_text())

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-op that ``autodiff`` exports is imported by another library module.
+"""Every name a library module imports is used in that module, every op
+that ``autodiff`` exports is imported by another library module, and every
+public module-level function and class of the library has a caller.
 
 Lines marked ``# noqa: F401`` are exempt from the first check: they import
 a name on purpose, for code that patches it there.
@@ -8,7 +9,8 @@ a name on purpose, for code that patches it there.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cachedlstm"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cachedlstm"
 
 
 def test_no_unused_imports():
@@ -46,3 +48,46 @@ def test_every_autodiff_op_has_a_library_caller():
             if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
                 imported.update(alias.name for alias in node.names)
     assert sorted(set(autodiff.__all__) - imported) == []
+
+
+def _references(statements) -> set:
+    """Names, attribute names and identifier strings the statements mention.
+
+    Strings count because code that patches a name gives it as a string;
+    an ``__all__`` list does not, since exporting a name is not using it.
+    """
+    refs = set()
+    for stmt in statements:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+    return refs
+
+
+def test_every_public_definition_has_a_caller():
+    # A public function or class is used by the library, a demo, the
+    # benchmark or the acceptance gate; code that only other tests reach
+    # belongs with those tests.  ``__init__``'s re-exports do not count.
+    library = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    callers = (sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+               + [ROOT / "tests" / "test_acceptance.py"])
+    bodies = {p: ast.parse(p.read_text(encoding="utf-8")).body for p in library + callers}
+    unused = []
+    for path in library:
+        others = _references(s for p, body in bodies.items() if p != path for s in body)
+        for i, stmt in enumerate(bodies[path]):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            rest = bodies[path][:i] + bodies[path][i + 1:]
+            if stmt.name not in others and stmt.name not in _references(rest):
+                unused.append(f"{path.name}: {stmt.name}")
+    assert not unused, unused

@@ -97,6 +97,73 @@ class TestBuildModel:
                      ClassifierParams(w=np.zeros((3, 7)), b=np.zeros((3, 1))))
 
 
+SCORING_KINDS = [("cbow", {}), ("rnn", {"H": 12}), ("lstm", {"H": 12}), ("cifg", {"H": 12}),
+                 ("clstm", {"H": 12, "K": 1}), ("clstm", {"H": 12, "K": 2}),
+                 ("clstm", {"H": 12, "K": 3})]
+SCORING_CASES = [(kind, extra, bidirectional) for kind, extra in SCORING_KINDS
+                 for bidirectional in ((False,) if kind == "cbow" else (False, True))]
+
+
+class TestPartsMatchConfig:
+    """``DocModel`` holds exactly the tensors ``ModelConfig.tensor_shapes`` lists."""
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("kind,extra,bidirectional", SCORING_CASES)
+    def test_table_lists_the_built_tensors_in_order(self, kind, extra, bidirectional,
+                                                    use_bias):
+        v = _toy_vocab()
+        cfg = ModelConfig(kind=kind, d=4, C=3, bidirectional=bidirectional,
+                          use_bias=use_bias, **extra)
+        tensors = build_model(cfg, v, seed=0).named_tensors()
+        assert [(name, t.shape) for name, t in tensors.items()] == list(
+            cfg.tensor_shapes(len(v)).items())
+
+    @staticmethod
+    def _parts(cfg, seed=0):
+        m = build_model(cfg, _toy_vocab(), seed=seed)
+        return m.embedding, m.cell_fwd, m.cell_bwd, m.clf
+
+    @pytest.mark.parametrize("model_cfg,cell_cfg,message", [
+        (ModelConfig(kind="clstm", d=4, H=6, K=3, C=3),
+         ModelConfig(kind="clstm", d=4, H=6, K=1, C=3),
+         "fwd cell is clstm with K=1, config is clstm with K=3"),
+        (ModelConfig(kind="clstm", d=4, H=6, K=3, C=3),
+         ModelConfig(kind="cifg", d=4, H=6, C=3),
+         "fwd cell is cifg with K=1, config is clstm with K=3"),
+        (ModelConfig(kind="cbow", d=4, C=3),
+         ModelConfig(kind="lstm", d=4, H=4, C=3),
+         "fwd cell is lstm with K=1, config is cbow with K=1"),
+        (ModelConfig(kind="lstm", d=4, H=4, C=3),
+         ModelConfig(kind="lstm", d=4, H=4, C=3, use_bias=True),
+         "model has unknown tensor 'fwd.b'"),
+    ], ids=["K1-cell-in-K3-model", "cifg-cell-in-clstm-model", "cell-in-cbow-model",
+            "biased-cell-in-unbiased-model"])
+    def test_forward_cell_that_disagrees_is_rejected(self, model_cfg, cell_cfg, message):
+        embedding, _, _, clf = self._parts(model_cfg)
+        cell = self._parts(cell_cfg)[1]
+        with pytest.raises(ValueError, match=message):
+            DocModel(model_cfg, _toy_vocab(), embedding, cell, None, clf)
+
+    def test_backward_cell_in_a_unidirectional_model_is_rejected(self):
+        cfg = ModelConfig(kind="clstm", d=4, H=6, K=3, C=3)
+        embedding, cell_fwd, _, clf = self._parts(cfg)
+        with pytest.raises(ValueError, match="model has unknown tensor 'bwd.w'"):
+            DocModel(cfg, _toy_vocab(), embedding, cell_fwd, cell_fwd, clf)
+
+    def test_missing_and_misshapen_tensors_are_named(self):
+        cfg = ModelConfig(kind="lstm", d=4, H=4, C=3, bidirectional=True)
+        embedding, cell_fwd, cell_bwd, clf = self._parts(cfg)
+        v = _toy_vocab()
+        with pytest.raises(ValueError, match="model is missing tensor bwd.w"):
+            DocModel(cfg, v, embedding, cell_fwd, None, clf)
+        with pytest.raises(ValueError, match="tensor embedding has shape .* vocabulary"):
+            DocModel(cfg, build_vocab([Document(0, ["t0"])]), embedding, cell_fwd,
+                     cell_bwd, clf)
+        wider = self._parts(ModelConfig(kind="lstm", d=4, H=5, C=3, bidirectional=True))
+        with pytest.raises(ValueError, match="tensor bwd.w has shape"):
+            DocModel(cfg, v, embedding, cell_fwd, wider[2], clf)
+
+
 class TestForwardAndPredict:
     def test_probability_rows_sum_to_one(self):
         v = _toy_vocab()
@@ -163,13 +230,6 @@ class TestForwardAndPredict:
         model.cell_bwd.w_c[:] += 0.05
         after, _ = model.forward_batch(Tape(), pad_batch([doc], v))
         assert np.abs(before.value - after.value).max() > 0.0
-
-
-SCORING_KINDS = [("cbow", {}), ("rnn", {"H": 12}), ("lstm", {"H": 12}), ("cifg", {"H": 12}),
-                 ("clstm", {"H": 12, "K": 1}), ("clstm", {"H": 12, "K": 2}),
-                 ("clstm", {"H": 12, "K": 3})]
-SCORING_CASES = [(kind, extra, bidirectional) for kind, extra in SCORING_KINDS
-                 for bidirectional in ((False,) if kind == "cbow" else (False, True))]
 
 
 def _scoring_model(kind, extra, bidirectional, use_bias, d, vocab, seed):

@@ -137,6 +137,57 @@ class TestModelRoundtrip:
         p2, _ = loaded.forward_batch(__import__("cachedlstm").Tape(), batch)
         assert p1.value.tobytes() == p2.value.tobytes()
 
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("kind,extra,bidirectional", [
+        ("cbow", {}, False),
+        *[(kind, {"H": 6}, bi) for kind in ("rnn", "lstm", "cifg") for bi in (False, True)],
+        *[("clstm", {"H": 6, "K": 3}, bi) for bi in (False, True)],
+    ])
+    def test_every_layout_roundtrips_bit_exact(self, tmp_path, kind, extra,
+                                               bidirectional, use_bias):
+        docs = [Document(i % 2, [f"w{j}" for j in range(i + 1)]) for i in range(5)]
+        vocab = build_vocab(docs)
+        cfg = ModelConfig(kind=kind, d=4, C=2, bidirectional=bidirectional,
+                          use_bias=use_bias, **extra)
+        model = build_model(cfg, vocab, seed=3)
+        rng = np.random.default_rng(3)
+        for t in model.named_tensors().values():
+            t[...] = rng.normal(size=t.shape)
+        model.embedding.vectors[0] = 0.0
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        loaded = load_model(str(path))
+        assert loaded.config == cfg
+        assert {n: t.tobytes() for n, t in loaded.named_tensors().items()} == {
+            n: t.tobytes() for n, t in model.named_tensors().items()}
+        batch = pad_batch(docs, vocab)
+        assert loaded.probabilities(batch).tobytes() == model.probabilities(batch).tobytes()
+
+    @pytest.mark.parametrize("name,shape,message", [
+        ("fwd.u", (12, 4), "tensor fwd.u has shape \\(12, 4\\)"),
+        ("clf.b", (3, 1), "tensor clf.b has shape \\(3, 1\\)"),
+        ("embedding", (0, 3), "tensor embedding has shape \\(0, 3\\)"),
+    ], ids=["fwd.u", "clf.b", "empty-embedding"])
+    def test_misshapen_tensor_exits_2_naming_it(self, tmp_path, capsys, name, shape,
+                                                message):
+        from cachedlstm.cli import main
+
+        docs = [Document(0, ["a", "b"]), Document(1, ["b", "c"])]
+        model = build_model(ModelConfig(kind="lstm", d=3, H=3, C=2), build_vocab(docs),
+                            seed=0)
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        tensors, meta = load_container(str(path))
+        tensors[name] = np.zeros(shape)
+        save_container(str(path), tensors, meta)
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tb c\n")
+        assert main(["eval", str(path), str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tensor {name} has shape") and "Traceback" not in err
+
     def test_missing_tensor_detected(self, tmp_path):
         docs = [Document(0, ["a", "b"])]
         vocab = build_vocab(docs)

@@ -413,6 +413,23 @@ class TestFit:
         with pytest.raises(ValueError, match="overlap"):
             fit(model, docs, [docs[0]], TrainConfig(max_epochs=1))
 
+    def test_overlap_check_holds_no_copy_of_train(self):
+        # Keying every training document held ~9 B per training token here;
+        # the check keys the dev set and scans train instead.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(50)]
+        train = [Document(i % 2, [words[j] for j in rng.integers(0, 50, size=200)])
+                 for i in range(2000)]
+        dev = [Document(0, ["w1", "w2"]), Document(1, ["w3"])]
+        model = build_model(ModelConfig(kind="cbow", d=4, C=2), build_vocab(train), seed=0)
+        tracemalloc.start()
+        try:
+            fit(model, train, dev, TrainConfig(max_epochs=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2000 * 200) < 1.0
+
     def test_zero_epochs_reports_initial_state(self):
         docs = _separable_docs(6)
         dev = [Document(0, ["good", "y"]), Document(1, ["bad", "y"])]
