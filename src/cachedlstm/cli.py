@@ -12,9 +12,9 @@ Subcommands:
     convert    import a delimited corpus into the canonical format
 
 Exit codes: 0 success, 1 a check failed, 2 bad usage or config, 3 runtime
-abort (such as a diverged objective).  Config or input validation failures
-happen before any output file is opened, so a failed run leaves no partial
-outputs behind.
+abort (a diverged objective, or running out of memory).  Config or input
+validation failures happen before any output file is opened, so a failed
+run leaves no partial outputs behind.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .gradcheck import encoder_gradcheck, pipeline_gradcheck
 from .model import ModelConfig, build_model
-from .schema import ConfigError, build_section
+from .schema import ROOT, ConfigError, build_section
 from .serialize import load_model, save_model
 from .training import TrainConfig, TrainingDiverged, fit
 
@@ -71,37 +71,24 @@ class DataConfig:
 
     def __post_init__(self):
         if self.min_count < 1:
-            raise ConfigError(f"data.min_count must be >= 1, got {self.min_count}")
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 
 
 @dataclasses.dataclass
 class RunConfig:
     model: ModelConfig
-    train: TrainConfig
     data: DataConfig
     output_dir: str
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if not self.output_dir:
+            raise ValueError("output_dir must be a non-empty string")
 
 
 def parse_run_config(raw: dict) -> RunConfig:
     """Validate a config dict: sections model/train/data plus output_dir."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known_top = {"model", "train", "data", "output_dir"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ConfigError(
-            f"unknown top-level key {sorted(unknown)[0]!r} (known: {sorted(known_top)})"
-        )
-    for need in ("model", "data", "output_dir"):
-        if need not in raw:
-            raise ConfigError(f"config is missing {need!r}")
-    model = build_section(ModelConfig, raw["model"], "model")
-    train = build_section(TrainConfig, raw.get("train", {}), "train")
-    data = build_section(DataConfig, raw["data"], "data")
-    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-        raise ConfigError("output_dir must be a non-empty string")
-    return RunConfig(model=model, train=train, data=data,
-                     output_dir=raw["output_dir"])
+    return build_section(RunConfig, raw, ROOT)
 
 
 def _apply_overrides(raw: dict, sets: list) -> dict:
@@ -134,7 +121,7 @@ def _load_config(path: str, sets: list) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_run_config(_apply_overrides(raw, sets) if isinstance(raw, dict) else raw)
 
@@ -159,13 +146,7 @@ def _prepare(cfg: RunConfig):
     vocab = build_vocab(train_docs, min_count=cfg.data.min_count)
     ss = np.random.SeedSequence([cfg.train.seed, 1])
     if cfg.data.embeddings_path:
-        try:
-            embedding = load_embeddings(cfg.data.embeddings_path, vocab,
-                                        cfg.model.d, seed=ss)
-        except OSError as exc:
-            raise ConfigError(f"cannot read embeddings: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        embedding = load_embeddings(cfg.data.embeddings_path, vocab, cfg.model.d, seed=ss)
     else:
         embedding = init_embeddings(vocab, cfg.model.d, seed=ss)
     embedding.trainable = cfg.data.embeddings_trainable
@@ -224,6 +205,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.weight_decay) and args.weight_decay >= 0):
         raise ConfigError(f"--weight-decay must be a finite number >= 0, "
                           f"got {args.weight_decay}")
@@ -270,6 +253,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     train, dev = synth_needle(args.n_docs, args.length, args.classes,
                               noise_vocab_size=args.noise_vocab, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -373,6 +358,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ padding embedding row is pinned to zero.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -46,6 +47,28 @@ class Document:
 def tokenize(text: str) -> list:
     """Lowercased whitespace tokens with sentence separators removed."""
     return [t for t in text.lower().split() if t != SEPARATOR_TOKEN]
+
+
+def _parse_lines(path: str, parse):
+    """Yield ``parse(line)`` for each non-blank line of a UTF-8 text file.
+
+    Lines come without their newline.  A ValueError from ``parse``, and a
+    byte that is not UTF-8, are raised as ValueError starting ``path:line:``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield parse(line.rstrip("\n"))
+        except UnicodeDecodeError as exc:
+            # The decoder reads ahead of the lines, so find the line: read
+            # again, each bad byte becomes a code point in U+DC80..U+DCFF.
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                lineno = next(n for n, line in enumerate(again, start=1)
+                              if any("\udc80" <= ch <= "\udcff" for ch in line))
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 class Vocab:
@@ -115,10 +138,6 @@ class EmbeddingMatrix:
         v[PAD_ID, :] = 0.0
         self.vectors = v
 
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
-
 
 def init_embeddings(vocab: Vocab, width: int, seed=0) -> EmbeddingMatrix:
     """Random uniform [-0.1, 0.1] vectors, padding row zero, seeded."""
@@ -136,35 +155,21 @@ def load_embeddings(path: str, vocab: Vocab, width: int, seed=0) -> EmbeddingMat
     width mismatches and nan or inf values raise ValueError naming the line
     number.
     """
-    found: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'token v1 ... vd'")
-            token = parts[0]
-            if len(parts) - 1 != width:
-                raise ValueError(
-                    f"{path}:{lineno}: vector has {len(parts) - 1} values, expected {width}"
-                )
-            try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad float ({exc})") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: vector holds nan or inf")
-            if token in vocab:
-                found[token] = vec
+    def parse(line):
+        parts = line.split(" ")
+        if len(parts) - 1 != width:
+            raise ValueError(f"vector has {len(parts) - 1} values, expected {width}")
+        vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise ValueError("vector holds nan or inf")
+        return parts[0], vec
+
+    found = {token: vec for token, vec in _parse_lines(path, parse) if token in vocab}
     rng = np.random.default_rng(seed)
     v = np.empty((len(vocab), width))
     for idx in range(len(vocab)):
         token = vocab.token_for(idx)
-        if token in found:
-            v[idx] = found[token]
-        else:
-            v[idx] = rng.uniform(-0.1, 0.1, size=width)
+        v[idx] = found[token] if token in found else rng.uniform(-0.1, 0.1, size=width)
     return EmbeddingMatrix(vectors=v)
 
 
@@ -234,33 +239,36 @@ def make_batches(docs: list, vocab: Vocab, batch_size: int, seed=0,
     return [pad_batch([docs[i] for i in chunk], vocab) for chunk in chunks]
 
 
+def _read_documents(path: str, split, label_offset: int, n_classes) -> list:
+    """Documents from a file whose lines ``split(line)`` turns into (label
+    field, text): an integer label, in 0..n_classes-1 once shifted by
+    label_offset, and a text that holds a token."""
+    def parse(line):
+        label_field, text = split(line)
+        try:
+            label = int(label_field) + label_offset
+        except ValueError:
+            raise ValueError(f"label {label_field!r} is not an integer") from None
+        if not 0 <= label < n_classes:
+            raise ValueError(f"label {label} outside 0..{n_classes - 1}")
+        return Document(label=label, tokens=tokenize(text))  # rejects empty text
+
+    return list(_parse_lines(path, parse))
+
+
 def read_corpus(path: str, n_classes: int) -> list:
     """Parse a canonical ``label<TAB>text`` file.
 
-    Blank lines are skipped.  A bad label, out-of-range class, or empty text
-    raises ValueError naming the line number.
+    Blank lines are skipped.  A missing tab, bad label, out-of-range class,
+    or empty text raises ValueError naming the line number.
     """
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            head, sep, text = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: missing tab separator")
-            try:
-                label = int(head)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label {head!r} is not an integer") from None
-            if not 0 <= label < n_classes:
-                raise ValueError(
-                    f"{path}:{lineno}: label {label} outside 0..{n_classes - 1}"
-                )
-            tokens = tokenize(text)
-            if not tokens:
-                raise ValueError(f"{path}:{lineno}: document has no tokens")
-            docs.append(Document(label=label, tokens=tokens))
-    return docs
+    def split(line):
+        head, sep, text = line.partition("\t")
+        if not sep:
+            raise ValueError("missing tab separator")
+        return head, text
+
+    return _read_documents(path, split, 0, n_classes)
 
 
 def write_corpus(path: str, docs: list) -> None:
@@ -285,33 +293,16 @@ def convert_external(path: str, field_sep: str, label_index: int, text_index: in
         raise ValueError("field_sep must not be empty")
     if n_classes is not None and n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(field_sep)
-            hi = max(label_index, text_index)
-            if len(fields) <= hi:
-                raise ValueError(
-                    f"{path}:{lineno}: only {len(fields)} fields, need index {hi}"
-                )
-            try:
-                label = int(fields[label_index]) + label_offset
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: label {fields[label_index]!r} is not an integer"
-                ) from None
-            if label < 0 or (n_classes is not None and label >= n_classes):
-                hi_txt = n_classes - 1 if n_classes is not None else "inf"
-                raise ValueError(
-                    f"{path}:{lineno}: shifted label {label} outside 0..{hi_txt}"
-                )
-            tokens = tokenize(fields[text_index])
-            if not tokens:
-                raise ValueError(f"{path}:{lineno}: document has no tokens")
-            docs.append(Document(label=label, tokens=tokens))
-    return docs
+    hi = max(label_index, text_index)
+
+    def split(line):
+        fields = line.split(field_sep)
+        if len(fields) <= hi:
+            raise ValueError(f"only {len(fields)} fields, need index {hi}")
+        return fields[label_index], fields[text_index]
+
+    return _read_documents(path, split, label_offset,
+                           math.inf if n_classes is None else n_classes)
 
 
 def synth_needle(n_docs: int, length: int, n_classes: int,

@@ -178,10 +178,6 @@ class ClassifierParams:
                 f"ClassifierParams: b must be {c}x1, got {tuple(self.b.shape)}"
             )
 
-    @property
-    def n_classes(self) -> int:
-        return self.w.shape[0]
-
 
 def init_classifier(rep_width: int, n_classes: int, seed=0) -> ClassifierParams:
     """Uniform [-0.1, 0.1] weights, zero bias, seeded."""

@@ -69,12 +69,10 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
 
 def pipeline_gradcheck(kind: str, width: int, seed: int, eps: float,
                        weight_decay: float = 0.001, hidden: int = 6,
-                       n_groups: int = 1, n_steps: int = 5,
-                       n_classes: int = 3, batch: int = 3,
-                       bidirectional: bool = False) -> float:
+                       n_groups: int = 1, n_steps: int = 5, batch: int = 3) -> float:
     """Gradient check of the full training objective against central
     differences: embedding lookup, encoder, softmax, cross-entropy, and the
-    L2 penalty, on a small padded batch.
+    L2 penalty, on a small padded batch of three-class documents.
 
     The penalty covers the whole embedding matrix, unlike training, which
     penalises only the rows a batch touches.  The touched-row penalty
@@ -92,7 +90,7 @@ def pipeline_gradcheck(kind: str, width: int, seed: int, eps: float,
     rng = np.random.default_rng(seed)
     vocab = build_vocab([Document(label=0, tokens=[f"t{i}" for i in range(10)])])
     config = ModelConfig(kind=kind, d=width, H=1 if kind == "cbow" else hidden,
-                         K=n_groups, C=n_classes, bidirectional=bidirectional)
+                         K=n_groups, C=3)
     model = build_model(config, vocab, seed=seed)
     ids = rng.integers(0, len(vocab), size=(batch, n_steps))
     lengths = np.concatenate(
@@ -101,7 +99,7 @@ def pipeline_gradcheck(kind: str, width: int, seed: int, eps: float,
     mask = (np.arange(n_steps)[None, :] < lengths[:, None]).astype(np.float64)
     ids[mask == 0.0] = 0
     batch = Batch(ids=ids, mask=mask, lengths=lengths,
-                  labels=rng.integers(0, n_classes, size=batch))
+                  labels=rng.integers(0, config.C, size=batch))
 
     def f(params):
         model.set_named_tensors(params)

@@ -1,8 +1,10 @@
 """Typed construction of config dataclasses from parsed JSON.
 
-A run config's sections and a saved model's config both come from JSON, so
-they share one set of rules: a section is an object, it names only the
-dataclass's fields, and each value has the field's scalar type.
+A run config and a saved model's config both come from JSON, so they share
+one set of rules: a section is an object that names each required field of
+its dataclass and no other key, and each value is a section or has the
+field's scalar type.  Errors name a key by its path: ``model.H``, or
+``output_dir`` at the root.
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ import math
 import typing
 
 
+ROOT = "config root"
+
+
 class ConfigError(ValueError):
     """A config problem, reported with the offending key."""
+
+
+def _dotted(section: str, key: str) -> str:
+    return key if section == ROOT else f"{section}.{key}"
 
 
 _SCALAR_NAMES = {int: "an integer", float: "a finite number",
@@ -40,31 +49,37 @@ def check_scalar(section: str, key: str, value, hint) -> None:
     if not ok:
         nullable = " or null" if type(None) in allowed else ""
         raise ConfigError(
-            f"{section}.{key} must be {_SCALAR_NAMES[kind]}{nullable}, got {value!r}"
+            f"{_dotted(section, key)} must be {_SCALAR_NAMES[kind]}{nullable}, got {value!r}"
         )
 
 
 def build_section(cls, raw, section: str):
     """An instance of dataclass ``cls`` from the JSON object ``raw``.
 
-    Raises ConfigError, naming ``section`` and the key, for a non-object,
-    an unknown or missing key, a value of the wrong type, or a value that
-    ``cls`` itself rejects.
+    A field whose type is a dataclass is built from its own object.  Raises
+    ConfigError, naming ``section`` and the key, for a non-object, an unknown
+    or missing key, a value of the wrong type, or a value that ``cls`` itself
+    rejects.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
-        raise ConfigError(
-            f"unknown key {section}.{sorted(unknown)[0]} (known: {sorted(known)})"
-        )
+        raise ConfigError(f"unknown key {_dotted(section, sorted(unknown)[0])} "
+                          f"(known: {sorted(fields)})")
+    for name, f in fields.items():
+        if (name not in raw and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigError(f"{section} is missing {name!r}")
     hints = typing.get_type_hints(cls)
+    values = dict(raw)
     for key, value in raw.items():
-        check_scalar(section, key, value, hints[key])
+        if dataclasses.is_dataclass(hints[key]):
+            values[key] = build_section(hints[key], value, _dotted(section, key))
+        else:
+            check_scalar(section, key, value, hints[key])
     try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-    except ValueError as exc:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from None

@@ -130,8 +130,12 @@ def load_model(path: str):
     """Rebuild a DocModel from a container written by save_model.
 
     Files that store each gate's tensors under its own name load as well.
+    A malformed container raises ValueError starting with its path.
     """
-    tensors, meta = load_container(path)
+    try:
+        tensors, meta = load_container(path)
+    except ValueError as exc:  # also bad JSON or UTF-8 in the meta or a name
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError("container meta must be a JSON object")
     if meta.get("format") != "doc-classifier":

@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gradient_clip_norm is not None and self.gradient_clip_norm <= 0:
             raise ValueError("gradient_clip_norm must be positive when set")
 

@@ -411,3 +411,139 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0
         assert "train" in capsys.readouterr().out
+
+
+class TestMissingKeys:
+    @pytest.mark.parametrize("section,key", [
+        ("model", "kind"), ("model", "d"), ("data", "train_path"), ("data", "dev_path")])
+    def test_missing_section_key_is_named(self, tmp_path, needle_corpus, capsys,
+                                          section, key):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        raw = json.loads(cfg_path.read_text())
+        del raw[section][key]
+        cfg_path.write_text(json.dumps(raw))
+        assert run(["train", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {section} is missing {key!r}\n"
+
+    @pytest.mark.parametrize("key", ["model", "data", "output_dir"])
+    def test_missing_top_level_key_is_named(self, tmp_path, needle_corpus, capsys, key):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        raw = json.loads(cfg_path.read_text())
+        del raw[key]
+        cfg_path.write_text(json.dumps(raw))
+        assert run(["train", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config root is missing {key!r}\n"
+
+    def test_train_section_may_be_left_out(self, tmp_path, needle_corpus):
+        raw = json.loads(write_config(tmp_path, needle_corpus).read_text())
+        del raw["train"]
+        assert cli.parse_run_config(raw).train == cli.TrainConfig()
+
+
+class TestInputFiles:
+    """Every input file that is not UTF-8 text, or is missing or malformed,
+    exits 2 with one line naming it."""
+
+    def _assert_exit_2(self, argv, capsys, *parts):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(part in err for part in parts), err
+
+    @pytest.mark.parametrize("split", ["train", "dev", "test"])
+    def test_non_utf8_corpus_names_file_and_line(self, tmp_path, needle_corpus, capsys,
+                                                 split):
+        bad = tmp_path / f"bad_{split}.tsv"
+        bad.write_bytes(b"0\tfine words\n1\tbad \xff byte\n")
+        cfg_path = write_config(tmp_path, needle_corpus, **{
+            "data.test_path": str(needle_corpus / "dev.tsv"),
+            f"data.{split}_path": str(bad)})
+        self._assert_exit_2(["train", str(cfg_path)], capsys, f"{bad}:2: not UTF-8")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_eval_corpus_names_file(self, tmp_path, needle_corpus, capsys):
+        cfg_path = write_config(tmp_path, needle_corpus, **{"train.max_epochs": 1})
+        assert run(["train", str(cfg_path)]) == 0
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff0\tword\n")
+        self._assert_exit_2(["eval", str(tmp_path / "out" / "model.bin"), str(bad)],
+                            capsys, f"{bad}:1: not UTF-8")
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b'{"model": "\xff"}')
+        self._assert_exit_2(["train", str(cfg_path)], capsys, str(cfg_path))
+
+    def test_eval_with_swapped_arguments_names_the_model_path(self, tmp_path,
+                                                              needle_corpus, capsys):
+        corpus = needle_corpus / "dev.tsv"
+        self._assert_exit_2(["eval", str(corpus), str(corpus)], capsys,
+                            f"error: {corpus}: not a model container")
+
+    def _vectors(self, tmp_path, needle_corpus, body: bytes):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(body)
+        return path, write_config(tmp_path, needle_corpus, **{
+            "data.embeddings_path": str(path), "train.max_epochs": 1})
+
+    def test_embeddings_file_trains(self, tmp_path, needle_corpus):
+        # "cue0" is a token of the corpus; "absent" is not.
+        path, cfg_path = self._vectors(tmp_path, needle_corpus,
+                                       b"cue0 1 2 3 4 5 6\nabsent 1 1 1 1 1 1\n")
+        assert run(["train", str(cfg_path), "--set", "data.embeddings_trainable=false"]) == 0
+        model = load_model(str(tmp_path / "out" / "model.bin"))
+        row = model.embedding.vectors[model.vocab.ids(["cue0"])[0]]
+        np.testing.assert_array_equal(row, [1, 2, 3, 4, 5, 6])
+
+    def test_missing_embeddings_file_names_it(self, tmp_path, needle_corpus, capsys):
+        cfg_path = write_config(tmp_path, needle_corpus, **{
+            "data.embeddings_path": str(tmp_path / "absent.txt")})
+        self._assert_exit_2(["train", str(cfg_path)], capsys, str(tmp_path / "absent.txt"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body,message", [
+        (b"cue0 1 2 3 4 5 6\ncue1 1 2\n", ":2: vector has 2 values, expected 6"),
+        (b"cue0 1 2 3 4 5 x\n", ":1: could not convert"),
+        (b"cue0 1 2 3 4 5 6\n\ncue1 1 2 3 4 5 \xff\n", ":3: not UTF-8"),
+    ])
+    def test_malformed_embeddings_file_names_file_and_line(self, tmp_path, needle_corpus,
+                                                            capsys, body, message):
+        path, cfg_path = self._vectors(tmp_path, needle_corpus, body)
+        self._assert_exit_2(["train", str(cfg_path)], capsys, f"{path}{message}")
+        assert not (tmp_path / "out").exists()
+
+
+class TestRuntimeAborts:
+    def test_diverged_training_exits_3(self, tmp_path, needle_corpus, capsys):
+        # The step size overflows the weights, and the L2 term of the
+        # objective turns them into a non-finite loss.
+        cfg_path = write_config(tmp_path, needle_corpus, **{"train.weight_decay": 0.001})
+        with np.errstate(all="ignore"):
+            assert run(["train", str(cfg_path), "--set", "train.learning_rate=1e308"]) == 3
+        assert capsys.readouterr().err.startswith("error: non-finite objective")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exits_3(self, tmp_path, needle_corpus, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_model", no_memory)
+        cfg_path = write_config(tmp_path, needle_corpus)
+        assert run(["train", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == \
+            "error: out of memory (Unable to allocate 1.00 TiB for an array)\n"
+
+
+class TestNegativeSeeds:
+    def test_train_seed(self, tmp_path, needle_corpus, capsys):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        assert run(["train", str(cfg_path), "--set", "train.seed=-1"]) == 2
+        assert capsys.readouterr().err == "error: train: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command,seed", [("synth", "-1"), ("gradcheck", "-3")])
+    def test_command_seed(self, tmp_path, capsys, command, seed):
+        out = ["--out-dir", str(tmp_path / "data")] if command == "synth" else []
+        assert run([command, *out, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must be >= 0, got {seed}\n"
+        assert captured.out == "" and not (tmp_path / "data").exists()

@@ -1,6 +1,8 @@
 """Corpus pipeline tests: tokenization, vocabulary ids, embeddings, batch
 padding, corpus files, the external importer, and the synthetic needle task."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,48 @@ class TestCorpusIO:
         path = tmp_path / "c.tsv"
         path.write_text("0\ta\n\n1\tb\n")
         assert len(read_corpus(str(path), 2)) == 2
+
+
+class TestLineErrors:
+    """Every reader names the file and line of a bad line, also of a byte
+    that is not UTF-8."""
+
+    def _read(self, reader, path):
+        if reader == "read_corpus":
+            return read_corpus(str(path), 2)
+        if reader == "convert_external":
+            return convert_external(str(path), "\t", label_index=0, text_index=1)
+        return load_embeddings(str(path), build_vocab([Document(0, ["a"])]), 1)
+
+    @pytest.mark.parametrize("reader", ["read_corpus", "convert_external", "load_embeddings"])
+    @pytest.mark.parametrize("bad_line", [1, 3, 5000])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, reader, bad_line):
+        # Line 5000 lies many decoder chunks into the file.
+        good = "a 1\n" if reader == "load_embeddings" else "0\ta\n"
+        path = tmp_path / "f.txt"
+        path.write_bytes(good.encode() * (bad_line - 1) + b"\xff" + good.encode() * 3)
+        message = f"{path}:{bad_line}: not UTF-8 text"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            self._read(reader, path)
+
+    @pytest.mark.parametrize("reader,text,message", [
+        ("read_corpus", "0\ta\n\n2\tb\n", "3: label 2 outside 0..1"),
+        ("read_corpus", "0\t <sssss> \n", "1: document has no tokens"),
+        ("convert_external", "0\ta\nx\tb\n", "2: label 'x' is not an integer"),
+        ("convert_external", "0\ta\n1\n", "2: only 1 fields, need index 1"),
+        ("load_embeddings", "a 1\nb\n", "2: vector has 0 values, expected 1"),
+        ("load_embeddings", "a nan\n", "1: vector holds nan or inf"),
+    ])
+    def test_error_starts_with_path_and_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{message}") + "$"):
+            self._read(reader, path)
+
+    def test_text_is_everything_after_the_first_tab(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("1\tone\ttwo\n")
+        assert read_corpus(str(path), 2)[0].tokens == ["one", "two"]
 
 
 class TestConvert:

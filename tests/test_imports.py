@@ -1,16 +1,21 @@
 """Every name a library module imports is used in that module, every op
-that ``autodiff`` exports is imported by another library module, and every
-public module-level function and class of the library has a caller.
+that ``autodiff`` exports is imported by another library module, every
+public module-level function and class of the library has a caller, and so
+does every public method and property of a library class.
 
 Lines marked ``# noqa: F401`` are exempt from the first check: they import
 a name on purpose, for code that patches it there.
 """
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cachedlstm"
+LIBRARY = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+CALLERS = (sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def test_no_unused_imports():
@@ -77,12 +82,9 @@ def test_every_public_definition_has_a_caller():
     # A public function or class is used by the library, a demo, the
     # benchmark or the acceptance gate; code that only other tests reach
     # belongs with those tests.  ``__init__``'s re-exports do not count.
-    library = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    callers = (sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-               + [ROOT / "tests" / "test_acceptance.py"])
-    bodies = {p: ast.parse(p.read_text(encoding="utf-8")).body for p in library + callers}
+    bodies = {p: ast.parse(p.read_text(encoding="utf-8")).body for p in LIBRARY + CALLERS}
     unused = []
-    for path in library:
+    for path in LIBRARY:
         others = _references(s for p, body in bodies.items() if p != path for s in body)
         for i, stmt in enumerate(bodies[path]):
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
@@ -90,4 +92,31 @@ def test_every_public_definition_has_a_caller():
             rest = bodies[path][:i] + bodies[path][i + 1:]
             if stmt.name not in others and stmt.name not in _references(rest):
                 unused.append(f"{path.name}: {stmt.name}")
+    assert not unused, unused
+
+
+def _member_reads(node) -> collections.Counter:
+    """Attribute names read, and identifier strings, under an AST node."""
+    return collections.Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(node)
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str)))
+
+
+def test_every_public_member_has_a_caller():
+    # The same rule for the public methods and properties of library
+    # classes.  A member counts as used when some code outside its own
+    # definition reads it as an attribute or names it in a string; plain
+    # names do not count, since members share names with common locals.
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in LIBRARY + CALLERS]
+    reads = sum((_member_reads(tree) for tree in trees), collections.Counter())
+    unused = []
+    for path, tree in zip(LIBRARY, trees):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                        and reads[member.name] == _member_reads(member)[member.name]):
+                    unused.append(f"{path.name}: {cls.name}.{member.name}")
     assert not unused, unused

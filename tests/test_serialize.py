@@ -339,3 +339,21 @@ class TestLegacyFiles:
         save_container(str(path), tensors, meta)
         with pytest.raises(ValueError, match="fwd.u"):
             load_model(str(path))
+
+
+def test_container_config_without_a_required_key_names_it(tmp_path, capsys):
+    from cachedlstm.cli import main
+
+    model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2),
+                        build_vocab([Document(0, ["a", "b"])]), seed=0)
+    path = tmp_path / "model.bin"
+    save_model(str(path), model)
+    tensors, meta = load_container(str(path))
+    del meta["config"]["kind"]
+    save_container(str(path), tensors, meta)
+    with pytest.raises(ValueError, match="^config is missing 'kind'$"):
+        load_model(str(path))
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("0\ta b\n")
+    assert main(["eval", str(path), str(corpus)]) == 2
+    assert capsys.readouterr().err == "error: config is missing 'kind'\n"

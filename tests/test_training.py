@@ -130,6 +130,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's own message for a negative seed names no parameter.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+
 
 def _separable_docs(n=24):
     docs = []
