@@ -17,9 +17,9 @@ memory falls apart and grouped memory does not.
 import numpy as np
 
 from cachedlstm.data import Document, build_vocab
-from cachedlstm.evaluation import group_sweep, length_decile_report
+from cachedlstm.evaluation import length_decile_report
 from cachedlstm.model import ModelConfig, build_model
-from cachedlstm.training import TrainConfig, fit
+from cachedlstm.training import TrainConfig, fit, group_sweep
 
 
 def variable_needle(n_docs=440, n_classes=2, seed=21):

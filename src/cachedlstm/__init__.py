@@ -57,7 +57,6 @@ from .evaluation import (
     accuracy,
     convergence_log,
     evaluate,
-    group_sweep,
     length_decile_report,
     mse,
 )
@@ -71,6 +70,7 @@ from .training import (
     TrainingDiverged,
     adagrad_update,
     fit,
+    group_sweep,
     objective,
     train_epoch,
 )

@@ -64,6 +64,7 @@ of its memory.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -407,12 +408,14 @@ def _threaded(work: int) -> bool:
 def _both(f1, f2, work: int) -> tuple:
     """(f1(), f2()), f2 on a helper thread when ``_threaded(work)``.
 
-    Both calls finish, and the helper has ended, before an error of either is raised.
+    The helper runs f2 in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) applies there too.  Both calls finish, and the
+    helper has ended, before an error of either is raised.
     """
     if not _threaded(work):
         return f1(), f2()
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cachedlstm") as helper:
-        second = helper.submit(f2)
+        second = helper.submit(contextvars.copy_context().run, f2)
         first = f1()
     return first, second.result()
 

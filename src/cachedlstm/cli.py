@@ -37,18 +37,12 @@ from .data import (
     synth_needle,
     write_corpus,
 )
-from .evaluation import (
-    convergence_log,
-    deciles_from,
-    evaluate,
-    group_sweep,
-    metrics_from,
-)
+from .evaluation import convergence_log, deciles_from, evaluate, metrics_from
 from .gradcheck import encoder_gradcheck, pipeline_gradcheck
 from .model import ModelConfig, build_model
 from .schema import ROOT, ConfigError, build_section
 from .serialize import load_model, save_model
-from .training import TrainConfig, TrainingDiverged, fit
+from .training import TrainConfig, TrainingDiverged, fit, group_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -173,8 +167,8 @@ def cmd_train(args) -> int:
         "best_epoch": report.best_epoch,
         "best_dev_acc": report.best_dev_acc,
         "epochs_run": len(report.epochs),
-        "model": cfg.model.to_dict(),
-        "train": cfg.train.to_dict(),
+        "model": dataclasses.asdict(cfg.model),
+        "train": dataclasses.asdict(cfg.train),
     }
     with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -188,7 +182,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    docs = read_corpus(args.corpus, model.config.C)
+    docs = _read_split(args.corpus, model.config.C, "eval")
     preds = model.predict(docs, batch_size=args.batch_size)
     metrics = metrics_from(preds, docs)
     print(f"n {metrics.n}  accuracy {metrics.accuracy:.4f}  mse {metrics.mse:.4f}")

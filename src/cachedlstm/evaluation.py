@@ -1,5 +1,5 @@
 """Metrics and reports: accuracy, rating MSE, convergence logs, accuracy by
-document-length decile, and the memory-group sweep.
+document-length decile, and the memory-group sweep's report.
 
 All report formats are plain CSV with floats written via repr, which round
 trips exactly through float(), so re-parsing a log reproduces the numbers
@@ -8,12 +8,11 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingMatrix
-from .model import DocModel, ModelConfig, build_model
+from .model import DocModel
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,7 @@ def length_deciles(lengths: np.ndarray) -> list:
     n = len(lengths)
     if n < 10:
         raise ValueError(f"need at least 10 documents for deciles, got {n}")
-    order = np.argsort(lengths, kind="stable")
-    base, extra = divmod(n, 10)
-    buckets = []
-    lo = 0
-    for i in range(10):
-        size = base + (1 if i < extra else 0)
-        buckets.append(order[lo:lo + size])
-        lo += size
-    return buckets
+    return np.array_split(np.argsort(lengths, kind="stable"), 10)
 
 
 def deciles_from(preds: np.ndarray, docs: list) -> DecileReport:
@@ -167,41 +158,3 @@ class SweepReport:
                 f"{e.n_groups},{_fmt(e.best_dev_acc)},{_fmt(e.best_dev_mse)},{e.best_epoch}"
             )
         return "\n".join(lines) + "\n"
-
-
-def group_sweep(base_config: ModelConfig, k_values: list, train_docs: list,
-                dev_docs: list, train_cfg, vocab,
-                embedding=None) -> SweepReport:
-    """Train one model per group count K, holding everything else fixed.
-
-    K values that do not divide H are reported in ``skipped`` rather than
-    raising, so a sweep over 1..K_max degrades gracefully.  Each run starts
-    from the same seed; only K differs.
-    """
-    from .training import fit  # not at module top: training imports this module
-
-    if base_config.kind != "clstm":
-        raise ValueError(f"group sweep needs a clstm config, got {base_config.kind!r}")
-    entries, skipped = [], []
-    for k in k_values:
-        if k < 1:
-            skipped.append((k, "group count must be >= 1"))
-            continue
-        if base_config.H % k != 0:
-            skipped.append((k, f"H={base_config.H} not divisible by {k}"))
-            continue
-        cfg_k = replace(base_config, K=k)
-        emb_k = None
-        if embedding is not None:
-            # Each run trains its own copy; the caller's matrix stays put.
-            emb_k = EmbeddingMatrix(vectors=embedding.vectors.copy(),
-                                    trainable=embedding.trainable)
-        model = build_model(cfg_k, vocab, seed=train_cfg.seed, embedding=emb_k)
-        report = fit(model, train_docs, dev_docs, train_cfg)
-        entries.append(SweepEntry(
-            n_groups=k,
-            best_dev_acc=report.best_dev_acc,
-            best_dev_mse=report.best_dev_mse,
-            best_epoch=report.best_epoch,
-        ))
-    return SweepReport(entries=tuple(entries), skipped=tuple(skipped))

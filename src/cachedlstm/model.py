@@ -25,7 +25,6 @@ from .encoder import (
     encode_forward,
     init_classifier,
 )
-from .schema import build_section
 
 MODEL_KINDS = ("cbow",) + CELL_KINDS
 
@@ -98,7 +97,7 @@ class ModelConfig:
         """Raise ValueError, naming the tensor, unless ``tensors`` holds
         exactly the names and shapes that ``tensor_shapes`` lists.
 
-        ``holder`` ("model", "container") says what holds them.
+        ``holder`` ("model", "container", "tensor table") says what holds them.
         """
         want = self.tensor_shapes(vocab_size)
         for name, shape in want.items():
@@ -112,14 +111,6 @@ class ModelConfig:
             if name not in want:
                 raise ValueError(f"{holder} has unknown tensor {name!r}; "
                                  f"its config holds {', '.join(want)}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``; raises ConfigError naming a malformed key."""
-        return build_section(cls, raw, "config")
 
 
 class DocModel:
@@ -151,16 +142,11 @@ class DocModel:
         return out
 
     def set_named_tensors(self, tensors: dict) -> None:
-        """Copy values into the model's arrays (shapes must match)."""
-        own = self.named_tensors()
-        for name, value in tensors.items():
-            if name not in own:
-                raise KeyError(f"model has no tensor named {name!r}")
-            if own[name].shape != value.shape:
-                raise ValueError(
-                    f"tensor {name}: shape {value.shape} != expected {own[name].shape}"
-                )
-            own[name][...] = value
+        """Copy a full table of values into the model's arrays; raises
+        ValueError, naming the tensor, unless it matches ``named_tensors``."""
+        self.config.check_tensors(tensors, len(self.vocab), "tensor table")
+        for name, own in self.named_tensors().items():
+            own[...] = tensors[name]
 
     def forward_batch(self, tape: Tape, batch: Batch):
         """Class probabilities for one padded batch.

@@ -20,6 +20,7 @@ and meta always produce the same bytes (JSON keys are sorted).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -30,7 +31,7 @@ from .cells import GATES, CellParams
 from .data import EmbeddingMatrix, Vocab
 from .encoder import ClassifierParams
 from .model import DocModel, ModelConfig
-from .schema import check_scalar
+from .schema import build_section, check_scalar
 
 MAGIC = b"TBOX"
 VERSION = 1
@@ -111,7 +112,7 @@ def save_model(path: str, model) -> None:
     """Serialize a DocModel: config, vocabulary, and every tensor."""
     meta = {
         "format": "doc-classifier",
-        "config": model.config.to_dict(),
+        "config": dataclasses.asdict(model.config),
         "vocab_tokens": model.vocab.tokens,
         "embedding_trainable": model.embedding.trainable,
     }
@@ -140,7 +141,7 @@ def load_model(path: str):
         raise ValueError("container meta must be a JSON object")
     if meta.get("format") != "doc-classifier":
         raise ValueError(f"container is not a saved model: format={meta.get('format')!r}")
-    config = ModelConfig.from_dict(meta.get("config"))
+    config = build_section(ModelConfig, meta.get("config"), "config")
     tokens = meta.get("vocab_tokens")
     if not isinstance(tokens, list):
         raise ValueError(f"container meta vocab_tokens must be a list, "

@@ -1,5 +1,6 @@
-"""Training loop: cross-entropy objective with L2, Adagrad updates, and a
-deterministic epoch driver that snapshots the best-on-dev parameters.
+"""Training loop: cross-entropy objective with L2, Adagrad updates, a
+deterministic epoch driver that snapshots the best-on-dev parameters, and
+the memory-group sweep that trains one model per group count.
 
 The objective over a batch of m documents is
 
@@ -13,10 +14,9 @@ never mention them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,16 +33,16 @@ from .autodiff import (
     sum_all,
     take_rows,
 )
-from .data import make_batches
-from .evaluation import accuracy, mse
-from .model import DocModel
+from .data import EmbeddingMatrix, make_batches
+from .evaluation import SweepEntry, SweepReport, evaluate
+from .model import DocModel, ModelConfig, build_model
 
 PROB_FLOOR = 1e-12  # probabilities are floored before the log
 ADAGRAD_EPS = 1e-6
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the objective stops being finite."""
+    """Raised when the objective stops being finite, or a step overflows."""
 
 
 @dataclass
@@ -80,9 +80,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gradient_clip_norm is not None and self.gradient_clip_norm <= 0:
             raise ValueError("gradient_clip_norm must be positive when set")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def objective(probs: Var, gold: np.ndarray, reg_vars: list | None = None,
@@ -198,12 +195,19 @@ def train_epoch(model: DocModel, batches: list, cfg: TrainConfig,
     """One pass over the batches; returns the mean batch objective.
 
     Aborts with TrainingDiverged (naming the batch) if the loss is ever
-    NaN or infinite, leaving the parameters as they were at that point.
+    NaN or infinite, or if a step overflows or makes a NaN on the way,
+    leaving the parameters as they were at that point.
     """
     if not batches:
         raise ValueError("train_epoch: no batches")
-    return float(np.mean([_train_step(model, batch, index, cfg, opt)
-                          for index, batch in enumerate(batches)]))
+    losses = []
+    for index, batch in enumerate(batches):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                losses.append(_train_step(model, batch, index, cfg, opt))
+        except FloatingPointError as exc:
+            raise TrainingDiverged(f"non-finite objective at batch {index}: {exc}") from None
+    return float(np.mean(losses))
 
 
 @dataclass
@@ -234,11 +238,11 @@ def _snapshot(model: DocModel) -> dict:
 
 def _dev_metrics(model: DocModel, dev_docs: list, batch_size: int):
     try:
-        preds = model.predict(dev_docs, batch_size=batch_size)
-    except ValueError as exc:  # the last update left non-finite weights
+        with np.errstate(over="raise", invalid="raise"):
+            m = evaluate(model, dev_docs, batch_size=batch_size)
+    except (ValueError, FloatingPointError) as exc:  # the last update broke the weights
         raise TrainingDiverged(f"dev scoring failed: {exc}") from None
-    gold = np.array([d.label for d in dev_docs])
-    return accuracy(preds, gold), mse(preds, gold)
+    return m.accuracy, m.mse
 
 
 def fit(model: DocModel, train_docs: list, dev_docs: list,
@@ -285,3 +289,39 @@ def fit(model: DocModel, train_docs: list, dev_docs: list,
     return TrainReport(epochs=epochs, best_epoch=best_epoch,
                        best_dev_acc=best_acc, best_dev_mse=best_mse_,
                        best_tensors=best_tensors)
+
+
+def group_sweep(base_config: ModelConfig, k_values: list, train_docs: list,
+                dev_docs: list, train_cfg: TrainConfig, vocab,
+                embedding=None) -> SweepReport:
+    """Train one model per group count K, holding everything else fixed.
+
+    K values that do not divide H are reported in ``skipped`` rather than
+    raising, so a sweep over 1..K_max degrades gracefully.  Each run starts
+    from the same seed; only K differs.
+    """
+    if base_config.kind != "clstm":
+        raise ValueError(f"group sweep needs a clstm config, got {base_config.kind!r}")
+    entries, skipped = [], []
+    for k in k_values:
+        if k < 1:
+            skipped.append((k, "group count must be >= 1"))
+            continue
+        if base_config.H % k != 0:
+            skipped.append((k, f"H={base_config.H} not divisible by {k}"))
+            continue
+        cfg_k = replace(base_config, K=k)
+        emb_k = None
+        if embedding is not None:
+            # Each run trains its own copy; the caller's matrix stays put.
+            emb_k = EmbeddingMatrix(vectors=embedding.vectors.copy(),
+                                    trainable=embedding.trainable)
+        model = build_model(cfg_k, vocab, seed=train_cfg.seed, embedding=emb_k)
+        report = fit(model, train_docs, dev_docs, train_cfg)
+        entries.append(SweepEntry(
+            n_groups=k,
+            best_dev_acc=report.best_dev_acc,
+            best_dev_mse=report.best_dev_mse,
+            best_epoch=report.best_epoch,
+        ))
+    return SweepReport(entries=tuple(entries), skipped=tuple(skipped))

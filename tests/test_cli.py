@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ class TestEval:
         assert len(docs) >= 10 and (tmp_path / "dec.csv").exists()
         assert sum(scored) == len(docs)
 
+    def test_eval_missing_or_empty_corpus_exits_2(self, tmp_path, capsys):
+        from cachedlstm.data import Document, build_vocab
+        from cachedlstm.model import ModelConfig, build_model
+        from cachedlstm.serialize import save_model
+
+        vocab = build_vocab([Document(0, ["a", "b"]), Document(1, ["c"])])
+        path = tmp_path / "model.bin"
+        save_model(str(path), build_model(ModelConfig(kind="lstm", d=3, H=4, C=2),
+                                          vocab, seed=0))
+        absent = tmp_path / "absent.tsv"
+        assert run(["eval", str(path), str(absent)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read eval corpus: ") and str(absent) in err
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n\n")
+        assert run(["eval", str(path), str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: eval corpus {empty} holds no documents\n"
+
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_eval_rejects_batch_size_below_one(self, tmp_path, capsys, size):
         from cachedlstm.data import Document, build_vocab
@@ -521,6 +540,17 @@ class TestRuntimeAborts:
         with np.errstate(all="ignore"):
             assert run(["train", str(cfg_path), "--set", "train.learning_rate=1e308"]) == 3
         assert capsys.readouterr().err.startswith("error: non-finite objective")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_step_exits_3(self, tmp_path, needle_corpus, capsys):
+        # Without weight decay the floored objective stays finite while the
+        # weights overflow; the overflow itself must abort the run.
+        cfg_path = write_config(tmp_path, needle_corpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["train", str(cfg_path), "--set", "train.learning_rate=1e308"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite objective at batch ") and "overflow" in err
         assert not (tmp_path / "out").exists()
 
     def test_out_of_memory_exits_3(self, tmp_path, needle_corpus, capsys, monkeypatch):

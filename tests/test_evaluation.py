@@ -9,13 +9,12 @@ from cachedlstm.evaluation import (
     accuracy,
     convergence_log,
     evaluate,
-    group_sweep,
     length_decile_report,
     length_deciles,
     mse,
 )
 from cachedlstm.model import ModelConfig, build_model
-from cachedlstm.training import EpochStats, TrainConfig, TrainReport, fit
+from cachedlstm.training import EpochStats, TrainConfig, TrainReport, fit, group_sweep
 
 
 class TestMetrics:
@@ -81,6 +80,28 @@ class TestDeciles:
     def test_too_few_docs(self):
         with pytest.raises(ValueError, match="at least 10"):
             length_deciles(np.arange(9))
+
+    @staticmethod
+    def _reference_deciles(lengths):
+        # Reference: bucket sizes counted out one by one.
+        order = np.argsort(lengths, kind="stable")
+        base, extra = divmod(len(lengths), 10)
+        buckets, lo = [], 0
+        for i in range(10):
+            size = base + (1 if i < extra else 0)
+            buckets.append(order[lo:lo + size])
+            lo += size
+        return buckets
+
+    def test_matches_the_bucket_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [np.arange(n) for n in range(10, 501)]
+        cases += [rng.integers(1, 8, size=n) for n in rng.integers(10, 501, size=200)]
+        for lengths in cases:
+            got, want = length_deciles(lengths), self._reference_deciles(lengths)
+            assert len(got) == 10
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
     def test_report_over_model(self):
         docs = [Document(i % 2, ["tok"] * (i + 1)) for i in range(21)]

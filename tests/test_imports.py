@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every op
 that ``autodiff`` exports is imported by another library module, every
 public module-level function and class of the library has a caller, and so
-does every public method and property of a library class.
+does every public method and property of a library class.  The library's
+modules form one stack: each imports only modules below it, at its top.
 
 Lines marked ``# noqa: F401`` are exempt from the first check: they import
 a name on purpose, for code that patches it there.
@@ -120,3 +121,41 @@ def test_every_public_member_has_a_caller():
                         and reads[member.name] == _member_reads(member)[member.name]):
                     unused.append(f"{path.name}: {cls.name}.{member.name}")
     assert not unused, unused
+
+
+# The library's modules, lowest first.
+LAYERS = ["autodiff", "schema", "data", "cells", "encoder", "model", "evaluation",
+          "training", "serialize", "gradcheck", "cli"]
+
+
+def _package_imports(node) -> list:
+    """The package modules an import statement names ([] for other imports)."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            return [node.module] if node.module else [a.name for a in node.names]
+        if node.module and node.module.split(".")[0] == "cachedlstm":
+            return node.module.split(".")[1:2] or [a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names
+                if a.name.startswith("cachedlstm.")]
+    return []
+
+
+def test_modules_form_one_stack():
+    # A module imports package modules only at its top and only from
+    # modules earlier in LAYERS, so there is no import cycle and no
+    # function-level import that hides one.
+    assert sorted(LAYERS) == sorted(p.stem for p in LIBRARY)
+    wrong = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = set(map(id, tree.body))
+        below = LAYERS[:LAYERS.index(path.stem)]
+        for node in ast.walk(tree):
+            for module in _package_imports(node):
+                if id(node) not in top:
+                    wrong.append(f"{path.name}:{node.lineno}: imports {module} inside a body")
+                elif module not in below:
+                    wrong.append(f"{path.name}:{node.lineno}: imports {module}, "
+                                 f"which is not below it")
+    assert not wrong, wrong

@@ -1,6 +1,7 @@
 """Model assembly tests: config validation, tensor naming, prediction, and
 gradient flow through the whole pipeline."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -14,6 +15,7 @@ from cachedlstm.data import Batch, Document, build_vocab, pad_batch
 from cachedlstm.encoder import classify, doc_representation, encode_bidirectional
 from cachedlstm.evaluation import evaluate, length_decile_report
 from cachedlstm.model import DocModel, ModelConfig, build_model
+from cachedlstm.schema import build_section
 from cachedlstm.training import objective
 
 
@@ -38,7 +40,7 @@ class TestModelConfig:
     def test_dict_roundtrip(self):
         cfg = ModelConfig(kind="clstm", d=5, H=8, K=2, C=4,
                           bidirectional=True, use_bias=True)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert build_section(ModelConfig, dataclasses.asdict(cfg), "config") == cfg
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -81,10 +83,15 @@ class TestBuildModel:
     def test_set_rejects_unknown_and_wrong_shape(self):
         v = _toy_vocab()
         model = build_model(ModelConfig(kind="cbow", d=3, C=2), v, seed=0)
-        with pytest.raises(KeyError):
-            model.set_named_tensors({"nope": np.zeros((1, 1))})
-        with pytest.raises(ValueError, match="shape"):
-            model.set_named_tensors({"clf.w": np.zeros((5, 5))})
+        before = {n: t.copy() for n, t in model.named_tensors().items()}
+        with pytest.raises(ValueError, match="unknown tensor 'nope'"):
+            model.set_named_tensors({**before, "nope": np.zeros((1, 1))})
+        with pytest.raises(ValueError, match=r"clf\.w has shape \(5, 5\)"):
+            model.set_named_tensors({**before, "clf.w": np.zeros((5, 5))})
+        with pytest.raises(ValueError, match=r"missing tensor clf\.b"):
+            model.set_named_tensors({n: t for n, t in before.items() if n != "clf.b"})
+        for name, t in model.named_tensors().items():
+            assert t.tobytes() == before[name].tobytes()
 
     def test_classifier_width_checked(self):
         v = _toy_vocab()

@@ -22,7 +22,8 @@ from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pa
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
 from cachedlstm.model import ModelConfig, build_model
-from cachedlstm.training import objective
+from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged, objective,
+                                 train_epoch)
 
 SERIAL = 10 ** 12  # a THREAD_MIN_WORK that no shape reaches
 
@@ -148,6 +149,19 @@ def test_threaded_step_leaves_no_thread_behind(monkeypatch, two_cpus, kernel_thr
     helpers = set(kernel_threads) - {"MainThread"}
     assert helpers and not [t for t in threading.enumerate() if t.name in helpers]
     assert threading.active_count() == before
+
+
+def test_overflow_on_the_helper_thread_aborts_training(monkeypatch, two_cpus,
+                                                        kernel_threads):
+    # Only the backward cell, which runs on the helper, overflows: the
+    # step's numpy error state must reach that thread.
+    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
+    model.embedding.vectors[:] = 1.0
+    model.cell_bwd.w[:] = 1e308
+    with pytest.raises(TrainingDiverged, match="at batch 0: overflow"):
+        train_epoch(model, [batch], TrainConfig(), AdagradState())
+    assert len(kernel_threads) == 2 and kernel_threads.count("MainThread") == 1
 
 
 def test_second_backward_raises(monkeypatch, two_cpus):

@@ -219,6 +219,17 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             fit(model, docs[:6], docs[6:], cfg)
 
+    def test_overflowing_dev_scores_abort_as_divergence(self):
+        # Products that overflow still give finite probabilities through the
+        # squashing gates, so the overflow itself must abort the run.
+        docs = _separable_docs(8)
+        vocab = build_vocab(docs)
+        model = build_model(ModelConfig(kind="lstm", d=4, H=4, C=2), vocab, seed=5)
+        model.embedding.vectors[:] = 1.0
+        model.cell_fwd.w[:] = 1e308
+        with pytest.raises(TrainingDiverged, match="dev scoring failed: overflow"):
+            fit(model, docs[:6], docs[6:], TrainConfig(batch_size=4))
+
     def test_gradient_clip_bounds_update(self):
         docs = _separable_docs(8)
         vocab = build_vocab(docs)
