@@ -1,19 +1,20 @@
 """Document classifier assembly: embeddings + encoder + softmax head.
 
-A DocModel owns the numpy parameter arrays.  Each training forward pass
-binds them to a fresh tape, so training steps can mutate the arrays in place
+A DocModel stores its weights once, as the name -> array table that
+``ModelConfig.tensor_shapes`` lays out; its embedding, cells and classifier
+are views of that table's arrays.  Each training forward pass binds the
+table to a fresh tape, so training steps can mutate the arrays in place
 between passes without holding stale graph state.  Scoring records no tape.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape, bounded_tanh, softmax, take_rows
-from .cells import CELL_KINDS, GATES, final_state, init_params, named_tensors
+from .cells import CELL_KINDS, GATES, CellParams, final_state, init_params, named_tensors
 from .data import Batch, EmbeddingMatrix, Vocab, init_embeddings, pad_batch
 from .encoder import (
     ClassifierParams,
@@ -93,59 +94,63 @@ class ModelConfig:
         shapes["clf.b"] = (self.C, 1)
         return shapes
 
-    def check_tensors(self, tensors: dict, vocab_size: int, holder: str) -> None:
+    def check_tensors(self, tensors: dict, vocab_size: int) -> None:
         """Raise ValueError, naming the tensor, unless ``tensors`` holds
-        exactly the names and shapes that ``tensor_shapes`` lists.
-
-        ``holder`` ("model", "container", "tensor table") says what holds them.
-        """
+        exactly the names and shapes that ``tensor_shapes`` lists."""
         want = self.tensor_shapes(vocab_size)
         for name, shape in want.items():
             if name not in tensors:
-                raise ValueError(f"{holder} is missing tensor {name}")
+                raise ValueError(f"missing tensor {name}")
             got = tuple(tensors[name].shape)
             if got != shape:
                 raise ValueError(f"tensor {name} has shape {got}; the config and its "
                                  f"{vocab_size}-entry vocabulary need {shape} (rows, width)")
         for name in tensors:
             if name not in want:
-                raise ValueError(f"{holder} has unknown tensor {name!r}; "
+                raise ValueError(f"unknown tensor {name!r}; "
                                  f"its config holds {', '.join(want)}")
 
 
-class DocModel:
-    """A complete classifier: weights, vocabulary, and the forward pass."""
+def _views(config: ModelConfig, tensors: dict) -> tuple:
+    """(cell_fwd, cell_bwd, clf) over a checked table of arrays or of Vars;
+    a direction the config lacks is None."""
+    def cell(prefix):
+        if prefix + "w" not in tensors:
+            return None
+        return CellParams(config.kind, config.K, tensors[prefix + "w"],
+                          tensors[prefix + "u"], tensors.get(prefix + "b"))
 
-    def __init__(self, config: ModelConfig, vocab: Vocab,
-                 embedding: EmbeddingMatrix, cell_fwd, cell_bwd,
-                 clf: ClassifierParams):
-        for direction, cell in (("fwd", cell_fwd), ("bwd", cell_bwd)):
-            if cell is not None and (cell.kind, cell.n_groups) != (config.kind, config.K):
-                raise ValueError(
-                    f"{direction} cell is {cell.kind} with K={cell.n_groups}, "
-                    f"config is {config.kind} with K={config.K}")
+    return cell("fwd."), cell("bwd."), ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"])
+
+
+class DocModel:
+    """A complete classifier: weights, vocabulary, and the forward pass.
+
+    The weights live in one name -> array table, in ``tensor_shapes`` order;
+    ``embedding``, ``cell_fwd``, ``cell_bwd`` (None for a direction the
+    config lacks) and ``clf`` are views of its arrays.
+    """
+
+    def __init__(self, config: ModelConfig, vocab: Vocab, tensors: dict,
+                 embedding_trainable: bool):
+        config.check_tensors(tensors, len(vocab))
         self.config = config
         self.vocab = vocab
-        self.embedding = embedding
-        self.cell_fwd = cell_fwd
-        self.cell_bwd = cell_bwd
-        self.clf = clf
-        config.check_tensors(self.named_tensors(), len(vocab), "model")
+        self.embedding = EmbeddingMatrix(tensors["embedding"], embedding_trainable)
+        # EmbeddingMatrix may convert its array, so the table holds its result.
+        self._tensors = {name: tensors[name] for name in config.tensor_shapes(len(vocab))}
+        self._tensors["embedding"] = self.embedding.vectors
+        self.cell_fwd, self.cell_bwd, self.clf = _views(config, self._tensors)
 
     def named_tensors(self) -> dict:
         """All parameter arrays keyed by stable dotted names."""
-        out = {"embedding": self.embedding.vectors}
-        for prefix, params in (("fwd.", self.cell_fwd), ("bwd.", self.cell_bwd),
-                               ("clf.", self.clf)):
-            if params is not None:
-                out.update({prefix + name: t for name, t in named_tensors(params).items()})
-        return out
+        return dict(self._tensors)
 
     def set_named_tensors(self, tensors: dict) -> None:
         """Copy a full table of values into the model's arrays; raises
         ValueError, naming the tensor, unless it matches ``named_tensors``."""
-        self.config.check_tensors(tensors, len(self.vocab), "tensor table")
-        for name, own in self.named_tensors().items():
+        self.config.check_tensors(tensors, len(self.vocab))
+        for name, own in self._tensors.items():
             own[...] = tensors[name]
 
     def forward_batch(self, tape: Tape, batch: Batch):
@@ -157,12 +162,8 @@ class DocModel:
         depend on T.  The mask path is skipped when no row is padded.
         """
         cfg = self.config
-        leaves = {name: tape.leaf(t) for name, t in self.named_tensors().items()}
-
-        def bound(prefix, params):
-            return dataclasses.replace(
-                params, **{name: leaves[prefix + name] for name in named_tensors(params)})
-
+        leaves = {name: tape.leaf(t) for name, t in self._tensors.items()}
+        cell_fwd, cell_bwd, clf = _views(cfg, leaves)
         X = take_rows(leaves["embedding"], batch.ids.T)
         mask = None if batch.uniform_length else batch.mask
         if cfg.kind == "cbow":
@@ -170,12 +171,11 @@ class DocModel:
         else:
             enc_cfg = cfg.encoder_config()
             if cfg.bidirectional:
-                enc = encode_bidirectional(enc_cfg, bound("fwd.", self.cell_fwd),
-                                           bound("bwd.", self.cell_bwd), X, mask)
+                enc = encode_bidirectional(enc_cfg, cell_fwd, cell_bwd, X, mask)
             else:
-                enc = encode_forward(enc_cfg, bound("fwd.", self.cell_fwd), X, mask)
+                enc = encode_forward(enc_cfg, cell_fwd, X, mask)
             rep = doc_representation(enc)
-        probs = classify(rep, bound("clf.", self.clf))
+        probs = classify(rep, clf)
         return probs, leaves
 
     def probabilities(self, batch: Batch) -> np.ndarray:
@@ -214,10 +214,15 @@ class DocModel:
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Most probable class per row; ties resolve to the lower index.
 
-        Raises ValueError if a probability is NaN or infinite, which a
-        model holding non-finite weights produces.
+        Raises ValueError if scoring overflows, or if a probability is NaN
+        or infinite, which a model holding non-finite weights produces.
         """
-        probs = self.probabilities(batch)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                probs = self.probabilities(batch)
+        except FloatingPointError as exc:
+            raise ValueError(f"{exc} while scoring (the model's weights are too "
+                             "large for float64)") from None
         if not np.isfinite(probs).all():
             raise ValueError("model gives non-finite class probabilities "
                              "(its weights hold NaN or inf)")
@@ -246,14 +251,12 @@ def build_model(config: ModelConfig, vocab: Vocab, seed=0,
     s_emb, s_fwd, s_bwd, s_clf = ss.spawn(4)
     if embedding is None:
         embedding = init_embeddings(vocab, config.d, seed=s_emb)
-    cell_fwd = cell_bwd = None
+    tensors = {"embedding": embedding.vectors}
     if config.kind != "cbow":
-        cell_fwd = init_params(config.kind, config.d, config.H,
-                               n_groups=config.K, seed=s_fwd,
-                               use_bias=config.use_bias)
-        if config.bidirectional:
-            cell_bwd = init_params(config.kind, config.d, config.H,
-                                   n_groups=config.K, seed=s_bwd,
-                                   use_bias=config.use_bias)
+        for prefix, s_dir in (("fwd.", s_fwd), ("bwd.", s_bwd))[:1 + config.bidirectional]:
+            cell = init_params(config.kind, config.d, config.H, n_groups=config.K,
+                               seed=s_dir, use_bias=config.use_bias)
+            tensors.update({prefix + name: t for name, t in named_tensors(cell).items()})
     clf = init_classifier(config.rep_width, config.C, seed=s_clf)
-    return DocModel(config, vocab, embedding, cell_fwd, cell_bwd, clf)
+    tensors.update({"clf.w": clf.w, "clf.b": clf.b})
+    return DocModel(config, vocab, tensors, embedding.trainable)

@@ -27,9 +27,8 @@ import struct
 
 import numpy as np
 
-from .cells import GATES, CellParams
-from .data import EmbeddingMatrix, Vocab
-from .encoder import ClassifierParams
+from .cells import GATES
+from .data import Vocab
 from .model import DocModel, ModelConfig
 from .schema import build_section, check_scalar
 
@@ -156,14 +155,4 @@ def load_model(path: str):
     if config.kind != "cbow":
         for prefix in ("fwd.", "bwd.")[:1 + config.bidirectional]:
             _stack_legacy_gates(tensors, prefix, config.kind)
-    config.check_tensors(tensors, len(vocab), "container")
-
-    def cell(prefix):
-        if prefix + "w" not in tensors:  # a direction the config does not have
-            return None
-        return CellParams(config.kind, config.K, tensors[prefix + "w"],
-                          tensors[prefix + "u"], tensors.get(prefix + "b"))
-
-    return DocModel(config, vocab, EmbeddingMatrix(tensors["embedding"], trainable),
-                    cell("fwd."), cell("bwd."),
-                    ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"]))
+    return DocModel(config, vocab, tensors, trainable)

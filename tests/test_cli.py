@@ -241,6 +241,25 @@ class TestEval:
         assert run(["eval", str(path), str(corpus)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_eval_of_an_overflowing_model_exits_2(self, tmp_path, capsys):
+        from cachedlstm.data import Document, build_vocab
+        from cachedlstm.model import ModelConfig, build_model
+        from cachedlstm.serialize import save_model
+
+        vocab = build_vocab([Document(0, ["a", "b"]), Document(1, ["c"])])
+        model = build_model(ModelConfig(kind="clstm", d=3, H=4, K=2, C=2, bidirectional=True),
+                            vocab, seed=0)
+        model.embedding.vectors[1:] = 1.0
+        model.cell_fwd.w[:] = 1e308
+        path = tmp_path / "model.bin"
+        save_model(str(path), model)
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("0\ta b\n1\tc a\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["eval", str(path), str(corpus)]) == 2
+        assert capsys.readouterr().err.startswith("error: overflow encountered")
+
     def test_eval_scores_each_document_once(self, tmp_path, needle_corpus, monkeypatch):
         from cachedlstm.data import build_vocab, read_corpus
         from cachedlstm.model import DocModel, ModelConfig, build_model

@@ -96,12 +96,9 @@ class TestBuildModel:
     def test_classifier_width_checked(self):
         v = _toy_vocab()
         cfg = ModelConfig(kind="clstm", d=4, H=6, K=2, C=3)
-        model = build_model(cfg, v, seed=0)
-        from cachedlstm.encoder import ClassifierParams
-
+        tensors = build_model(cfg, v, seed=0).named_tensors()
         with pytest.raises(ValueError, match="width"):
-            DocModel(cfg, v, model.embedding, model.cell_fwd, None,
-                     ClassifierParams(w=np.zeros((3, 7)), b=np.zeros((3, 1))))
+            DocModel(cfg, v, {**tensors, "clf.w": np.zeros((3, 7))}, True)
 
 
 SCORING_KINDS = [("cbow", {}), ("rnn", {"H": 12}), ("lstm", {"H": 12}), ("cifg", {"H": 12}),
@@ -126,49 +123,82 @@ class TestPartsMatchConfig:
             cfg.tensor_shapes(len(v)).items())
 
     @staticmethod
-    def _parts(cfg, seed=0):
-        m = build_model(cfg, _toy_vocab(), seed=seed)
-        return m.embedding, m.cell_fwd, m.cell_bwd, m.clf
+    def _table(cfg):
+        return build_model(cfg, _toy_vocab(), seed=0).named_tensors()
 
-    @pytest.mark.parametrize("model_cfg,cell_cfg,message", [
-        (ModelConfig(kind="clstm", d=4, H=6, K=3, C=3),
-         ModelConfig(kind="clstm", d=4, H=6, K=1, C=3),
-         "fwd cell is clstm with K=1, config is clstm with K=3"),
-        (ModelConfig(kind="clstm", d=4, H=6, K=3, C=3),
-         ModelConfig(kind="cifg", d=4, H=6, C=3),
-         "fwd cell is cifg with K=1, config is clstm with K=3"),
-        (ModelConfig(kind="cbow", d=4, C=3),
-         ModelConfig(kind="lstm", d=4, H=4, C=3),
-         "fwd cell is lstm with K=1, config is cbow with K=1"),
-        (ModelConfig(kind="lstm", d=4, H=4, C=3),
-         ModelConfig(kind="lstm", d=4, H=4, C=3, use_bias=True),
-         "model has unknown tensor 'fwd.b'"),
-    ], ids=["K1-cell-in-K3-model", "cifg-cell-in-clstm-model", "cell-in-cbow-model",
-            "biased-cell-in-unbiased-model"])
-    def test_forward_cell_that_disagrees_is_rejected(self, model_cfg, cell_cfg, message):
-        embedding, _, _, clf = self._parts(model_cfg)
-        cell = self._parts(cell_cfg)[1]
-        with pytest.raises(ValueError, match=message):
-            DocModel(model_cfg, _toy_vocab(), embedding, cell, None, clf)
+    def test_forward_cell_that_disagrees_is_rejected(self):
+        cfg = ModelConfig(kind="lstm", d=4, H=4, C=3)
+        biased = self._table(ModelConfig(kind="lstm", d=4, H=4, C=3, use_bias=True))
+        with pytest.raises(ValueError, match="unknown tensor 'fwd.b'"):
+            DocModel(cfg, _toy_vocab(), biased, True)
 
     def test_backward_cell_in_a_unidirectional_model_is_rejected(self):
         cfg = ModelConfig(kind="clstm", d=4, H=6, K=3, C=3)
-        embedding, cell_fwd, _, clf = self._parts(cfg)
-        with pytest.raises(ValueError, match="model has unknown tensor 'bwd.w'"):
-            DocModel(cfg, _toy_vocab(), embedding, cell_fwd, cell_fwd, clf)
+        tensors = self._table(cfg)
+        with pytest.raises(ValueError, match="unknown tensor 'bwd.w'"):
+            DocModel(cfg, _toy_vocab(),
+                     {**tensors, "bwd.w": tensors["fwd.w"], "bwd.u": tensors["fwd.u"]}, True)
 
     def test_missing_and_misshapen_tensors_are_named(self):
         cfg = ModelConfig(kind="lstm", d=4, H=4, C=3, bidirectional=True)
-        embedding, cell_fwd, cell_bwd, clf = self._parts(cfg)
+        tensors = self._table(cfg)
         v = _toy_vocab()
-        with pytest.raises(ValueError, match="model is missing tensor bwd.w"):
-            DocModel(cfg, v, embedding, cell_fwd, None, clf)
+        with pytest.raises(ValueError, match="missing tensor bwd.w"):
+            DocModel(cfg, v, {n: t for n, t in tensors.items() if not n.startswith("bwd.")},
+                     True)
         with pytest.raises(ValueError, match="tensor embedding has shape .* vocabulary"):
-            DocModel(cfg, build_vocab([Document(0, ["t0"])]), embedding, cell_fwd,
-                     cell_bwd, clf)
-        wider = self._parts(ModelConfig(kind="lstm", d=4, H=5, C=3, bidirectional=True))
+            DocModel(cfg, build_vocab([Document(0, ["t0"])]), tensors, True)
+        wider = self._table(ModelConfig(kind="lstm", d=4, H=5, C=3, bidirectional=True))
         with pytest.raises(ValueError, match="tensor bwd.w has shape"):
-            DocModel(cfg, v, embedding, cell_fwd, wider[2], clf)
+            DocModel(cfg, v, {**tensors, "bwd.w": wider["bwd.w"]}, True)
+
+    def test_parts_are_views_of_the_table(self):
+        cfg = ModelConfig(kind="clstm", d=4, H=6, K=3, C=3, bidirectional=True,
+                          use_bias=True)
+        model = build_model(cfg, _toy_vocab(), seed=0)
+        table = model.named_tensors()
+        assert model.embedding.vectors is table["embedding"]
+        assert model.clf.w is table["clf.w"] and model.clf.b is table["clf.b"]
+        for prefix, cell in (("fwd.", model.cell_fwd), ("bwd.", model.cell_bwd)):
+            for name in "wub":
+                assert getattr(cell, name) is table[prefix + name]
+
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("kind,extra,bidirectional", SCORING_CASES)
+    def test_no_second_weight_store(self, kind, extra, bidirectional, use_bias):
+        # Every array the model or one of its parts holds is a table array.
+        cfg = ModelConfig(kind=kind, d=4, C=3, bidirectional=bidirectional,
+                          use_bias=use_bias, **extra)
+        model = build_model(cfg, _toy_vocab(), seed=0)
+        table = list(model.named_tensors().values())
+        held = []
+        for value in vars(model).values():
+            if dataclasses.is_dataclass(value):
+                held += [getattr(value, f.name) for f in dataclasses.fields(value)]
+            elif isinstance(value, dict):
+                held += list(value.values())
+            else:
+                held.append(value)
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert len(arrays) >= len(table)
+        assert all(any(x is t for t in table) for x in arrays)
+
+    def test_table_is_kept_in_tensor_shapes_order(self):
+        cfg = ModelConfig(kind="lstm", d=4, H=4, C=3, bidirectional=True, use_bias=True)
+        v = _toy_vocab()
+        tensors = self._table(cfg)
+        model = DocModel(cfg, v, dict(reversed(tensors.items())), True)
+        assert list(model.named_tensors()) == list(cfg.tensor_shapes(len(v)))
+
+    @pytest.mark.parametrize("kind,extra,bidirectional", SCORING_CASES)
+    def test_model_rebuilt_from_its_table_scores_the_same(self, kind, extra, bidirectional):
+        v = _toy_vocab()
+        m = _scoring_model(kind, extra, bidirectional, True, 4, v, seed=3)
+        again = DocModel(m.config, m.vocab, m.named_tensors(), True)
+        batch = pad_batch([Document(0, ["t0", "t1", "t2"]), Document(1, ["t3"])], v)
+        assert again.probabilities(batch).tobytes() == m.probabilities(batch).tobytes()
+        assert (again.forward_batch(Tape(), batch)[0].value.tobytes()
+                == m.forward_batch(Tape(), batch)[0].value.tobytes())
 
 
 class TestForwardAndPredict:
