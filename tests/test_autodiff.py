@@ -29,6 +29,8 @@ from cachedlstm.autodiff import (
     take_rows,
     transpose,
 )
+from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
+from cachedlstm.encoder import cbow_encode
 from test_kernel import mul_colvec, tanh_
 
 
@@ -95,20 +97,11 @@ class TestForwardValues:
         got = take_rows(a, np.array([2, 0, 2])).value
         np.testing.assert_array_equal(got, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
 
-    def test_take_rows_with_2d_ids_gathers_a_step_per_row_of_ids(self):
-        tape = Tape()
-        a = _leaf(tape, np.arange(8.0).reshape(4, 2))
-        ids = np.array([[3, 0, 3], [1, 1, 2]])
-        got = take_rows(a, ids).value
-        assert got.shape == (2, 3, 2) and got.flags.c_contiguous
-        for t in range(2):
-            np.testing.assert_array_equal(got[t], a.value[ids[t]])
-
     def test_stack_steps_stacks_steps_of_one_width(self):
         # Ragged rows and an empty list: see test_kernel.
         tape = Tape()
         xs = [_leaf(tape, np.full((2, 3), float(t))) for t in range(4)]
-        np.testing.assert_array_equal(stack_steps(xs).value, np.stack([x.value for x in xs]))
+        np.testing.assert_array_equal(stack_steps(xs).value, np.vstack([x.value for x in xs]))
         with pytest.raises(ShapeError, match="step 1: input width 2, expected 3"):
             stack_steps([xs[0], _leaf(tape, np.zeros((2, 2)))])
 
@@ -195,29 +188,40 @@ class TestRowSparseGradients:
         np.testing.assert_array_equal(co.ids, [0, 1, 2, 3, 6])
         np.testing.assert_array_equal(co.rows, want[[0, 1, 2, 3, 6]])
 
-    def test_2d_gather_lists_rows_as_per_step_gathers_reach_backward(self):
-        # One gather over T x B ids gives the RowSparse that T gathers of B
-        # ids give: the same ids and rows in the same order, last step
-        # first, so the sums of repeated ids keep their bits.
+    @pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair", "cbow_encode"])
+    def test_2d_gather_lists_rows_as_per_step_gathers_reach_backward(self, encoder):
+        # An encoder that gathers its own rows over T x B ids gives its
+        # source the RowSparse that T gathers of B ids give when their rows
+        # reach it as a list of steps: the same ids and rows in the same
+        # order, last step first, so the sums of repeated ids keep their bits.
         rng = np.random.default_rng(6)
         ids = rng.integers(0, 5, size=(4, 3))
-        weights = rng.normal(size=(4, 3, 2))
         a_arr = rng.normal(size=(5, 2))
+        params = [init_params("clstm", 2, 4, n_groups=2, seed=s, use_bias=True) for s in (1, 2)]
+        width = {"recurrence": 8, "recurrence_pair": 16, "cbow_encode": 2}[encoder]
+        readout = rng.normal(size=(3, width))
         got = []
         for whole in (True, False):
             tape = Tape()
             a = tape.leaf(a_arr)
-            w = [tape.leaf(x) for x in weights]
             if whole:
-                loss = sum_all(mul(take_rows(a, ids), stack_steps(w)))
+                source, step_ids = a, ids
             else:
-                loss = None
-                for t in range(4):
-                    term = sum_all(mul(take_rows(a, ids[t]), w[t]))
-                    loss = term if loss is None else add(loss, term)
-            g = backward(tape, loss)[a.nid]
+                source = stack_steps([take_rows(a, ids[t]) for t in range(4)])
+                step_ids = np.arange(12).reshape(4, 3)
+            runs = [(bind_params(tape, p)[0], tape.leaf(np.zeros((3, 4))),
+                     tape.leaf(np.zeros((3, 4)))) for p in params]
+            if encoder == "recurrence":
+                node = recurrence(runs[0][0], source, step_ids, *runs[0][1:])
+            elif encoder == "recurrence_pair":
+                node = recurrence_pair(source, step_ids, None, *runs)
+            else:
+                node = cbow_encode(source, step_ids)
+            g = backward(tape, sum_all(mul(node, tape.leaf(readout))))[a.nid]
             got.append((g.ids.tobytes(), g.rows.tobytes()))
         assert got[0] == got[1]
+        np.testing.assert_array_equal(np.frombuffer(got[0][0], dtype=np.intp),
+                                      ids[::-1].ravel())
 
     def test_sum_joins_the_lists_and_coalesce_keeps_a_coalesced_gradient(self):
         first = RowSparse([4, 1], [[1.0, -0.0], [2.0, 3.0]], (6, 2))

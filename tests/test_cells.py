@@ -14,7 +14,6 @@ from cachedlstm.autodiff import (
     backward,
     grad_check,
     mul,
-    stack_steps,
     sum_all,
 )
 from cachedlstm.cells import (
@@ -169,7 +168,7 @@ class TestClosedForms:
         h_arr = rng.normal(size=(B, H))
         tape = Tape()
         bound, _ = bind_params(tape, p)
-        h2 = recurrence(bound, stack_steps([tape.leaf(x_arr)]), None, tape.leaf(h_arr))
+        h2 = recurrence(bound, tape.leaf(x_arr), [np.arange(B)], None, tape.leaf(h_arr))
         want = np.tanh(x_arr @ p.w.T + h_arr @ p.u.T + p.b[:, 0])
         np.testing.assert_allclose(h2.value, want, atol=1e-12)
 
@@ -276,7 +275,7 @@ class TestGradientsThroughSteps:
             if kind == "rnn":
                 h = tape.leaf(np.zeros((B, H)))
                 for x in xs:
-                    h = recurrence(bound, stack_steps([tape.leaf(x)]), None, h)
+                    h = recurrence(bound, tape.leaf(x), [np.arange(B)], None, h)
                 out = h
             else:
                 st = zero_state(tape, B, H, n_groups=K)

@@ -180,6 +180,23 @@ class TestTrain:
         epochs = (out2 / "epochs.csv").read_text().splitlines()
         assert len(epochs) == 2
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_set_output_dir_is_decoded_like_other_values(self, tmp_path, needle_corpus,
+                                                         monkeypatch, quoted):
+        # A JSON string names the same absolute directory as the bare path.
+        cfg_path = write_config(tmp_path, needle_corpus)
+        out = tmp_path / "abs out"
+        value = json.dumps(str(out)) if quoted else str(out)
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", str(cfg_path), "--set", "train.max_epochs=1",
+                    "--set", f"output_dir={value}"]) == 0
+        assert (out / "model.bin").is_file()
+        assert sorted(os.listdir(tmp_path)) == ["abs out", "data", "run.json"]
+
+    def test_set_output_dir_of_another_type_exits_2(self, tmp_path, needle_corpus):
+        cfg_path = write_config(tmp_path, needle_corpus)
+        assert run(["train", str(cfg_path), "--set", "output_dir=7"]) == 2
+
     def test_invalid_set_exits_2(self, tmp_path, needle_corpus):
         cfg_path = write_config(tmp_path, needle_corpus)
         assert run(["train", str(cfg_path), "--set", "nonsense"]) == 2

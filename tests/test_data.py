@@ -296,6 +296,39 @@ class TestLineErrors:
         path.write_text("1\tone\ttwo\n")
         assert read_corpus(str(path), 2)[0].tokens == ["one", "two"]
 
+    def test_only_a_newline_ends_a_line(self, tmp_path):
+        # A bare \r is whitespace inside the text, not the start of a second document.
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"0\tgood\r1\tbad movie\n")
+        docs = read_corpus(str(path), 2)
+        assert [(d.label, d.tokens) for d in docs] == [(0, ["good", "1", "bad", "movie"])]
+
+    @pytest.mark.parametrize("reader,text", [
+        ("read_corpus", "0\ta b\n\n1\tc\n"),
+        ("convert_external", "1\tx y\n0\tz\n"),
+        ("load_embeddings", "a 0.5\nzz 1\n"),
+    ])
+    def test_crlf_file_reads_as_its_lf_copy(self, tmp_path, reader, text):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        got = [self._read(reader, path) for path in (lf, crlf)]
+        if reader == "load_embeddings":
+            assert got[0].vectors.tobytes() == got[1].vectors.tobytes()
+        else:
+            assert got[0] == got[1] and len(got[0]) == 2
+
+    @pytest.mark.parametrize("reader,text,message", [
+        ("read_corpus", "0\ta\n\n2\tb\n", "3: label 2 outside 0..1"),
+        ("convert_external", "0\ta\nx\tb\n", "2: label 'x' is not an integer"),
+        ("load_embeddings", "a 1\nb\n", "2: vector has 0 values, expected 1"),
+    ])
+    def test_crlf_errors_name_the_same_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{message}") + "$"):
+            self._read(reader, path)
+
 
 class TestConvert:
     def test_double_tab_fields_with_offset(self, tmp_path):

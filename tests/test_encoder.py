@@ -224,7 +224,8 @@ class TestCbow:
         rng = np.random.default_rng(38)
         arrays = [rng.normal(size=(2, 4)) for _ in range(3)]
         tape = Tape()
-        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]))
+        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]),
+                          np.arange(6).reshape(3, 2))
         np.testing.assert_allclose(out.value, np.tanh(sum(arrays)), atol=1e-12)
 
     def test_mask_removes_contributions(self):
@@ -232,7 +233,8 @@ class TestCbow:
         arrays = [rng.normal(size=(1, 3)) for _ in range(4)]
         tape = Tape()
         mask = np.array([[1.0, 0.0, 1.0, 0.0]])
-        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]), mask)
+        out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]),
+                          np.arange(4).reshape(4, 1), mask)
         np.testing.assert_allclose(out.value, np.tanh(arrays[0] + arrays[2]),
                                    atol=1e-12)
 

@@ -32,8 +32,10 @@ from cachedlstm.autodiff import (
     sum_all,
     transpose,
 )
-from cachedlstm.cells import GATES, bind_params, final_state, init_params, recurrence
+from cachedlstm.cells import (GATES, bind_params, final_state, init_params, recurrence,
+                              recurrence_pair)
 from cachedlstm.data import Batch, Document, build_vocab
+from cachedlstm.encoder import cbow_encode
 from cachedlstm.model import ModelConfig, build_model
 
 CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 2),
@@ -153,9 +155,14 @@ def composed_run(p, xs, c0, h0, mask):
     return concat_cols(blocks)
 
 
+def _steps(xs):
+    """(source, ids) of a list of B x d step Vars: their stack and its row ids."""
+    return stack_steps(xs), np.arange(len(xs) * xs[0].rows).reshape(len(xs), -1)
+
+
 def kernel_run(p, xs, c0, h0, mask):
     """The kernel's final state after each prefix xs[:t+1], side by side."""
-    return concat_cols([recurrence(p, stack_steps(xs[:t + 1]), c0, h0,
+    return concat_cols([recurrence(p, *_steps(xs[:t + 1]), c0, h0,
                                    None if mask is None else mask[:, :t + 1])
                         for t in range(len(xs))])
 
@@ -226,8 +233,8 @@ def test_vjp_raises_on_a_second_call():
     # The VJP overwrites the saved activations with gradients.
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 3, 6, n_groups=2, seed=0))
-    X = stack_steps([tape.leaf(np.ones((2, 3))) for _ in range(3)])
-    run = recurrence(bound, X, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
+    E, ids = _steps([tape.leaf(np.ones((2, 3))) for _ in range(3)])
+    run = recurrence(bound, E, ids, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
     loss = sum_all(run)
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already run"):
@@ -245,7 +252,7 @@ def test_empty_or_ragged_steps_are_rejected(kind, rows, error, message):
     xs = [tape.leaf(np.ones((n, 3))) for n in rows]
     c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
     with pytest.raises(error, match=message):
-        recurrence(bound, stack_steps(xs), c0, tape.leaf(np.zeros((2, 6))))
+        recurrence(bound, *_steps(xs), c0, tape.leaf(np.zeros((2, 6))))
 
 
 def test_masked_steps_carry_state():
@@ -261,10 +268,10 @@ def test_kernel_is_one_node():
     _, (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 5, 6, n_groups=3, seed=5, use_bias=True))
-    X = stack_steps([tape.leaf(np.ones((4, 5))) for _ in range(7)])
+    E, ids = _steps([tape.leaf(np.ones((4, 5))) for _ in range(7)])
     state = [tape.leaf(np.zeros((4, 6))) for _ in range(2)]
     before = len(tape)  # w, u, b, 7 inputs, their stack, c0 and h0
-    recurrence(bound, X, *state)
+    recurrence(bound, E, ids, *state)
     assert (before, len(tape)) == (3 + 7 + 1 + 2, 3 + 7 + 1 + 2 + 1)
     assert ref_nodes > 7 * 20
 
@@ -279,9 +286,9 @@ def test_value_is_the_final_state(kind):
     bound, _ = bind_params(tape, params)
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
     c0 = None if kind == "rnn" else tape.leaf(np.zeros((B, H)))
-    run = recurrence(bound, stack_steps([tape.leaf(x) for x in xs_arr]), c0,
+    run = recurrence(bound, *_steps([tape.leaf(x) for x in xs_arr]), c0,
                      tape.leaf(np.zeros((B, H))))
-    c, h = final_state(params, ((x, None) for x in xs_arr), B)
+    c, h = final_state(params, np.vstack(xs_arr), np.arange(T * B).reshape(T, B))
     assert run.shape == (B, H if kind == "rnn" else 2 * H)
     np.testing.assert_array_equal(run.value[:, -H:], h)
     if c is not None:
@@ -290,8 +297,9 @@ def test_value_is_the_final_state(kind):
 
 @pytest.mark.parametrize("padded", [False, True])
 def test_forward_batch_records_no_per_step_cell_nodes(padded):
-    # The tape's size does not depend on T: one embedding gather and one
-    # encoder node per batch, for cbow and for uni- and bidirectional clstm.
+    # The tape's size does not depend on T: one encoder node per batch, which
+    # gathers its own embedding rows, for cbow and for uni- and
+    # bidirectional clstm.
     for kind, bidirectional in (("cbow", False), ("clstm", False), ("clstm", True)):
         cfg = ModelConfig(kind=kind, d=4, H=6, K=1 if kind == "cbow" else 3, C=3,
                           bidirectional=bidirectional)
@@ -307,3 +315,41 @@ def test_forward_batch_records_no_per_step_cell_nodes(padded):
             model.forward_batch(tape, batch)
             sizes.append(len(tape))
         assert sizes[0] == sizes[1], kind
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("kind,bidirectional", [
+    ("cbow", False), ("rnn", False), ("rnn", True), ("lstm", False), ("lstm", True),
+    ("cifg", False), ("cifg", True), ("clstm", False), ("clstm", True)])
+def test_forward_batch_records_only_2d_values(kind, bidirectional, padded):
+    # No batch-wide T x B x d input: every value on the tape is a matrix.
+    cfg = ModelConfig(kind=kind, d=4, H=6, K=3 if kind == "clstm" else 1, C=3,
+                      bidirectional=bidirectional, use_bias=True)
+    model = build_model(cfg, build_vocab([Document(0, ["a", "b", "c"])]), seed=0)
+    lengths = np.array([5, 3 if padded else 5, 5])
+    mask = (np.arange(5)[None, :] < lengths[:, None]).astype(float)
+    ids = np.arange(15).reshape(3, 5) % 5 * mask.astype(np.int64)
+    batch = Batch(ids=ids, mask=mask, lengths=lengths, labels=np.zeros(3, dtype=np.int64))
+    assert batch.uniform_length is not padded
+    tape = Tape()
+    model.forward_batch(tape, batch)
+    assert [node.value.ndim for node in tape._nodes] == [2] * len(tape)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair", "final_state",
+                                     "cbow_encode"])
+def test_an_id_outside_the_source_is_rejected(encoder, bad):
+    # numpy would wrap an id of -1 to the last row without an error.
+    tape = Tape()
+    source = tape.leaf(np.ones((6, 3)))
+    ids = np.array([[0, 5], [bad, 2]])
+    params = init_params("lstm", 3, 4, seed=0)
+    bound, _ = bind_params(tape, params)
+    run = (bound, tape.leaf(np.zeros((2, 4))), tape.leaf(np.zeros((2, 4))))
+    call = {"recurrence": lambda: recurrence(*run[:1], source, ids, *run[1:]),
+            "recurrence_pair": lambda: recurrence_pair(source, ids, None, run, run),
+            "final_state": lambda: final_state(params, source.value, ids),
+            "cbow_encode": lambda: cbow_encode(source, ids)}[encoder]
+    with pytest.raises(IndexError, match="id out of range for 6 rows"):
+        call()

@@ -222,7 +222,7 @@ class TestForwardAndPredict:
         ("clstm", {"H": 6, "K": 3, "bidirectional": True}, "recurrence: empty sequence"),
     ])
     def test_batch_with_no_steps_is_rejected(self, kind, extra, message):
-        # A 0-step batch gathers a 0 x B x d input, which each encoder rejects.
+        # A 0-step batch has 0 x B ids, which each encoder rejects.
         model = build_model(ModelConfig(kind=kind, d=4, C=3, **extra), _toy_vocab(), seed=2)
         batch = Batch(ids=np.zeros((2, 0), dtype=np.int64), mask=np.zeros((2, 0)),
                       lengths=np.zeros(2, dtype=np.int64), labels=np.zeros(2, dtype=np.int64))

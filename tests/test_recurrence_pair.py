@@ -127,12 +127,13 @@ def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
         (pf, lf), (pb, lb) = (bind_params(tape, p) for p in params)
         xs = [tape.leaf(x) for x in xs_arr]
         z = [tape.leaf(np.zeros((B, H))) for _ in range(4)]
-        if paired:  # one X, which the second run reads last step first
-            X = stack_steps(xs)
-            node = recurrence_pair(X, mask, (pf, z[0], z[1]), (pb, z[2], z[3]))
+        ids = np.arange(T * B).reshape(T, B)
+        if paired:  # one source, which the second run reads last step first
+            node = recurrence_pair(stack_steps(xs), ids, mask, (pf, z[0], z[1]),
+                                   (pb, z[2], z[3]))
         else:
-            node = concat_cols([recurrence(pf, stack_steps(xs), z[0], z[1], mask),
-                                recurrence(pb, stack_steps(xs[::-1]), z[2], z[3],
+            node = concat_cols([recurrence(pf, stack_steps(xs), ids, z[0], z[1], mask),
+                                recurrence(pb, stack_steps(xs[::-1]), ids, z[2], z[3],
                                            mask[:, ::-1])])
         grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         leaves = [*lf.values(), *lb.values(), *xs, *z]
