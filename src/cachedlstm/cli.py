@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from .data import (
+    atomic_write,
     build_vocab,
     convert_external,
     init_embeddings,
@@ -156,7 +157,7 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     model_path = os.path.join(cfg.output_dir, "model.bin")
     save_model(model_path, model)
-    with open(os.path.join(cfg.output_dir, "epochs.csv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(cfg.output_dir, "epochs.csv")) as fh:
         fh.write(convergence_log(report))
     final = evaluate(model, test_docs if test_docs else dev_docs,
                      batch_size=cfg.train.batch_size)
@@ -171,7 +172,7 @@ def cmd_train(args) -> int:
         "model": dataclasses.asdict(cfg.model),
         "train": dataclasses.asdict(cfg.train),
     }
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(cfg.output_dir, "summary.json")) as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"trained {cfg.model.kind} for {len(report.epochs)} epochs; "
@@ -191,7 +192,7 @@ def cmd_eval(args) -> int:
         report = deciles_from(preds, docs)
         out_path = args.deciles or os.path.join(
             os.path.dirname(os.path.abspath(args.model)), "deciles.csv")
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with atomic_write(out_path) as fh:
             fh.write(report.to_csv())
         print(f"wrote {out_path}")
     else:
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> int:
                          vocab=vocab, embedding=embedding)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out_path = os.path.join(cfg.output_dir, "sweep.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         fh.write(report.to_csv())
     for e in report.entries:
         print(f"K={e.n_groups}: best dev acc {e.best_dev_acc:.4f} "

