@@ -79,11 +79,10 @@ import numpy as np
 
 from .autodiff import (RowSparse, ShapeError, Tape, Var, bounded_tanh, logistic, record,
                        row_ids, slice_cols, stack_steps)
+from .data import INIT_SCALE
 
 CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
 GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
-
-INIT_SCALE = 0.1  # weights start uniform in [-INIT_SCALE, INIT_SCALE]
 
 # ``recurrence_pair`` runs its two kernels on two threads from this H*B on;
 # below it the threads can lose more to the GIL than they gain.  It is the
@@ -508,7 +507,7 @@ def clstm_step(p: CellParams, x: Var, prev: CellState) -> tuple[CellState, Forge
 
 def init_params(kind: str, d: int, hidden: int, n_groups: int = 1, seed=0,
                 use_bias: bool = False) -> CellParams:
-    """Seeded parameters with every weight entry i.i.d. uniform [-0.1, 0.1].
+    """Seeded parameters with every weight entry i.i.d. uniform [-INIT_SCALE, INIT_SCALE].
 
     Biases, when enabled, start at zero.  ``w`` is drawn before ``u``, both
     row-major in gate order, so a seed fully determines the parameters.

@@ -27,6 +27,8 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 SEPARATOR_TOKEN = "<sssss>"
 
+INIT_SCALE = 0.1  # fresh weights start uniform in [-INIT_SCALE, INIT_SCALE]
+
 
 @dataclass
 class Document:
@@ -145,9 +147,9 @@ class EmbeddingMatrix:
 
 
 def init_embeddings(vocab: Vocab, width: int, seed=0) -> EmbeddingMatrix:
-    """Random uniform [-0.1, 0.1] vectors, padding row zero, seeded."""
+    """Random uniform [-INIT_SCALE, INIT_SCALE] vectors, padding row zero, seeded."""
     rng = np.random.default_rng(seed)
-    v = rng.uniform(-0.1, 0.1, size=(len(vocab), width))
+    v = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(vocab), width))
     return EmbeddingMatrix(vectors=v)
 
 
@@ -155,10 +157,10 @@ def load_embeddings(path: str, vocab: Vocab, width: int, seed=0) -> EmbeddingMat
     """Text-format vectors: each line is ``token v1 ... vd``.
 
     Vocabulary tokens present in the file get its vector; missing ones are
-    drawn uniform [-0.1, 0.1] from the seed, in vocabulary id order, so the
-    result does not depend on the file's line order.  Malformed lines,
-    width mismatches and nan or inf values raise ValueError naming the line
-    number.
+    drawn uniform [-INIT_SCALE, INIT_SCALE] from the seed, in vocabulary id
+    order, so the result does not depend on the file's line order.
+    Malformed lines, width mismatches and nan or inf values raise
+    ValueError naming the line number.
     """
     def parse(line):
         parts = line.split(" ")
@@ -174,7 +176,7 @@ def load_embeddings(path: str, vocab: Vocab, width: int, seed=0) -> EmbeddingMat
     v = np.empty((len(vocab), width))
     for idx in range(len(vocab)):
         token = vocab.token_for(idx)
-        v[idx] = found[token] if token in found else rng.uniform(-0.1, 0.1, size=width)
+        v[idx] = found[token] if token in found else rng.uniform(-INIT_SCALE, INIT_SCALE, width)
     return EmbeddingMatrix(vectors=v)
 
 

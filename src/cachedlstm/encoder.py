@@ -49,6 +49,7 @@ from .autodiff import (
 from .cells import CELL_KINDS, recurrence, recurrence_pair, zero_state
 # Not called here: perfbench's tracer patches these names in this module.
 from .cells import clstm_step, lstm_step  # noqa: F401
+from .data import INIT_SCALE
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,14 @@ def _inputs(xs, mask) -> tuple:
     return E, ids, mask
 
 
-def _zero(cfg: EncoderConfig, E: Var, ids) -> tuple:
-    """(c0, h0), the zero initial state of one run over ids."""
+def _zero(cfg: EncoderConfig, p, E: Var, ids) -> tuple:
+    """(c0, h0), the zero initial state of one run of cell p over ids.
+
+    Raises ValueError, naming the field, if p's kind, H or K is not cfg's.
+    """
+    for field, got in (("cell_kind", p.kind), ("H", p.hidden_size), ("K", p.n_groups)):
+        if got != (want := getattr(cfg, field)):
+            raise ValueError(f"encoder config has {field}={want!r}, its cell weights {got!r}")
     st = zero_state(E.tape, np.shape(ids)[1], cfg.H, n_groups=cfg.K,
                     with_memory=cfg.cell_kind != "rnn")
     return st.c, st.h
@@ -137,7 +144,7 @@ def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence
     state through the step unchanged.
     """
     E, ids, mask = _inputs(xs, mask)
-    return EncodedSequence(cfg=cfg, fwd=recurrence(params, E, ids, *_zero(cfg, E, ids), mask))
+    return EncodedSequence(cfg, recurrence(params, E, ids, *_zero(cfg, params, E, ids), mask))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
@@ -151,8 +158,8 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     large shapes; ``fwd`` and ``bwd`` are its two halves.
     """
     E, ids, mask = _inputs(xs, mask)
-    both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, E, ids)),
-                           (bwd_params, *_zero(cfg, E, ids)))
+    both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, fwd_params, E, ids)),
+                           (bwd_params, *_zero(cfg, bwd_params, E, ids)))
     S = both.cols // 2
     return EncodedSequence(cfg=cfg, fwd=slice_cols(both, 0, S), bwd=slice_cols(both, S, 2 * S))
 
@@ -190,12 +197,12 @@ class ClassifierParams:
 
 
 def init_classifier(rep_width: int, n_classes: int, seed=0) -> ClassifierParams:
-    """Uniform [-0.1, 0.1] weights, zero bias, seeded."""
+    """Uniform [-INIT_SCALE, INIT_SCALE] weights, zero bias, seeded."""
     if n_classes < 2:
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     rng = np.random.default_rng(seed)
     return ClassifierParams(
-        w=rng.uniform(-0.1, 0.1, size=(n_classes, rep_width)),
+        w=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_classes, rep_width)),
         b=np.zeros((n_classes, 1)),
     )
 

@@ -1,10 +1,12 @@
 """Document classifier assembly: embeddings + encoder + softmax head.
 
 A DocModel stores its weights once, as the name -> array table that
-``ModelConfig.tensor_shapes`` lays out; its embedding, cells and classifier
-are views of that table's arrays.  Each training forward pass binds the
-table to a fresh tape, so training steps can mutate the arrays in place
-between passes without holding stale graph state.  Scoring records no tape.
+``ModelConfig.tensor_shapes`` lays out; its embedding, its cells (one per
+entry of ``ModelConfig.directions``, which alone names the recurrent runs
+and their tensor prefixes) and its classifier are views of that table's
+arrays.  Each training forward pass binds the table to a fresh tape, so
+training steps can mutate the arrays in place between passes without
+holding stale graph state.  Scoring records no tape.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ class ModelConfig:
         )
 
     @property
+    def directions(self) -> tuple:
+        """Tensor-name prefix of each recurrent run, in run order: none for
+        cbow, then the forward run, then the backward one."""
+        return () if self.kind == "cbow" else ("fwd.", "bwd.")[:1 + self.bidirectional]
+
+    @property
     def rep_width(self) -> int:
         if self.kind == "cbow":
             return self.d
@@ -86,13 +94,12 @@ class ModelConfig:
         embedding, each direction's stacked cell tensors, then the classifier.
         """
         shapes = {"embedding": (vocab_size, self.d)}
-        if self.kind != "cbow":
+        for prefix in self.directions:
             rows = len(GATES[self.kind]) * self.H
-            for prefix in ("fwd.", "bwd.")[:1 + self.bidirectional]:
-                shapes[prefix + "w"] = (rows, self.d)
-                shapes[prefix + "u"] = (rows, self.H)
-                if self.use_bias:
-                    shapes[prefix + "b"] = (rows, 1)
+            shapes[prefix + "w"] = (rows, self.d)
+            shapes[prefix + "u"] = (rows, self.H)
+            if self.use_bias:
+                shapes[prefix + "b"] = (rows, 1)
         shapes["clf.w"] = (self.C, self.rep_width)
         shapes["clf.b"] = (self.C, 1)
         return shapes
@@ -115,23 +122,20 @@ class ModelConfig:
 
 
 def _views(config: ModelConfig, tensors: dict) -> tuple:
-    """(cell_fwd, cell_bwd, clf) over a checked table of arrays or of Vars;
-    a direction the config lacks is None."""
-    def cell(prefix):
-        if prefix + "w" not in tensors:
-            return None
-        return CellParams(config.kind, config.K, tensors[prefix + "w"],
-                          tensors[prefix + "u"], tensors.get(prefix + "b"))
-
-    return cell("fwd."), cell("bwd."), ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"])
+    """(cells, clf) over a checked table of arrays or of Vars: one cell per
+    entry of ``config.directions``, in its order."""
+    cells = tuple(CellParams(config.kind, config.K, tensors[prefix + "w"],
+                             tensors[prefix + "u"], tensors.get(prefix + "b"))
+                  for prefix in config.directions)
+    return cells, ClassifierParams(w=tensors["clf.w"], b=tensors["clf.b"])
 
 
 class DocModel:
     """A complete classifier: weights, vocabulary, and the forward pass.
 
     The weights live in one name -> array table, in ``tensor_shapes`` order;
-    ``embedding``, ``cell_fwd``, ``cell_bwd`` (None for a direction the
-    config lacks) and ``clf`` are views of its arrays.
+    ``embedding``, ``cells`` (one per entry of ``config.directions``) and
+    ``clf`` are views of its arrays.
     """
 
     def __init__(self, config: ModelConfig, vocab: Vocab, tensors: dict,
@@ -143,7 +147,7 @@ class DocModel:
         # EmbeddingMatrix may convert its array, so the table holds its result.
         self._tensors = {name: tensors[name] for name in config.tensor_shapes(len(vocab))}
         self._tensors["embedding"] = self.embedding.vectors
-        self.cell_fwd, self.cell_bwd, self.clf = _views(config, self._tensors)
+        self.cells, self.clf = _views(config, self._tensors)
 
     def named_tensors(self) -> dict:
         """All parameter arrays keyed by stable dotted names."""
@@ -167,18 +171,14 @@ class DocModel:
         """
         cfg = self.config
         leaves = {name: tape.leaf(t) for name, t in self._tensors.items()}
-        cell_fwd, cell_bwd, clf = _views(cfg, leaves)
+        cells, clf = _views(cfg, leaves)
         emb, ids = leaves["embedding"], batch.ids.T
         mask = None if batch.uniform_length else batch.mask
         if cfg.kind == "cbow":
             rep = cbow_encode(emb, ids, mask)
         else:
-            enc_cfg = cfg.encoder_config()
-            if cfg.bidirectional:
-                enc = encode_bidirectional(enc_cfg, cell_fwd, cell_bwd, (emb, ids), mask)
-            else:
-                enc = encode_forward(enc_cfg, cell_fwd, (emb, ids), mask)
-            rep = doc_representation(enc)
+            encode = encode_bidirectional if cfg.bidirectional else encode_forward
+            rep = doc_representation(encode(cfg.encoder_config(), *cells, (emb, ids), mask))
         probs = classify(rep, clf)
         return probs, leaves
 
@@ -198,9 +198,8 @@ class DocModel:
             rep = cbow_vector(emb, ids, mask)
         else:
             width = cfg.H // cfg.K  # the slowest group of the final h
-            runs = [(self.cell_fwd, False)] + [(self.cell_bwd, True)] * cfg.bidirectional
-            rep = np.concatenate([final_state(cell, emb, ids, mask, reverse)[1][:, :width]
-                                  for cell, reverse in runs], axis=1)
+            rep = np.concatenate([final_state(cell, emb, ids, mask, reverse=bool(i))[1][:, :width]
+                                  for i, cell in enumerate(self.cells)], axis=1)
         return softmax(rep @ self.clf.w.T + self.clf.b.T)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
@@ -258,11 +257,10 @@ def build_model(config: ModelConfig, vocab: Vocab, seed=0,
     if embedding is None:
         embedding = init_embeddings(vocab, config.d, seed=s_emb)
     tensors = {"embedding": embedding.vectors}
-    if config.kind != "cbow":
-        for prefix, s_dir in (("fwd.", s_fwd), ("bwd.", s_bwd))[:1 + config.bidirectional]:
-            cell = init_params(config.kind, config.d, config.H, n_groups=config.K,
-                               seed=s_dir, use_bias=config.use_bias)
-            tensors.update({prefix + name: t for name, t in named_tensors(cell).items()})
+    for prefix, s_dir in zip(config.directions, (s_fwd, s_bwd)):
+        cell = init_params(config.kind, config.d, config.H, n_groups=config.K,
+                           seed=s_dir, use_bias=config.use_bias)
+        tensors.update({prefix + name: t for name, t in named_tensors(cell).items()})
     clf = init_classifier(config.rep_width, config.C, seed=s_clf)
     tensors.update({"clf.w": clf.w, "clf.b": clf.b})
     return DocModel(config, vocab, tensors, embedding.trainable)

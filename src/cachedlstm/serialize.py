@@ -152,7 +152,6 @@ def load_model(path: str):
     vocab = Vocab(tokens)
     trainable = meta.get("embedding_trainable", True)
     check_scalar("meta", "embedding_trainable", trainable, bool)
-    if config.kind != "cbow":
-        for prefix in ("fwd.", "bwd.")[:1 + config.bidirectional]:
-            _stack_legacy_gates(tensors, prefix, config.kind)
+    for prefix in config.directions:
+        _stack_legacy_gates(tensors, prefix, config.kind)
     return DocModel(config, vocab, tensors, trainable)

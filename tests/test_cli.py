@@ -267,7 +267,7 @@ class TestEval:
         model = build_model(ModelConfig(kind="clstm", d=3, H=4, K=2, C=2, bidirectional=True),
                             vocab, seed=0)
         model.embedding.vectors[1:] = 1.0
-        model.cell_fwd.w[:] = 1e308
+        model.cells[0].w[:] = 1e308
         path = tmp_path / "model.bin"
         save_model(str(path), model)
         corpus = tmp_path / "c.tsv"

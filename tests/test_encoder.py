@@ -51,6 +51,43 @@ class TestConfig:
             EncoderConfig(cell_kind="gru", d=4, H=8)
 
 
+class TestConfigMatchesCells:
+    """Each encoder checks its config's kind, H and K against every cell."""
+
+    MISMATCHES = [
+        # Against clstm weights of d=4, H=6, K=3.
+        (EncoderConfig("clstm", 4, 6, K=1), "K"),
+        (EncoderConfig("clstm", 4, 6, K=2), "K"),
+        (EncoderConfig("lstm", 4, 6), "cell_kind"),
+        (EncoderConfig("clstm", 4, 9, K=3), "H"),
+    ]
+
+    @staticmethod
+    def _run(encode, cfg, *cells):
+        tape = Tape()
+        bound = [bind_params(tape, p)[0] for p in cells]
+        return encode(cfg, *bound, _embed(tape, np.random.default_rng(0), 3, 2, 4))
+
+    @pytest.mark.parametrize("cfg,field", MISMATCHES)
+    def test_forward_names_the_field(self, cfg, field):
+        cell = init_params("clstm", 4, 6, n_groups=3, seed=0)
+        with pytest.raises(ValueError, match=f"encoder config has {field}="):
+            self._run(encode_forward, cfg, cell)
+
+    @pytest.mark.parametrize("cfg,field", MISMATCHES)
+    def test_bidirectional_checks_the_backward_cell(self, cfg, field):
+        # The forward cell matches the config; only the backward one differs.
+        good = init_params(cfg.cell_kind, 4, cfg.H, n_groups=cfg.K, seed=1)
+        bad = init_params("clstm", 4, 6, n_groups=3, seed=0)
+        with pytest.raises(ValueError, match=f"encoder config has {field}="):
+            self._run(encode_bidirectional, cfg, good, bad)
+
+    def test_matching_config_gives_its_width(self):
+        cell = init_params("clstm", 4, 6, n_groups=3, seed=0)
+        enc = self._run(encode_forward, EncoderConfig("clstm", 4, 6, K=3), cell)
+        assert doc_representation(enc).shape == (2, 2)
+
+
 class TestForwardUnroll:
     def test_matches_manual_steps(self):
         rng = np.random.default_rng(8)

@@ -175,3 +175,25 @@ def test_modules_form_one_stack():
                     wrong.append(f"{path.name}:{node.lineno}: imports {module}, "
                                  f"which is not below it")
     assert not wrong, wrong
+
+
+def test_only_model_config_directions_spells_the_direction_prefixes():
+    # Which recurrent runs a model has, and their tensor-name prefixes, is
+    # decided in ``ModelConfig.directions``; everything else loops over it.
+    # Docstrings may name the prefixes.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                exempt.add(id(node.body[0].value))
+            if isinstance(node, ast.ClassDef) and node.name == "ModelConfig":
+                exempt.update(id(n) for member in node.body
+                              if getattr(member, "name", None) == "directions"
+                              for n in ast.walk(member))
+        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exempt and ("fwd." in node.value or "bwd." in node.value)]
+    assert not found, found

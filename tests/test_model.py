@@ -47,6 +47,34 @@ class TestModelConfig:
             ModelConfig(kind="clstm", d=4, H=10, K=3)
 
 
+class TestDirections:
+    @pytest.mark.parametrize("use_bias", [False, True])
+    @pytest.mark.parametrize("kind,extra,bidirectional,want", [
+        ("cbow", {}, False, ()),
+        ("lstm", {"H": 4}, False, ("fwd.",)),
+        ("clstm", {"H": 6, "K": 3}, True, ("fwd.", "bwd.")),
+    ])
+    def test_directions_order_the_cells(self, kind, extra, bidirectional, want, use_bias):
+        cfg = ModelConfig(kind=kind, d=4, C=3, bidirectional=bidirectional,
+                          use_bias=use_bias, **extra)
+        assert cfg.directions == want
+        v = _toy_vocab()
+        parts = "wub" if use_bias else "wu"
+        cell_names = [n for n in cfg.tensor_shapes(len(v)) if n[:4] in ("fwd.", "bwd.")]
+        assert cell_names == [prefix + part for prefix in want for part in parts]
+        model = build_model(cfg, v, seed=0)
+        table = model.named_tensors()
+        assert len(model.cells) == len(want)
+        for prefix, cell in zip(want, model.cells):
+            assert all(getattr(cell, part) is table[prefix + part] for part in parts)
+
+    def test_directions_is_not_a_field(self):
+        # A property, so a saved config (dataclasses.asdict) does not change.
+        cfg = ModelConfig(kind="lstm", d=4, H=4, bidirectional=True)
+        assert "directions" not in {f.name for f in dataclasses.fields(cfg)}
+        assert "directions" not in dataclasses.asdict(cfg)
+
+
 class TestBuildModel:
     def test_seed_determinism(self):
         v = _toy_vocab()
@@ -159,7 +187,8 @@ class TestPartsMatchConfig:
         table = model.named_tensors()
         assert model.embedding.vectors is table["embedding"]
         assert model.clf.w is table["clf.w"] and model.clf.b is table["clf.b"]
-        for prefix, cell in (("fwd.", model.cell_fwd), ("bwd.", model.cell_bwd)):
+        assert len(model.cells) == 2
+        for prefix, cell in zip(("fwd.", "bwd."), model.cells):
             for name in "wub":
                 assert getattr(cell, name) is table[prefix + name]
 
@@ -171,16 +200,20 @@ class TestPartsMatchConfig:
                           use_bias=use_bias, **extra)
         model = build_model(cfg, _toy_vocab(), seed=0)
         table = list(model.named_tensors().values())
-        held = []
-        for value in vars(model).values():
+
+        def held(value):
             if dataclasses.is_dataclass(value):
-                held += [getattr(value, f.name) for f in dataclasses.fields(value)]
-            elif isinstance(value, dict):
-                held += list(value.values())
-            else:
-                held.append(value)
-        arrays = [x for x in held if isinstance(x, np.ndarray)]
-        assert len(arrays) >= len(table)
+                return [getattr(value, f.name) for f in dataclasses.fields(value)]
+            if isinstance(value, dict):
+                return list(value.values())
+            if isinstance(value, tuple):  # the cells
+                return [x for part in value for x in held(part)]
+            return [value]
+
+        arrays = [x for value in vars(model).values() for x in held(value)
+                  if isinstance(x, np.ndarray)]
+        # The table itself, then one view of each of its arrays.
+        assert len(arrays) == 2 * len(table)
         assert all(any(x is t for t in table) for x in arrays)
 
     def test_table_is_kept_in_tensor_shapes_order(self):
@@ -264,7 +297,7 @@ class TestForwardAndPredict:
         model = build_model(cfg, v, seed=5)
         doc = Document(0, ["t0", "t1", "t2"])
         before, _ = model.forward_batch(Tape(), pad_batch([doc], v))
-        model.cell_bwd.w_c[:] += 0.05
+        model.cells[1].w_c[:] += 0.05
         after, _ = model.forward_batch(Tape(), pad_batch([doc], v))
         assert np.abs(before.value - after.value).max() > 0.0
 
@@ -277,12 +310,11 @@ def _scoring_model(kind, extra, bidirectional, use_bias, d, vocab, seed):
     # anywhere in the recurrence reaches the probabilities.
     rng = np.random.default_rng(seed)
     model.embedding.vectors[:] = rng.normal(size=model.embedding.vectors.shape)
-    for cell in (model.cell_fwd, model.cell_bwd):
-        if cell is not None:
-            cell.w[:] = rng.uniform(-1.0, 1.0, cell.w.shape)
-            cell.u[:] = rng.uniform(-1.0, 1.0, cell.u.shape)
-            if cell.b is not None:
-                cell.b[:] = rng.normal(scale=0.5, size=cell.b.shape)
+    for cell in model.cells:
+        cell.w[:] = rng.uniform(-1.0, 1.0, cell.w.shape)
+        cell.u[:] = rng.uniform(-1.0, 1.0, cell.u.shape)
+        if cell.b is not None:
+            cell.b[:] = rng.normal(scale=0.5, size=cell.b.shape)
     model.clf.w[:] = rng.normal(size=model.clf.w.shape)
     model.clf.b[:] = rng.normal(size=model.clf.b.shape)
     return model
@@ -533,8 +565,8 @@ def test_one_gather_equals_per_step_gathers():
 
     tape = Tape()
     emb = tape.leaf(model.embedding.vectors)
-    bound_f, leaves_f = bind_params(tape, model.cell_fwd)
-    bound_b, leaves_b = bind_params(tape, model.cell_bwd)
+    bound_f, leaves_f = bind_params(tape, model.cells[0])
+    bound_b, leaves_b = bind_params(tape, model.cells[1])
     xs = [take_rows(emb, batch.ids[:, t]) for t in range(batch.n_steps)]
     mask = [tape.leaf(batch.mask[:, t:t + 1]) for t in range(batch.n_steps)]
     enc = encode_bidirectional(model.config.encoder_config(), bound_f, bound_b, xs, mask)

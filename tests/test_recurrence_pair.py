@@ -62,7 +62,7 @@ def _model_and_batch(kind, d, H, K, rows, n_steps, seed, use_bias=True):
     vocab = build_vocab(docs)
     model = build_model(ModelConfig(kind=kind, d=d, H=H, K=K, C=3, bidirectional=True,
                                     use_bias=use_bias), vocab, seed=seed)
-    for cell in (model.cell_fwd, model.cell_bwd):
+    for cell in model.cells:
         if cell.b is not None:
             cell.b[:] = rng.normal(scale=0.3, size=cell.b.shape)
     return model, pad_batch(docs, vocab)
@@ -159,7 +159,7 @@ def test_overflow_on_the_helper_thread_aborts_training(monkeypatch, two_cpus,
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
     model.embedding.vectors[:] = 1.0
-    model.cell_bwd.w[:] = 1e308
+    model.cells[1].w[:] = 1e308
     with pytest.raises(TrainingDiverged, match="at batch 0: overflow"):
         train_epoch(model, [batch], TrainConfig(), AdagradState())
     assert len(kernel_threads) == 2 and kernel_threads.count("MainThread") == 1

@@ -226,7 +226,7 @@ class TestTrainEpoch:
         vocab = build_vocab(docs)
         model = build_model(ModelConfig(kind="lstm", d=4, H=4, C=2), vocab, seed=5)
         model.embedding.vectors[:] = 1.0
-        model.cell_fwd.w[:] = 1e308
+        model.cells[0].w[:] = 1e308
         with pytest.raises(TrainingDiverged, match="dev scoring failed: overflow"):
             fit(model, docs[:6], docs[6:], TrainConfig(batch_size=4))
 
