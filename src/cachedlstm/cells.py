@@ -22,7 +22,7 @@ terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node whose
 value is the final state [c_T | h_T], with a hand-written VJP that keeps
-the gate activations and each step's carried state.  Its input is a row
+each step's gate activations and carried c.  Its input is a row
 source E, such as the embedding matrix, and a T x B array of row ids:
 step t reads the rows E[ids[t]], which it gathers itself.  Its mask is a
 B x T array.  The single-step functions run it at T = 1.  ``final_state``
@@ -36,15 +36,21 @@ is one contiguous slab of rows and every elementwise gate operation reads
 contiguous memory.  The bias is added as its G*H x 1 column, a step's
 mask is a 1 x B row, and the clstm band offsets and clamps are H x B
 arrays built once per run.  The per-step history is private to the VJP
-and kept in this layout: the T x G*H x B activations, and tanh(c') and
-the carried c and h as T x H x B buffers.  No T x B x d copy of the inputs
-is kept: the VJP gathers x_t = E[ids[t]] again.  Tape values and the
-results of ``final_state`` stay row-batched.  The VJP sums the weight
-gradients inside its step loop, last step first (``dW += a @ x_t``,
-``dU += a @ Hs[t].T``, ``db += a.sum(1)``), so it makes no T*B x G*H copy
-of the step gradients.  E's gradient is one ``RowSparse`` over
-``ids[::-1].ravel()``: step t's rows ``a.T @ W`` are listed last step
-first, the order in which ``backward`` would meet T gathers of one step.
+and kept in this layout, as one slab per step in a list: each step's
+G*H x B activations and, for the gated kinds, the H x B c it carries out.
+The VJP walks back through the steps and rebuilds the rest bit for bit
+from step t-1's activations, which are still intact when it reaches step
+t: tanh(c') from the carried c, and the h the step starts from as
+o tanh(c') of step t-1 (see ``_recurrence``).  It drops each step's slabs
+once read, so the history shrinks as the gradient rows grow.  No
+T x B x d copy of the inputs is kept: the VJP gathers x_t = E[ids[t]]
+again.  Tape values and the results of ``final_state`` stay row-batched.
+The VJP sums the weight gradients inside its step loop, last step first
+(``dW += a @ x_t``, ``dU += a @ h_prev.T`` with the rebuilt h,
+``db += a.sum(1)``), so it makes no T*B x G*H copy of the step gradients.
+E's gradient is one ``RowSparse`` over ``ids[::-1].ravel()``: step t's
+rows ``a.T @ W`` are listed last step first, the order in which
+``backward`` would meet T gathers of one step.
 
 ``recurrence_pair`` records the two directions of a bidirectional encoder
 as one node whose value is their final states side by side.  Both read
@@ -290,6 +296,17 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray
     return carried
 
 
+def _checked_mask(mask, T: int, B: int):
+    """``mask`` as an array, after checking that it is B x T; None stays None."""
+    if mask is None:
+        return None
+    mask = np.asarray(mask)
+    if mask.shape != (B, T):
+        raise ShapeError(f"mask must be {B}x{T} (batch x steps), got "
+                         f"{'x'.join(map(str, mask.shape))}")
+    return mask
+
+
 def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
                 reverse: bool = False) -> tuple:
     """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
@@ -301,6 +318,7 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     for bit; c_T is None for rnn.
     """
     ids = row_ids(ids, len(source), ndim=2)
+    mask = _checked_mask(mask, *ids.shape)
     H, B = p.hidden_size, ids.shape[1]
     band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
     h = np.zeros((H, B))
@@ -312,15 +330,41 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
 
 
+def _run_masks(mask, T: int, B: int, reverse: bool) -> tuple:
+    """(masks, starts): two lists with one entry per step, in run order.
+
+    ``masks[i]`` is step i's 1 x B bool mask row, or None when every row is
+    real there, so that the step takes the unmasked path of ``_step`` and
+    of the VJP, which gives the same bits without the selects.
+    ``starts[i]`` marks, as a 1 x B bool row, the rows whose real steps
+    begin at step i > 0, or is None when none does.  Raises ValueError
+    unless each row's real steps are one run of steps.
+    """
+    if mask is None:
+        return [None] * T, [None] * T
+    real = _checked_mask(mask, T, B).T != 0
+    if reverse:
+        real = real[::-1]
+    starts = np.zeros_like(real)
+    starts[1:] = real[1:] & ~real[:-1]
+    holes = np.flatnonzero(starts.sum(axis=0) + real[0] > 1)
+    if holes.size:
+        raise ValueError(f"recurrence: mask row {holes[0]} has a masked step between "
+                         "two real ones")
+    return ([None if r.all() else r[None] for r in real],
+            [r[None] if r.any() else None for r in starts])
+
+
 def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
     """The kernel behind ``recurrence``; it reads Var values and records nothing.
 
-    Returns (value, parents, vjp, A): the final state B x S, the Vars it
+    Returns (value, parents, vjp, acts): the final state B x S, the Vars it
     depends on, the VJP from its gradient to one gradient per parent, and
-    the T x G*H x B activations.  With ``reverse`` the run reads ids last
-    step first; every per-step buffer, and E's gradient rows, are indexed
-    by step in ids.  Two calls may run on two threads.
+    the list of the run's G*H x B activation slabs, first step of the run
+    first.  With ``reverse`` the run reads ids last step first; E's
+    gradient rows are still listed by step in ids.  Two calls may run on
+    two threads.
     """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
@@ -337,50 +381,66 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
         raise ValueError("recurrence: empty sequence")
     GH, H = U.shape
     bias = None if p.b is None else p.b.value
-    M = None if mask is None else (np.asarray(mask).T != 0)[:, None, :]
+    masks, starts = _run_masks(mask, T, B, reverse)
     band = _band(H, n_groups, B) if kind == "clstm" else None
-    order = range(T)[::-1] if reverse else range(T)
+    run_ids = ids[::-1] if reverse else ids  # step i of the run reads run_ids[i]
 
-    A = np.empty((T, GH, B))  # step t's activations, written by its ``_step``
-    TC = np.empty((T, H, B)) if gated else None  # tanh(c'), before the mask
-    # The (c, h) that step t starts from, for the VJP only.
-    Cs = np.empty((T, H, B)) if gated else None
-    Hs = np.empty((T, H, B))
     # H x B and C-contiguous, as ``final_state``'s zero state is.
     c = None if c0 is None else np.ascontiguousarray(c0.value.T)
-    h = np.ascontiguousarray(h0.value.T)
-    for t in order:
+    h = h0_cols = np.ascontiguousarray(h0.value.T)
+    acts = []  # acts[i]: step i's activations, written by its ``_step``
+    cs = [c]  # cs[i + 1]: the c that step i carries out (gated kinds)
+    for i in range(T):
+        acts.append(np.empty((GH, B)))
+        c, h, _ = _step(kind, Ev[run_ids[i]], W, c, h, U, bias, band, masks[i], out=acts[i])
         if gated:
-            Cs[t] = c
-        Hs[t] = h
-        c, h, tc = _step(kind, Ev[ids[t]], W, c, h, U, bias, band,
-                         None if M is None else M[t], out=A[t])
-        if gated:
-            TC[t] = tc
+            cs.append(c)
 
     def vjp(g):
-        # Step t's activations in A[t] are overwritten with the gradients of
-        # its pre-activations once read, so the VJP can run only once.
-        nonlocal A
-        if A is None:
+        # Walks back through the steps and drops each step's slabs once read,
+        # so the history shrinks as E's gradient rows grow.  Step i's
+        # activations are overwritten with the gradients of its
+        # pre-activations, so the VJP can run only once.  The rest of step
+        # i is rebuilt, bit for bit, while step i-1's activations are intact:
+        # - tanh(c') is tanh of the c the step carries out, which is c'
+        #   wherever the step is real; masked columns get zero gradients;
+        # - the h the step starts from is step i-1's o tanh(c'), the product
+        #   ``_step`` made (for rnn, step i-1's ``a`` itself), or h0 where a
+        #   row's real steps begin at step i.  Where step i is masked the
+        #   rebuilt h is not the carried one, but it meets only zero
+        #   gradients there, so the sums it enters keep their bits.
+        nonlocal acts, cs
+        if acts is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
+        steps, carried, acts, cs = acts, cs, None, None
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
-        dE = np.empty((T, B, d))  # step t's rows in dE[T-1-t]: last step first
+        rows = []  # E's gradient rows per step, last step of the run first
         dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
         db = None if bias is None else np.zeros((GH, 1))
         dh = np.ascontiguousarray(g[:, -H:].T)
         dc = np.ascontiguousarray(g[:, :H].T) if gated else None
-        for t in reversed(order):
-            if M is None:  # nothing carries past an unmasked step
+        tc = bounded_tanh(carried.pop()) if gated else None
+        for i in reversed(range(T)):
+            a = steps.pop()
+            if i == 0:
+                h_prev = h0_cols
+            elif gated:
+                tc_prev = bounded_tanh(carried[-1])
+                h_prev = steps[-1][-2 * H:-H] * tc_prev
+            else:
+                h_prev = steps[-1]
+            if starts[i] is not None:
+                h_prev = np.where(starts[i], h0_cols, h_prev)
+            m = masks[i]
+            if m is None:  # nothing carries past a step with no masked row
                 dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
             else:
-                m = M[t]
                 dh_new, dh = np.where(m, dh, 0.0), np.where(m, 0.0, dh)
                 if gated:
                     dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
-            a = A[t]
             if gated:
-                dc = dc + _gate_grads(kind, a, TC[t], Cs[t], dh_new, dc_new, band, up)
+                dc = dc + _gate_grads(kind, a, tc, carried.pop(), dh_new, dc_new, band, up)
+                tc = None if i == 0 else tc_prev
             else:
                 np.multiply(dh_new, 1.0 - a * a, out=a)
             dh = dh + U.T @ a
@@ -388,19 +448,20 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
             # product over all T*B rows.
-            dW += a @ Ev[ids[t]]
-            dU += a @ Hs[t].T
+            dW += a @ Ev[run_ids[i]]
+            dU += a @ h_prev.T
             if db is not None:
                 db += a.sum(axis=1, keepdims=True)
-            np.matmul(a.T, W, out=dE[T - 1 - t])
-        A = None  # nothing else refers to the buffer now, so this frees it
-        dE = RowSparse(ids[::-1].ravel(), dE.reshape(T * B, d), shape)
+            rows.append(a.T @ W)
+        if reverse:  # list step t's rows at T-1-t, as ids[::-1] does
+            rows.reverse()
+        dE = RowSparse(ids[::-1].ravel(), np.concatenate(rows), shape)
         return [dE, dW, dU] + ([] if db is None else [db]) + ([dc.T] if gated else []) + [dh.T]
 
     parents = [E, p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
-    return final.T.copy(), parents, vjp, A
+    return final.T.copy(), parents, vjp, acts
 
 
 def _threaded(work: int) -> bool:
@@ -435,7 +496,11 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     final state, B x S: [c_T | h_T] with S = 2H, or h_T alone for rnn
     (S = H).  The per-step states stay private to the node's VJP.  With
     ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
-    unchanged, bit for bit.  Gradients flow to E as one ``RowSparse`` over
+    unchanged, bit for bit.  Each row's ones must form one run of steps,
+    as in a padded batch read either way: the VJP rebuilds the h that a
+    row's first real step starts from as h0.  A mask of another shape
+    raises ShapeError, and one with a zero between two ones ValueError.
+    Gradients flow to E as one ``RowSparse`` over
     ``ids[::-1].ravel()``, to w, u and b, and to the initial state (c0 is
     None for rnn).  The node's VJP reuses the kernel's activation buffer,
     so a second backward pass through it raises RuntimeError.

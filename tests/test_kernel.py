@@ -10,6 +10,8 @@ checks of ``test_autodiff``; they are built on ``autodiff.record`` and
 checked against central differences here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,15 @@ def kernel_run(p, xs, c0, h0, mask):
                         for t in range(len(xs))])
 
 
-def _run_both(kind, n_groups, masked, seed, B=4, d=5, H=6, T=7):
+def _mask(layout, lengths, T):
+    """B x T {0, 1} mask with lengths[b] ones in row b, placed first ("prefix"),
+    last ("suffix") or centred ("middle")."""
+    first = {"prefix": 0, "suffix": T - lengths, "middle": (T - lengths) // 2}[layout]
+    steps = np.arange(T)[None, :] - np.reshape(first, (-1, 1))
+    return ((steps >= 0) & (steps < lengths[:, None])).astype(float)
+
+
+def _run_both(kind, n_groups, layout, seed, B=4, d=5, H=6, T=7):
     rng = np.random.default_rng(seed)
     params = init_params(kind, d, H, n_groups=n_groups, seed=seed, use_bias=True)
     params.w[:] = rng.uniform(-0.6, 0.6, params.w.shape)
@@ -180,7 +190,7 @@ def _run_both(kind, n_groups, masked, seed, B=4, d=5, H=6, T=7):
         lengths = np.array([T, 1, 4, T - 1])
     else:
         lengths = np.full(B, 4) if B == 1 else rng.integers(1, T + 1, B)
-    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float) if masked else None
+    mask = None if layout is None else _mask(layout, lengths, T)
     width = (1 if kind == "rnn" else 2) * H
     readout = rng.normal(size=(B, T * width))
     out = []
@@ -202,21 +212,29 @@ def _run_both(kind, n_groups, masked, seed, B=4, d=5, H=6, T=7):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("kind,n_groups", CASES)
 def test_kernel_matches_composed_tape(kind, n_groups, masked):
-    _assert_match(*_run_both(kind, n_groups, masked, seed=3))
+    _assert_match(*_run_both(kind, n_groups, "prefix" if masked else None, seed=3))
+
+
+@pytest.mark.parametrize("layout", ["suffix", "middle"])
+@pytest.mark.parametrize("kind,n_groups", CASES)
+def test_kernel_matches_composed_tape_when_real_steps_start_late(kind, n_groups, layout):
+    # Rows whose real steps start after step 0, as in the reverse run of a
+    # padded batch: the VJP rebuilds the h such a step starts from as h0.
+    _assert_match(*_run_both(kind, n_groups, layout, seed=3))
 
 
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("kind,n_groups", CASES)
 def test_kernel_matches_composed_tape_single_row(kind, n_groups, masked):
     # B = 1: every per-step product has one column.
-    _assert_match(*_run_both(kind, n_groups, masked, seed=8, B=1))
+    _assert_match(*_run_both(kind, n_groups, "prefix" if masked else None, seed=8, B=1))
 
 
 @pytest.mark.parametrize("kind,n_groups", [("lstm", 1), ("clstm", 3)])
 def test_kernel_matches_composed_tape_at_preset_shape(kind, n_groups):
     # Padded, with bias, at the preset's d=50, H=120 and B=128: the weight
     # gradients are sums of T per-step products of these shapes.
-    _assert_match(*_run_both(kind, n_groups, True, seed=11, B=128, d=50, H=120, T=8))
+    _assert_match(*_run_both(kind, n_groups, "prefix", seed=11, B=128, d=50, H=120, T=8))
 
 
 def _assert_match(run, ref):
@@ -256,7 +274,7 @@ def test_empty_or_ragged_steps_are_rejected(kind, rows, error, message):
 
 
 def test_masked_steps_carry_state():
-    (value, _, _), _ = _run_both("lstm", 1, masked=True, seed=4)
+    (value, _, _), _ = _run_both("lstm", 1, "prefix", seed=4)
     finals = value.reshape(4, 7, 12)  # the final state of each prefix
     # Row 1 has one real token: every longer prefix ends in the state after it.
     assert (finals[1, 1:] == finals[1, 0]).all()
@@ -265,7 +283,7 @@ def test_masked_steps_carry_state():
 
 
 def test_kernel_is_one_node():
-    _, (_, _, ref_nodes) = _run_both("clstm", 3, masked=False, seed=5)
+    _, (_, _, ref_nodes) = _run_both("clstm", 3, None, seed=5)
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 5, 6, n_groups=3, seed=5, use_bias=True))
     E, ids = _steps([tape.leaf(np.ones((4, 5))) for _ in range(7)])
@@ -353,3 +371,62 @@ def test_an_id_outside_the_source_is_rejected(encoder, bad):
             "cbow_encode": lambda: cbow_encode(source, ids)}[encoder]
     with pytest.raises(IndexError, match="id out of range for 6 rows"):
         call()
+
+
+def _encoders(tape, T=6, B=2):
+    """recurrence, recurrence_pair and final_state over one T x B run, by name,
+    each called with a mask."""
+    source = tape.leaf(np.ones((6, 3)))
+    ids = np.zeros((T, B), dtype=np.int64)
+    params = init_params("lstm", 3, 4, seed=0)
+    bound, _ = bind_params(tape, params)
+    run = (bound, tape.leaf(np.zeros((B, 4))), tape.leaf(np.zeros((B, 4))))
+    return {"recurrence": lambda m: recurrence(run[0], source, ids, *run[1:], m),
+            "recurrence_pair": lambda m: recurrence_pair(source, ids, m, run, run),
+            "final_state": lambda m: final_state(params, source.value, ids, m)}
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (2, 9), (3, 6), (1, 6), (6, 2), (12,)])
+@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair", "final_state"])
+def test_a_mask_of_the_wrong_shape_is_rejected(encoder, shape):
+    # Indexing by step would read only the first T columns of a wider mask,
+    # and broadcast a one-row mask over the batch, without an error.
+    call = _encoders(Tape())[encoder]
+    with pytest.raises(ShapeError, match=r"mask must be 2x6 \(batch x steps\), got "
+                       + "x".join(map(str, shape)) + "$"):
+        call(np.ones(shape))
+    call(np.ones((2, 6)))
+
+
+@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair"])
+def test_a_mask_with_a_hole_is_rejected(encoder):
+    # The VJP rebuilds the h a step starts from as h0 after a masked step,
+    # which holds only before a row's real steps.
+    call = _encoders(Tape(), T=3)[encoder]
+    with pytest.raises(ValueError, match="mask row 1 has a masked step between two real ones"):
+        call(np.array([[1, 1, 0], [1, 0, 1]]))
+    for ok in ([1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 0, 0]):
+        call(np.array([[1, 1, 1], ok]))
+
+
+def test_kernel_keeps_only_activations_and_carried_c():
+    # One needle-shape direction (clstm, d=20, H=30, B=32, T=200), forward and
+    # VJP.  Its history is each step's G*H x B activations and H x B carried
+    # c, (G+1)*H*8 = 960 bytes per token position, all alive when the VJP
+    # starts; the slack covers the rest (traced: ~1,010).  A kernel that also
+    # kept tanh(c') and the (c, h) each step starts from traced ~1,640.
+    G, H, B, T, d = 3, 30, 32, 200, 20
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    bound, _ = bind_params(tape, init_params("clstm", d, H, n_groups=3, seed=0))
+    source = tape.leaf(rng.normal(size=(505, d)))
+    ids = rng.integers(0, 505, (T, B))
+    c0, h0, readout = (tape.leaf(a) for a in (np.zeros((B, H)), np.zeros((B, H)),
+                                                 rng.normal(size=(B, 2 * H))))
+    tracemalloc.start()
+    try:
+        backward(tape, sum_all(mul(recurrence(bound, source, ids, c0, h0), readout)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (T * B) < (G + 1) * H * 8 + 80, f"traced peak {peak} bytes"
