@@ -25,37 +25,51 @@ value is the final state [c_T | h_T], with a hand-written VJP that keeps
 each step's gate activations and carried c.  Its input is a row
 source E, such as the embedding matrix, and a T x B array of row ids:
 step t reads the rows E[ids[t]], which it gathers itself.  Its mask is a
-B x T array.  The single-step functions run it at T = 1.  ``final_state``
-runs the same step function, ``_step``, on the same (E, ids), without a
-tape, and keeps only the carried state, for scoring.  ``_step`` projects
-its own B x d input rows, so both make the same products.
+B x T {0, 1} array laid out as ``data.pad_batch`` lays it out, read either
+way: every row's real steps start at step 0, or every row's end at step
+T-1.  The single-step functions run it at T = 1.  ``final_state`` runs the
+same step function, ``_step``, on the same (E, ids), in the same column
+order and at the same widths, without a tape, and keeps only the carried
+state, for scoring.  ``_step`` projects its own b x d input rows, so both
+make the same products.
 
 Inside the kernel the batch runs along columns: a step's activations are
-G*H x B (``W x_t^T``) and its carried c and h are H x B, so each gate block
-is one contiguous slab of rows and every elementwise gate operation reads
-contiguous memory.  The bias is added as its G*H x 1 column, a step's
-mask is a 1 x B row, and the clstm band offsets and clamps are H x B
-arrays built once per run.  The per-step history is private to the VJP
-and kept in this layout, as one slab per step in a list: each step's
-G*H x B activations and, for the gated kinds, the H x B c it carries out.
-The VJP walks back through the steps and rebuilds the rest bit for bit
-from step t-1's activations, which are still intact when it reaches step
-t: tanh(c') from the carried c, and the h the step starts from as
-o tanh(c') of step t-1 (see ``_recurrence``).  It drops each step's slabs
-once read, so the history shrinks as the gradient rows grow.  No
-T x B x d copy of the inputs is kept: the VJP gathers x_t = E[ids[t]]
-again.  Tape values and the results of ``final_state`` stay row-batched.
-The VJP sums the weight gradients inside its step loop, last step first
-(``dW += a @ x_t``, ``dU += a @ h_prev.T`` with the rebuilt h,
-``db += a.sum(1)``), so it makes no T*B x G*H copy of the step gradients.
-E's gradient is one ``RowSparse`` over ``ids[::-1].ravel()``: step t's
-rows ``a.T @ W`` are listed last step first, the order in which
-``backward`` would meet T gathers of one step.
+G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate block
+is one contiguous slab of rows.  A padded batch's columns are its rows in
+a stable order of real-step counts, longest first, so the rows real at
+step i of the run are its first b_i columns, and the step computes on
+those alone: ``W x``, ``U h``, the gates and the blend are b_i wide, and
+the carried state's other columns pass the step untouched.  Padded
+positions are never computed, so nothing masks them out.  An unpadded
+batch keeps its rows in input order and runs every step B wide.  The bias
+is added as its G*H x 1 column, and the clstm band offsets and clamps are
+H x B arrays built once per run, of which a step reads its first b_i
+columns.  The per-step history is private to the VJP and kept in this
+layout, as one slab per step in a list: each step's G*H x b_i activations
+and, for the gated kinds, the H x b_i c it carries out.  The VJP walks
+back through the steps and rebuilds the rest bit for bit from step i-1's
+activations, which are still intact when it reaches step i: tanh(c') from
+the carried c, and the h the step starts from as o tanh(c') of step i-1,
+or as h0 for the rows whose real steps start at step i (see
+``_recurrence``).  Its products run b_i wide too; its dh and dc stay B
+wide, and step i changes only their first b_i columns.  It drops each
+step's slabs once read, so the history shrinks as the gradient rows grow.
+No T x B x d copy of the inputs is kept: the VJP gathers x_t = E[ids[t]]
+again.  Tape values, gradients and the results of ``final_state`` stay
+row-batched, in input order.  The VJP sums the weight gradients inside its
+step loop, last step first (``dW += a @ x_t``, ``dU += a @ h_prev.T`` with
+the rebuilt h, ``db += a.sum(1)``), so it makes no T*B x G*H copy of the
+step gradients.  E's gradient is one ``RowSparse`` over the real
+positions: step t's rows ``a.T @ W`` are listed last step first, the order
+in which ``backward`` would meet T gathers of one step, each step's in
+the kernel's column order.  For an unpadded batch that is
+``ids[::-1].ravel()``.
 
 ``recurrence_pair`` records the two directions of a bidirectional encoder
 as one node whose value is their final states side by side.  Both read
 one (E, ids); the second runs with ``reverse``, from ids[T-1] to ids[0],
-and lists its rows in the same order as the first.  The node lists E
+in the same column order, and lists the same real positions in the same
+order as the first.  The node lists E
 once, with the second direction's rows added into the first's, so nothing
 is copied in reverse.  From H*B = ``THREAD_MIN_WORK`` on, and
 when the process may use two CPUs, the second kernel, and later the
@@ -210,8 +224,14 @@ def _band(hidden: int, n_groups: int, batch: int) -> tuple:
 
 
 def _rates(z: np.ndarray, band: tuple) -> np.ndarray:
-    """r = z/K + (k-1)/K, clamped so that a saturated z cannot reach a band edge."""
+    """r = z/K + (k-1)/K, clamped so that a saturated z cannot reach a band edge.
+
+    A z of b columns reads the first b columns of the band's arrays.
+    """
     scale, off, lo, hi = band
+    b = z.shape[1]
+    if b != off.shape[1]:  # slicing at full width cost ~5% of a needle-shape run
+        off, lo, hi = off[:, :b], lo[:, :b], hi[:, :b]
     r = z * scale
     r += off
     np.maximum(r, lo, out=r)
@@ -230,40 +250,45 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
 
 
 def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias,
-          band, m: np.ndarray | None = None, out: np.ndarray | None = None) -> tuple:
-    """One cell step from its B x d input rows x_t.
+          band, out: np.ndarray | None = None) -> tuple:
+    """One cell step from its b x d input rows x_t, on the first b columns of (c, h).
 
     States are H x B, one column per row of the batch, so each gate block
     ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
-    G*H x B, into ``out`` (a new array when None), adds U h, then the
+    G*H x b, into ``out`` (a new array when None), adds U h, then the
     G*H x 1 bias, and overwrites ``a`` with the gate activations (sigmoids,
-    then tanh(a_c)).  Returns the carried (c, h) and tanh(c') before the
-    mask (None for rnn, whose h is ``a`` itself).  A column whose entry of
-    ``m``, a 1 x B bool row, is False keeps its (c, h).
+    then tanh(a_c)).  Returns the step's (c', h'), H x b each; c' is None
+    for rnn, whose h' is ``a`` itself.
     """
-    H = U.shape[1]
+    H, b = U.shape[1], len(x)
     a = np.matmul(W, x.T, out=out)
-    a += U @ h
+    a += U @ h[:, :b]
     if bias is not None:
         a += bias
     if kind == "rnn":
-        c_new, h_new, tc = None, bounded_tanh(a, out=a), None
-    else:
-        logistic(a[:-H], out=a[:-H])
-        bounded_tanh(a[-H:], out=a[-H:])
-        keep, write = _keep_write(kind, a, H, band)
-        c_new = keep * c
-        c_new += write * a[-H:]
-        tc = bounded_tanh(c_new)
-        h_new = a[-2 * H:-H] * tc
-    if m is None:
-        return c_new, h_new, tc
-    if c_new is None:  # rnn: h' is ``a`` itself, which the VJP reads
-        return None, np.where(m, h_new, h), tc
-    old = ~m
-    np.copyto(c_new, c, where=old)
-    np.copyto(h_new, h, where=old)
-    return c_new, h_new, tc
+        return None, bounded_tanh(a, out=a)
+    logistic(a[:-H], out=a[:-H])
+    bounded_tanh(a[-H:], out=a[-H:])
+    keep, write = _keep_write(kind, a, H, band)
+    c_new = keep * c[:, :b]
+    c_new += write * a[-H:]
+    return c_new, a[-2 * H:-H] * bounded_tanh(c_new)
+
+
+def _carry(c, h, new: tuple, perm) -> tuple:
+    """The (c, h) a run carries past a step whose (c', h') is ``new``.
+
+    An unpadded run (``perm`` None) carries (c', h') themselves.  A padded
+    run owns its (c, h) and writes (c', h') over their first b columns.
+    """
+    if perm is None:
+        return new
+    c_new, h_new = new
+    b = h_new.shape[1]
+    h[:, :b] = h_new
+    if c is not None:
+        c[:, :b] = c_new
+    return c, h
 
 
 def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray,
@@ -307,52 +332,86 @@ def _checked_mask(mask, T: int, B: int):
     return mask
 
 
+def _order(mask, T: int, B: int, reverse: bool) -> tuple:
+    """(perm, widths): the column order of a run over T x B ids, and its step widths.
+
+    Without a mask, or when every position is real, ``perm`` is None and
+    every width is B.  Otherwise ``perm`` is the stable argsort of the rows'
+    real-step counts, longest first, and ``widths[i]`` the number of rows
+    real at step i of the run, which are perm's first ``widths[i]`` rows.
+    Raises ValueError unless each row's real steps are one run of steps,
+    and unless every row's real steps start at step 0 or every row's end at
+    step T-1.
+    """
+    real = None if mask is None else _checked_mask(mask, T, B) != 0
+    if real is None or real.all():
+        return None, [B] * T
+    n = real.sum(axis=1)
+    holes = np.flatnonzero((real[:, 1:] & ~real[:, :-1]).sum(axis=1) + real[:, 0] > 1)
+    if holes.size:
+        raise ValueError(f"recurrence: mask row {holes[0]} has a masked step between "
+                         "two real ones")
+    left, right = ((real[:, t] == (n > 0)).all() for t in (0, -1))
+    if not (left or right):
+        raise ValueError("recurrence: the mask's real steps must all start at step 0 "
+                         "or all end at the last step")
+    # The rows real at step t of a left-aligned run have more than t real
+    # steps; a run whose rows all end at its last step meets the counts reversed.
+    widths = (n[:, None] > np.arange(T)).sum(axis=0)
+    run_left = right if reverse else left
+    return np.argsort(-n, kind="stable"), (widths if run_left else widths[::-1]).tolist()
+
+
+def _step_ids(run_ids: np.ndarray, i: int, perm, b: int) -> np.ndarray:
+    """The ids step i of a run reads: row i of ``run_ids`` at perm's first b rows."""
+    return run_ids[i] if perm is None else run_ids[i, perm[:b]]
+
+
+def _cols(rows: np.ndarray, perm) -> np.ndarray:
+    """A B x H state as H x B C-contiguous columns, in ``perm`` order."""
+    return np.ascontiguousarray((rows if perm is None else rows[perm]).T)
+
+
+def _rows(cols: np.ndarray, perm) -> np.ndarray:
+    """H x B columns in ``perm`` order as B x H rows in input order."""
+    return cols.T if perm is None else cols.T[np.argsort(perm)]
+
+
 def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
                 reverse: bool = False) -> tuple:
     """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
 
     ``source`` is the row source E as an array, ``ids`` a T x B array of its
-    row ids and ``mask`` None or a B x T {0, 1} array; with ``reverse`` the
-    run reads ids[T-1] first.  Only the carried state is kept, so memory
-    does not grow with T.  The values equal the value of ``recurrence`` bit
-    for bit; c_T is None for rnn.
+    row ids and ``mask`` None or a B x T {0, 1} array under the contract of
+    ``recurrence``; with ``reverse`` the run reads ids[T-1] first.  It runs
+    the rows in the order and at the step widths of ``recurrence``, and
+    keeps only the carried state, so memory does not grow with T.  The
+    values, in input order, equal the value of ``recurrence`` bit for bit;
+    c_T is None for rnn.
     """
     ids = row_ids(ids, len(source), ndim=2)
-    mask = _checked_mask(mask, *ids.shape)
-    H, B = p.hidden_size, ids.shape[1]
+    (T, B), H = ids.shape, p.hidden_size
+    perm, widths = _order(mask, T, B, reverse)
+    run_ids = ids[::-1] if reverse else ids
     band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
     h = np.zeros((H, B))
     c = None if p.kind == "rnn" else np.zeros((H, B))
-    for t in range(len(ids))[::-1] if reverse else range(len(ids)):
-        m = None if mask is None else mask[None, :, t] != 0
-        c, h, _ = _step(p.kind, source[ids[t]], p.w, c, h, p.u, p.b, band, m)
+    for i, b in enumerate(widths):
+        x = source[_step_ids(run_ids, i, perm, b)]
+        c, h = _carry(c, h, _step(p.kind, x, p.w, c, h, p.u, p.b, band), perm)
     # Row-major, as the tape's values are: later products see the same layout.
-    return None if c is None else np.ascontiguousarray(c.T), np.ascontiguousarray(h.T)
+    return (None if c is None else np.ascontiguousarray(_rows(c, perm)),
+            np.ascontiguousarray(_rows(h, perm)))
 
 
-def _run_masks(mask, T: int, B: int, reverse: bool) -> tuple:
-    """(masks, starts): two lists with one entry per step, in run order.
+def _started(prev: np.ndarray, init: np.ndarray, b: int) -> np.ndarray:
+    """The H x b state a step of width b starts from.
 
-    ``masks[i]`` is step i's 1 x B bool mask row, or None when every row is
-    real there, so that the step takes the unmasked path of ``_step`` and
-    of the VJP, which gives the same bits without the selects.
-    ``starts[i]`` marks, as a 1 x B bool row, the rows whose real steps
-    begin at step i > 0, or is None when none does.  Raises ValueError
-    unless each row's real steps are one run of steps.
+    ``prev`` holds the previous step's carried columns, at most b of them;
+    the rows whose real steps start at this step take ``init``'s columns.
     """
-    if mask is None:
-        return [None] * T, [None] * T
-    real = _checked_mask(mask, T, B).T != 0
-    if reverse:
-        real = real[::-1]
-    starts = np.zeros_like(real)
-    starts[1:] = real[1:] & ~real[:-1]
-    holes = np.flatnonzero(starts.sum(axis=0) + real[0] > 1)
-    if holes.size:
-        raise ValueError(f"recurrence: mask row {holes[0]} has a masked step between "
-                         "two real ones")
-    return ([None if r.all() else r[None] for r in real],
-            [r[None] if r.any() else None for r in starts])
+    n = prev.shape[1]
+    return prev if n == b else np.concatenate([prev, init[:, n:b]], axis=1)
 
 
 def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
@@ -361,7 +420,7 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
 
     Returns (value, parents, vjp, acts): the final state B x S, the Vars it
     depends on, the VJP from its gradient to one gradient per parent, and
-    the list of the run's G*H x B activation slabs, first step of the run
+    the list of the run's G*H x b activation slabs, first step of the run
     first.  With ``reverse`` the run reads ids last step first; E's
     gradient rows are still listed by step in ids.  Two calls may run on
     two threads.
@@ -381,87 +440,95 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
         raise ValueError("recurrence: empty sequence")
     GH, H = U.shape
     bias = None if p.b is None else p.b.value
-    masks, starts = _run_masks(mask, T, B, reverse)
+    perm, widths = _order(mask, T, B, reverse)
     band = _band(H, n_groups, B) if kind == "clstm" else None
     run_ids = ids[::-1] if reverse else ids  # step i of the run reads run_ids[i]
 
     # H x B and C-contiguous, as ``final_state``'s zero state is.
-    c = None if c0 is None else np.ascontiguousarray(c0.value.T)
-    h = h0_cols = np.ascontiguousarray(h0.value.T)
+    c0_cols = None if c0 is None else _cols(c0.value, perm)
+    h0_cols = _cols(h0.value, perm)
+    # A padded run writes its carried state into copies, so (c0, h0) stay intact.
+    c, h = (c0_cols, h0_cols) if perm is None else (
+        None if c0 is None else c0_cols.copy(), h0_cols.copy())
     acts = []  # acts[i]: step i's activations, written by its ``_step``
-    cs = [c]  # cs[i + 1]: the c that step i carries out (gated kinds)
-    for i in range(T):
-        acts.append(np.empty((GH, B)))
-        c, h, _ = _step(kind, Ev[run_ids[i]], W, c, h, U, bias, band, masks[i], out=acts[i])
+    cs = [c0_cols]  # cs[i + 1]: the c that step i carries out (gated kinds)
+    for i, b in enumerate(widths):
+        acts.append(np.empty((GH, b)))
+        new = _step(kind, Ev[_step_ids(run_ids, i, perm, b)], W, c, h, U, bias, band,
+                    out=acts[i])
         if gated:
-            cs.append(c)
+            cs.append(new[0])
+        c, h = _carry(c, h, new, perm)
 
     def vjp(g):
         # Walks back through the steps and drops each step's slabs once read,
-        # so the history shrinks as E's gradient rows grow.  Step i's
-        # activations are overwritten with the gradients of its
+        # so the history shrinks as E's gradient rows grow.  Step i of width
+        # b computes only on the first b columns; dh and dc stay B wide, and
+        # the columns past b carry their gradients past the step unchanged.
+        # Step i's activations are overwritten with the gradients of its
         # pre-activations, so the VJP can run only once.  The rest of step
         # i is rebuilt, bit for bit, while step i-1's activations are intact:
-        # - tanh(c') is tanh of the c the step carries out, which is c'
-        #   wherever the step is real; masked columns get zero gradients;
+        # - tanh(c') is tanh of the c the step carries out;
         # - the h the step starts from is step i-1's o tanh(c'), the product
-        #   ``_step`` made (for rnn, step i-1's ``a`` itself), or h0 where a
-        #   row's real steps begin at step i.  Where step i is masked the
-        #   rebuilt h is not the carried one, but it meets only zero
-        #   gradients there, so the sums it enters keep their bits.
+        #   ``_step`` made (for rnn, step i-1's ``a`` itself), and h0 for the
+        #   rows whose real steps start at step i.
         nonlocal acts, cs
         if acts is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         steps, carried, acts, cs = acts, cs, None, None
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
-        rows = []  # E's gradient rows per step, last step of the run first
+        rows, listed = [], []  # E's gradient rows and their ids per step, last step first
         dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
         db = None if bias is None else np.zeros((GH, 1))
-        dh = np.ascontiguousarray(g[:, -H:].T)
-        dc = np.ascontiguousarray(g[:, :H].T) if gated else None
+        dh = _cols(g[:, -H:], perm)
+        dc = _cols(g[:, :H], perm) if gated else None
         tc = bounded_tanh(carried.pop()) if gated else None
         for i in reversed(range(T)):
-            a = steps.pop()
+            a, b = steps.pop(), widths[i]
             if i == 0:
-                h_prev = h0_cols
+                h_prev = h0_cols[:, :b]
             elif gated:
                 tc_prev = bounded_tanh(carried[-1])
-                h_prev = steps[-1][-2 * H:-H] * tc_prev
+                h_prev = _started(steps[-1][-2 * H:-H, :b] * tc_prev[:, :b], h0_cols, b)
             else:
-                h_prev = steps[-1]
-            if starts[i] is not None:
-                h_prev = np.where(starts[i], h0_cols, h_prev)
-            m = masks[i]
-            if m is None:  # nothing carries past a step with no masked row
-                dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
-            else:
-                dh_new, dh = np.where(m, dh, 0.0), np.where(m, 0.0, dh)
-                if gated:
-                    dc_new, dc = np.where(m, dc, 0.0), np.where(m, 0.0, dc)
+                h_prev = _started(steps[-1][:, :b], h0_cols, b)
             if gated:
-                dc = dc + _gate_grads(kind, a, tc, carried.pop(), dh_new, dc_new, band, up)
+                dc_step = _gate_grads(kind, a, tc, _started(carried.pop()[:, :b], c0_cols, b),
+                                      dh[:, :b], dc[:, :b], band, up[:, :b])
                 tc = None if i == 0 else tc_prev
             else:
-                np.multiply(dh_new, 1.0 - a * a, out=a)
-            dh = dh + U.T @ a
+                dc_step = None
+                np.multiply(dh[:, :b], 1.0 - a * a, out=a)
+            dh_step = U.T @ a
+            if b == B:  # nothing carries past a step with no padded row
+                dh, dc = dh_step, dc_step
+            else:
+                dh[:, :b] = dh_step
+                if gated:
+                    dc[:, :b] = dc_step
             # The weight gradients are summed over the steps as they go, last
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
             # product over all T*B rows.
-            dW += a @ Ev[run_ids[i]]
+            x_ids = _step_ids(run_ids, i, perm, b)
+            dW += a @ Ev[x_ids]
             dU += a @ h_prev.T
             if db is not None:
                 db += a.sum(axis=1, keepdims=True)
             rows.append(a.T @ W)
+            listed.append(x_ids)
         if reverse:  # list step t's rows at T-1-t, as ids[::-1] does
             rows.reverse()
-        dE = RowSparse(ids[::-1].ravel(), np.concatenate(rows), shape)
-        return [dE, dW, dU] + ([] if db is None else [db]) + ([dc.T] if gated else []) + [dh.T]
+            listed.reverse()
+        dE = RowSparse(np.concatenate(listed), np.concatenate(rows), shape)
+        return ([dE, dW, dU] + ([] if db is None else [db])
+                + ([_rows(dc, perm)] if gated else []) + [_rows(dh, perm)])
 
     parents = [E, p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
-    return final.T.copy(), parents, vjp, acts
+    value = final.T.copy() if perm is None else _rows(final, perm)
+    return value, parents, vjp, acts
 
 
 def _threaded(work: int) -> bool:
@@ -495,15 +562,19 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     ids; an id outside E's rows raises IndexError.  The node's value is the
     final state, B x S: [c_T | h_T] with S = 2H, or h_T alone for rnn
     (S = H).  The per-step states stay private to the node's VJP.  With
-    ``mask``, a B x T array of {0, 1}, a row's state passes a zero step
-    unchanged, bit for bit.  Each row's ones must form one run of steps,
-    as in a padded batch read either way: the VJP rebuilds the h that a
-    row's first real step starts from as h0.  A mask of another shape
-    raises ShapeError, and one with a zero between two ones ValueError.
-    Gradients flow to E as one ``RowSparse`` over
-    ``ids[::-1].ravel()``, to w, u and b, and to the initial state (c0 is
-    None for rnn).  The node's VJP reuses the kernel's activation buffer,
-    so a second backward pass through it raises RuntimeError.
+    ``mask``, a B x T array of {0, 1}, only the real (one) positions are
+    computed, and a row's state passes its zero steps unchanged, bit for
+    bit.  The mask must be laid out as a padded batch is, read either way:
+    every row's ones one run of steps, and every row's run starting at step
+    0 or every row's ending at step T-1.  A mask of another shape raises
+    ShapeError, one with a zero between two ones or of another layout
+    ValueError.  The kernel runs a padded batch's rows longest first, each
+    step on the rows real there (see the module docstring), and answers in
+    input order.  Gradients flow to E as one ``RowSparse`` over the real
+    positions, last step first (``ids[::-1].ravel()`` when no row is
+    padded), to w, u and b, and to the initial state (c0 is None for rnn).
+    The node's VJP reuses the kernel's activation buffer, so a second
+    backward pass through it raises RuntimeError.
     """
     return record(*_recurrence(p, E, ids, c0, h0, mask)[:3])
 

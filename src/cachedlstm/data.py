@@ -131,8 +131,8 @@ class EmbeddingMatrix:
     """Token vectors, one row per vocabulary id; row 0 (padding) is zero.
 
     ``trainable`` controls whether gradient updates are applied.  The
-    padding row receives no gradient regardless, because padded steps are
-    masked out of every forward pass.
+    padding row receives no gradient regardless, because no forward pass
+    computes a padded position.
     """
 
     vectors: np.ndarray

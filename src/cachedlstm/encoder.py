@@ -17,8 +17,9 @@ take a list of B x d step Vars, which ``autodiff.stack_steps`` joins into a
 B x 1 mask Vars.  A unidirectional run is a ``cells.recurrence`` node
 whose value is its final carried state; a bidirectional run is a
 ``cells.recurrence_pair`` node holding both directions' final states, and
-E gets the sum of their gradients.  A row's state passes its masked steps
-unchanged, so padding steps are bit-neutral to the final state.
+E gets the sum of their gradients.  Padded positions are not computed: a
+row's state passes its masked steps unchanged, so padding steps are
+bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.

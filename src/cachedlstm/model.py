@@ -227,12 +227,11 @@ class DocModel:
         document pads only to the longest of similar-length neighbours.
         On review-shape documents at B=64 this cut the padded share of
         scored positions from 31-33% to 17-20% (128 documents) and from
-        35% to 3.3% (1,000 documents).  The chunk widths are those of
-        input-order chunking and padding is exact, so documents in full
-        64-row chunks get the probabilities of input-order scoring bit for
-        bit; elsewhere a row's last bits can depend on its position in the
-        chunk, as BLAS kernels treat the rows past their last full tile
-        apart.
+        35% to 3.3% (1,000 documents).  Padded positions are not computed,
+        so a document's probabilities are those of input-order scoring up
+        to their last bits: a padded row's step widths depend on its
+        chunk-mates' lengths, and BLAS kernels treat the rows past their
+        last full tile apart.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")

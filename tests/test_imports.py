@@ -3,6 +3,8 @@ that ``autodiff`` exports is imported by another library module, every
 public module-level function and class of the library has a caller, and so
 does every public method and property of a library class.  The library's
 modules form one stack: each imports only modules below it, at its top.
+The recurrent kernel in ``cells`` makes no ``np.where`` or ``np.copyto``
+select over padded positions.
 
 Lines marked ``# noqa: F401`` are exempt from the first check only when
 every name they import is one that ``perfbench/tracer.py`` patches in that
@@ -196,4 +198,14 @@ def test_only_model_config_directions_spells_the_direction_prefixes():
         found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in exempt and ("fwd." in node.value or "bwd." in node.value)]
+    assert not found, found
+
+
+def test_the_kernel_makes_no_masked_selects():
+    # A padded step runs only on the rows real there, so ``cells`` has no
+    # per-step ``np.where`` or ``np.copyto`` select over padded columns.
+    tree = ast.parse((SRC / "cells.py").read_text(encoding="utf-8"))
+    found = [f"cells.py:{node.lineno}: np.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("where", "copyto")
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert not found, found

@@ -170,14 +170,14 @@ def kernel_run(p, xs, c0, h0, mask):
 
 
 def _mask(layout, lengths, T):
-    """B x T {0, 1} mask with lengths[b] ones in row b, placed first ("prefix"),
-    last ("suffix") or centred ("middle")."""
-    first = {"prefix": 0, "suffix": T - lengths, "middle": (T - lengths) // 2}[layout]
+    """B x T {0, 1} mask with lengths[b] ones in row b, placed first ("prefix")
+    or last ("suffix")."""
+    first = {"prefix": 0, "suffix": T - lengths}[layout]
     steps = np.arange(T)[None, :] - np.reshape(first, (-1, 1))
     return ((steps >= 0) & (steps < lengths[:, None])).astype(float)
 
 
-def _run_both(kind, n_groups, layout, seed, B=4, d=5, H=6, T=7):
+def _run_both(kind, n_groups, layout, seed, B=4, d=5, H=6, T=7, lengths=None):
     rng = np.random.default_rng(seed)
     params = init_params(kind, d, H, n_groups=n_groups, seed=seed, use_bias=True)
     params.w[:] = rng.uniform(-0.6, 0.6, params.w.shape)
@@ -186,9 +186,9 @@ def _run_both(kind, n_groups, layout, seed, B=4, d=5, H=6, T=7):
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
     c0_arr = rng.normal(size=(B, H))
     h0_arr = rng.uniform(-1, 1, (B, H))
-    if B == 4:
+    if lengths is None and B == 4:
         lengths = np.array([T, 1, 4, T - 1])
-    else:
+    elif lengths is None:
         lengths = np.full(B, 4) if B == 1 else rng.integers(1, T + 1, B)
     mask = None if layout is None else _mask(layout, lengths, T)
     width = (1 if kind == "rnn" else 2) * H
@@ -215,12 +215,21 @@ def test_kernel_matches_composed_tape(kind, n_groups, masked):
     _assert_match(*_run_both(kind, n_groups, "prefix" if masked else None, seed=3))
 
 
-@pytest.mark.parametrize("layout", ["suffix", "middle"])
+@pytest.mark.parametrize("layout", ["suffix"])
 @pytest.mark.parametrize("kind,n_groups", CASES)
 def test_kernel_matches_composed_tape_when_real_steps_start_late(kind, n_groups, layout):
     # Rows whose real steps start after step 0, as in the reverse run of a
     # padded batch: the VJP rebuilds the h such a step starts from as h0.
     _assert_match(*_run_both(kind, n_groups, layout, seed=3))
+
+
+@pytest.mark.parametrize("layout", ["prefix", "suffix"])
+@pytest.mark.parametrize("kind,n_groups", CASES)
+def test_kernel_matches_composed_tape_with_zero_width_steps(kind, n_groups, layout):
+    # No row is 7 steps long, so no row is real at the last step of the
+    # left-aligned mask or at the first step of the right-aligned one: those
+    # steps run on zero columns.
+    _assert_match(*_run_both(kind, n_groups, layout, seed=6, lengths=np.array([6, 1, 4, 6])))
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -398,15 +407,72 @@ def test_a_mask_of_the_wrong_shape_is_rejected(encoder, shape):
     call(np.ones((2, 6)))
 
 
-@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair"])
+@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair", "final_state"])
 def test_a_mask_with_a_hole_is_rejected(encoder):
-    # The VJP rebuilds the h a step starts from as h0 after a masked step,
-    # which holds only before a row's real steps.
+    # A step runs on the rows real there, and the VJP rebuilds the h a step
+    # starts from as h0 where a row's real steps begin.
     call = _encoders(Tape(), T=3)[encoder]
     with pytest.raises(ValueError, match="mask row 1 has a masked step between two real ones"):
         call(np.array([[1, 1, 0], [1, 0, 1]]))
-    for ok in ([1, 1, 0], [0, 1, 1], [0, 1, 0], [0, 0, 0]):
+    for ok in ([1, 1, 0], [0, 1, 1], [0, 0, 0]):
         call(np.array([[1, 1, 1], ok]))
+
+
+@pytest.mark.parametrize("mask", [[[1, 1, 1], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]],
+                                  [[1, 0, 0], [0, 0, 1]]])
+@pytest.mark.parametrize("encoder", ["recurrence", "recurrence_pair", "final_state"])
+def test_a_mask_whose_rows_neither_start_nor_end_together_is_rejected(encoder, mask):
+    # A padded batch read either way has every row start at step 0 or every
+    # row end at the last step.  A row real only in the middle, or a mix of
+    # left- and right-aligned rows, has no longest-first column order that
+    # runs each step on a leading block of columns.
+    call = _encoders(Tape(), T=3)[encoder]
+    with pytest.raises(ValueError, match="must all start at step 0 or all end at the last"):
+        call(np.array(mask))
+
+
+def _run_in_row_order(order, bidirectional, B=6, d=3, H=6, T=8, V=11):
+    """Value and gradients, by name, of one masked run over the rows ``order``
+    of a batch of distinct lengths; per-row arrays are put back in batch order."""
+    rng = np.random.default_rng(21)
+    params = [init_params("clstm", d, H, n_groups=2, seed=s, use_bias=True) for s in (1, 2)]
+    for p in params:
+        p.b[:] = rng.normal(scale=0.3, size=p.b.shape)
+    lengths = np.array([8, 6, 5, 3, 2, 1])
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+    source, ids = rng.normal(size=(V, d)), rng.integers(0, V, (T, B))
+    states = [rng.normal(size=(B, H)) for _ in range(4)]
+    readout = rng.normal(size=(B, (4 if bidirectional else 2) * H))
+    tape = Tape()
+    bound = [bind_params(tape, p) for p in params]
+    E = tape.leaf(source)
+    c1, h1, c2, h2 = (tape.leaf(a[order]) for a in states)
+    runs = (bound[0][0], c1, h1), (bound[1][0], c2, h2)
+    if bidirectional:
+        node = recurrence_pair(E, ids[:, order], mask[order], *runs)
+    else:
+        node = recurrence(bound[0][0], E, ids[:, order], c1, h1, mask[order])
+    grads = backward(tape, sum_all(mul(node, tape.leaf(readout[order]))))
+    back = np.argsort(order)
+    out = {"value": node.value[back], "E": np.asarray(grads[E.nid])}
+    out.update({name: grads[v.nid][back] for name, v in zip(("c1", "h1", "c2", "h2"),
+                                                             (c1, h1, c2, h2))})
+    out.update({f"{k}.{name}": grads[v.nid] for k, (_, leaves) in enumerate(bound)
+                for name, v in leaves.items()})
+    return out
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_row_order_does_not_change_a_rows_bits(bidirectional):
+    # The kernel runs a padded batch's rows longest first and answers in
+    # input order.  With distinct lengths, a shuffled batch then makes the
+    # same products as the batch sorted longest first: each row's value and
+    # state gradients, E's gradient and the weight gradients keep their bits.
+    ref = _run_in_row_order(np.arange(6), bidirectional)
+    got = _run_in_row_order(np.array([3, 0, 5, 1, 4, 2]), bidirectional)
+    assert got.keys() == ref.keys()
+    for name in ref:
+        assert got[name].tobytes() == ref[name].tobytes(), name
 
 
 def test_kernel_keeps_only_activations_and_carried_c():
@@ -430,3 +496,32 @@ def test_kernel_keeps_only_activations_and_carried_c():
     finally:
         tracemalloc.stop()
     assert peak / (T * B) < (G + 1) * H * 8 + 80, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("layout", ["prefix", "suffix"])
+def test_padded_kernel_keeps_history_only_for_real_positions(layout):
+    # The needle-shape direction above on a padded batch, half of whose
+    # positions are real.  Each step keeps its activations and carried c on
+    # its real rows only, (G+1)*H*8 = 960 bytes per real position; the slack
+    # covers the rest, mostly B-wide per-step temporaries (traced: ~1,040
+    # with the real steps first, ~1,060 last).  A kernel that keeps every
+    # step B wide traced ~2,020 per real position here.
+    G, H, B, T, d = 3, 30, 32, 200, 20
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    bound, _ = bind_params(tape, init_params("clstm", d, H, n_groups=3, seed=0))
+    source = tape.leaf(rng.normal(size=(505, d)))
+    ids = rng.integers(0, 505, (T, B))
+    lengths = rng.integers(1, T + 1, B)
+    lengths[0] = T
+    mask = _mask(layout, lengths, T)
+    c0, h0, readout = (tape.leaf(a) for a in (np.zeros((B, H)), np.zeros((B, H)),
+                                                 rng.normal(size=(B, 2 * H))))
+    tracemalloc.start()
+    try:
+        backward(tape, sum_all(mul(recurrence(bound, source, ids, c0, h0, mask), readout)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.45 < lengths.sum() / (T * B) < 0.55
+    assert peak / lengths.sum() < (G + 1) * H * 8 + 120, f"traced peak {peak} bytes"

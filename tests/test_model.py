@@ -432,12 +432,12 @@ def _padded_positions(lengths, batch_size):
 class TestLengthOrderedPredict:
     """``predict`` scores in length order and answers in input order.
 
-    A row's probabilities can differ in their last bits with its position
-    in a chunk: BLAS kernels compute the rows past the last full register
-    tile of a product apart, so a partial chunk (or a width that is not a
-    multiple of the tile) scores some rows by another kernel.  Input-order
-    scoring already varies that way with ``batch_size``.  Rows that sit in
-    full 64-row chunks in both orders are bit-identical.
+    A row's probabilities can differ in their last bits with its chunk: a
+    padded chunk runs each step on the rows real there, so a row's products
+    have widths set by its chunk-mates' lengths, and BLAS kernels compute
+    the rows past the last full register tile of a product apart.
+    Input-order scoring already varies that way with ``batch_size``.
+    Unpadded chunks (``batch_size`` 1) are bit-identical.
     """
 
     @pytest.mark.parametrize("batch_size", [1, 3, 7, 13, 20])
@@ -459,6 +459,9 @@ class TestLengthOrderedPredict:
     @pytest.mark.parametrize("n_docs", [128, 131])
     def test_full_chunks_bit_identical_at_preset_shape(self, n_docs):
         # The review_eval job scores 128 documents in two full chunks of 64.
+        # Length order gives a row other chunk-mates, so its step widths and
+        # last bits can change; rows in full chunks in both orders were
+        # bit-identical while every step ran at the chunk's full width.
         v = build_vocab([Document(0, [f"w{i}" for i in range(500)])])
         model = _scoring_model("clstm", {"H": 120, "K": 3}, True, True, 50, v, seed=12)
         rng = np.random.default_rng(12)
@@ -467,10 +470,6 @@ class TestLengthOrderedPredict:
         order = sorted(range(n_docs), key=lambda i: docs[i].length)
         by_input = _chunked_probabilities(model, docs, list(range(n_docs)), 64)
         by_length = _chunked_probabilities(model, docs, order, 64)
-        in_full = n_docs - n_docs % 64
-        full = (np.arange(n_docs) < in_full) & (np.argsort(order) < in_full)
-        assert full.sum() >= n_docs - 2 * (n_docs % 64)
-        assert by_length[full].tobytes() == by_input[full].tobytes()
         np.testing.assert_allclose(by_length, by_input, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(model.predict(docs), by_input.argmax(axis=1))
 
