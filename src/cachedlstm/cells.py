@@ -39,10 +39,11 @@ is one contiguous slab of rows.  A padded batch's columns are its rows in
 a stable order of real-step counts, longest first, so the rows real at
 step i of the run are its first b_i columns, and the step computes on
 those alone: ``W x``, ``U h``, the gates and the blend are b_i wide, and
-the carried state's other columns pass the step untouched.  Padded
-positions are never computed, so nothing masks them out.  An unpadded
-batch keeps its rows in input order and runs every step B wide.  The bias
-is added as its G*H x 1 column, and the clstm band offsets and clamps are
+it writes (c', h') over the first b_i columns of the run's own (c, h),
+whose other columns pass the step untouched.  Padded positions are never
+computed, so nothing masks them out.  An unpadded batch runs the same
+way: its order is the identity and every step is B wide.  The bias is
+added as its G*H x 1 column, and the clstm band offsets and clamps are
 H x B arrays built once per run, of which a step reads its first b_i
 columns.  The per-step history is private to the VJP and kept in this
 layout, as one slab per step in a list: each step's G*H x b_i activations
@@ -250,15 +251,16 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
 
 
 def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias,
-          band, out: np.ndarray | None = None) -> tuple:
-    """One cell step from its b x d input rows x_t, on the first b columns of (c, h).
+          band, out: np.ndarray | None = None) -> None:
+    """One cell step from its b x d input rows x_t, written over the first b columns of (c, h).
 
     States are H x B, one column per row of the batch, so each gate block
     ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
     G*H x b, into ``out`` (a new array when None), adds U h, then the
     G*H x 1 bias, and overwrites ``a`` with the gate activations (sigmoids,
-    then tanh(a_c)).  Returns the step's (c', h'), H x b each; c' is None
-    for rnn, whose h' is ``a`` itself.
+    then tanh(a_c)).  Then it overwrites the first b columns of c with c'
+    and of h with h' (for rnn, a copy of ``a``; c is None there).  The
+    other columns pass the step untouched.
     """
     H, b = U.shape[1], len(x)
     a = np.matmul(W, x.T, out=out)
@@ -266,29 +268,15 @@ def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarr
     if bias is not None:
         a += bias
     if kind == "rnn":
-        return None, bounded_tanh(a, out=a)
+        h[:, :b] = bounded_tanh(a, out=a)
+        return
     logistic(a[:-H], out=a[:-H])
     bounded_tanh(a[-H:], out=a[-H:])
     keep, write = _keep_write(kind, a, H, band)
-    c_new = keep * c[:, :b]
+    c_new = c[:, :b]
+    c_new *= keep
     c_new += write * a[-H:]
-    return c_new, a[-2 * H:-H] * bounded_tanh(c_new)
-
-
-def _carry(c, h, new: tuple, perm) -> tuple:
-    """The (c, h) a run carries past a step whose (c', h') is ``new``.
-
-    An unpadded run (``perm`` None) carries (c', h') themselves.  A padded
-    run owns its (c, h) and writes (c', h') over their first b columns.
-    """
-    if perm is None:
-        return new
-    c_new, h_new = new
-    b = h_new.shape[1]
-    h[:, :b] = h_new
-    if c is not None:
-        c[:, :b] = c_new
-    return c, h
+    np.multiply(a[-2 * H:-H], bounded_tanh(c_new), out=h[:, :b])
 
 
 def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray,
@@ -335,17 +323,17 @@ def _checked_mask(mask, T: int, B: int):
 def _order(mask, T: int, B: int, reverse: bool) -> tuple:
     """(perm, widths): the column order of a run over T x B ids, and its step widths.
 
-    Without a mask, or when every position is real, ``perm`` is None and
-    every width is B.  Otherwise ``perm`` is the stable argsort of the rows'
-    real-step counts, longest first, and ``widths[i]`` the number of rows
-    real at step i of the run, which are perm's first ``widths[i]`` rows.
+    ``perm`` is the stable argsort of the rows' real-step counts, longest
+    first, and ``widths[i]`` the number of rows real at step i of the run,
+    which are perm's first ``widths[i]`` rows.  Without a mask, or when
+    every position is real, that is the identity and every width is B.
     Raises ValueError unless each row's real steps are one run of steps,
     and unless every row's real steps start at step 0 or every row's end at
     step T-1.
     """
-    real = None if mask is None else _checked_mask(mask, T, B) != 0
-    if real is None or real.all():
-        return None, [B] * T
+    if mask is None:
+        return np.arange(B), [B] * T
+    real = _checked_mask(mask, T, B) != 0
     n = real.sum(axis=1)
     holes = np.flatnonzero((real[:, 1:] & ~real[:, :-1]).sum(axis=1) + real[:, 0] > 1)
     if holes.size:
@@ -362,19 +350,14 @@ def _order(mask, T: int, B: int, reverse: bool) -> tuple:
     return np.argsort(-n, kind="stable"), (widths if run_left else widths[::-1]).tolist()
 
 
-def _step_ids(run_ids: np.ndarray, i: int, perm, b: int) -> np.ndarray:
-    """The ids step i of a run reads: row i of ``run_ids`` at perm's first b rows."""
-    return run_ids[i] if perm is None else run_ids[i, perm[:b]]
-
-
-def _cols(rows: np.ndarray, perm) -> np.ndarray:
+def _cols(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """A B x H state as H x B C-contiguous columns, in ``perm`` order."""
-    return np.ascontiguousarray((rows if perm is None else rows[perm]).T)
+    return np.ascontiguousarray(rows[perm].T)
 
 
-def _rows(cols: np.ndarray, perm) -> np.ndarray:
-    """H x B columns in ``perm`` order as B x H rows in input order."""
-    return cols.T if perm is None else cols.T[np.argsort(perm)]
+def _rows(cols: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """H x B columns in ``perm`` order as C-contiguous B x H rows in input order."""
+    return cols.T[np.argsort(perm)]
 
 
 def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
@@ -392,16 +375,17 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     ids = row_ids(ids, len(source), ndim=2)
     (T, B), H = ids.shape, p.hidden_size
     perm, widths = _order(mask, T, B, reverse)
+    # Step i gathers its ids from run_ids[i]: a T x B copy of the ids in
+    # run order, as ``_recurrence`` makes, would add 8 bytes per position
+    # to scoring's peak.
     run_ids = ids[::-1] if reverse else ids
     band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
     h = np.zeros((H, B))
     c = None if p.kind == "rnn" else np.zeros((H, B))
     for i, b in enumerate(widths):
-        x = source[_step_ids(run_ids, i, perm, b)]
-        c, h = _carry(c, h, _step(p.kind, x, p.w, c, h, p.u, p.b, band), perm)
+        _step(p.kind, source[run_ids[i][perm[:b]]], p.w, c, h, p.u, p.b, band)
     # Row-major, as the tape's values are: later products see the same layout.
-    return (None if c is None else np.ascontiguousarray(_rows(c, perm)),
-            np.ascontiguousarray(_rows(h, perm)))
+    return None if c is None else _rows(c, perm), _rows(h, perm)
 
 
 def _started(prev: np.ndarray, init: np.ndarray, b: int) -> np.ndarray:
@@ -442,23 +426,20 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     bias = None if p.b is None else p.b.value
     perm, widths = _order(mask, T, B, reverse)
     band = _band(H, n_groups, B) if kind == "clstm" else None
-    run_ids = ids[::-1] if reverse else ids  # step i of the run reads run_ids[i]
+    run_ids = (ids[::-1] if reverse else ids)[:, perm]  # step i reads run_ids[i, :b]
 
     # H x B and C-contiguous, as ``final_state``'s zero state is.
     c0_cols = None if c0 is None else _cols(c0.value, perm)
     h0_cols = _cols(h0.value, perm)
-    # A padded run writes its carried state into copies, so (c0, h0) stay intact.
-    c, h = (c0_cols, h0_cols) if perm is None else (
-        None if c0 is None else c0_cols.copy(), h0_cols.copy())
+    # The run writes its carried state into copies, so (c0, h0) stay intact.
+    c, h = None if c0 is None else c0_cols.copy(), h0_cols.copy()
     acts = []  # acts[i]: step i's activations, written by its ``_step``
-    cs = [c0_cols]  # cs[i + 1]: the c that step i carries out (gated kinds)
+    cs = [c0_cols]  # cs[i + 1]: the H x b c that step i carries out (gated kinds)
     for i, b in enumerate(widths):
         acts.append(np.empty((GH, b)))
-        new = _step(kind, Ev[_step_ids(run_ids, i, perm, b)], W, c, h, U, bias, band,
-                    out=acts[i])
+        _step(kind, Ev[run_ids[i, :b]], W, c, h, U, bias, band, out=acts[i])
         if gated:
-            cs.append(new[0])
-        c, h = _carry(c, h, new, perm)
+            cs.append(c[:, :b].copy())
 
     def vjp(g):
         # Walks back through the steps and drops each step's slabs once read,
@@ -510,7 +491,7 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
             # product over all T*B rows.
-            x_ids = _step_ids(run_ids, i, perm, b)
+            x_ids = run_ids[i, :b]
             dW += a @ Ev[x_ids]
             dU += a @ h_prev.T
             if db is not None:
@@ -527,8 +508,7 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     parents = [E, p.w, p.u] + ([p.b] if p.b is not None else [])
     parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
-    value = final.T.copy() if perm is None else _rows(final, perm)
-    return value, parents, vjp, acts
+    return _rows(final, perm), parents, vjp, acts
 
 
 def _threaded(work: int) -> bool:

@@ -479,7 +479,8 @@ def test_kernel_keeps_only_activations_and_carried_c():
     # One needle-shape direction (clstm, d=20, H=30, B=32, T=200), forward and
     # VJP.  Its history is each step's G*H x B activations and H x B carried
     # c, (G+1)*H*8 = 960 bytes per token position, all alive when the VJP
-    # starts; the slack covers the rest (traced: ~1,010).  A kernel that also
+    # starts; the slack covers the rest, such as the run's T x B copy of its
+    # ids, 8 bytes per position (traced: ~1,020).  A kernel that also
     # kept tanh(c') and the (c, h) each step starts from traced ~1,640.
     G, H, B, T, d = 3, 30, 32, 200, 20
     rng = np.random.default_rng(0)
@@ -503,8 +504,9 @@ def test_padded_kernel_keeps_history_only_for_real_positions(layout):
     # The needle-shape direction above on a padded batch, half of whose
     # positions are real.  Each step keeps its activations and carried c on
     # its real rows only, (G+1)*H*8 = 960 bytes per real position; the slack
-    # covers the rest, mostly B-wide per-step temporaries (traced: ~1,040
-    # with the real steps first, ~1,060 last).  A kernel that keeps every
+    # covers the rest, mostly B-wide per-step temporaries and the run's
+    # T x B copy of its ids (traced: ~1,055 with the real steps first,
+    # ~1,075 last).  A kernel that keeps every
     # step B wide traced ~2,020 per real position here.
     G, H, B, T, d = 3, 30, 32, 200, 20
     rng = np.random.default_rng(0)

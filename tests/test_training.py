@@ -361,7 +361,7 @@ def test_preset_step_memory_bound():
     # once as a T x B x d input, ~13,439 with the kernel gathering its own
     # rows from the embedding, ~8,880 (~8,682 with the two directions on
     # one thread) with a kernel that keeps only each step's activations and
-    # carried c, and ~5,010-5,040 (~4,795 on one thread) with a kernel that
+    # carried c, and ~4,990-5,050 (~4,810 on one thread) with a kernel that
     # runs each step on the rows real there, so that this batch, 48% padding,
     # keeps no history for its padded positions.  The bound lies just above
     # the last.
