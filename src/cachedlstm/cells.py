@@ -22,38 +22,48 @@ terms.
 
 ``recurrence`` runs a cell over T steps and records one tape node whose
 value is the final state [c_T | h_T], with a hand-written VJP that keeps
-each step's gate activations and carried c.  Its input is a row
-source E, such as the embedding matrix, and a T x B array of row ids:
-step t reads the rows E[ids[t]], which it gathers itself.  Its mask is a
-B x T {0, 1} array laid out as ``data.pad_batch`` lays it out, read either
-way: every row's real steps start at step 0, or every row's end at step
-T-1.  The single-step functions run it at T = 1.  ``final_state`` runs the
-same step function, ``_step``, on the same (E, ids), in the same column
-order and at the same widths, without a tape, and keeps only the carried
-state, for scoring.  ``_step`` projects its own b x d input rows, so both
-make the same products.
+each step's gate activations and, every ceil(sqrt(T)) steps, the carried
+c.  Its input is a row source E, such as the embedding matrix, and a T x B
+array of row ids: step t reads the rows E[ids[t]], which it gathers
+itself.  Its mask is a B x T {0, 1} array laid out as ``data.pad_batch``
+lays it out, read either way: every row's real steps start at step 0, or
+every row's end at step T-1.  The single-step functions run it at T = 1.
+``final_state`` runs the same step function, ``_step``, on the same (E,
+ids), in the same column order and at the same widths, without a tape, and
+keeps only the carried state, for scoring.  ``_step`` projects its own b x
+d input rows, so both make the same products.
 
 Inside the kernel the batch runs along columns: a step's activations are
-G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate block
-is one contiguous slab of rows.  A padded batch's columns are its rows in
-a stable order of real-step counts, longest first, so the rows real at
-step i of the run are its first b_i columns, and the step computes on
-those alone: ``W x``, ``U h``, the gates and the blend are b_i wide, and
-it writes (c', h') over the first b_i columns of the run's own (c, h),
+G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate
+block is one contiguous slab of rows.  A padded batch's columns are its
+rows in a stable order of real-step counts, longest first, so the rows
+real at step i of the run are its first b_i columns, and the step computes
+on those alone: ``W x``, ``U h``, the gates and the blend are b_i wide,
+and it writes (c', h') over the first b_i columns of the run's own (c, h),
 whose other columns pass the step untouched.  Padded positions are never
-computed, so nothing masks them out.  An unpadded batch runs the same
-way: its order is the identity and every step is B wide.  The bias is
-added as its G*H x 1 column, and the clstm band offsets and clamps are
-H x B arrays built once per run, of which a step reads its first b_i
-columns.  The per-step history is private to the VJP and kept in this
-layout, as one slab per step in a list: each step's G*H x b_i activations
-and, for the gated kinds, the H x b_i c it carries out.  The VJP walks
-back through the steps and rebuilds the rest bit for bit from step i-1's
-activations, which are still intact when it reaches step i: tanh(c') from
-the carried c, and the h the step starts from as o tanh(c') of step i-1,
-or as h0 for the rows whose real steps start at step i (see
-``_recurrence``).  Its products run b_i wide too; its dh and dc stay B
-wide, and step i changes only their first b_i columns.  It drops each
+computed, so nothing masks them out.  An unpadded batch runs the same way:
+its order is the identity and every step is B wide.  The bias is added as
+its G*H x 1 column, and the clstm band offsets and clamps are H x B arrays
+built once per run, of which a step reads its first b_i columns.  The
+per-step history is private to the VJP and kept in this layout: each
+step's G*H x b_i activations, one slab per step in a list, and, for the
+gated kinds, a checkpoint of the c carried into every S-th step, as an
+H x b slab, with S = ceil(sqrt(T)).  The VJP walks back through the steps
+in segments of S steps, and rebuilds the rest bit for bit from the
+activations of the steps before step i, which are still intact when it
+reaches step i.  At a segment's last step it reruns ``_step``'s blend,
+c' = keep * c + write * c~, from the segment's checkpoint over the
+segment's stored activations, into one buffer of S*H*B floats that every
+segment reuses, and keeps each step's keep and write for the gate
+gradients.
+Then, step by step, it takes tanh(c') of the rebuilt c in place, and the h
+the step starts from as o tanh(c') of step i-1, or as h0 for the rows
+whose real steps start at step i (see ``_recurrence``).  So c costs the
+checkpoints and the buffer, about 2 sqrt(T) H x B slabs, instead of T.
+The activations stay stored: rebuilding them too would rerun the whole
+forward pass, measured at +42% kernel time at the needle shape and +36% at
+the preset shape.  The VJP's products run b_i wide too; its dh and dc stay
+B wide, and step i changes only their first b_i columns.  It drops each
 step's slabs once read, so the history shrinks as the gradient rows grow.
 No T x B x d copy of the inputs is kept: the VJP gathers x_t = E[ids[t]]
 again.  Tape values, gradients and the results of ``final_state`` stay
@@ -62,8 +72,8 @@ step loop, last step first (``dW += a @ x_t``, ``dU += a @ h_prev.T`` with
 the rebuilt h, ``db += a.sum(1)``), so it makes no T*B x G*H copy of the
 step gradients.  E's gradient is one ``RowSparse`` over the real
 positions: step t's rows ``a.T @ W`` are listed last step first, the order
-in which ``backward`` would meet T gathers of one step, each step's in
-the kernel's column order.  For an unpadded batch that is
+in which ``backward`` would meet T gathers of one step, each step's in the
+kernel's column order.  For an unpadded batch that is
 ``ids[::-1].ravel()``.
 
 ``recurrence_pair`` records the two directions of a bidirectional encoder
@@ -92,6 +102,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -279,22 +290,34 @@ def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarr
     np.multiply(a[-2 * H:-H], bounded_tanh(c_new), out=h[:, :b])
 
 
-def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray,
-                dc: np.ndarray, band, up: np.ndarray) -> np.ndarray:
+def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
+                keep: np.ndarray, write: np.ndarray, dh: np.ndarray, dc: np.ndarray, band,
+                up: np.ndarray) -> None:
     """Backward through one gated step; overwrites ``a`` with dLoss/dpre.
 
-    ``a`` holds the step's gate activations (G*H x B) and ``tc`` its
-    tanh(c'); ``dh`` and ``dc`` are the gradients of its h' and c' (dc
-    without the path through h').  ``up`` is G*H - H x B scratch.  Returns
-    the part of dc' that the blend carries back to c, dc' * keep.
+    ``a`` holds the step's gate activations (G*H x b), ``tc`` its tanh(c'),
+    ``c_prev`` the c it starts from, and ``keep`` and ``write`` its blend
+    weights as ``_keep_write`` gives them; ``dh`` and ``dc`` are the
+    gradients of its h' and c' (dc without the path through h').  ``up`` is
+    G*H - H x b scratch.  Overwrites ``dc`` with the part of dc' that the
+    blend carries back to c, dc' * keep.  Every product is written into an
+    existing array where that keeps its bits.
     """
     H = tc.shape[0]
     sig, o, ctil = a[:-H], a[-2 * H:-H], a[-H:]
-    dc = dc + dh * o * (1.0 - tc * tc)
-    keep, write = _keep_write(kind, a, H, band)
-    dkeep, dwrite = dc * c_prev, dc * ctil
-    carried = dc * keep
-    ctil[...] = dc * write * (1.0 - ctil * ctil)
+    scratch = up[-H:]
+    np.multiply(tc, tc, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    via_h = dh * o
+    via_h *= scratch
+    dc += via_h  # dc', now with the path through h'
+    dwrite = dc * ctil
+    dkeep = np.multiply(dc, c_prev, out=via_h)
+    np.multiply(ctil, ctil, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    np.multiply(dc, write, out=ctil)
+    ctil *= scratch
+    dc *= keep
     # Each sigmoid gate s with upstream gradient u gets u s (1 - s).
     np.multiply(dh, tc, out=up[-H:])
     if kind == "lstm":
@@ -305,8 +328,8 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev, dh: np.ndarray
         np.subtract(dwrite, dkeep, out=up[:H])
         up[:H] *= band[0]
     up *= sig
-    np.multiply(up, 1.0 - sig, out=sig)
-    return carried
+    np.subtract(1.0, sig, out=sig)
+    sig *= up
 
 
 def _checked_mask(mask, T: int, B: int):
@@ -402,12 +425,14 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
                 mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
     """The kernel behind ``recurrence``; it reads Var values and records nothing.
 
-    Returns (value, parents, vjp, acts): the final state B x S, the Vars it
-    depends on, the VJP from its gradient to one gradient per parent, and
-    the list of the run's G*H x b activation slabs, first step of the run
-    first.  With ``reverse`` the run reads ids last step first; E's
-    gradient rows are still listed by step in ids.  Two calls may run on
-    two threads.
+    Returns (value, parents, vjp, acts): the final state B x 2H (B x H for
+    rnn), the Vars it depends on, the VJP from its gradient to one gradient
+    per parent, and the list of the run's G*H x b activation slabs, first
+    step of the run first.  Besides those slabs the VJP keeps only a
+    checkpoint of the carried c every S = ceil(sqrt(T)) steps, and rebuilds
+    every other c from them (see the module docstring).  With ``reverse``
+    the run reads ids last step first; E's gradient rows are still listed
+    by step in ids.  Two calls may run on two threads.
     """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
@@ -433,60 +458,85 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     h0_cols = _cols(h0.value, perm)
     # The run writes its carried state into copies, so (c0, h0) stay intact.
     c, h = None if c0 is None else c0_cols.copy(), h0_cols.copy()
+    S = math.isqrt(T - 1) + 1  # segment length, ceil(sqrt(T))
     acts = []  # acts[i]: step i's activations, written by its ``_step``
-    cs = [c0_cols]  # cs[i + 1]: the H x b c that step i carries out (gated kinds)
+    checkpoints = [c0_cols]  # checkpoints[s]: the c that step s*S-1 carries out, c0 for s = 0
     for i, b in enumerate(widths):
+        if gated and i and i % S == 0:
+            checkpoints.append(c[:, :widths[i - 1]].copy())
         acts.append(np.empty((GH, b)))
         _step(kind, Ev[run_ids[i, :b]], W, c, h, U, bias, band, out=acts[i])
-        if gated:
-            cs.append(c[:, :b].copy())
 
     def vjp(g):
-        # Walks back through the steps and drops each step's slabs once read,
-        # so the history shrinks as E's gradient rows grow.  Step i of width
-        # b computes only on the first b columns; dh and dc stay B wide, and
-        # the columns past b carry their gradients past the step unchanged.
-        # Step i's activations are overwritten with the gradients of its
-        # pre-activations, so the VJP can run only once.  The rest of step
-        # i is rebuilt, bit for bit, while step i-1's activations are intact:
-        # - tanh(c') is tanh of the c the step carries out;
+        # Walks back through the steps and drops each step's activations once
+        # read, so the history shrinks as E's gradient rows grow.  Step i of
+        # width b computes only on the first b columns; dh and dc stay B wide,
+        # and the columns past b carry their gradients past the step
+        # unchanged.  Step i's activations are overwritten with the gradients
+        # of its pre-activations, so the VJP can run only once.  The rest of
+        # step i is rebuilt, bit for bit, while the activations of the steps
+        # before it are intact:
+        # - at the last step of each segment of S steps, the c that each of
+        #   the segment's steps carries out, from the segment's checkpoint
+        #   with ``_step``'s own blend; keep and write stay for
+        #   ``_gate_grads``;
+        # - tanh(c') of step i-1 in place of its c, once step i has read
+        #   that c as the one it starts from;
         # - the h the step starts from is step i-1's o tanh(c'), the product
         #   ``_step`` made (for rnn, step i-1's ``a`` itself), and h0 for the
         #   rows whose real steps start at step i.
-        nonlocal acts, cs
+        nonlocal acts, checkpoints
         if acts is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
-        steps, carried, acts, cs = acts, cs, None, None
+        steps, saved, acts, checkpoints = acts, checkpoints, None, None
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
+        if gated:
+            # One segment's rebuilt c's, each H x b and contiguous; every
+            # segment reuses it.
+            seg = np.empty((S, H * B))
         rows, listed = [], []  # E's gradient rows and their ids per step, last step first
         dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
         db = None if bias is None else np.zeros((GH, 1))
         dh = _cols(g[:, -H:], perm)
         dc = _cols(g[:, :H], perm) if gated else None
-        tc = bounded_tanh(carried.pop()) if gated else None
+        UT = U.T
         for i in reversed(range(T)):
             a, b = steps.pop(), widths[i]
+            if b == B:  # views of all B columns cost ~1.5% of a needle-shape run
+                dh_b, dc_b, up_b = dh, dc, up
+            else:
+                dh_b, up_b = dh[:, :b], up[:, :b]
+                dc_b = dc[:, :b] if gated else None
+            k = i % S  # step i's place in its segment
+            if gated and (k == S - 1 or i == T - 1):
+                # cs[j]: the c that step i-k+j-1 carries out; blends[j]: the
+                # (c, keep, write) of step i-k+j's blend, as ``_step`` made it.
+                cs, blends = [saved.pop()], []
+                for j, a_j in enumerate(steps[i - k:] + [a]):
+                    b_j, c_from = widths[i - k + j], cs[-1]
+                    if c_from.shape[1] != b_j:  # likewise, no view at full width
+                        c_from = _started(c_from[:, :b_j], c0_cols, b_j)
+                    keep, write = _keep_write(kind, a_j, H, band)
+                    c_new = np.multiply(c_from, keep, out=seg[j, :H * b_j].reshape(H, b_j))
+                    c_new += write * a_j[-H:]
+                    cs.append(c_new)
+                    blends.append((c_from, keep, write))
+                bounded_tanh(c_new, out=c_new)
+            if gated:
+                # cs[-1] holds step i's tanh(c'), cs[-2] the c step i-1 carries out.
+                _gate_grads(kind, a, cs.pop(), *blends.pop(), dh_b, dc_b, band, up_b)
+            else:
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                a *= dh_b
             if i == 0:
                 h_prev = h0_cols[:, :b]
             elif gated:
-                tc_prev = bounded_tanh(carried[-1])
+                tc_prev = bounded_tanh(cs[-1], out=cs[-1])
                 h_prev = _started(steps[-1][-2 * H:-H, :b] * tc_prev[:, :b], h0_cols, b)
             else:
                 h_prev = _started(steps[-1][:, :b], h0_cols, b)
-            if gated:
-                dc_step = _gate_grads(kind, a, tc, _started(carried.pop()[:, :b], c0_cols, b),
-                                      dh[:, :b], dc[:, :b], band, up[:, :b])
-                tc = None if i == 0 else tc_prev
-            else:
-                dc_step = None
-                np.multiply(dh[:, :b], 1.0 - a * a, out=a)
-            dh_step = U.T @ a
-            if b == B:  # nothing carries past a step with no padded row
-                dh, dc = dh_step, dc_step
-            else:
-                dh[:, :b] = dh_step
-                if gated:
-                    dc[:, :b] = dc_step
+            np.matmul(UT, a, out=dh_b)  # the columns past b pass the step
             # The weight gradients are summed over the steps as they go, last
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
@@ -540,8 +590,8 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
 
     E is a row source Var of width d and ``ids`` a T x B array of its row
     ids; an id outside E's rows raises IndexError.  The node's value is the
-    final state, B x S: [c_T | h_T] with S = 2H, or h_T alone for rnn
-    (S = H).  The per-step states stay private to the node's VJP.  With
+    final state: [c_T | h_T], B x 2H, or h_T alone, B x H, for rnn.  The
+    per-step states stay private to the node's VJP.  With
     ``mask``, a B x T array of {0, 1}, only the real (one) positions are
     computed, and a row's state passes its zero steps unchanged, bit for
     bit.  The mask must be laid out as a padded batch is, read either way:
@@ -553,8 +603,9 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     input order.  Gradients flow to E as one ``RowSparse`` over the real
     positions, last step first (``ids[::-1].ravel()`` when no row is
     padded), to w, u and b, and to the initial state (c0 is None for rnn).
-    The node's VJP reuses the kernel's activation buffer, so a second
-    backward pass through it raises RuntimeError.
+    The node's VJP overwrites the activations that the kernel keeps with
+    their gradients, so a second backward pass through it raises
+    RuntimeError.
     """
     return record(*_recurrence(p, E, ids, c0, h0, mask)[:3])
 
