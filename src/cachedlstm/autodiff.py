@@ -13,12 +13,13 @@ array of its row ids, which ``row_ids`` checks, so the embedding matrix
 gets a gradient the size of the batch.  A list of step Vars becomes such a
 source through ``stack_steps``.
 
-The operation set is the minimum needed for gated recurrent cells and a
-softmax classifier: matrix products, elementwise arithmetic, column
-concatenation/slicing, row softmax, plus a few indexing helpers (row
-gather, per-row column picks) used for embeddings and cross-entropy.
-``record`` adds a fused operation with a hand-written VJP as one node; the
-recurrent cells and the bag-of-words encoder run a whole sequence that way.
+The operation set is row gathers (``take_rows``), ``stack_steps``, column
+slicing and concatenation, and ``record``, which adds a fused operation
+with a hand-written VJP as one node.  Everything else is such a node: the
+recurrent cells and the bag-of-words encoder run a whole sequence that
+way, and the softmax head and the training loss are one node each.
+``logistic``, ``bounded_tanh`` and ``softmax`` are the plain array
+functions those nodes share.
 """
 
 from __future__ import annotations
@@ -32,21 +33,11 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Var",
-    "matmul",
-    "add",
-    "mul",
     "concat_cols",
     "slice_cols",
-    "softmax_rows",
-    "transpose",
-    "mul_const",
-    "add_rowvec",
     "row_ids",
     "take_rows",
     "stack_steps",
-    "pick_cols",
-    "sum_all",
-    "log_floor",
     "record",
     "logistic",
     "bounded_tanh",
@@ -198,40 +189,6 @@ def _same_tape(*vs: Var) -> Tape:
     return tape
 
 
-def matmul(a: Var, b: Var) -> Var:
-    """Matrix product a @ b with gradients g @ b^T and a^T @ g."""
-    tape = _same_tape(a, b)
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    out = av @ bv
-
-    def vjp(g):
-        return g @ bv.T, av.T @ g
-
-    return tape._record(out, (a.nid, b.nid), vjp)
-
-
-def _require_same_shape(op: str, a: Var, b: Var) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ: {a.shape} vs {b.shape}")
-
-
-def add(a: Var, b: Var) -> Var:
-    """Elementwise sum; both inputs receive the upstream gradient unchanged."""
-    tape = _same_tape(a, b)
-    _require_same_shape("add", a, b)
-    return tape._record(a.value + b.value, (a.nid, b.nid), lambda g: (g, g))
-
-
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise (Hadamard) product."""
-    tape = _same_tape(a, b)
-    _require_same_shape("mul", a, b)
-    av, bv = a.value, b.value
-    return tape._record(av * bv, (a.nid, b.nid), lambda g: (g * bv, g * av))
-
-
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid of an array as 0.5 tanh(x/2) + 0.5, clamped strictly inside (0, 1).
 
@@ -303,39 +260,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_rows(a: Var) -> Var:
-    """Row-wise softmax; see ``softmax``."""
-    out = softmax(a.value)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return a.tape._record(out, (a.nid,), vjp)
-
-
-def transpose(a: Var) -> Var:
-    """Matrix transpose."""
-    return a.tape._record(a.value.T, (a.nid,), lambda g: (g.T,))
-
-
-def mul_const(a: Var, c: float) -> Var:
-    """Scale by a python scalar (not a tape value)."""
-    return a.tape._record(a.value * c, (a.nid,), lambda g: (g * c,))
-
-
-def add_rowvec(a: Var, row: Var) -> Var:
-    """Add a 1 x n row vector to every row of an m x n tensor."""
-    tape = _same_tape(a, row)
-    if row.rows != 1 or row.cols != a.cols:
-        raise ShapeError(f"add_rowvec: expected 1x{a.cols} row, got {row.shape}")
-
-    def vjp(g):
-        return g, g.sum(axis=0, keepdims=True)
-
-    return tape._record(a.value + row.value, (a.nid, row.nid), vjp)
-
-
 def row_ids(ids, rows: int, ndim: int = 1) -> np.ndarray:
     """``ids`` as an ndim-D index array; IndexError unless each names one of ``rows`` rows.
 
@@ -369,47 +293,6 @@ def stack_steps(xs: Sequence[Var]) -> Var:
             raise ShapeError(f"step {t}: {x.rows} input rows, expected {B}")
     return tape._record(np.concatenate([x.value for x in xs]), tuple(x.nid for x in xs),
                         lambda g: tuple(g.reshape(len(xs), B, d)))
-
-
-def pick_cols(a: Var, cols) -> Var:
-    """Per-row entry pick: returns a[i, cols[i]] as an m x 1 column."""
-    idx = np.asarray(cols, dtype=np.intp)
-    if idx.shape != (a.rows,):
-        raise ShapeError(f"pick_cols: need one column index per row, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.cols):
-        raise IndexError(f"pick_cols: column index out of range for {a.cols} columns")
-    m = a.rows
-    shape = a.shape
-    out = a.value[np.arange(m), idx].reshape(m, 1)
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[np.arange(m), idx] = g[:, 0]
-        return (full,)
-
-    return a.tape._record(out, (a.nid,), vjp)
-
-
-def sum_all(a: Var) -> Var:
-    """Sum of all entries as a 1 x 1 tensor."""
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return a.tape._record(a.value.sum().reshape(1, 1), (a.nid,), vjp)
-
-
-def log_floor(a: Var, floor: float) -> Var:
-    """Natural log of max(a, floor); zero gradient where the floor is active."""
-    x = a.value
-    clipped = np.maximum(x, floor)
-    out = np.log(clipped)
-
-    def vjp(g):
-        return (np.where(x > floor, g / clipped, 0.0),)
-
-    return a.tape._record(out, (a.nid,), vjp)
 
 
 def record(value: np.ndarray, parents: Sequence[Var], vjp: Callable) -> Var:

@@ -36,16 +36,13 @@ from .autodiff import (
     RowSparse,
     ShapeError,
     Var,
-    add_rowvec,
     bounded_tanh,
     concat_cols,
-    matmul,
     record,
     row_ids,
     slice_cols,
-    softmax_rows,
+    softmax,
     stack_steps,
-    transpose,
 )
 from .cells import CELL_KINDS, recurrence, recurrence_pair, zero_state
 # Not called here: perfbench's tracer patches these names in this module.
@@ -208,10 +205,21 @@ def init_classifier(rep_width: int, n_classes: int, seed=0) -> ClassifierParams:
     )
 
 
+def class_probabilities(rep: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """softmax(rep W^T + b^T), one row of class probabilities per document, without a tape."""
+    return softmax(rep @ w.T + b.T)
+
+
 def classify(rep: Var, clf: ClassifierParams) -> Var:
-    """Class probabilities, one row per document; rows sum to 1."""
-    logits = add_rowvec(matmul(rep, transpose(clf.w)), transpose(clf.b))
-    return softmax_rows(logits)
+    """``class_probabilities`` of rep and the head's Vars as one tape node; rows sum to 1."""
+    z, w = rep.value, clf.w.value  # a closure over a Var would tie the tape into a cycle
+    out = class_probabilities(z, w, clf.b.value)
+
+    def vjp(g):
+        dz = out * (g - (g * out).sum(axis=1, keepdims=True))  # through the softmax
+        return dz @ w, (z.T @ dz).T, dz.sum(axis=0, keepdims=True).T
+
+    return record(out, [rep, clf.w, clf.b], vjp)
 
 
 def cbow_vector(source: np.ndarray, ids, mask=None) -> np.ndarray:

@@ -10,15 +10,32 @@ return the maximum relative error of ``autodiff.grad_check``; the
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .autodiff import Tape, add, backward, grad_check, mul, slice_cols, sum_all
+from .autodiff import Tape, backward, grad_check, record
 from .cells import bind_params, init_params, named_tensors
 from .data import Batch, Document, build_vocab
 from .encoder import EncoderConfig, encode_forward
 from .model import ModelConfig, build_model
-from .training import objective
+from .training import apply_weight_decay, objective
+
+
+def _readout(runs: list, weights: list):
+    """Σ_t sum(h_t * weights[t]) as one tape node, h_t the last H columns of runs[t]."""
+    H = weights[0].shape[1]
+    value = functools.reduce(np.add, [(run.value[:, -H:] * w).sum().reshape(1, 1)
+                                      for run, w in zip(runs, weights)])
+    shapes = [run.shape for run in runs]
+
+    def vjp(g):
+        grads = [np.zeros(shape) for shape in shapes]
+        for d, w in zip(grads, weights):
+            d[:, -H:] = g[0, 0] * w
+        return grads
+
+    return record(value, runs, vjp)
 
 
 def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
@@ -53,13 +70,10 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
         bound, leaves = bind_params(tape, dataclasses.replace(proto, **params))
         xs = [tape.leaf(a) for a in xs_arr]
         mask = None if mask_arr is None else [tape.leaf(m) for m in mask_arr]
-        loss = None
-        for t, weight in enumerate(readouts):
-            run = encode_forward(cfg, bound, xs[:t + 1],
-                                 mask=None if mask is None else mask[:t + 1]).fwd
-            term = sum_all(mul(slice_cols(run, run.cols - hidden, run.cols),
-                               tape.leaf(weight)))
-            loss = term if loss is None else add(loss, term)
+        runs = [encode_forward(cfg, bound, xs[:t + 1],
+                               mask=None if mask is None else mask[:t + 1]).fwd
+                for t in range(n_steps)]
+        loss = _readout(runs, readouts)
         grads = backward(tape, loss)
         return float(loss.value[0, 0]), {n: grads[v.nid] for n, v in leaves.items()}
 
@@ -105,10 +119,13 @@ def pipeline_gradcheck(kind: str, width: int, seed: int, eps: float,
         model.set_named_tensors(params)
         tape = Tape()
         probs, leaves = model.forward_batch(tape, batch)
-        loss = objective(probs, batch.labels, list(leaves.values()),
-                         weight_decay=weight_decay)
+        loss = objective(probs, batch.labels)
+        value, add_decay = apply_weight_decay(float(loss.value[0, 0]), model.named_tensors(),
+                                              weight_decay)
         grads = backward(tape, loss)
-        return float(loss.value[0, 0]), {n: grads[v.nid] for n, v in leaves.items()}
+        named = {n: grads[v.nid] for n, v in leaves.items()}
+        add_decay(named)
+        return value, named
 
     params = {name: t.copy() for name, t in model.named_tensors().items()}
     return grad_check(f, params, eps=eps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, softmax
+from .autodiff import Tape
 # Not called here: perfbench's tracer patches this name in this module.
 from .autodiff import take_rows  # noqa: F401
 from .cells import CELL_KINDS, GATES, CellParams, final_state, init_params, named_tensors
@@ -25,6 +25,7 @@ from .encoder import (
     EncoderConfig,
     cbow_encode,
     cbow_vector,
+    class_probabilities,
     classify,
     doc_representation,
     encode_bidirectional,
@@ -200,7 +201,7 @@ class DocModel:
             width = cfg.H // cfg.K  # the slowest group of the final h
             rep = np.concatenate([final_state(cell, emb, ids, mask, reverse=bool(i))[1][:, :width]
                                   for i, cell in enumerate(self.cells)], axis=1)
-        return softmax(rep @ self.clf.w.T + self.clf.b.T)
+        return class_probabilities(rep, self.clf.w, self.clf.b)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Most probable class per row; ties resolve to the lower index.

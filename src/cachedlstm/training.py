@@ -6,10 +6,13 @@ The objective over a batch of m documents is
 
     J = -(1/m) * sum_i log p_i[gold_i]  +  (lambda/2) * sum ||theta||^2
 
-where the L2 sum runs over the parameters that entered the batch's graph;
-for the embedding matrix only the rows the batch actually touched are
-penalized, so untouched rows are not dragged toward zero by documents that
-never mention them.
+The cross-entropy is one tape node (``objective``).  The L2 term is not on
+the tape: ``apply_weight_decay`` adds it to the loss before ``backward``,
+and its gradient lambda*theta to the tape's gradients after, so it is
+applied in the update.  Its sum runs over every weight; for the embedding
+matrix only the rows the batch actually touched are penalized, so
+untouched rows are not dragged toward zero by documents that never
+mention them.
 """
 
 from __future__ import annotations
@@ -20,19 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import (
-    RowSparse,
-    Tape,
-    Var,
-    add,
-    backward,
-    log_floor,
-    mul,
-    mul_const,
-    pick_cols,
-    sum_all,
-    take_rows,
-)
+from .autodiff import RowSparse, Tape, Var, backward, record
 from .data import EmbeddingMatrix, make_batches
 from .evaluation import SweepEntry, SweepReport, evaluate
 from .model import DocModel, ModelConfig, build_model
@@ -82,13 +73,12 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive when set")
 
 
-def objective(probs: Var, gold: np.ndarray, reg_vars: list | None = None,
-              weight_decay: float = 0.0) -> Var:
-    """Mean negative log probability of the gold classes, plus L2.
+def objective(probs: Var, gold: np.ndarray) -> Var:
+    """Mean negative log probability of the gold classes, as one tape node.
 
     gold holds 0-based class indices, one per row of probs.  Probabilities
-    are floored at 1e-12 inside the log so a saturated softmax cannot
-    produce an infinite loss.
+    are floored at PROB_FLOOR inside the log so a saturated softmax cannot
+    produce an infinite loss; a floored probability gets a zero gradient.
     """
     m, n_classes = probs.shape
     gold = np.asarray(gold)
@@ -99,15 +89,44 @@ def objective(probs: Var, gold: np.ndarray, reg_vars: list | None = None,
             f"gold labels must lie in 0..{n_classes - 1}, got range "
             f"[{gold.min()}, {gold.max()}]"
         )
-    picked = pick_cols(probs, gold)
-    loss = mul_const(sum_all(log_floor(picked, PROB_FLOOR)), -1.0 / m)
-    if weight_decay > 0.0 and reg_vars:
-        penalty = None
-        for v in reg_vars:
-            term = sum_all(mul(v, v))
-            penalty = term if penalty is None else add(penalty, term)
-        loss = add(loss, mul_const(penalty, weight_decay / 2.0))
-    return loss
+    rows = np.arange(m)
+    picked = probs.value[rows, gold].reshape(m, 1)
+    clipped = np.maximum(picked, PROB_FLOOR)
+    scale = -1.0 / m
+
+    def vjp(g):
+        d_probs = np.zeros((m, n_classes))
+        d_probs[rows, gold] = np.where(picked > PROB_FLOOR, g[0, 0] * scale / clipped, 0.0)[:, 0]
+        return (d_probs,)
+
+    return record(np.log(clipped).sum().reshape(1, 1) * scale, [probs], vjp)
+
+
+def apply_weight_decay(loss: float, tensors: dict, decay: float, rows=None) -> tuple:
+    """Add the L2 term (decay/2)·Σθ² over ``tensors`` to a batch's loss.
+
+    Returns the penalised loss and a function that, after ``backward``,
+    adds the term's gradient decay·θ to each tensor's entry of a name ->
+    gradient table.  With ``rows`` (sorted unique ids) the embedding decays
+    only there: its term is Σθ[rows]², summed last, and its gradient
+    ``RowSparse(rows, decay·θ[rows])``, listed before the batch's own rows.
+    """
+    dense = {name: t for name, t in tensors.items() if rows is None or name != "embedding"}
+    parts = list(dense.values())
+    sparse = rows is not None and "embedding" in tensors
+    if sparse:
+        parts.append(tensors["embedding"][rows])
+    penalty = sum(((t * t).sum(keepdims=True) for t in parts), np.zeros((1, 1)))
+    value = loss + penalty * (decay / 2.0)
+
+    def add_gradient(grads: dict) -> None:
+        for name, t in dense.items():
+            grads[name] = decay * t + grads[name]
+        if sparse:
+            emb = tensors["embedding"]
+            grads["embedding"] = RowSparse(rows, decay * emb[rows], emb.shape) + grads["embedding"]
+
+    return float(value[0, 0]), add_gradient
 
 
 def adagrad_update(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray,
@@ -168,23 +187,23 @@ def _train_step(model: DocModel, batch, index: int, cfg: TrainConfig,
     it returns, before the next batch's forward pass.
     """
     tape = Tape()
+    tensors = model.named_tensors()
     probs, leaves = model.forward_batch(tape, batch)
-    reg = []
-    if cfg.weight_decay > 0.0:
-        reg = [v for name, v in leaves.items() if name != "embedding"]
-        if model.embedding.trainable:
-            reg.append(take_rows(leaves["embedding"], np.unique(batch.ids)))
-    loss = objective(probs, batch.labels, reg, cfg.weight_decay)
+    if not model.embedding.trainable:
+        del leaves["embedding"]
+    loss = objective(probs, batch.labels)
     value = float(loss.value[0, 0])
+    if cfg.weight_decay > 0.0:
+        value, add_decay = apply_weight_decay(value, {name: tensors[name] for name in leaves},
+                                              cfg.weight_decay, np.unique(batch.ids))
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite objective ({value}) at batch {index}")
     grads = backward(tape, loss)
     named_grads = {name: grads[v.nid] for name, v in leaves.items()}
-    if not model.embedding.trainable:
-        named_grads.pop("embedding", None)
+    if cfg.weight_decay > 0.0:
+        add_decay(named_grads)
     if cfg.gradient_clip_norm is not None:
         named_grads = _clip_grads(named_grads, cfg.gradient_clip_norm)
-    tensors = model.named_tensors()
     for name, grad in named_grads.items():
         opt.update(name, tensors[name], grad, cfg.learning_rate)
     return value

@@ -8,14 +8,7 @@ values for zero weights and gradient checks through unrolled steps.
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import (
-    ShapeError,
-    Tape,
-    backward,
-    grad_check,
-    mul,
-    sum_all,
-)
+from cachedlstm.autodiff import ShapeError, Tape, backward, grad_check
 from cachedlstm.cells import (
     GATES,
     CellParams,
@@ -31,6 +24,7 @@ from cachedlstm.cells import (
     recurrence,
     zero_state,
 )
+from tape_ops import mul, sum_all
 
 
 def _sigmoid(x):

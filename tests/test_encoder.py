@@ -4,16 +4,8 @@ document representation slice, and the classifier head."""
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import (
-    ShapeError,
-    Tape,
-    backward,
-    grad_check,
-    mul,
-    stack_steps,
-    sum_all,
-)
-from cachedlstm.cells import CellState, bind_params, init_params, lstm_step, zero_state
+from cachedlstm.autodiff import ShapeError, Tape, backward, stack_steps
+from cachedlstm.cells import bind_params, init_params, lstm_step, zero_state
 from cachedlstm.encoder import (
     ClassifierParams,
     EncoderConfig,
@@ -24,6 +16,7 @@ from cachedlstm.encoder import (
     encode_forward,
     init_classifier,
 )
+from tape_ops import mul, sum_all
 
 
 def _embed(tape, rng, T, B, d):

@@ -5,9 +5,7 @@ node per operation and step, and lays every step's [c_t | h_t] side by
 side.  ``cells.recurrence`` records only the final state, so
 ``kernel_run`` lays out the final states of the runs over each prefix
 xs[:t+1] the same way.  Values and gradients for every input must agree.
-The five ops below exist only for that reference and for the gradient
-checks of ``test_autodiff``; they are built on ``autodiff.record`` and
-checked against central differences here.
+The per-op graph is built from the ops of ``tape_ops``.
 """
 
 import tracemalloc
@@ -15,100 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import (
-    ShapeError,
-    Tape,
-    add,
-    add_rowvec,
-    backward,
-    bounded_tanh,
-    concat_cols,
-    grad_check,
-    logistic,
-    matmul,
-    mul,
-    mul_const,
-    record,
-    slice_cols,
-    stack_steps,
-    sum_all,
-    transpose,
-)
+from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, slice_cols, stack_steps
 from cachedlstm.cells import (GATES, bind_params, final_state, init_params, recurrence,
                               recurrence_pair)
 from cachedlstm.data import Batch, Document, build_vocab
 from cachedlstm.encoder import cbow_encode
 from cachedlstm.model import ModelConfig, build_model
+from tape_ops import (add, add_const, add_rowvec, matmul, mul, mul_colvec, mul_const, sigmoid,
+                      sub_from_one, sum_all, tanh_, transpose)
 
 CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 2),
          ("clstm", 3)]
-
-
-def sigmoid(a):
-    """Logistic sigmoid as a tape op; see ``autodiff.logistic``."""
-    out = logistic(a.value)
-    return record(out, [a], lambda g: (g * out * (1.0 - out),))
-
-
-def sub_from_one(a):
-    """1 - a elementwise."""
-    return record(1.0 - a.value, [a], lambda g: (-g,))
-
-
-def add_const(a, c):
-    """a + c for a constant scalar or broadcastable array c."""
-    return record(a.value + c, [a], lambda g: (g,))
-
-
-def tanh_(a):
-    """Hyperbolic tangent, clamped strictly inside (-1, 1); see ``autodiff.bounded_tanh``."""
-    out = bounded_tanh(a.value)
-    return record(out, [a], lambda g: (g * (1.0 - out * out),))
-
-
-def mul_colvec(a, col):
-    """Scale each row of an m x n tensor by the matching entry of an m x 1 column."""
-    av, cv = a.value, col.value
-    return record(av * cv, [a, col], lambda g: (g * cv, (g * av).sum(axis=1, keepdims=True)))
-
-
-def _op_check(build, *arrays):
-    def f(params):
-        tape = Tape()
-        vs = [tape.leaf(params[k]) for k in sorted(params)]
-        loss = build(*vs)
-        grads = backward(tape, loss)
-        return float(loss.value[0, 0]), {k: grads[v.nid] for k, v in zip(sorted(params), vs)}
-
-    return grad_check(f, {f"p{i}": a for i, a in enumerate(arrays)}, eps=1e-5)
-
-
-def test_reference_sigmoid_gradient():
-    a = np.random.default_rng(20240817).normal(size=(4, 6))
-    assert _op_check(lambda a: sum_all(mul(sigmoid(a), a)), a) < 1e-6
-
-
-def test_reference_sub_from_one_gradient():
-    a = np.random.default_rng(20240818).normal(size=(3, 3))
-    assert _op_check(lambda a: sum_all(mul(sub_from_one(a), a)), a) < 1e-6
-
-
-def test_reference_add_const_gradient():
-    a = np.random.default_rng(20240819).normal(size=(3, 6))
-    off = np.repeat(np.arange(3) / 3.0, 2).reshape(1, 6)
-    assert _op_check(lambda a: sum_all(tanh_(add_const(mul_const(sigmoid(a), 1 / 3), off))),
-                     a) < 1e-6
-
-
-def test_reference_tanh_gradient():
-    a = np.random.default_rng(20240820).normal(size=(4, 6))
-    assert _op_check(lambda a: sum_all(mul(tanh_(a), a)), a) < 1e-6
-
-
-def test_reference_mul_colvec_gradient():
-    rng = np.random.default_rng(20240817)
-    a, c = rng.normal(size=(5, 4)), rng.normal(size=(5, 1))
-    assert _op_check(lambda a, c: sum_all(tanh_(mul_colvec(a, c))), a, c) < 1e-6
 
 
 def composed_run(p, xs, c0, h0, mask):

@@ -9,14 +9,14 @@ import weakref
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import Tape, backward, grad_check, take_rows
+from cachedlstm.autodiff import Tape, backward, take_rows
 from cachedlstm.cells import bind_params
 from cachedlstm.data import Batch, Document, build_vocab, pad_batch
 from cachedlstm.encoder import classify, doc_representation, encode_bidirectional
 from cachedlstm.evaluation import evaluate, length_decile_report
 from cachedlstm.model import DocModel, ModelConfig, build_model
 from cachedlstm.schema import build_section
-from cachedlstm.training import objective
+from cachedlstm.training import apply_weight_decay, objective
 
 
 def _toy_vocab():
@@ -553,10 +553,13 @@ def test_one_gather_equals_per_step_gathers():
     assert not batch.uniform_length
 
     def gradients(probs, leaves, tape):
-        reg = [v for name, v in leaves.items() if name != "embedding"]
-        reg.append(take_rows(leaves["embedding"], np.unique(batch.ids)))
-        grads = backward(tape, objective(probs, batch.labels, reg, 1e-3))
-        return {name: np.asarray(grads[v.nid]).tobytes() for name, v in leaves.items()}
+        loss = objective(probs, batch.labels)
+        _, add_decay = apply_weight_decay(float(loss.value[0, 0]), model.named_tensors(), 1e-3,
+                                          np.unique(batch.ids))
+        grads = backward(tape, loss)
+        named = {name: grads[v.nid] for name, v in leaves.items()}
+        add_decay(named)
+        return {name: np.asarray(g).tobytes() for name, g in named.items()}
 
     tape = Tape()
     whole = gradients(*model.forward_batch(tape, batch), tape)

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from cachedlstm import cells
-from cachedlstm.autodiff import (ShapeError, Tape, backward, concat_cols, mul, stack_steps,
-                                 sum_all)
+from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, stack_steps
 from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
 from cachedlstm.model import ModelConfig, build_model
-from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged, objective,
-                                 train_epoch)
+from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged,
+                                 apply_weight_decay, objective, train_epoch)
+from tape_ops import mul, sum_all
 
 SERIAL = 10 ** 12  # a THREAD_MIN_WORK that no shape reaches
 
@@ -72,11 +72,14 @@ def _step_arrays(model, batch):
     """Probabilities, loss and every parameter gradient of one training step."""
     tape = Tape()
     probs, leaves = model.forward_batch(tape, batch)
-    reg = [v for name, v in leaves.items() if name != "embedding"]
-    loss = objective(probs, batch.labels, reg, 1e-3)
+    loss = objective(probs, batch.labels)
+    value, add_decay = apply_weight_decay(float(loss.value[0, 0]), model.named_tensors(), 1e-3,
+                                          np.unique(batch.ids))
     grads = backward(tape, loss)
-    out = {"probs": probs.value, "loss": loss.value}
-    out.update({name: np.asarray(grads[v.nid]) for name, v in leaves.items()})
+    named = {name: grads[v.nid] for name, v in leaves.items()}
+    add_decay(named)
+    out = {"probs": probs.value, "loss": np.array(value)}
+    out.update({name: np.asarray(g) for name, g in named.items()})
     return out
 
 

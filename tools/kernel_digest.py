@@ -1,9 +1,9 @@
-"""Print one SHA-256 per recurrent-kernel configuration, over its values and gradients.
+"""Print one SHA-256 per recurrent-kernel or training configuration, and gradcheck errors.
 
-A change to ``cells._recurrence`` that claims to keep every bit is checked
-by running this script in a checkout of the parent and in one of the
-change, and diffing the output.  It imports the library from ``src/`` of
-the checkout it sits in:
+A change to the kernel, the tape or the training step that claims to keep
+every bit is checked by running this script in a checkout of the parent
+and in one of the change, and diffing the output.  It imports the library
+from ``src/`` of the checkout it sits in:
 
     python tools/kernel_digest.py > before.txt   # at the parent
     python tools/kernel_digest.py > after.txt    # at the change
@@ -18,9 +18,21 @@ direction.  The configurations cover rnn, lstm, cifg and clstm (K = 1 and
 shape and B = 128 at the preset shape (d=50, H=120), T in {1, 8, 9, 10,
 15, 16, 17, 35, 36, 37} (S^2 - 1, S^2 and S^2 + 1 for S = 3, 4 and 6, where
 the kernel's VJP rebuilds c in segments of S = ceil(sqrt(T)) steps; 1, 16
-and 17 at the preset shape), and no mask, a left-aligned one or a right-aligned one.  ``--quick``
-runs a tiny subset.  BLAS is pinned to one thread, since a GEMM's bits
-can depend on its thread count.
+and 17 at the preset shape), and no mask, a left-aligned one or a right-aligned one.
+
+Each ``train`` line is the digest of two epochs of ``train_epoch`` on a
+small three-class corpus, one batch at a time: every batch's loss, then
+every weight and Adagrad accumulator after the last batch.  Its
+configurations cover cbow and the four recurrent kinds (clstm with K=3),
+one direction or two, bias on or off, weight decay 0 or 1e-3, gradient
+clipping off or at 0.2, and shuffled or sort-bucketed batches, plus a
+frozen embedding with weight decay for each kind.  The ``*_gradcheck``
+lines print, with ``repr``, the errors of criterion 1's six
+``pipeline_gradcheck`` cases, of the cbow pipeline, and of
+``encoder_gradcheck`` for each recurrent kind, masked or not.
+
+``--quick`` runs a tiny subset of each part.  BLAS is pinned to one
+thread, since a GEMM's bits can depend on its thread count.
 """
 
 import os
@@ -32,14 +44,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cachedlstm.autodiff import RowSparse, Tape, backward, mul, sum_all  # noqa: E402
+from cachedlstm.autodiff import RowSparse, Tape, backward, record  # noqa: E402
 from cachedlstm.cells import (bind_params, final_state, init_params, recurrence,  # noqa: E402
                               recurrence_pair)
+from cachedlstm.data import Document, build_vocab, make_batches  # noqa: E402
+from cachedlstm.gradcheck import encoder_gradcheck, pipeline_gradcheck  # noqa: E402
+from cachedlstm.model import ModelConfig, build_model  # noqa: E402
+from cachedlstm.training import AdagradState, TrainConfig, train_epoch  # noqa: E402
 
 KINDS = (("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 3))
 MASKS = ("none", "left", "right")
@@ -71,6 +88,11 @@ def _case(kind, n_groups, pair, bias, B, T, mask, d, H, seed):
     return params, source, ids, m, states, readout
 
 
+def _readout(node, weight):
+    """sum(node * weight) as one 1 x 1 tape node."""
+    return record((node.value * weight).sum().reshape(1, 1), [node], lambda g: (g * weight,))
+
+
 def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
     """The SHA-256 of one configuration's values and gradients."""
     params, source, ids, m, states, readout = _case(kind, n_groups, pair, bias, B, T, mask,
@@ -84,7 +106,7 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
         node = recurrence_pair(E, ids, m, *runs)
     else:
         node = recurrence(runs[0][0], E, ids, *runs[0][1:], m)
-    grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
+    grads = backward(tape, _readout(node, readout))
     sha = hashlib.sha256(node.value.tobytes())
     leaves = [E] + [v for (_, leaves), (_, c0, h0) in zip(bound, runs)
                     for v in (*leaves.values(), c0, h0) if v is not None]
@@ -102,7 +124,7 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
 
 
 def configurations(quick: bool = False):
-    """(label, kwargs) of every configuration, in print order."""
+    """(label, kwargs) of every kernel configuration, in print order."""
     if quick:
         small = itertools.product(KINDS[1::3], (False, True), (True,), (7,), (1, 9, 10),
                                   ("left", "right"))
@@ -121,12 +143,103 @@ def configurations(quick: bool = False):
                               mask=mask, d=d, H=H)
 
 
+# Sort-bucketed into batches of 4, these lengths give padded batches and a uniform one.
+TRAIN_LENGTHS = (3, 3, 3, 3, 6, 6, 6, 6, 9, 9, 9, 9, 2, 5)
+
+
+def train_digest(kind, bidirectional, bias, decay, clip, sort_bucket, trainable=True,
+                 seed=0) -> str:
+    """The SHA-256 of two epochs of training: each batch's loss, then the weights and
+    Adagrad accumulators."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(15)]
+    docs = [Document(int(rng.integers(3)), list(rng.choice(words, n))) for n in TRAIN_LENGTHS]
+    vocab = build_vocab(docs)
+    config = ModelConfig(kind=kind, d=5, H=1 if kind == "cbow" else 6,
+                         K=3 if kind == "clstm" else 1, C=3, bidirectional=bidirectional,
+                         use_bias=bias)
+    model = build_model(config, vocab, seed=seed)
+    model.embedding.trainable = trainable
+    cfg = TrainConfig(learning_rate=0.05, weight_decay=decay, batch_size=4, seed=seed,
+                      gradient_clip_norm=clip, sort_bucket=sort_bucket)
+    opt = AdagradState()
+    sha = hashlib.sha256()
+    for epoch in (1, 2):
+        for batch in make_batches(docs, vocab, cfg.batch_size,
+                                  seed=np.random.SeedSequence([seed, epoch]),
+                                  sort_bucket=sort_bucket):
+            sha.update(repr(train_epoch(model, [batch], cfg, opt)).encode())
+    for table in (model.named_tensors(), opt.accumulators):
+        for name in sorted(table):
+            sha.update(name.encode() + table[name].tobytes())
+    return sha.hexdigest()
+
+
+def train_configurations(quick: bool = False):
+    """(label, kwargs) of every training configuration, in print order."""
+    if quick:
+        grid = [("clstm", True, True, 1e-3, 0.2, True), ("lstm", False, False, 1e-3, None, False),
+                ("cbow", False, False, 1e-3, 0.2, True)]
+        frozen = ("clstm",)
+    else:
+        models = [("cbow", False, False)] + list(itertools.product(
+            ("rnn", "lstm", "cifg", "clstm"), (False, True), (False, True)))
+        grid = [m + rest for m in models
+                for rest in itertools.product((0.0, 1e-3), (None, 0.2), (False, True))]
+        frozen = ("cbow", "rnn", "lstm", "cifg", "clstm")
+    cases = [dict(zip(("kind", "bidirectional", "bias", "decay", "clip", "sort_bucket"), g))
+             for g in grid]
+    cases += [dict(kind=kind, bidirectional=False, bias=False, decay=1e-3, clip=None,
+                   sort_bucket=False, trainable=False) for kind in frozen]
+    for case in cases:
+        label = (f"train {case['kind']} dirs={2 if case['bidirectional'] else 1} "
+                 f"bias={int(case['bias'])} decay={case['decay']} clip={case['clip']} "
+                 f"sort={int(case['sort_bucket'])} "
+                 f"embedding={'trainable' if case.get('trainable', True) else 'frozen'}")
+        yield label, case
+
+
+# Criterion 1 of tests/test_acceptance.py: (kind, K, seed), and its size draw.
+CRITERION_1 = (("rnn", 1, 1), ("lstm", 1, 40), ("cifg", 1, 34), ("clstm", 2, 7),
+               ("clstm", 3, 21), ("clstm", 4, 18))
+KIND_INDEX = {"rnn": 1, "lstm": 2, "cifg": 3, "clstm": 4}
+
+
+def _criterion_1_sizes(kind, n_groups, seed):
+    """(hidden, width, n_steps) as criterion 1 draws them."""
+    rng = np.random.default_rng([KIND_INDEX[kind], n_groups, seed])
+    gs = rng.integers(max(2, -(-6 // n_groups)), 12 // n_groups + 1)
+    return int(gs * n_groups), int(rng.integers(3, 9)), int(rng.integers(4, 7))
+
+
+def gradcheck_errors(quick: bool = False):
+    """(label, thunk) of each gradient check whose error is printed, in print order."""
+    yield "pipeline_gradcheck cbow d=6 seed=0", functools.partial(
+        pipeline_gradcheck, "cbow", width=6, seed=0, eps=1e-5)
+    for kind, n_groups, seed in () if quick else CRITERION_1:
+        hidden, width, n_steps = _criterion_1_sizes(kind, n_groups, seed)
+        yield (f"pipeline_gradcheck {kind} K={n_groups} H={hidden} d={width} T={n_steps} "
+               f"seed={seed}"), functools.partial(
+            pipeline_gradcheck, kind, width=width, seed=seed, eps=1e-5, weight_decay=0.01,
+            hidden=hidden, n_groups=n_groups, n_steps=n_steps, batch=6)
+    encoders = itertools.product((("lstm", 1),) if quick else KINDS[:3] + KINDS[4:],
+                                 (True,) if quick else (False, True))
+    for (kind, n_groups), masked in encoders:
+        yield (f"encoder_gradcheck {kind} K={n_groups} masked={int(masked)}"), functools.partial(
+            encoder_gradcheck, kind, n_groups, hidden=6, width=5, n_steps=4, batch=3, seed=11,
+            eps=1e-5, masked=masked)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="run a tiny subset")
     args = parser.parse_args(argv)
     for seed, (label, kwargs) in enumerate(configurations(args.quick)):
         print(f"{digest(seed=seed, **kwargs)}  {label}", flush=True)
+    for seed, (label, kwargs) in enumerate(train_configurations(args.quick)):
+        print(f"{train_digest(seed=seed, **kwargs)}  {label}", flush=True)
+    for label, run in gradcheck_errors(args.quick):
+        print(f"{float(run())!r}  {label}", flush=True)
 
 
 if __name__ == "__main__":
