@@ -26,8 +26,11 @@ each step's gate activations and, every ceil(sqrt(T)) steps, the carried
 c.  Its input is a row source E, such as the embedding matrix, and a T x B
 array of row ids: step t reads the rows E[ids[t]], which it gathers
 itself.  Its mask is a B x T {0, 1} array laid out as ``data.pad_batch``
-lays it out, read either way: every row's real steps start at step 0, or
-every row's end at step T-1.  The single-step functions run it at T = 1.
+lays it out, the only layout it takes: each row's real steps come first,
+then its padding.  A reverse run (the second direction of
+``recurrence_pair``) reads the steps last first, so its rows' real steps
+start late and all end at its last step; the kernel builds that from the
+same mask.  The single-step functions run it at T = 1.
 ``final_state`` runs the same step function, ``_step``, on the same (E,
 ids), in the same column order and at the same widths, without a tape, and
 keeps only the carried state, for scoring.  ``_step`` projects its own b x
@@ -332,45 +335,33 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
     sig *= up
 
 
-def _checked_mask(mask, T: int, B: int):
-    """``mask`` as an array, after checking that it is B x T; None stays None."""
-    if mask is None:
-        return None
-    mask = np.asarray(mask)
-    if mask.shape != (B, T):
-        raise ShapeError(f"mask must be {B}x{T} (batch x steps), got "
-                         f"{'x'.join(map(str, mask.shape))}")
-    return mask
-
-
 def _order(mask, T: int, B: int, reverse: bool) -> tuple:
     """(perm, widths): the column order of a run over T x B ids, and its step widths.
 
-    ``perm`` is the stable argsort of the rows' real-step counts, longest
-    first, and ``widths[i]`` the number of rows real at step i of the run,
-    which are perm's first ``widths[i]`` rows.  Without a mask, or when
-    every position is real, that is the identity and every width is B.
-    Raises ValueError unless each row's real steps are one run of steps,
-    and unless every row's real steps start at step 0 or every row's end at
-    step T-1.
+    ``mask`` is None or B x T with each row's real (nonzero) steps first,
+    as ``data.pad_batch`` lays it out.  ``perm`` is the stable argsort of
+    the rows' real-step counts, longest first, and ``widths[i]`` the number
+    of rows real at step i of the run, which are perm's first ``widths[i]``
+    rows.  Without a mask, or when every position is real, that is the
+    identity and every width is B.  Raises ShapeError for a mask of another
+    shape and ValueError, naming the row, for a row with a real step after
+    a padded one.
     """
     if mask is None:
         return np.arange(B), [B] * T
-    real = _checked_mask(mask, T, B) != 0
+    real = np.asarray(mask) != 0
+    if real.shape != (B, T):
+        raise ShapeError(f"mask must be {B}x{T} (batch x steps), got "
+                         f"{'x'.join(map(str, real.shape))}")
+    bad = np.flatnonzero((real[:, 1:] > real[:, :-1]).any(axis=1))
+    if bad.size:
+        raise ValueError(f"recurrence: mask row {bad[0]} has a real step after a padded "
+                         "one; each row's real steps must come first")
     n = real.sum(axis=1)
-    holes = np.flatnonzero((real[:, 1:] & ~real[:, :-1]).sum(axis=1) + real[:, 0] > 1)
-    if holes.size:
-        raise ValueError(f"recurrence: mask row {holes[0]} has a masked step between "
-                         "two real ones")
-    left, right = ((real[:, t] == (n > 0)).all() for t in (0, -1))
-    if not (left or right):
-        raise ValueError("recurrence: the mask's real steps must all start at step 0 "
-                         "or all end at the last step")
-    # The rows real at step t of a left-aligned run have more than t real
-    # steps; a run whose rows all end at its last step meets the counts reversed.
-    widths = (n[:, None] > np.arange(T)).sum(axis=0)
-    run_left = right if reverse else left
-    return np.argsort(-n, kind="stable"), (widths if run_left else widths[::-1]).tolist()
+    # The rows real at step t have more than t real steps; a reverse run
+    # meets the steps, and so the widths, last first.
+    widths = B - np.cumsum(np.bincount(n, minlength=T + 1)[:T])
+    return np.argsort(-n, kind="stable"), (widths[::-1] if reverse else widths).tolist()
 
 
 def _cols(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -388,10 +379,11 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
 
     ``source`` is the row source E as an array, ``ids`` a T x B array of its
-    row ids and ``mask`` None or a B x T {0, 1} array under the contract of
-    ``recurrence``; with ``reverse`` the run reads ids[T-1] first.  It runs
-    the rows in the order and at the step widths of ``recurrence``, and
-    keeps only the carried state, so memory does not grow with T.  The
+    row ids and ``mask`` None or a B x T {0, 1} array with each row's real
+    steps first, as in ``recurrence``; with ``reverse`` the run reads
+    ids[T-1] first, and so each row's padding before its real steps.  It
+    runs the rows in the order and at the step widths of ``recurrence``,
+    and keeps only the carried state, so memory does not grow with T.  The
     values, in input order, equal the value of ``recurrence`` bit for bit;
     c_T is None for rnn.
     """
@@ -591,18 +583,18 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     E is a row source Var of width d and ``ids`` a T x B array of its row
     ids; an id outside E's rows raises IndexError.  The node's value is the
     final state: [c_T | h_T], B x 2H, or h_T alone, B x H, for rnn.  The
-    per-step states stay private to the node's VJP.  With
-    ``mask``, a B x T array of {0, 1}, only the real (one) positions are
-    computed, and a row's state passes its zero steps unchanged, bit for
-    bit.  The mask must be laid out as a padded batch is, read either way:
-    every row's ones one run of steps, and every row's run starting at step
-    0 or every row's ending at step T-1.  A mask of another shape raises
-    ShapeError, one with a zero between two ones or of another layout
-    ValueError.  The kernel runs a padded batch's rows longest first, each
-    step on the rows real there (see the module docstring), and answers in
-    input order.  Gradients flow to E as one ``RowSparse`` over the real
-    positions, last step first (``ids[::-1].ravel()`` when no row is
-    padded), to w, u and b, and to the initial state (c0 is None for rnn).
+    per-step states stay private to the node's VJP.  With ``mask``, a
+    B x T array of {0, 1}, only the real (one) positions are computed, and
+    a row's state passes its zero steps unchanged, bit for bit.  The mask
+    must be laid out as ``data.pad_batch`` lays it out: each row ones, then
+    zeros.  A mask of another shape raises ShapeError, and one with a row
+    of another layout ValueError, naming the row.  A full mask gives the
+    bits of no mask.  The kernel runs a padded batch's rows longest first,
+    each step on the rows real there (see the module docstring), and
+    answers in input order.  Gradients flow to E as one ``RowSparse`` over
+    the real positions, last step first (``ids[::-1].ravel()`` when no row
+    is padded), to w, u and b, and to the initial state (c0 is None for
+    rnn).
     The node's VJP overwrites the activations that the kernel keeps with
     their gradients, so a second backward pass through it raises
     RuntimeError.
@@ -614,14 +606,15 @@ def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
     """The two directions of a bidirectional encoder over one (E, ids) as one tape node.
 
     E, ids and mask are as in ``recurrence``; ``first`` and ``second`` are
-    each direction's (p, c0, h0), and ``second`` reads ids last step first.
-    The value, [final_1 | final_2], and the gradients equal those of a
-    ``recurrence`` over ids and one over ids[::-1] with the mask's columns
-    reversed, bit for bit; E gets one ``RowSparse`` whose rows are the sums
-    of the two directions'.  The two
-    kernels, and later their VJPs, run on two threads when the shape is
-    large enough (``THREAD_MIN_WORK``); the helper thread only computes,
-    and this thread records the node.
+    each direction's (p, c0, h0), and ``second`` reads ids last step first,
+    so its rows' real steps start late and all end at its last step.  The
+    value, [final_1 | final_2], and the gradients equal those of a
+    ``recurrence`` over (ids, mask) and of the same kernel run with
+    ``reverse``, bit for bit; E gets one ``RowSparse`` whose rows are the
+    sums of the two directions'.  The two kernels, and later their VJPs,
+    run on two threads when the shape is large enough
+    (``THREAD_MIN_WORK``); the helper thread only computes, and this thread
+    records the node.
     """
     (p1, c1, h1), (p2, c2, h2) = first, second
     work = p1.hidden_size * np.shape(ids)[1]

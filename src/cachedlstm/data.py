@@ -185,7 +185,8 @@ class Batch:
     """Right-padded id matrix with its mask.
 
     ids: B x T int array (padding id 0 past each row's length).
-    mask: B x T float array, 1.0 at real tokens and 0.0 at padding.
+    mask: B x T float array, 1.0 at real tokens and 0.0 at padding; each
+    row's real tokens come first, the one mask layout the encoders take.
     lengths: true token count per row.  labels: gold class per row.
     """
 
@@ -201,11 +202,6 @@ class Batch:
     @property
     def n_steps(self) -> int:
         return self.ids.shape[1]
-
-    @property
-    def uniform_length(self) -> bool:
-        """True when no row is padded, so the mask can be skipped."""
-        return bool((self.lengths == self.n_steps).all())
 
 
 def pad_batch(docs: list, vocab: Vocab) -> Batch:

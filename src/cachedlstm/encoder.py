@@ -10,14 +10,16 @@ document-scale evidence rather than recent-token detail.
 
 Each encoder is one tape node over a row source E and a T x B array of
 its row ids, whose step t reads the rows E[ids[t]], and a {0,1} B x T mask
-array.  A batch passes (embedding, ids.T); scoring passes the same pair to
-``cells.final_state`` and ``cbow_vector``.  The recurrent encoders also
-take a list of B x d step Vars, which ``autodiff.stack_steps`` joins into a
-(T*B) x d source read with ids arange(T*B).reshape(T, B), and a list of
-B x 1 mask Vars.  A unidirectional run is a ``cells.recurrence`` node
-whose value is its final carried state; a bidirectional run is a
-``cells.recurrence_pair`` node holding both directions' final states, and
-E gets the sum of their gradients.  Padded positions are not computed: a
+array laid out as ``data.pad_batch`` lays it out, each row's real steps
+first.  A batch passes (embedding, ids.T, mask), also when no row is
+padded; scoring passes the same three to ``cells.final_state`` and
+``cbow_vector``.  The recurrent encoders also take a list of B x d step
+Vars, which ``autodiff.stack_steps`` joins into a (T*B) x d source read
+with ids arange(T*B).reshape(T, B), and a list of B x 1 mask Vars.  A
+unidirectional run is a ``cells.recurrence`` node whose value is its final
+carried state; a bidirectional run is a ``cells.recurrence_pair`` node
+holding both directions' final states, and E gets the sum of their
+gradients.  Padded positions are not computed: a
 row's state passes its masked steps unchanged, so padding steps are
 bit-neutral to the final state.
 
@@ -138,7 +140,8 @@ def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence
 
     xs is a pair (E, ids), a row source Var and a T x B array of its row
     ids, or a list of T B x d Vars.  mask, when given, is a B x T array or
-    a list of B x 1 Vars, with entries in {0, 1}; a zero carries that row's
+    a list of B x 1 Vars, with entries in {0, 1} and each row's real steps
+    first, as ``data.pad_batch`` lays them out; a zero carries that row's
     state through the step unchanged.
     """
     E, ids, mask = _inputs(xs, mask)
@@ -149,11 +152,12 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
                          mask=None) -> EncodedSequence:
     """Forward and reverse runs over the same steps; xs and mask as in ``encode_forward``.
 
-    The reverse run consumes tokens last to first; with a mask the padded
-    tail of each row is skipped exactly as in the forward direction, so the
-    reverse final state reflects the row's first real token.  Both runs are
-    one ``cells.recurrence_pair`` node, which runs them on two threads at
-    large shapes; ``fwd`` and ``bwd`` are its two halves.
+    The reverse run consumes tokens last to first, from the same mask: each
+    row's padded tail comes first there and is skipped exactly as in the
+    forward direction, so the reverse final state reflects the row's first
+    real token.  Both runs are one ``cells.recurrence_pair`` node, which
+    runs them on two threads at large shapes; ``fwd`` and ``bwd`` are its
+    two halves.
     """
     E, ids, mask = _inputs(xs, mask)
     both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, fwd_params, E, ids)),
@@ -222,30 +226,28 @@ def classify(rep: Var, clf: ClassifierParams) -> Var:
     return record(out, [rep, clf.w, clf.b], vjp)
 
 
-def cbow_vector(source: np.ndarray, ids, mask=None) -> np.ndarray:
+def cbow_vector(source: np.ndarray, ids, mask) -> np.ndarray:
     """tanh of the sum over steps t of the rows source[ids[t]], B x d, without a tape.
 
-    ``ids`` is a T x B array of row ids and ``mask``, when given, a B x T
-    {0, 1} array; masked steps contribute nothing.  The steps are summed in
-    order.
+    ``ids`` is a T x B array of row ids and ``mask`` a B x T {0, 1} array;
+    masked steps contribute nothing, and x * 1.0 keeps every bit of a real
+    step's x.  The steps are summed in order.
     """
     ids = row_ids(ids, len(source), ndim=2)
     if len(ids) == 0:
         raise ValueError("cbow_encode: empty sequence")
-    steps = (source[i] for i in ids) if mask is None else (
-        source[i] * m[:, None] for i, m in zip(ids, np.asarray(mask).T))
+    steps = (source[i] * m[:, None] for i, m in zip(ids, np.asarray(mask).T))
     return bounded_tanh(functools.reduce(np.add, steps))
 
 
-def cbow_encode(E: Var, ids, mask=None) -> Var:
+def cbow_encode(E: Var, ids, mask) -> Var:
     """Order-free document vector, ``cbow_vector`` of (E, ids, mask), as one tape node.
 
     E gets one ``RowSparse`` gradient over ``ids[::-1].ravel()``, listed
     last step first as in ``cells.recurrence``.  Width equals E's width.
     """
     out, shape = cbow_vector(E.value, ids, mask), E.shape
-    # Step t's mask column, last step first; x * 1.0 keeps every bit of x.
-    M = np.ones((len(ids), 1, 1)) if mask is None else np.asarray(mask).T[::-1, :, None]
+    M = np.asarray(mask).T[::-1, :, None]  # step t's mask column, last step first
 
     def vjp(g):
         rows = (g * (1.0 - out * out) * M).reshape(-1, shape[1])

@@ -166,15 +166,14 @@ class DocModel:
 
         Returns (probs, leaves): a B x C Var and the name -> leaf Var map
         for every parameter that entered the graph.  The encoder reads the
-        embedding leaf and the T x B ids, and gathers each step's rows
-        itself, so the tape's size does not depend on T.  The mask path is
-        skipped when no row is padded.
+        embedding leaf, the T x B ids and the batch's mask, also when no
+        row is padded, and gathers each step's rows itself, so the tape's
+        size does not depend on T.
         """
         cfg = self.config
         leaves = {name: tape.leaf(t) for name, t in self._tensors.items()}
         cells, clf = _views(cfg, leaves)
-        emb, ids = leaves["embedding"], batch.ids.T
-        mask = None if batch.uniform_length else batch.mask
+        emb, ids, mask = leaves["embedding"], batch.ids.T, batch.mask
         if cfg.kind == "cbow":
             rep = cbow_encode(emb, ids, mask)
         else:
@@ -193,8 +192,7 @@ class DocModel:
         cfg = self.config
         if batch.n_steps == 0:
             raise ValueError("cannot score a batch of empty documents")
-        emb, ids = self.embedding.vectors, batch.ids.T
-        mask = None if batch.uniform_length else batch.mask
+        emb, ids, mask = self.embedding.vectors, batch.ids.T, batch.mask
         if cfg.kind == "cbow":
             rep = cbow_vector(emb, ids, mask)
         else:

@@ -172,7 +172,7 @@ class TestRowSparseGradients:
             elif encoder == "recurrence_pair":
                 node = recurrence_pair(source, step_ids, None, *runs)
             else:
-                node = cbow_encode(source, step_ids)
+                node = cbow_encode(source, step_ids, np.ones((3, 4)))
             g = backward(tape, sum_all(mul(node, tape.leaf(readout))))[a.nid]
             got.append((g.ids.tobytes(), g.rows.tobytes()))
         assert got[0] == got[1]

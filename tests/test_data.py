@@ -169,12 +169,7 @@ class TestBatching:
         np.testing.assert_array_equal(b.mask,
                                       [[1, 1, 1], [1, 0, 0], [1, 1, 0]])
         assert (b.ids[1, 1:] == PAD_ID).all()
-        assert not b.uniform_length
-
-    def test_uniform_length_flag(self):
-        docs = [Document(0, ["a", "b"]), Document(1, ["c", "d"])]
-        v = build_vocab(docs)
-        assert pad_batch(docs, v).uniform_length
+        assert not (b.lengths == b.n_steps).all()
 
     def test_make_batches_covers_every_doc_once(self):
         docs = [Document(i % 3, [f"t{i}", "x"]) for i in range(10)]

@@ -255,7 +255,7 @@ class TestCbow:
         arrays = [rng.normal(size=(2, 4)) for _ in range(3)]
         tape = Tape()
         out = cbow_encode(stack_steps([tape.leaf(a) for a in arrays]),
-                          np.arange(6).reshape(3, 2))
+                          np.arange(6).reshape(3, 2), np.ones((2, 3)))
         np.testing.assert_allclose(out.value, np.tanh(sum(arrays)), atol=1e-12)
 
     def test_mask_removes_contributions(self):

@@ -24,7 +24,7 @@ def _quick_run() -> list[str]:
 def test_quick_digest_is_the_same_on_a_rerun():
     first, second = _quick_run(), _quick_run()
     assert first == second
-    # Kernel: lstm and clstm K=3, one direction or a pair, three T, two masks.
+    # Kernel: lstm and clstm K=3, one direction or a pair, three T, no mask or a padded one.
     kernel, train, checks = first[:24], first[24:28], first[28:]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \w+ K=\d dirs=[12] .*", line) for line in kernel)
     # Training: three models with weight decay, and a frozen embedding.

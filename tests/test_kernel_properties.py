@@ -2,17 +2,20 @@
 
 Each example draws a cell kind, its group count K, H (a multiple of K), d,
 B and T, bias on or off, per-row lengths (0 and T among them), no mask or
-a left- or right-aligned one, one direction or a pair, and a serial or a
-threaded pair.  T runs from 1 to 40 and is drawn often next to the
-kernel's segment boundaries: S^2 - 1, S^2 and S^2 + 1, and k*S - 1 and
+a padded batch's (each row's real steps first), one direction, run
+forward or in reverse, or a pair, and a serial or a threaded pair.  T
+runs from 1 to 40 and is drawn often next to the kernel's segment
+boundaries: S^2 - 1, S^2 and S^2 + 1, and k*S - 1 and
 k*S + 1, with S = ceil(sqrt(T)) the length of the segments over which the
 VJP rebuilds c.  The properties:
 
 - the value and every gradient agree within 1e-12 with the composed
-  per-op tape of ``test_kernel`` (``_run_both``), over every prefix of the run;
+  per-op tape of ``test_kernel`` (``_run_both``), over every prefix of the
+  run; a reverse run against the composed tape over the reversed steps;
 - ``final_state`` gives the taped value, byte for byte, in each direction;
-- ``recurrence_pair`` gives two ``recurrence`` calls' values and
-  gradients byte for byte, threaded and serial, and so does a rerun.
+- ``recurrence_pair`` gives the values and gradients of two kernel runs,
+  the second in reverse, byte for byte, threaded and serial, and so does
+  a rerun.
 
 A second test draws padded batches whose rows have distinct lengths, so
 that the kernel's longest-first column order does not depend on the
@@ -32,9 +35,8 @@ from tape_ops import mul, sum_all
 from test_kernel import _assert_match, _mask, _run_both
 
 from cachedlstm import cells
-from cachedlstm.autodiff import Tape, backward, concat_cols
-from cachedlstm.cells import (CELL_KINDS, bind_params, final_state, init_params, recurrence,
-                              recurrence_pair)
+from cachedlstm.autodiff import Tape, backward, concat_cols, record
+from cachedlstm.cells import CELL_KINDS, bind_params, final_state, init_params, recurrence_pair
 
 KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100,
                   suppress_health_check=[HealthCheck.too_slow])
@@ -57,7 +59,7 @@ def runs(draw, distinct=False):
     B = draw(st.integers(1, min(5, T + 1) if distinct else 5))
     lengths = draw(st.lists(st.one_of(st.sampled_from([0, T]), st.integers(0, T)),
                             min_size=B, max_size=B, unique=distinct))
-    layouts = ["prefix", "suffix"] + ([] if distinct else [None])
+    layouts = ["prefix", "reverse"] + ([] if distinct else [None])
     return dict(kind=kind, K=K, H=K * draw(st.integers(1, 3)), d=draw(st.integers(1, 4)),
                 B=B, T=T, bias=draw(st.booleans()), lengths=np.array(lengths),
                 layout=draw(st.sampled_from(layouts)),
@@ -69,10 +71,11 @@ def _taped(run, threaded, zero_start=False, order=None):
     """Value and every gradient (dense, by leaf order) of ``run``'s kernel node(s).
 
     With ``run["pair"]`` that is one ``recurrence_pair`` node and then a
-    ``recurrence`` over ids and one over ids[::-1] side by side, else one
-    ``recurrence``; also returns the parameters and inputs, for
-    ``final_state``.  The initial states are random, or zero as in
-    ``final_state`` with ``zero_start``.  With ``order`` the batch's rows
+    forward and a reverse kernel run side by side, else one kernel run,
+    in reverse for the "reverse" layout; also returns the parameters,
+    inputs and each direction's ``reverse``, for ``final_state``.  The
+    initial states are random, or zero as in ``final_state`` with
+    ``zero_start``.  With ``order`` the batch's rows
     run in that order, and the per-row results are put back in batch
     order.  The source's rows are distinct, each read at one position, so
     summing a row's gradients in another order cannot move its bits.
@@ -89,7 +92,8 @@ def _taped(run, threaded, zero_start=False, order=None):
         params.append(p)
     source = rng.normal(size=(T * B, d))
     ids = rng.permutation(T * B).reshape(T, B)
-    mask = None if run["layout"] is None else _mask(run["layout"], run["lengths"], T)
+    mask = None if run["layout"] is None else _mask(run["lengths"], T)
+    reverses = [False, True] if run["pair"] else [run["layout"] == "reverse"]
     states = [(None if kind == "rnn" else rng.normal(size=(B, H)), rng.uniform(-1, 1, (B, H)))
               for _ in params]
     if zero_start:
@@ -97,7 +101,7 @@ def _taped(run, threaded, zero_start=False, order=None):
                   for c0, h0 in states]
     width = len(params) * (H if kind == "rnn" else 2 * H)
     readout = rng.normal(size=(B, width))
-    inputs = (params, source, ids, mask)
+    inputs = (params, source, ids, mask, reverses)
     order = np.arange(B) if order is None else order
     back = np.argsort(order)
     ids, readout = ids[:, order], readout[order]
@@ -116,11 +120,9 @@ def _taped(run, threaded, zero_start=False, order=None):
             if paired:
                 node = recurrence_pair(E, ids, mask, *dirs)
             else:
-                node = concat_cols([
-                    recurrence(dirs[0][0], E, ids, *dirs[0][1:], mask),
-                    *([recurrence(dirs[1][0], E, ids[::-1], *dirs[1][1:],
-                                  None if mask is None else mask[:, ::-1])]
-                      if run["pair"] else [])])
+                node = concat_cols([record(*cells._recurrence(*d[:1], E, ids, *d[1:], mask,
+                                                              reverse=r)[:3])
+                                    for d, r in zip(dirs, reverses)])
             grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         rows = [node] + [v for _, c0, h0 in dirs for v in (c0, h0) if v is not None]
         shared = [E] + [v for _, ls in bound for v in ls.values()]
@@ -143,11 +145,12 @@ def test_kernel_keeps_its_contract(run):
                              d=run["d"], H=run["H"], T=run["T"], lengths=run["lengths"],
                              use_bias=run["bias"]))
     taped = _taped(run, run["threaded"])[0]
-    from_zero, (params, source, ids, mask) = _taped(run, run["threaded"], zero_start=True)
+    from_zero, (params, source, ids, mask, reverses) = _taped(run, run["threaded"],
+                                                              zero_start=True)
     value = from_zero[0][0]
     H, n = run["H"], len(params)
-    for k, p in enumerate(params):
-        c, h = final_state(p, source, ids, mask, reverse=k == 1)
+    for k, (p, reverse) in enumerate(zip(params, reverses)):
+        c, h = final_state(p, source, ids, mask, reverse=reverse)
         half = value[:, k * value.shape[1] // n:(k + 1) * value.shape[1] // n]
         assert half[:, -H:].tobytes() == h.tobytes()
         if c is not None:
@@ -162,12 +165,12 @@ def test_kernel_keeps_its_contract(run):
 @given(runs(distinct=True), st.data())
 def test_row_order_and_batch_mates_keep_a_rows_result(run, data):
     order = np.array(data.draw(st.permutations(range(run["B"]))))
-    ref, (params, source, ids, mask) = _taped(run, run["threaded"])
+    ref, (params, source, ids, mask, reverses) = _taped(run, run["threaded"])
     _same_bytes(_taped(run, run["threaded"], order=order)[0][0], ref[0])
-    for k, p in enumerate(params):
-        batch = final_state(p, source, ids, mask, reverse=k == 1)
+    for p, reverse in zip(params, reverses):
+        batch = final_state(p, source, ids, mask, reverse=reverse)
         for r in range(run["B"]):
-            alone = final_state(p, source, ids[:, [r]], mask[[r]], reverse=k == 1)
+            alone = final_state(p, source, ids[:, [r]], mask[[r]], reverse=reverse)
             for got, want in zip(batch, alone):
                 if want is not None:
                     assert np.abs(got[r] - want[0]).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -334,7 +334,7 @@ class TestTapeFreeScoring:
         docs = [Document(i % 3, [f"t{(3 * i + j) % 9}" for j in range(n)])
                 for i, n in enumerate(lengths)]
         batch = pad_batch(docs, v)
-        assert batch.uniform_length is not padded
+        assert (batch.lengths == batch.n_steps).all() != padded
         taped = model.forward_batch(Tape(), batch)[0].value
         np.testing.assert_array_equal(model.probabilities(batch), taped)
 
@@ -550,7 +550,7 @@ def test_one_gather_equals_per_step_gathers():
     model = build_model(ModelConfig(kind="clstm", d=4, H=6, K=3, C=3, bidirectional=True,
                                     use_bias=True), vocab, seed=3)
     batch = pad_batch(docs, vocab)
-    assert not batch.uniform_length
+    assert not (batch.lengths == batch.n_steps).all()
 
     def gradients(probs, leaves, tape):
         loss = objective(probs, batch.labels)

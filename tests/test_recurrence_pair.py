@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cachedlstm import cells
-from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, stack_steps
+from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
 from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
@@ -92,7 +92,7 @@ def _assert_same_bits(a, b):
 @pytest.mark.parametrize("kind,K", [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 3)])
 def test_threaded_equals_serial(kind, K, monkeypatch, two_cpus, kernel_threads):
     model, batch = _model_and_batch(kind, 5, 6, K, rows=7, n_steps=9, seed=4)
-    assert not batch.uniform_length
+    assert not (batch.lengths == batch.n_steps).all()
     monkeypatch.setattr(cells, "THREAD_MIN_WORK", SERIAL)
     serial = _step_arrays(model, batch)
     assert kernel_threads == ["MainThread"] * 4
@@ -134,10 +134,10 @@ def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
         if paired:  # one source, which the second run reads last step first
             node = recurrence_pair(stack_steps(xs), ids, mask, (pf, z[0], z[1]),
                                    (pb, z[2], z[3]))
-        else:
+        else:  # the second a reverse run from the same mask
             node = concat_cols([recurrence(pf, stack_steps(xs), ids, z[0], z[1], mask),
-                                recurrence(pb, stack_steps(xs[::-1]), ids, z[2], z[3],
-                                           mask[:, ::-1])])
+                                record(*cells._recurrence(pb, stack_steps(xs), ids, z[2], z[3],
+                                                          mask, reverse=True)[:3])])
         grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         leaves = [*lf.values(), *lb.values(), *xs, *z]
         out.append([node.value] + [grads[v.nid] for v in leaves])

@@ -18,7 +18,9 @@ direction.  The configurations cover rnn, lstm, cifg and clstm (K = 1 and
 shape and B = 128 at the preset shape (d=50, H=120), T in {1, 8, 9, 10,
 15, 16, 17, 35, 36, 37} (S^2 - 1, S^2 and S^2 + 1 for S = 3, 4 and 6, where
 the kernel's VJP rebuilds c in segments of S = ceil(sqrt(T)) steps; 1, 16
-and 17 at the preset shape), and no mask, a left-aligned one or a right-aligned one.
+and 17 at the preset shape), and no mask or a padded batch's, each row's
+real steps first (the only layout the kernel takes; a pair's second
+direction runs it in reverse).
 
 Each ``train`` line is the digest of two epochs of ``train_epoch`` on a
 small three-class corpus, one batch at a time: every batch's loss, then
@@ -59,7 +61,7 @@ from cachedlstm.model import ModelConfig, build_model  # noqa: E402
 from cachedlstm.training import AdagradState, TrainConfig, train_epoch  # noqa: E402
 
 KINDS = (("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 3))
-MASKS = ("none", "left", "right")
+MASKS = ("none", "padded")
 V = 13  # rows of the source E
 
 
@@ -78,10 +80,7 @@ def _case(kind, n_groups, pair, bias, B, T, mask, d, H, seed):
     ids = rng.integers(0, V, (T, B))
     lengths = rng.integers(0, T + 1, B)
     lengths[0] = T
-    first = {"none": np.zeros(B, dtype=int), "left": np.zeros(B, dtype=int),
-             "right": T - lengths}[mask]
-    steps = np.arange(T)[None, :] - first[:, None]
-    m = None if mask == "none" else ((steps >= 0) & (steps < lengths[:, None])).astype(float)
+    m = None if mask == "none" else (np.arange(T)[None, :] < lengths[:, None]).astype(float)
     states = [(None if kind == "rnn" else rng.normal(size=(B, H)), rng.uniform(-1, 1, (B, H)))
               for _ in params]
     readout = rng.normal(size=(B, len(params) * (H if kind == "rnn" else 2 * H)))
@@ -126,8 +125,7 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
 def configurations(quick: bool = False):
     """(label, kwargs) of every kernel configuration, in print order."""
     if quick:
-        small = itertools.product(KINDS[1::3], (False, True), (True,), (7,), (1, 9, 10),
-                                  ("left", "right"))
+        small = itertools.product(KINDS[1::3], (False, True), (True,), (7,), (1, 9, 10), MASKS)
         preset = ()
     else:
         small = itertools.product(KINDS, (False, True), (False, True), (1, 7, 32),
