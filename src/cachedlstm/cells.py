@@ -83,31 +83,45 @@ kernel's column order.  For an unpadded batch that is
 as one node whose value is their final states side by side.  Both read
 one (E, ids); the second runs with ``reverse``, from ids[T-1] to ids[0],
 in the same column order, and lists the same real positions in the same
-order as the first.  The node lists E
-once, with the second direction's rows added into the first's, so nothing
-is copied in reverse.  From H*B = ``THREAD_MIN_WORK`` on, and
-when the process may use two CPUs, the second kernel, and later the
-second VJP, run on a helper thread started and joined per call while the
-calling thread runs the first; numpy lets the two overlap inside BLAS
-calls and large elementwise loops.  Measured with one BLAS thread (bi-clstm, d=50, T=100, padded;
-serial over threaded time, forward and backward): 1.72x and 1.86x at
-H*B = 15,360 (H=120, B=128), 1.58-1.63x and 1.38-1.58x at 7,680,
-1.04-1.50x at 5,760, 0.93-1.32x at 3,840, and 0.61x and 0.66x at the
-needle shape's 960, where the GIL makes the threads wait on each other.
-The helper only computes; the calling thread records every node.  Each
-direction runs the same code on its own buffers, so threaded and serial
-runs give the same bits.  Scoring (``final_state``) stays on one thread:
-two directions at once doubled its per-step temporaries, which are most
-of its memory.
+order as the first.  The node lists E once, with the second direction's
+rows added into the first's, so nothing is copied in reverse.  When the
+process may use two CPUs, the second direction runs in a helper process
+while the caller runs the first.  The helper is one child Python per
+process, started by the first pair that needs it, and it exits when the
+caller closes its socket or dies.  Per forward pass the caller sends the
+second direction's weights, initial state and mask, the batch's distinct
+rows of E with the ids renumbered into them, and its numpy error state;
+the helper keeps that direction's history, keyed by the call, and sends
+back the final state.  The VJP sends the gradient and gets back E's rows,
+dW, dU, db, dc0 and dh0.  Arrays cross the socket as raw bytes, read into
+place, so neither side holds a pickled copy.  Both processes run the same
+code on equal values, so the bits are those of a serial run.  Two
+*threads* were measured before: serial over threaded time was 1.72-1.86x
+at H*B = 15,360 (the preset shape) but 0.61-0.66x at the needle shape's
+960, where the GIL made them wait on each other.  A process shares no
+GIL: with the helper, a padded needle-shape bi-clstm training step ran
+1.8x faster than serial, and the needle benchmark, whose lstm model has
+one direction, trained 1.33x more tokens per second.
+Scoring (``final_state``) stays in one process: two directions at once
+doubled its per-step temporaries, which are most of its memory.
 """
 
 from __future__ import annotations
 
-import contextvars
+import atexit
+import collections
 import dataclasses
+import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +132,6 @@ from .data import INIT_SCALE
 
 CELL_KINDS = ("rnn", "lstm", "cifg", "clstm")
 GATES = {"rnn": "h", "lstm": "ifoc", "cifg": "foc", "clstm": "roc"}
-
-# ``recurrence_pair`` runs its two kernels on two threads from this H*B on;
-# below it the threads can lose more to the GIL than they gain.  It is the
-# smallest H*B at which no measured shape ran slower threaded (see the
-# module docstring).
-THREAD_MIN_WORK = 5760
-
 
 @dataclass
 class CellParams:
@@ -300,11 +307,12 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
 
     ``a`` holds the step's gate activations (G*H x b), ``tc`` its tanh(c'),
     ``c_prev`` the c it starts from, and ``keep`` and ``write`` its blend
-    weights as ``_keep_write`` gives them; ``dh`` and ``dc`` are the
-    gradients of its h' and c' (dc without the path through h').  ``up`` is
-    G*H - H x b scratch.  Overwrites ``dc`` with the part of dc' that the
-    blend carries back to c, dc' * keep.  Every product is written into an
-    existing array where that keeps its bits.
+    weights as ``_keep_write`` gives them (keep None for clstm, which makes
+    it here); ``dh`` and ``dc`` are the gradients of its h' and c' (dc
+    without the path through h').  ``up`` is G*H - H x b scratch.
+    Overwrites ``dc`` with the part of dc' that the blend carries back to
+    c, dc' * keep.  Every product is written into an existing array where
+    that keeps its bits.
     """
     H = tc.shape[0]
     sig, o, ctil = a[:-H], a[-2 * H:-H], a[-H:]
@@ -320,6 +328,8 @@ def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
     np.subtract(1.0, scratch, out=scratch)
     np.multiply(dc, write, out=ctil)
     ctil *= scratch
+    if keep is None:  # clstm's 1 - r, into the scratch that is free again
+        keep = np.subtract(1.0, write, out=scratch)
     dc *= keep
     # Each sigmoid gate s with upstream gradient u gets u s (1 - s).
     np.multiply(dh, tc, out=up[-H:])
@@ -424,7 +434,8 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     checkpoint of the carried c every S = ceil(sqrt(T)) steps, and rebuilds
     every other c from them (see the module docstring).  With ``reverse``
     the run reads ids last step first; E's gradient rows are still listed
-    by step in ids.  Two calls may run on two threads.
+    by step in ids.  Two calls may run on two threads.  The helper process
+    runs it too, on the second direction of ``recurrence_pair``.
     """
     kind, n_groups = p.kind, p.n_groups
     gated = kind != "rnn"
@@ -502,7 +513,8 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
             k = i % S  # step i's place in its segment
             if gated and (k == S - 1 or i == T - 1):
                 # cs[j]: the c that step i-k+j-1 carries out; blends[j]: the
-                # (c, keep, write) of step i-k+j's blend, as ``_step`` made it.
+                # (c, keep, write) of step i-k+j's blend, as ``_step`` made it
+                # (keep None for clstm).
                 cs, blends = [saved.pop()], []
                 for j, a_j in enumerate(steps[i - k:] + [a]):
                     b_j, c_from = widths[i - k + j], cs[-1]
@@ -512,7 +524,10 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
                     c_new = np.multiply(c_from, keep, out=seg[j, :H * b_j].reshape(H, b_j))
                     c_new += write * a_j[-H:]
                     cs.append(c_new)
-                    blends.append((c_from, keep, write))
+                    # clstm's keep, 1 - r, is made again in ``_gate_grads``:
+                    # a segment's worth of them added S*H*B floats to the
+                    # VJP's peak.
+                    blends.append((c_from, None if kind == "clstm" else keep, write))
                 bounded_tanh(c_new, out=c_new)
             if gated:
                 # cs[-1] holds step i's tanh(c'), cs[-2] the c step i-1 carries out.
@@ -547,33 +562,250 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
         return ([dE, dW, dU] + ([] if db is None else [db])
                 + ([_rows(dc, perm)] if gated else []) + [_rows(dh, perm)])
 
-    parents = [E, p.w, p.u] + ([p.b] if p.b is not None else [])
-    parents += ([c0] if gated else []) + [h0]
     final = h if c is None else np.vstack([c, h])
-    return _rows(final, perm), parents, vjp, acts
+    return _rows(final, perm), [E] + _parents(p, c0, h0), vjp, acts
 
 
-def _threaded(work: int) -> bool:
-    """Whether two kernels of H*B = ``work`` run on two threads."""
-    if work < THREAD_MIN_WORK:
+def _parents(p: CellParams, c0: Var | None, h0: Var) -> list:
+    """A run's parents after E, in the order of its VJP's gradients."""
+    return ([p.w, p.u] + ([p.b] if p.b is not None else [])
+            + ([c0] if p.kind != "rnn" else []) + [h0])
+
+
+class HelperError(RuntimeError):
+    """The helper process that runs a pair's second direction could not start, or died."""
+
+
+class _Helper:
+    """A child Python that runs ``_serve`` on one end of a socket pair.
+
+    ``lock`` keeps one round trip at a time on ``sock``, the other end.
+    """
+
+    def __init__(self):
+        ours, theirs = socket.socketpair()
+        # The child imports this package from where this process found it.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from cachedlstm.cells import _serve; _serve(int(sys.argv[2]))")
+        try:
+            with theirs:
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-c", code, root, str(theirs.fileno())],
+                    stdin=subprocess.DEVNULL, pass_fds=[theirs.fileno()])
+        except BaseException:
+            ours.close()
+            raise
+        self.sock, self.lock = ours, threading.Lock()
+
+
+_helper = None  # this process's _Helper, started by the first pair that uses one
+_helper_lock = threading.Lock()
+_calls = itertools.count()  # ids that key the helper's histories
+_freed = collections.deque()  # ids of pair nodes freed before their VJP ran
+
+
+def _two_cpus() -> bool:
+    """Whether this process may use two CPUs, so that a pair uses the helper.
+
+    Only on POSIX, where the helper is handed its socket as a file descriptor.
+    """
+    if os.name != "posix":
         return False
     cpus = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(cpus(0)) >= 2 if cpus else (os.cpu_count() or 1) >= 2
 
 
-def _both(f1, f2, work: int) -> tuple:
-    """(f1(), f2()), f2 on a helper thread when ``_threaded(work)``.
+def _started_helper() -> _Helper:
+    """This process's helper, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            try:
+                _helper = _Helper()
+            except OSError as exc:
+                raise HelperError(f"cannot start the helper process: {exc}") from exc
+        return _helper
 
-    The helper runs f2 in a copy of the caller's context, so numpy's error
-    state (``np.errstate``) applies there too.  Both calls finish, and the
-    helper has ended, before an error of either is raised.
+
+def _stop_helper(helper: _Helper, timeout: float = 10.0) -> None:
+    """Close ``helper``'s socket, on which it exits, and reap it; kill it after ``timeout`` s.
+
+    The next pair that needs a helper starts a new one.
     """
-    if not _threaded(work):
-        return f1(), f2()
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cachedlstm") as helper:
-        second = helper.submit(contextvars.copy_context().run, f2)
-        first = f1()
-    return first, second.result()
+    global _helper
+    with _helper_lock:
+        if _helper is helper:
+            _helper = None
+    helper.sock.close()
+    try:
+        helper.proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        helper.proc.kill()
+        helper.proc.wait()
+
+
+def _forget_helper() -> None:
+    """In a forked child: drop the parent's helper, whose socket only the parent may use."""
+    global _helper, _helper_lock
+    if _helper is not None:
+        _helper.sock.close()
+    _helper, _helper_lock = None, threading.Lock()
+    _freed.clear()
+
+
+atexit.register(lambda: _helper is not None and _stop_helper(_helper))
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _send(sock: socket.socket, header, arrays=()) -> None:
+    """One message: a pickled header, then each array's bytes as they lie in memory.
+
+    An entry of ``arrays`` may be None.  Arrays are not pickled, so no
+    second copy of one is made on either side.
+    """
+    arrays = [None if a is None else np.ascontiguousarray(a) for a in arrays]
+    meta = pickle.dumps((header, [None if a is None else (a.shape, a.dtype.str)
+                                  for a in arrays]))
+    sock.sendall(len(meta).to_bytes(8, "little") + meta)
+    for a in arrays:
+        if a is not None:
+            sock.sendall(a.reshape(-1).view(np.uint8))
+
+
+def _read_into(sock: socket.socket, buf):
+    """Fill ``buf`` from ``sock``; EOFError if the socket closes first."""
+    view, done = memoryview(buf), 0
+    while done < len(view):
+        n = sock.recv_into(view[done:])
+        if not n:
+            raise EOFError("the helper's socket closed")
+        done += n
+    return buf
+
+
+def _recv_header(sock: socket.socket) -> tuple:
+    """(header, what ``_recv_arrays`` reads) of one ``_send`` message."""
+    size = int.from_bytes(_read_into(sock, bytearray(8)), "little")
+    return pickle.loads(_read_into(sock, bytearray(size)))
+
+
+def _recv_arrays(sock: socket.socket, metas: list) -> list:
+    """The arrays of a message whose header has been read; each is read into place."""
+    arrays = [None if m is None else np.empty(*m) for m in metas]
+    for a in arrays:
+        if a is not None:
+            _read_into(sock, a.reshape(-1).view(np.uint8))
+    return arrays
+
+
+def _recv(sock: socket.socket) -> tuple:
+    """(header, arrays) of one ``_send`` message."""
+    header, metas = _recv_header(sock)
+    return header, _recv_arrays(sock, metas)
+
+
+def _io(helper: _Helper, fn, *args):
+    """fn(helper.sock, *args); a failure leaves the socket mid-message, so it stops the helper."""
+    try:
+        return fn(helper.sock, *args)
+    except BaseException as exc:
+        _stop_helper(helper, timeout=1.0)
+        if isinstance(exc, (OSError, EOFError)):
+            raise HelperError("the helper process running a pair's second direction "
+                              f"ended (exit status {helper.proc.returncode}): {exc}") from exc
+        raise
+
+
+def _overlap(header: tuple, arrays: list, local) -> tuple:
+    """(local(), the helper's reply arrays): one request, with ``local`` run meanwhile.
+
+    The request carries this thread's numpy error state, whether this
+    process traces memory, and the ids of pair nodes freed since the last
+    request.  Both sides finish before an error of either is raised:
+    local's first, then the helper's, with its own type.
+    """
+    helper = _started_helper()
+    with helper.lock:
+        freed = [_freed.popleft() for _ in range(len(_freed))]
+        _io(helper, _send, (*header, np.geterr(), tracemalloc.is_tracing(), freed), arrays)
+        try:
+            mine = local()
+        finally:
+            error, out = _io(helper, _recv)
+    if error is not None:
+        raise error
+    return mine, out
+
+
+def _helper_memory() -> tuple:
+    """(traced peak in bytes, pair histories held) of the helper; stops its tracing.
+
+    The helper traces while this process does, from the first pair call
+    that finds it tracing, so a test that traces a training step adds the
+    peak to its own.  (0, 0) when no helper runs.
+    """
+    if _helper is None:
+        return 0, 0
+    return tuple(_overlap(("memory", None, None), [], lambda: None)[1][0].tolist())
+
+
+def _serve(fd: int) -> None:
+    """The helper's loop: answer requests on socket ``fd`` until the caller's end closes.
+
+    A forward request runs the second direction and keeps its VJP under
+    the call's id until the VJP request for that id, or until the caller
+    lists the id as freed.  Errors go back to the caller.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's exit ends this loop
+    sock = socket.socket(fileno=fd)
+    vjps = {}
+    while True:
+        out = None  # the last reply's arrays go before the next request's arrive
+        try:
+            (op, call, cell, err, tracing, freed), metas = _recv_header(sock)
+            for i in freed:
+                vjps.pop(i, None)
+            if op != "memory" and tracing != tracemalloc.is_tracing():
+                tracemalloc.start() if tracing else tracemalloc.stop()  # before the arrays
+            arrays = _recv_arrays(sock, metas)
+        except (EOFError, OSError):
+            return
+        try:
+            with np.errstate(**err):
+                error, out = None, _answer(op, call, cell, arrays, vjps)
+        except Exception as exc:  # raised again in the caller
+            error, out = exc, []
+        del arrays
+        try:
+            _send(sock, error, out)
+        except OSError:
+            return
+
+
+def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
+    """The helper's reply arrays to one request."""
+    if op == "memory":
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return [np.array([peak, len(vjps)])]
+    if op == "vjp":
+        vjp = vjps.pop(call, None)
+        if vjp is None:
+            raise RuntimeError("recurrence: the VJP of this node has already run")
+        dE, *rest = vjp(arrays[0])
+        return [dE.rows, *rest]
+    rows, ids, w, u, b, c0, h0, mask = arrays
+    tape = Tape()
+
+    def leaf(a):
+        return None if a is None else tape.leaf(a)
+
+    p = CellParams(*cell, leaf(w), leaf(u), leaf(b))
+    value, _, vjps[call], _ = _recurrence(p, leaf(rows), ids, leaf(c0), leaf(h0), mask,
+                                          reverse=True)
+    return [value]
 
 
 def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
@@ -611,25 +843,66 @@ def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
     value, [final_1 | final_2], and the gradients equal those of a
     ``recurrence`` over (ids, mask) and of the same kernel run with
     ``reverse``, bit for bit; E gets one ``RowSparse`` whose rows are the
-    sums of the two directions'.  The two kernels, and later their VJPs,
-    run on two threads when the shape is large enough
-    (``THREAD_MIN_WORK``); the helper thread only computes, and this thread
-    records the node.
+    sums of the two directions'.  When the process may use two CPUs, the
+    second direction's kernel, and later its VJP, run in the helper
+    process while this one runs the first's; this process records the
+    node.  A helper that dies raises ``HelperError``.
     """
     (p1, c1, h1), (p2, c2, h2) = first, second
-    work = p1.hidden_size * np.shape(ids)[1]
-    (v1, par1, vjp1, _), (v2, par2, vjp2, _) = _both(
-        lambda: _recurrence(p1, E, ids, c1, h1, mask),
-        lambda: _recurrence(p2, E, ids, c2, h2, mask, reverse=True), work)
+
+    def run1():
+        return _recurrence(p1, E, ids, c1, h1, mask)
+
+    if _two_cpus():
+        (v1, par1, vjp1, _), v2, both = _remote_pair(run1, E, ids, mask, second)
+    else:
+        (v1, par1, vjp1, _), (v2, _, vjp2, _) = (
+            run1(), _recurrence(p2, E, ids, c2, h2, mask, reverse=True))
+
+        def both(g1, g2):
+            out = vjp1(g1)
+            dE, *rest = vjp2(g2)
+            return out, [dE.rows, *rest]
+
     S = v1.shape[1]
 
     def vjp(g):
-        g1, g2 = _both(lambda: vjp1(g[:, :S]), lambda: vjp2(g[:, S:]), work)
-        # E's rows; after both VJPs joined, so no thread writes the other's rows.
-        g1[0].rows += g2[0].rows
-        return g1 + g2[1:]  # E, each run's first parent, is listed once
+        g1, (rows2, *rest2) = both(g[:, :S], g[:, S:])
+        g1[0].rows += rows2  # E, each run's first parent, is listed once
+        return g1 + rest2
 
-    return record(np.concatenate([v1, v2], axis=1), par1 + par2[1:], vjp)
+    return record(np.concatenate([v1, v2], axis=1), par1 + _parents(p2, c2, h2), vjp)
+
+
+def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
+    """(run1(), v2, both): ``second``'s reverse run in the helper while run1 runs here.
+
+    The helper gets the batch's distinct rows of E with the ids renumbered
+    into them; gathering from equal rows gives equal bits.  ``both(g1, g2)``
+    runs run1's VJP here while the helper runs its own, and returns run1's
+    gradients and the helper's [E's rows, w, u, b, c0, h0] (b and c0 as
+    the direction has them).  The helper keeps the direction's history
+    until then, or until the node is freed without a VJP.
+    """
+    p, c0, h0 = second
+    ids = row_ids(ids, E.rows, ndim=2)
+    distinct, renumbered = np.unique(ids, return_inverse=True)
+    call = next(_calls)
+    arrays = [E.value[distinct], renumbered.reshape(ids.shape),
+              *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)), mask]
+    try:
+        first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1)
+    except BaseException:
+        _freed.append(call)  # the helper may hold its history
+        raise
+    vjp1 = first[2]
+
+    def both(g1, g2):
+        release.detach()  # the helper drops the history as it runs the VJP
+        return _overlap(("vjp", call, None), [g2], lambda: vjp1(g1))
+
+    release = weakref.finalize(both, _freed.append, call)
+    return first, v2, both
 
 
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:

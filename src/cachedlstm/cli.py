@@ -12,9 +12,9 @@ Subcommands:
     convert    import a delimited corpus into the canonical format
 
 Exit codes: 0 success, 1 a check failed, 2 bad usage or config, 3 runtime
-abort (a diverged objective, or running out of memory).  Config or input
-validation failures happen before any output file is opened, so a failed
-run leaves no partial outputs behind.
+abort (a diverged objective, running out of memory, or a helper process
+that died).  Config or input validation failures happen before any output
+file is opened, so a failed run leaves no partial outputs behind.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import sys
 
 import numpy as np
 
+from .cells import HelperError
 from .data import (
     atomic_write,
     build_vocab,
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, HelperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:

@@ -156,8 +156,8 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     row's padded tail comes first there and is skipped exactly as in the
     forward direction, so the reverse final state reflects the row's first
     real token.  Both runs are one ``cells.recurrence_pair`` node, which
-    runs them on two threads at large shapes; ``fwd`` and ``bwd`` are its
-    two halves.
+    runs the reverse one in a helper process when the process may use two
+    CPUs; ``fwd`` and ``bwd`` are its two halves.
     """
     E, ids, mask = _inputs(xs, mask)
     both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, fwd_params, E, ids)),

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -598,6 +600,34 @@ class TestRuntimeAborts:
         assert run(["train", str(cfg_path)]) == 3
         assert capsys.readouterr().err == \
             "error: out of memory (Unable to allocate 1.00 TiB for an array)\n"
+
+
+    def test_a_helper_killed_mid_epoch_exits_3(self, tmp_path, needle_corpus):
+        # ``cachedlstm train`` in a child process whose helper, which runs
+        # each pair's second direction, is killed between the first batch's
+        # forward pass and its VJP.
+        cfg_path = write_config(tmp_path, needle_corpus, **{"model.bidirectional": True})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+from cachedlstm import cells, cli, encoder
+
+def killed_after_forward(*args):
+    node = cells.recurrence_pair(*args)
+    os.kill(cells._helper.proc.pid, signal.SIGKILL)
+    return node
+
+encoder.recurrence_pair = killed_after_forward
+sys.exit(cli.main(sys.argv[2:]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code, src, "train", str(cfg_path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: the helper process ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestNegativeSeeds:

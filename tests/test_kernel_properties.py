@@ -3,7 +3,8 @@
 Each example draws a cell kind, its group count K, H (a multiple of K), d,
 B and T, bias on or off, per-row lengths (0 and T among them), no mask or
 a padded batch's (each row's real steps first), one direction, run
-forward or in reverse, or a pair, and a serial or a threaded pair.  T
+forward or in reverse, or a pair, run here or with its second direction
+in the helper process.  T
 runs from 1 to 40 and is drawn often next to the kernel's segment
 boundaries: S^2 - 1, S^2 and S^2 + 1, and k*S - 1 and
 k*S + 1, with S = ceil(sqrt(T)) the length of the segments over which the
@@ -14,8 +15,8 @@ VJP rebuilds c.  The properties:
   run; a reverse run against the composed tape over the reversed steps;
 - ``final_state`` gives the taped value, byte for byte, in each direction;
 - ``recurrence_pair`` gives the values and gradients of two kernel runs,
-  the second in reverse, byte for byte, threaded and serial, and so does
-  a rerun.
+  the second in reverse, byte for byte, with and without the helper, and
+  so does a rerun.
 
 A second test draws padded batches whose rows have distinct lengths, so
 that the kernel's longest-first column order does not depend on the
@@ -63,17 +64,19 @@ def runs(draw, distinct=False):
     return dict(kind=kind, K=K, H=K * draw(st.integers(1, 3)), d=draw(st.integers(1, 4)),
                 B=B, T=T, bias=draw(st.booleans()), lengths=np.array(lengths),
                 layout=draw(st.sampled_from(layouts)),
-                pair=draw(st.booleans()), threaded=draw(st.booleans()),
+                pair=draw(st.booleans()), helper=draw(st.booleans()),
                 seed=draw(st.integers(0, 2 ** 16)))
 
 
-def _taped(run, threaded, zero_start=False, order=None):
+def _taped(run, helper, zero_start=False, order=None):
     """Value and every gradient (dense, by leaf order) of ``run``'s kernel node(s).
 
     With ``run["pair"]`` that is one ``recurrence_pair`` node and then a
     forward and a reverse kernel run side by side, else one kernel run,
     in reverse for the "reverse" layout; also returns the parameters,
-    inputs and each direction's ``reverse``, for ``final_state``.  The
+    inputs and each direction's ``reverse``, for ``final_state``.  With
+    ``helper`` the process may use two CPUs, so a pair runs its second
+    direction in the helper process; without, one.  The
     initial states are random, or zero as in ``final_state`` with
     ``zero_start``.  With ``order`` the batch's rows
     run in that order, and the per-row results are put back in batch
@@ -110,8 +113,7 @@ def _taped(run, threaded, zero_start=False, order=None):
     out = []
     for paired in ((True, False) if run["pair"] else (False,)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            mp.setattr(cells, "THREAD_MIN_WORK", 0 if threaded else 10 ** 12)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if helper else {0})
             tape = Tape()
             bound = [bind_params(tape, p) for p in params]
             E = tape.leaf(source)
@@ -144,8 +146,8 @@ def test_kernel_keeps_its_contract(run):
     _assert_match(*_run_both(run["kind"], run["K"], run["layout"], run["seed"], B=run["B"],
                              d=run["d"], H=run["H"], T=run["T"], lengths=run["lengths"],
                              use_bias=run["bias"]))
-    taped = _taped(run, run["threaded"])[0]
-    from_zero, (params, source, ids, mask, reverses) = _taped(run, run["threaded"],
+    taped = _taped(run, run["helper"])[0]
+    from_zero, (params, source, ids, mask, reverses) = _taped(run, run["helper"],
                                                               zero_start=True)
     value = from_zero[0][0]
     H, n = run["H"], len(params)
@@ -157,16 +159,16 @@ def test_kernel_keeps_its_contract(run):
             assert half[:, :H].tobytes() == c.tobytes()
     if run["pair"]:
         _same_bytes(taped[0], taped[1])  # recurrence_pair against two recurrences
-        _same_bytes(taped[0], _taped(run, not run["threaded"])[0][0])
-    _same_bytes(taped[0], _taped(run, run["threaded"])[0][0])  # a rerun
+        _same_bytes(taped[0], _taped(run, not run["helper"])[0][0])
+    _same_bytes(taped[0], _taped(run, run["helper"])[0][0])  # a rerun
 
 
 @settings(KERNEL, max_examples=50)
 @given(runs(distinct=True), st.data())
 def test_row_order_and_batch_mates_keep_a_rows_result(run, data):
     order = np.array(data.draw(st.permutations(range(run["B"]))))
-    ref, (params, source, ids, mask, reverses) = _taped(run, run["threaded"])
-    _same_bytes(_taped(run, run["threaded"], order=order)[0][0], ref[0])
+    ref, (params, source, ids, mask, reverses) = _taped(run, run["helper"])
+    _same_bytes(_taped(run, run["helper"], order=order)[0][0], ref[0])
     for p, reverse in zip(params, reverses):
         batch = final_state(p, source, ids, mask, reverse=reverse)
         for r in range(run["B"]):

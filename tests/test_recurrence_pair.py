@@ -1,23 +1,27 @@
-"""The two-direction recurrence node and when it runs on two threads.
+"""The two-direction recurrence node and where its second direction runs.
 
 ``cells.recurrence_pair`` records both directions of a bidirectional
-encoder as one tape node.  From ``THREAD_MIN_WORK`` = H*B on, when the
-process may use two CPUs, its second kernel and second VJP run on a helper
-thread while the calling thread runs the first; otherwise both run on the
-calling thread.  Either way the values and gradients must be the same bits.
+encoder as one tape node.  When the process may use two CPUs, its second
+kernel and second VJP run in one helper process while this process runs
+the first; on one CPU both run here.  Either way the values and gradients
+must be the same bits.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cachedlstm import cells
 from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
-from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
+from cachedlstm.cells import (HelperError, bind_params, init_params, recurrence,
+                              recurrence_pair)
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
 from cachedlstm.model import ModelConfig, build_model
@@ -25,7 +29,7 @@ from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged,
                                  apply_weight_decay, objective, train_epoch)
 from tape_ops import mul, sum_all
 
-SERIAL = 10 ** 12  # a THREAD_MIN_WORK that no shape reaches
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -34,23 +38,28 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture
-def kernel_threads(monkeypatch):
-    """Names of the threads that run each kernel and each VJP, in call order."""
-    names = []
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture
+def local_kernels(monkeypatch):
+    """What this process runs of each pair: "run" per kernel, "vjp" per VJP."""
+    calls = []
     real = cells._recurrence
 
     def traced(*args, **kwargs):
-        names.append(threading.current_thread().name)
+        calls.append("run")
         value, parents, vjp, acts = real(*args, **kwargs)
 
         def traced_vjp(g):
-            names.append(threading.current_thread().name)
+            calls.append("vjp")
             return vjp(g)
 
         return value, parents, traced_vjp, acts
 
     monkeypatch.setattr(cells, "_recurrence", traced)
-    return names
+    return calls
 
 
 def _model_and_batch(kind, d, H, K, rows, n_steps, seed, use_bias=True):
@@ -90,34 +99,33 @@ def _assert_same_bits(a, b):
 
 
 @pytest.mark.parametrize("kind,K", [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 3)])
-def test_threaded_equals_serial(kind, K, monkeypatch, two_cpus, kernel_threads):
+def test_process_equals_serial(kind, K, monkeypatch, local_kernels):
     model, batch = _model_and_batch(kind, 5, 6, K, rows=7, n_steps=9, seed=4)
     assert not (batch.lengths == batch.n_steps).all()
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", SERIAL)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = _step_arrays(model, batch)
-    assert kernel_threads == ["MainThread"] * 4
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
-    del kernel_threads[:]
-    threaded = _step_arrays(model, batch)
-    # One kernel and one VJP ran on the calling thread, the others on a helper.
-    assert len(kernel_threads) == 4 and kernel_threads.count("MainThread") == 2
-    _assert_same_bits(threaded, serial)
+    assert local_kernels == ["run", "run", "vjp", "vjp"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    del local_kernels[:]
+    paired = _step_arrays(model, batch)
+    # One kernel and one VJP ran here, the others in the helper.
+    assert local_kernels == ["run", "vjp"]
+    _assert_same_bits(paired, serial)
 
 
-def test_threaded_equals_serial_at_preset_shape(monkeypatch, two_cpus, kernel_threads):
-    # d=50, H=120, K=3, B=128, padded: above the threshold as it stands.
+def test_process_equals_serial_at_preset_shape(monkeypatch, two_cpus, local_kernels):
+    # d=50, H=120, K=3, B=128, padded.
     model, batch = _model_and_batch("clstm", 50, 120, 3, rows=128, n_steps=30, seed=5,
                                     use_bias=False)
-    assert 120 * 128 >= cells.THREAD_MIN_WORK
-    threaded = _step_arrays(model, batch)
-    assert len(kernel_threads) == 4 and kernel_threads.count("MainThread") == 2
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", SERIAL)
-    _assert_same_bits(threaded, _step_arrays(model, batch))
+    paired = _step_arrays(model, batch)
+    assert local_kernels == ["run", "vjp"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _assert_same_bits(paired, _step_arrays(model, batch))
 
 
-@pytest.mark.parametrize("threaded", [False, True])
-def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0 if threaded else SERIAL)
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_pair_equals_two_recurrences(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     rng = np.random.default_rng(9)
     B, d, H, T = 4, 3, 6, 5
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
@@ -145,31 +153,84 @@ def test_pair_equals_two_recurrences(threaded, monkeypatch, two_cpus):
         assert a.tobytes() == b.tobytes()
 
 
-def test_threaded_step_leaves_no_thread_behind(monkeypatch, two_cpus, kernel_threads):
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
-    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
-    before = threading.active_count()
-    _step_arrays(model, batch)
-    helpers = set(kernel_threads) - {"MainThread"}
-    assert helpers and not [t for t in threading.enumerate() if t.name in helpers]
-    assert threading.active_count() == before
+# Trains one bi-clstm batch with the helper, then prints the helper's pid
+# and the pids of every child process this process has.
+_TRAIN_ONE_BATCH = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+from cachedlstm import cells
+from cachedlstm.data import Document, build_vocab, pad_batch
+from cachedlstm.model import ModelConfig, build_model
+from cachedlstm.training import AdagradState, TrainConfig, train_epoch
+
+docs = [Document(i % 2, ["a", "b", "c", "d"][:1 + i % 4]) for i in range(6)]
+vocab = build_vocab(docs)
+model = build_model(ModelConfig(kind="clstm", d=4, H=6, K=3, C=2, bidirectional=True),
+                    vocab, seed=0)
+train_epoch(model, [pad_batch(docs, vocab)], TrainConfig(), AdagradState())
+
+def parent_of(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[1])
+    except (OSError, ValueError, IndexError):
+        return None
+
+children = [int(p) for p in os.listdir("/proc") if p.isdigit() and parent_of(p) == os.getpid()]
+print(cells._helper.proc.pid, *children)
+"""
 
 
-def test_overflow_on_the_helper_thread_aborts_training(monkeypatch, two_cpus,
-                                                        kernel_threads):
-    # Only the backward cell, which runs on the helper, overflows: the
-    # step's numpy error state must reach that thread.
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+def _alive(pid):
+    """Whether a process with this pid exists, and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_process_that_trained_leaves_no_process_behind():
+    # Its helper is its only child (no multiprocessing resource_tracker),
+    # and it is gone once the process has exited.
+    out = subprocess.run([sys.executable, "-c", _TRAIN_ONE_BATCH, SRC], capture_output=True,
+                         text=True, check=True, timeout=120)
+    helper, *children = map(int, out.stdout.split())
+    assert children == [helper]
+    assert not _alive(helper)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_the_helper_exits_when_its_caller_is_killed():
+    code = _TRAIN_ONE_BATCH + "sys.stdout.flush()\nimport time\ntime.sleep(60)\n"
+    with subprocess.Popen([sys.executable, "-c", code, SRC], stdout=subprocess.PIPE,
+                          text=True) as caller:
+        try:
+            helper = int(caller.stdout.readline().split()[0])
+        finally:
+            caller.kill()
+    for _ in range(100):
+        if not _alive(helper):
+            break
+        time.sleep(0.05)
+    assert not _alive(helper)
+
+
+def test_overflow_in_the_helper_aborts_training(two_cpus, local_kernels):
+    # Only the backward cell, which runs in the helper, overflows: the
+    # step's numpy error state must reach the helper, and its
+    # FloatingPointError this process.
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
     model.embedding.vectors[:] = 1.0
     model.cells[1].w[:] = 1e308
     with pytest.raises(TrainingDiverged, match="at batch 0: overflow"):
         train_epoch(model, [batch], TrainConfig(), AdagradState())
-    assert len(kernel_threads) == 2 and kernel_threads.count("MainThread") == 1
+    assert local_kernels == ["run"]
 
 
-def test_second_backward_raises(monkeypatch, two_cpus):
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+def test_second_backward_raises(two_cpus):
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
     tape = Tape()
     probs, _ = model.forward_batch(tape, batch)
@@ -179,9 +240,9 @@ def test_second_backward_raises(monkeypatch, two_cpus):
         backward(tape, loss)
 
 
-@pytest.mark.parametrize("threshold", [0, SERIAL])
-def test_shape_error_in_backward_parameters_surfaces(threshold, monkeypatch, two_cpus):
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", threshold)
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_shape_error_in_backward_parameters_surfaces(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     d, H = 3, 4
     cfg = EncoderConfig(cell_kind="lstm", d=d, H=H, bidirectional=True)
     tape = Tape()
@@ -192,26 +253,69 @@ def test_shape_error_in_backward_parameters_surfaces(threshold, monkeypatch, two
         encode_bidirectional(cfg, pf, pb, xs)
 
 
-def test_single_cpu_runs_serially(monkeypatch, kernel_threads):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+def test_single_cpu_runs_serially(one_cpu, local_kernels):
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=3)
     _step_arrays(model, batch)
-    assert kernel_threads == ["MainThread"] * 4
+    assert local_kernels == ["run", "run", "vjp", "vjp"]
 
 
-def test_needle_shape_runs_serially(two_cpus, kernel_threads):
-    # H=30, B=32: below the threshold, where threads lose to the GIL.
+def test_needle_shape_uses_the_helper(two_cpus, local_kernels):
+    # H=30, B=32, where two threads lost to the GIL: a process has no GIL to share.
     model, batch = _model_and_batch("clstm", 20, 30, 3, rows=32, n_steps=6, seed=6)
-    assert 30 * 32 < cells.THREAD_MIN_WORK
     _step_arrays(model, batch)
-    assert kernel_threads == ["MainThread"] * 4
+    assert local_kernels == ["run", "vjp"]
 
 
-def test_concurrent_callers_get_their_own_results(monkeypatch, two_cpus):
-    # Four callers, more than the two CPUs, each with its own helper thread;
-    # a short switch interval interleaves them often.
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
+def test_forward_only_pair_leaves_the_helper_no_history(two_cpus):
+    # Scoring through a tape, a gradient check's evaluations and a diverged
+    # step record a pair and never run its VJP; freeing the tape frees the
+    # helper's copy of the history at the next request.
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    _step_arrays(model, batch)
+    assert cells._helper_memory()[1] == 0
+    tape = Tape()
+    model.forward_batch(tape, batch)
+    assert cells._helper_memory()[1] == 1
+    del tape
+    assert cells._helper_memory()[1] == 0
+
+
+def test_the_helper_traces_memory_while_this_process_does(two_cpus):
+    # Each process holds one direction's history at its peak, so the two
+    # peaks are alike; reading the helper's peak stops its tracing.
+    model, batch = _model_and_batch("clstm", 20, 30, 3, rows=32, n_steps=50, seed=6)
+    _step_arrays(model, batch)
+    tracemalloc.start()
+    try:
+        _step_arrays(model, batch)
+        mine = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    helper = cells._helper_memory()[0]
+    assert 0.5 * mine < helper < 2 * mine
+    assert cells._helper_memory()[0] == 0
+    _step_arrays(model, batch)
+    assert cells._helper_memory()[0] == 0
+
+
+def test_a_helper_killed_before_the_vjp_raises_and_the_next_pair_starts_another(two_cpus):
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    want = _step_arrays(model, batch)
+    tape = Tape()
+    probs, _ = model.forward_batch(tape, batch)
+    helper = cells._helper
+    os.kill(helper.proc.pid, signal.SIGKILL)
+    helper.proc.wait()
+    with pytest.raises(HelperError, match="exit status -9"):
+        backward(tape, objective(probs, batch.labels))
+    assert cells._helper is None
+    _assert_same_bits(_step_arrays(model, batch), want)
+    assert cells._helper is not helper
+
+
+def test_concurrent_callers_get_their_own_results(two_cpus):
+    # Four callers, more than the two CPUs, share the one helper; a short
+    # switch interval interleaves them often.
     cases = [_model_and_batch("clstm", 4, 6, 3, rows=5, n_steps=8, seed=s) for s in range(4)]
     want = [_step_arrays(*case) for case in cases]
     got = [None] * len(cases)
@@ -235,39 +339,42 @@ def test_concurrent_callers_get_their_own_results(monkeypatch, two_cpus):
         _assert_same_bits(a, b)
 
 
-def _threaded_step_in_child(queue):
+def _step_in_child(queue):
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=7)
-    queue.put(_step_arrays(model, batch)["loss"].item())
+    loss = _step_arrays(model, batch)["loss"].item()
+    queue.put((loss, cells._helper.proc.pid))
+    # A multiprocessing child ends without running atexit: reap its helper here.
+    cells._stop_helper(cells._helper)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_starts_its_own_workers(monkeypatch, two_cpus):
-    # A forked child inherits none of the parent's threads, so a threaded
-    # step in the child must start its own helper rather than wait on one.
+def test_forked_child_starts_its_own_helper(two_cpus):
+    # A forked child inherits the parent's socket to its helper; it must
+    # start its own helper rather than talk to the parent's.
     import multiprocessing
 
-    monkeypatch.setattr(cells, "THREAD_MIN_WORK", 0)
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=7)
-    want = _step_arrays(model, batch)["loss"].item()  # a threaded step in the parent first
+    want = _step_arrays(model, batch)["loss"].item()  # a step with a helper in the parent first
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_threaded_step_in_child, args=(queue,))
+    child = ctx.Process(target=_step_in_child, args=(queue,))
     child.start()
     try:
-        got = queue.get(timeout=60)
+        got, child_helper = queue.get(timeout=60)
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
-    assert got == want
+    assert got == want and child_helper != cells._helper.proc.pid
     assert child.exitcode == 0
+    assert _step_arrays(model, batch)["loss"].item() == want  # the parent's helper still answers
 
 
-def test_import_starts_no_thread():
-    # Importing starts no thread; a helper thread exists only during a threaded call.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import threading, cachedlstm; print(threading.active_count())"
+def test_import_starts_no_thread_and_no_process():
+    # The helper starts with the first pair that uses it.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import threading, cachedlstm; from cachedlstm import cells; "
+            "print(threading.active_count(), cells._helper)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "1"
+    assert out.stdout.split() == ["1", "None"]

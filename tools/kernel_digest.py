@@ -34,7 +34,9 @@ lines print, with ``repr``, the errors of criterion 1's six
 ``encoder_gradcheck`` for each recurrent kind, masked or not.
 
 ``--quick`` runs a tiny subset of each part.  BLAS is pinned to one
-thread, since a GEMM's bits can depend on its thread count.
+thread, since a GEMM's bits can depend on its thread count.  Where the
+process may use two CPUs, each pair's second direction runs in the
+library's helper process, so its lines check that path too.
 """
 
 import os
