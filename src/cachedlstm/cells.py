@@ -33,8 +33,9 @@ start late and all end at its last step; the kernel builds that from the
 same mask.  The single-step functions run it at T = 1.
 ``final_state`` runs the same step function, ``_step``, on the same (E,
 ids), in the same column order and at the same widths, without a tape, and
-keeps only the carried state, for scoring.  ``_step`` projects its own b x
-d input rows, so both make the same products.
+keeps only the carried state, for scoring; ``final_states`` runs it for
+each direction of a model.  ``_step`` projects its own b x d input rows,
+so both make the same products.
 
 Inside the kernel the batch runs along columns: a step's activations are
 G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate
@@ -87,23 +88,32 @@ order as the first.  The node lists E once, with the second direction's
 rows added into the first's, so nothing is copied in reverse.  When the
 process may use two CPUs, the second direction runs in a helper process
 while the caller runs the first.  The helper is one child Python per
-process, started by the first pair that needs it, and it exits when the
-caller closes its socket or dies.  Per forward pass the caller sends the
-second direction's weights, initial state and mask, the batch's distinct
-rows of E with the ids renumbered into them, and its numpy error state;
-the helper keeps that direction's history, keyed by the call, and sends
-back the final state.  The VJP sends the gradient and gets back E's rows,
-dW, dU, db, dc0 and dh0.  Arrays cross the socket as raw bytes, read into
-place, so neither side holds a pickled copy.  Both processes run the same
-code on equal values, so the bits are those of a serial run.  Two
-*threads* were measured before: serial over threaded time was 1.72-1.86x
-at H*B = 15,360 (the preset shape) but 0.61-0.66x at the needle shape's
-960, where the GIL made them wait on each other.  A process shares no
-GIL: with the helper, a padded needle-shape bi-clstm training step ran
-1.8x faster than serial, and the needle benchmark, whose lstm model has
-one direction, trained 1.33x more tokens per second.
-Scoring (``final_state``) stays in one process: two directions at once
-doubled its per-step temporaries, which are most of its memory.
+process, started by the first pair or scoring call that needs it, and it
+exits when the caller closes its socket or dies.  Per forward pass the
+caller sends the second direction's weights, initial state and mask, the
+batch's distinct rows of E with the ids renumbered into them, and its
+numpy error state; the helper keeps that direction's history, keyed by
+the call, and sends back the final state.  The VJP sends the gradient and
+gets back E's rows, dW, dU, db, dc0 and dh0.  Arrays cross the socket as
+raw bytes, read into place, so neither side holds a pickled copy, and E's
+rows are gathered as they are written, a few at a time, so the caller
+never holds a copy of them while it runs its own direction.  Both
+processes run the same code on equal values, so the bits are those of a
+serial run.  Two *threads* were measured before: serial over threaded
+time was 1.72-1.86x at H*B = 15,360 (the preset shape) but 0.61-0.66x at
+the needle shape's 960, where the GIL made them wait on each other.  A
+process shares no GIL: with the helper, a padded needle-shape bi-clstm
+training step ran 1.8x faster than serial, and the needle benchmark,
+whose lstm model has one direction, trained 1.33x more tokens per second.
+
+Scoring a bidirectional model (``final_states``) splits its directions
+the same way: the helper gets a request like the pair's forward one,
+without an initial state (scoring starts from zeros), runs the second
+direction's ``final_state``, sends back its (c_T, h_T) and keeps nothing.
+Two threads had doubled the calling process's per-step temporaries,
+which are most of scoring's memory; the helper holds its own, so the
+caller's peak does not grow, and the review scoring benchmark scored
+~1.8x more documents per second.
 """
 
 from __future__ import annotations
@@ -573,7 +583,7 @@ def _parents(p: CellParams, c0: Var | None, h0: Var) -> list:
 
 
 class HelperError(RuntimeError):
-    """The helper process that runs a pair's second direction could not start, or died."""
+    """The helper process that runs a second direction could not start, or died."""
 
 
 class _Helper:
@@ -599,14 +609,14 @@ class _Helper:
         self.sock, self.lock = ours, threading.Lock()
 
 
-_helper = None  # this process's _Helper, started by the first pair that uses one
+_helper = None  # this process's _Helper, started by the first call that uses one
 _helper_lock = threading.Lock()
 _calls = itertools.count()  # ids that key the helper's histories
 _freed = collections.deque()  # ids of pair nodes freed before their VJP ran
 
 
 def _two_cpus() -> bool:
-    """Whether this process may use two CPUs, so that a pair uses the helper.
+    """Whether this process may use two CPUs, so that pairs and scoring use the helper.
 
     Only on POSIX, where the helper is handed its socket as a file descriptor.
     """
@@ -659,19 +669,35 @@ if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+_ROWS_PER_WRITE = 128  # rows of a gathered entry that ``_send`` copies at a time
+
+
 def _send(sock: socket.socket, header, arrays=()) -> None:
     """One message: a pickled header, then each array's bytes as they lie in memory.
 
-    An entry of ``arrays`` may be None.  Arrays are not pickled, so no
-    second copy of one is made on either side.
+    An entry of ``arrays`` may be None, an array, or a gathered entry
+    (source, index), which arrives as the array source[index] but is
+    gathered and written ``_ROWS_PER_WRITE`` rows at a time, so the sender
+    never holds the whole gather.  Arrays are not pickled, so no second
+    copy of one is made on either side.
     """
-    arrays = [None if a is None else np.ascontiguousarray(a) for a in arrays]
-    meta = pickle.dumps((header, [None if a is None else (a.shape, a.dtype.str)
-                                  for a in arrays]))
-    sock.sendall(len(meta).to_bytes(8, "little") + meta)
+    def meta(a):
+        if isinstance(a, tuple):
+            source, index = a
+            return (len(index), *source.shape[1:]), source.dtype.str
+        return None if a is None else (a.shape, a.dtype.str)
+
+    blob = pickle.dumps((header, [meta(a) for a in arrays]))
+    sock.sendall(len(blob).to_bytes(8, "little") + blob)
     for a in arrays:
-        if a is not None:
-            sock.sendall(a.reshape(-1).view(np.uint8))
+        if isinstance(a, tuple):
+            source, index = a
+            parts = (source[index[lo:lo + _ROWS_PER_WRITE]]
+                     for lo in range(0, len(index), _ROWS_PER_WRITE))
+        else:
+            parts = () if a is None else (a,)
+        for part in parts:
+            sock.sendall(np.ascontiguousarray(part).reshape(-1).view(np.uint8))
 
 
 def _read_into(sock: socket.socket, buf):
@@ -713,7 +739,7 @@ def _io(helper: _Helper, fn, *args):
     except BaseException as exc:
         _stop_helper(helper, timeout=1.0)
         if isinstance(exc, (OSError, EOFError)):
-            raise HelperError("the helper process running a pair's second direction "
+            raise HelperError("the helper process running a second direction "
                               f"ended (exit status {helper.proc.returncode}): {exc}") from exc
         raise
 
@@ -723,13 +749,16 @@ def _overlap(header: tuple, arrays: list, local) -> tuple:
 
     The request carries this thread's numpy error state, whether this
     process traces memory, and the ids of pair nodes freed since the last
-    request.  Both sides finish before an error of either is raised:
-    local's first, then the helper's, with its own type.
+    request.  ``arrays`` is emptied once sent, so this process holds none
+    of the request's own arrays while ``local`` runs.  Both sides finish
+    before an error of either is raised: local's first, then the helper's,
+    with its own type.
     """
     helper = _started_helper()
     with helper.lock:
         freed = [_freed.popleft() for _ in range(len(_freed))]
         _io(helper, _send, (*header, np.geterr(), tracemalloc.is_tracing(), freed), arrays)
+        arrays.clear()
         try:
             mine = local()
         finally:
@@ -742,9 +771,9 @@ def _overlap(header: tuple, arrays: list, local) -> tuple:
 def _helper_memory() -> tuple:
     """(traced peak in bytes, pair histories held) of the helper; stops its tracing.
 
-    The helper traces while this process does, from the first pair call
-    that finds it tracing, so a test that traces a training step adds the
-    peak to its own.  (0, 0) when no helper runs.
+    The helper traces while this process does, from the first request
+    that finds it tracing, so a test that traces a training step or a
+    scoring pass adds the peak to its own.  (0, 0) when no helper runs.
     """
     if _helper is None:
         return 0, 0
@@ -756,7 +785,8 @@ def _serve(fd: int) -> None:
 
     A forward request runs the second direction and keeps its VJP under
     the call's id until the VJP request for that id, or until the caller
-    lists the id as freed.  Errors go back to the caller.
+    lists the id as freed.  A score request runs the second direction's
+    ``final_state`` and keeps nothing.  Errors go back to the caller.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's exit ends this loop
     sock = socket.socket(fileno=fd)
@@ -796,6 +826,9 @@ def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         dE, *rest = vjp(arrays[0])
         return [dE.rows, *rest]
+    if op == "score":
+        rows, ids, w, u, b, mask = arrays
+        return list(final_state(CellParams(*cell, w, u, b), rows, ids, mask, reverse=True))
     rows, ids, w, u, b, c0, h0, mask = arrays
     tape = Tape()
 
@@ -885,10 +918,8 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
     until then, or until the node is freed without a VJP.
     """
     p, c0, h0 = second
-    ids = row_ids(ids, E.rows, ndim=2)
-    distinct, renumbered = np.unique(ids, return_inverse=True)
     call = next(_calls)
-    arrays = [E.value[distinct], renumbered.reshape(ids.shape),
+    arrays = [*_distinct_rows(E.value, ids),
               *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)), mask]
     try:
         first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1)
@@ -903,6 +934,39 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
 
     release = weakref.finalize(both, _freed.append, call)
     return first, v2, both
+
+
+def _distinct_rows(source: np.ndarray, ids) -> list:
+    """[(source, distinct), renumbered]: the request entries of a batch's rows of E.
+
+    ``distinct`` lists the distinct ids of the T x B array ``ids``, and
+    ``renumbered`` is ``ids`` with each id replaced by its place in that
+    list; ``_send`` gathers the rows as it writes them.  Gathering from
+    equal rows gives equal bits.
+    """
+    ids = row_ids(ids, len(source), ndim=2)
+    distinct, renumbered = np.unique(ids, return_inverse=True)
+    return [(source, distinct), renumbered.reshape(ids.shape)]
+
+
+def final_states(cells: tuple, source: np.ndarray, ids, mask=None) -> list:
+    """Each direction's ``final_state`` (c_T, h_T) over one (source, ids, mask), for scoring.
+
+    ``cells`` holds one or two CellParams of arrays; the second direction
+    reads ids last step first (``reverse``).  When the process may use
+    two CPUs, the second direction runs in the helper process while this
+    one runs the first: the helper gets the batch's distinct rows of
+    ``source`` with the ids renumbered into them, and keeps nothing once
+    it has answered.  The values are those of two ``final_state`` calls
+    here, bit for bit.  A helper that dies raises ``HelperError``.
+    """
+    if len(cells) == 2 and _two_cpus():
+        first, second = cells
+        arrays = [*_distinct_rows(source, ids), second.w, second.u, second.b, mask]
+        mine, theirs = _overlap(("score", None, (second.kind, second.n_groups)), arrays,
+                                lambda: final_state(first, source, ids, mask))
+        return [mine, tuple(theirs)]
+    return [final_state(p, source, ids, mask, reverse=bool(i)) for i, p in enumerate(cells)]
 
 
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:

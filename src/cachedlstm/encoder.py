@@ -12,10 +12,12 @@ Each encoder is one tape node over a row source E and a T x B array of
 its row ids, whose step t reads the rows E[ids[t]], and a {0,1} B x T mask
 array laid out as ``data.pad_batch`` lays it out, each row's real steps
 first.  A batch passes (embedding, ids.T, mask), also when no row is
-padded; scoring passes the same three to ``cells.final_state`` and
-``cbow_vector``.  The recurrent encoders also take a list of B x d step
-Vars, which ``autodiff.stack_steps`` joins into a (T*B) x d source read
-with ids arange(T*B).reshape(T, B), and a list of B x 1 mask Vars.  A
+padded; scoring passes the same three to ``cells.final_states``, which
+runs a bidirectional model's two directions in two processes when it may
+use two CPUs, as ``cells.recurrence_pair`` does, and to ``cbow_vector``.
+The recurrent encoders also take a list of B x d step Vars, which
+``autodiff.stack_steps`` joins into a (T*B) x d source read with ids
+arange(T*B).reshape(T, B), and a list of B x 1 mask Vars.  A
 unidirectional run is a ``cells.recurrence`` node whose value is its final
 carried state; a bidirectional run is a ``cells.recurrence_pair`` node
 holding both directions' final states, and E gets the sum of their

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tape
 # Not called here: perfbench's tracer patches this name in this module.
 from .autodiff import take_rows  # noqa: F401
-from .cells import CELL_KINDS, GATES, CellParams, final_state, init_params, named_tensors
+from .cells import CELL_KINDS, GATES, CellParams, final_states, init_params, named_tensors
 from .data import Batch, EmbeddingMatrix, Vocab, init_embeddings, pad_batch
 from .encoder import (
     ClassifierParams,
@@ -186,8 +186,11 @@ class DocModel:
         """Class probabilities for one padded batch, B x C, without a tape.
 
         The encoders read the same (embedding, T x B ids, mask) as in
-        ``forward_batch`` and keep only each direction's carried state.  The
-        result equals ``forward_batch(Tape(), batch)[0].value`` bit for bit.
+        ``forward_batch`` and keep only each direction's carried state.  A
+        bidirectional model's second direction runs in the helper process
+        while this one runs the first, when the process may use two CPUs
+        (``cells.final_states``).  The result equals
+        ``forward_batch(Tape(), batch)[0].value`` bit for bit.
         """
         cfg = self.config
         if batch.n_steps == 0:
@@ -197,8 +200,8 @@ class DocModel:
             rep = cbow_vector(emb, ids, mask)
         else:
             width = cfg.H // cfg.K  # the slowest group of the final h
-            rep = np.concatenate([final_state(cell, emb, ids, mask, reverse=bool(i))[1][:, :width]
-                                  for i, cell in enumerate(self.cells)], axis=1)
+            rep = np.concatenate([h[:, :width]
+                                  for _, h in final_states(self.cells, emb, ids, mask)], axis=1)
         return class_probabilities(rep, self.clf.w, self.clf.b)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:

@@ -629,6 +629,33 @@ sys.exit(cli.main(sys.argv[2:]))
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_a_helper_killed_before_eval_scores_exits_3(self, tmp_path, needle_corpus):
+        # ``cachedlstm eval`` of a bidirectional model in a child process
+        # whose helper, which scores each batch's second direction, is
+        # killed before the first batch.
+        cfg_path = write_config(tmp_path, needle_corpus, **{"model.bidirectional": True,
+                                                            "train.max_epochs": 1})
+        assert run(["train", str(cfg_path)]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+from cachedlstm import cells, cli
+
+helper = cells._started_helper()
+os.kill(helper.proc.pid, signal.SIGKILL)
+helper.proc.wait()
+sys.exit(cli.main(sys.argv[2:]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code, src, "eval",
+                               str(tmp_path / "out" / "model.bin"),
+                               str(needle_corpus / "dev.tsv")],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: the helper process ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestNegativeSeeds:
     def test_train_seed(self, tmp_path, needle_corpus, capsys):

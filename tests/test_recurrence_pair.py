@@ -1,10 +1,11 @@
-"""The two-direction recurrence node and where its second direction runs.
+"""The two-direction recurrence node, two-direction scoring, and where the second direction runs.
 
 ``cells.recurrence_pair`` records both directions of a bidirectional
 encoder as one tape node.  When the process may use two CPUs, its second
 kernel and second VJP run in one helper process while this process runs
-the first; on one CPU both run here.  Either way the values and gradients
-must be the same bits.
+the first; on one CPU both run here.  Scoring (``cells.final_states``)
+splits a bidirectional model's directions the same way.  Either way the
+values, gradients and probabilities must be the same bits.
 """
 
 import os
@@ -18,13 +19,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cachedlstm import cells
+from cachedlstm import cells, cli
 from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
 from cachedlstm.cells import (HelperError, bind_params, init_params, recurrence,
                               recurrence_pair)
 from cachedlstm.data import Document, build_vocab, pad_batch
 from cachedlstm.encoder import EncoderConfig, encode_bidirectional
 from cachedlstm.model import ModelConfig, build_model
+from cachedlstm.serialize import save_model
 from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged,
                                  apply_weight_decay, objective, train_epoch)
 from tape_ops import mul, sum_all
@@ -62,11 +64,11 @@ def local_kernels(monkeypatch):
     return calls
 
 
-def _model_and_batch(kind, d, H, K, rows, n_steps, seed, use_bias=True):
+def _model_and_batch(kind, d, H, K, rows, n_steps, seed, use_bias=True, padded=True):
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(400)]
-    docs = [Document(int(rng.integers(3)), list(rng.choice(words, n)))
-            for n in rng.integers(1, n_steps + 1, rows)]
+    lengths = rng.integers(1, n_steps + 1, rows) if padded else np.full(rows, n_steps)
+    docs = [Document(int(rng.integers(3)), list(rng.choice(words, n))) for n in lengths]
     docs[0] = Document(0, list(rng.choice(words, n_steps)))
     vocab = build_vocab(docs)
     model = build_model(ModelConfig(kind=kind, d=d, H=H, K=K, C=3, bidirectional=True,
@@ -378,3 +380,109 @@ def test_import_starts_no_thread_and_no_process():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == ["1", "None"]
+
+
+@pytest.mark.parametrize("padded", [True, False])
+@pytest.mark.parametrize("use_bias", [True, False])
+@pytest.mark.parametrize("kind,K", [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 3)])
+def test_helper_scoring_equals_serial(kind, K, use_bias, padded, monkeypatch):
+    model, batch = _model_and_batch(kind, 5, 6, K, rows=7, n_steps=9, seed=4,
+                                    use_bias=use_bias, padded=padded)
+    assert (batch.lengths == batch.n_steps).all() != padded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = model.probabilities(batch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert model.probabilities(batch).tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("padded", [True, False])
+def test_helper_scoring_equals_serial_at_preset_shape(padded, monkeypatch, two_cpus):
+    # d=50, H=120, K=3, B=64, the batch size ``predict`` scores at.
+    model, batch = _model_and_batch("clstm", 50, 120, 3, rows=64, n_steps=30, seed=5,
+                                    use_bias=False, padded=padded)
+    paired = model.probabilities(batch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert paired.tobytes() == model.probabilities(batch).tobytes()
+
+
+@pytest.mark.parametrize("cpus,here", [({0}, 2), ({0, 1}, 1)])
+def test_scoring_runs_one_direction_here_on_two_cpus(cpus, here, monkeypatch):
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    calls = []
+    real = cells.final_state
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("reverse", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cells, "final_state", counted)
+    model.predict_batch(batch)
+    assert calls == [False, True][:here]
+
+
+def test_scoring_leaves_the_helper_no_history(two_cpus):
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    if cells._helper is not None:
+        cells._stop_helper(cells._helper)
+    model.predict_batch(batch)
+    assert cells._helper is not None  # scoring started it
+    assert cells._helper_memory()[1] == 0
+
+
+# Scores with a unidirectional clstm model and a cbow model, then prints
+# the helper, which neither may have started.
+_SCORE_ONE_DIRECTION = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+from cachedlstm import cells
+from cachedlstm.data import Document, build_vocab, pad_batch
+from cachedlstm.model import ModelConfig, build_model
+
+docs = [Document(i % 2, ["a", "b", "c", "d"][:1 + i % 4]) for i in range(6)]
+vocab = build_vocab(docs)
+for config in (ModelConfig(kind="clstm", d=4, H=6, K=3, C=2), ModelConfig(kind="cbow", d=4)):
+    build_model(config, vocab, seed=0).predict_batch(pad_batch(docs, vocab))
+print(cells._helper)
+"""
+
+
+def test_one_direction_and_cbow_scoring_start_no_helper():
+    out = subprocess.run([sys.executable, "-c", _SCORE_ONE_DIRECTION, SRC],
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["None"]
+
+
+def _overflowing_backward_model():
+    """A bidirectional model whose backward direction alone overflows."""
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=8)
+    model.embedding.vectors[:] = 1.0
+    model.cells[1].w[:] = 1e308
+    return model, batch
+
+
+def test_overflow_in_the_helper_aborts_scoring(monkeypatch):
+    model, batch = _overflowing_backward_model()
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(ValueError, match="overflow encountered in .* while scoring") as exc:
+            model.predict_batch(batch)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_overflow_in_the_helper_makes_eval_exit_2(tmp_path, capsys, monkeypatch):
+    model, batch = _overflowing_backward_model()
+    path = tmp_path / "model.bin"
+    save_model(str(path), model)
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("0\tw1 w2 w3\n1\tw4 w5\n")
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert cli.main(["eval", str(path), str(corpus)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: overflow encountered") and errors[0].count("\n") == 1

@@ -12,15 +12,15 @@ from ``src/`` of the checkout it sits in:
 Each line names a configuration and the digest of, in order: the value of
 ``recurrence`` (one direction) or ``recurrence_pair`` (two), every
 gradient of that node (E's ``RowSparse`` ids and rows, then w, u, b and
-the initial states of each direction), and ``final_state`` of each
-direction.  The configurations cover rnn, lstm, cifg and clstm (K = 1 and
-3), one direction or a pair, bias on or off, B in {1, 7, 32} at a small
-shape and B = 128 at the preset shape (d=50, H=120), T in {1, 8, 9, 10,
-15, 16, 17, 35, 36, 37} (S^2 - 1, S^2 and S^2 + 1 for S = 3, 4 and 6, where
-the kernel's VJP rebuilds c in segments of S = ceil(sqrt(T)) steps; 1, 16
-and 17 at the preset shape), and no mask or a padded batch's, each row's
-real steps first (the only layout the kernel takes; a pair's second
-direction runs it in reverse).
+the initial states of each direction), and each direction's (c, h) from
+``final_states``, the scoring entry.  The configurations cover rnn,
+lstm, cifg and clstm (K = 1 and 3), one direction or a pair, bias on or
+off, B in {1, 7, 32} at a small shape and B = 128 at the preset shape
+(d=50, H=120), T in {1, 8, 9, 10, 15, 16, 17, 35, 36, 37} (S^2 - 1, S^2
+and S^2 + 1 for S = 3, 4 and 6, where the kernel's VJP rebuilds c in
+segments of S = ceil(sqrt(T)) steps; 1, 16 and 17 at the preset shape),
+and no mask or a padded batch's, each row's real steps first (the only
+layout the kernel takes; a pair's second direction runs it in reverse).
 
 Each ``train`` line is the digest of two epochs of ``train_epoch`` on a
 small three-class corpus, one batch at a time: every batch's loss, then
@@ -36,7 +36,8 @@ lines print, with ``repr``, the errors of criterion 1's six
 ``--quick`` runs a tiny subset of each part.  BLAS is pinned to one
 thread, since a GEMM's bits can depend on its thread count.  Where the
 process may use two CPUs, each pair's second direction runs in the
-library's helper process, so its lines check that path too.
+library's helper process, in training and in scoring, so its lines check
+that path too.
 """
 
 import os
@@ -55,7 +56,7 @@ import itertools  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cachedlstm.autodiff import RowSparse, Tape, backward, record  # noqa: E402
-from cachedlstm.cells import (bind_params, final_state, init_params, recurrence,  # noqa: E402
+from cachedlstm.cells import (bind_params, final_states, init_params, recurrence,  # noqa: E402
                               recurrence_pair)
 from cachedlstm.data import Document, build_vocab, make_batches  # noqa: E402
 from cachedlstm.gradcheck import encoder_gradcheck, pipeline_gradcheck  # noqa: E402
@@ -116,9 +117,8 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
         parts = (g.ids, g.rows) if isinstance(g, RowSparse) else (np.asarray(g),)
         for a in parts:
             sha.update(a.tobytes())
-    for k, p in enumerate(params):
-        reverse = k == 1
-        for a in final_state(p, source, ids, m, reverse=reverse):
+    for state in final_states(params, source, ids, m):
+        for a in state:
             if a is not None:
                 sha.update(a.tobytes())
     return sha.hexdigest()
