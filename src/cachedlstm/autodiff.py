@@ -90,15 +90,23 @@ class RowSparse:
         if (self.ids[1:] > self.ids[:-1]).all():
             return self
         unique, inverse = np.unique(self.ids, return_inverse=True)
-        summed = np.zeros((unique.size, self.shape[1]))
-        np.add.at(summed, inverse, self.rows)
-        return RowSparse(unique, summed, self.shape)
+        return RowSparse(unique, self._summed(inverse, unique.size), self.shape)
+
+    def _summed(self, index: np.ndarray, n_rows: int) -> np.ndarray:
+        """n_rows x cols zeros with each ``rows[i]`` added to row ``index[i]``, in list order.
+
+        One flat ``bincount`` adds each weight in input order onto 0.0, as
+        ``np.add.at`` on zeros does, so the bits are the same.
+        """
+        d = self.shape[1]
+        flat = (index[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(flat, weights=self.rows.ravel(),
+                           minlength=n_rows * d).reshape(n_rows, d)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("RowSparse: the dense matrix is always a new array")
-        dense = np.zeros(self.shape)
-        np.add.at(dense, self.ids, self.rows)
+        dense = self._summed(self.ids, self.shape[0])
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def __add__(self, other):

@@ -744,17 +744,19 @@ def _io(helper: _Helper, fn, *args):
         raise
 
 
-def _overlap(header: tuple, arrays: list, local) -> tuple:
+def _overlap(header: tuple, arrays: list, local, helper: _Helper | None = None) -> tuple:
     """(local(), the helper's reply arrays): one request, with ``local`` run meanwhile.
 
-    The request carries this thread's numpy error state, whether this
-    process traces memory, and the ids of pair nodes freed since the last
-    request.  ``arrays`` is emptied once sent, so this process holds none
-    of the request's own arrays while ``local`` runs.  Both sides finish
-    before an error of either is raised: local's first, then the helper's,
-    with its own type.
+    The request goes to ``helper``, by default this process's helper,
+    started if none runs.  It carries this thread's numpy error state,
+    whether this process traces memory, and the ids of pair nodes freed
+    since the last request.  ``arrays`` is emptied once sent, so this
+    process holds none of the request's own arrays while ``local`` runs.
+    Both sides finish before an error of either is raised: local's first,
+    then the helper's, with its own type.
     """
-    helper = _started_helper()
+    if helper is None:
+        helper = _started_helper()
     with helper.lock:
         freed = [_freed.popleft() for _ in range(len(_freed))]
         _io(helper, _send, (*header, np.geterr(), tracemalloc.is_tracing(), freed), arrays)
@@ -915,14 +917,17 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
     runs run1's VJP here while the helper runs its own, and returns run1's
     gradients and the helper's [E's rows, w, u, b, c0, h0] (b and c0 as
     the direction has them).  The helper keeps the direction's history
-    until then, or until the node is freed without a VJP.
+    until then, or until the node is freed without a VJP.  Once that
+    helper has ended, ``both`` raises ``HelperError`` and sends nothing:
+    a helper started since holds no history of this node.
     """
     p, c0, h0 = second
     call = next(_calls)
     arrays = [*_distinct_rows(E.value, ids),
               *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)), mask]
+    helper = _started_helper()
     try:
-        first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1)
+        first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1, helper)
     except BaseException:
         _freed.append(call)  # the helper may hold its history
         raise
@@ -930,7 +935,10 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
 
     def both(g1, g2):
         release.detach()  # the helper drops the history as it runs the VJP
-        return _overlap(("vjp", call, None), [g2], lambda: vjp1(g1))
+        if _helper is not helper:
+            raise HelperError("the helper process that ran this pair's second direction "
+                              f"has ended (exit status {helper.proc.returncode})")
+        return _overlap(("vjp", call, None), [g2], lambda: vjp1(g1), helper)
 
     release = weakref.finalize(both, _freed.append, call)
     return first, v2, both

@@ -7,7 +7,7 @@ and drops the sentence separator marker "<sssss>" that review corpora use.
 
 Vocabulary ids are stable: 0 is padding, 1 is the unknown token (also for
 a literal "<pad>" or "<unk>" in a document), and the remaining tokens are
-numbered by descending frequency with ties broken lexicographically.  The
+numbered by descending frequency with ties broken by code-point order.  The
 padding embedding row is pinned to zero.
 """
 
@@ -26,6 +26,7 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 SEPARATOR_TOKEN = "<sssss>"
+_SPACED_SEPARATOR = f" {SEPARATOR_TOKEN} "
 
 INIT_SCALE = 0.1  # fresh weights start uniform in [-INIT_SCALE, INIT_SCALE]
 
@@ -49,8 +50,21 @@ class Document:
 
 
 def tokenize(text: str) -> list:
-    """Lowercased whitespace tokens with sentence separators removed."""
-    return [t for t in text.lower().split() if t != SEPARATOR_TOKEN]
+    """Lowercased whitespace tokens with sentence separators removed.
+
+    A token is a maximal run of non-whitespace (``str.split``), and every
+    token that lowercases to ``<sssss>`` is dropped, wherever it stands; a
+    separator glued to a word (``x<sssss>``) is part of that token and
+    stays.  Separators between single spaces are replaced in one pass,
+    which leaves a space, so no two tokens join; only a text that still
+    holds the marker (at an edge, doubled, beside other whitespace, or
+    glued) is filtered token by token.
+    """
+    text = text.lower().replace(_SPACED_SEPARATOR, " ")
+    tokens = text.split()
+    if SEPARATOR_TOKEN in text:
+        tokens = [t for t in tokens if t != SEPARATOR_TOKEN]
+    return tokens
 
 
 def _parse_lines(path: str, parse):
@@ -84,7 +98,7 @@ class Vocab:
     def __init__(self, tokens: list):
         """tokens: the non-reserved vocabulary, already ordered; ids from 2."""
         self._id_to_token = [PAD_TOKEN, UNK_TOKEN, *tokens]
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
+        self._token_to_id = dict(zip(self._id_to_token, range(len(self._id_to_token))))
         if len(self._token_to_id) != len(self._id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
         self._token_to_id[PAD_TOKEN] = UNK_ID  # a "<pad>" in a document is a word
@@ -112,8 +126,9 @@ def build_vocab(docs: list, min_count: int = 1) -> Vocab:
 
     Tokens seen fewer than min_count times, and the reserved ``<pad>`` and
     ``<unk>``, are left out (they map to the unknown id).  Ordering is by
-    descending count, then lexicographic, so the same corpus always yields
-    the same ids.
+    descending count, then by code-point order of the token (``str``
+    comparison), so the same corpus always yields the same ids.  Two
+    stable sorts give that order: by token, then by count, descending.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -122,7 +137,8 @@ def build_vocab(docs: list, min_count: int = 1) -> Vocab:
         counts.update(doc.tokens)
     kept = [t for t, c in counts.items()
             if c >= min_count and t not in (PAD_TOKEN, UNK_TOKEN)]
-    kept.sort(key=lambda t: (-counts[t], t))
+    kept.sort()
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties keep token order
     return Vocab(kept)
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachedlstm.autodiff import (
     RowSparse,
@@ -193,6 +195,27 @@ class TestRowSparseGradients:
         assert signed.coalesce() is signed
         scaled = (signed * 2.0).coalesce()
         assert scaled.rows.tobytes() == (signed.rows * 2.0).tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_coalesce_and_densify_sum_as_add_at_does(self, n_rows, width, data):
+        # Repeated, unsorted ids over rows of mixed magnitudes and signed
+        # zeros: both sums must be np.add.at's onto zeros, byte for byte.
+        ids = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=12))
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300]),
+                           st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+        rows = np.array(data.draw(st.lists(st.lists(values, min_size=width, max_size=width),
+                                           min_size=len(ids), max_size=len(ids))))
+        g = RowSparse(ids, rows, (n_rows, width))
+        dense = np.zeros((n_rows, width))
+        np.add.at(dense, np.array(ids), rows)
+        assert np.asarray(g).tobytes() == dense.tobytes()
+        unique, inverse = np.unique(ids, return_inverse=True)
+        summed = np.zeros((unique.size, width))
+        np.add.at(summed, inverse, rows)
+        co = g.coalesce()
+        assert co.ids.tobytes() == unique.astype(np.intp).tobytes()
+        assert co.rows.tobytes() == (rows if co is g else summed).tobytes()
 
     def test_dense_and_sparse_gradients_fold(self):
         tape = Tape()

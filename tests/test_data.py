@@ -2,12 +2,16 @@
 padding, corpus files, the external importer, and the synthetic needle task."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachedlstm.data import (
     PAD_ID,
+    SEPARATOR_TOKEN,
     UNK_ID,
     Document,
     EmbeddingMatrix,
@@ -35,6 +39,45 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("   ") == []
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+# Pieces of review text: separators in either case, glued to words, in runs
+# and at the edges, between every kind of whitespace str.split knows.
+PIECES = st.sampled_from(["<sssss>", "<SSSSS>", "<SsSsS>", "x<sssss>", "<sssss>y",
+                          "<sssss><sssss>", "<sssss", "sssss>", "good", "BAD", "a", "É"])
+GAPS = st.one_of(st.just(" "),  # most often: the one gap the fast path replaces
+                 st.sampled_from(["  ", "\t", "\n", "\x0b", "\xa0", "\u3000", " \t "]))
+
+
+@st.composite
+def review_texts(draw):
+    pieces = draw(st.lists(PIECES, max_size=10))
+    gaps = draw(st.lists(GAPS, min_size=len(pieces) + 1, max_size=len(pieces) + 1))
+    edges = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\n"]))
+    body = "".join(g + p for g, p in zip(gaps, pieces)) + gaps[-1]
+    return edges[0] + (body if draw(st.booleans()) else body.strip()) + edges[1]
+
+
+class TestTokenizeProperties:
+    @PROPERTY
+    @given(review_texts())
+    def test_drops_exactly_the_separator_tokens(self, text):
+        assert tokenize(text) == [t for t in text.lower().split() if t != SEPARATOR_TOKEN]
+
+
+class TestVocabProperties:
+    @PROPERTY
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "B", "ab", "é", "z", "<unk>", "<pad>"]),
+                             min_size=1, max_size=8), min_size=1, max_size=6),
+           st.integers(1, 3))
+    def test_order_is_descending_count_then_code_points(self, corpus, min_count):
+        docs = [Document(0, tokens) for tokens in corpus]
+        counts = Counter(t for tokens in corpus for t in tokens)
+        kept = [t for t, c in counts.items() if c >= min_count and t not in ("<pad>", "<unk>")]
+        assert build_vocab(docs, min_count).tokens == sorted(kept,
+                                                             key=lambda t: (-counts[t], t))
 
 
 class TestVocab:

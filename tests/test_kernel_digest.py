@@ -1,10 +1,10 @@
 """``tools/kernel_digest.py``, the bit-identity check for kernel, tape and
 training changes, is deterministic.
 
-The tool prints one SHA-256 per kernel or training configuration, then the
-errors of a few gradient checks; a change that keeps every bit must leave
-its output unchanged.  That comparison means something only if two runs of
-the same code print the same lines.
+The tool prints one SHA-256 of the data path, one per kernel or training
+configuration, then the errors of a few gradient checks; a change that
+keeps every bit must leave its output unchanged.  That comparison means
+something only if two runs of the same code print the same lines.
 """
 
 import os
@@ -24,13 +24,15 @@ def _quick_run() -> list[str]:
 def test_quick_digest_is_the_same_on_a_rerun():
     first, second = _quick_run(), _quick_run()
     assert first == second
+    # The data path: one line, first.
+    data, kernel, train, checks = first[0], first[1:25], first[25:29], first[29:]
+    assert re.fullmatch(r"[0-9a-f]{64}  data read_corpus build_vocab make_batches .*", data)
     # Kernel: lstm and clstm K=3, one direction or a pair, three T, no mask or a padded one.
-    kernel, train, checks = first[:24], first[24:28], first[28:]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \w+ K=\d dirs=[12] .*", line) for line in kernel)
     # Training: three models with weight decay, and a frozen embedding.
     assert all(re.fullmatch(r"[0-9a-f]{64}  train \w+ dirs=[12] .* embedding=\w+", line)
                for line in train)
-    assert len({line.split()[0] for line in kernel + train}) == 28
+    assert len({line.split()[0] for line in [data] + kernel + train}) == 29
     # Gradient checks: the cbow pipeline and a masked lstm encoder, errors printed with repr.
     assert [line.split("  ")[1].split()[0] for line in checks] == ["pipeline_gradcheck",
                                                                    "encoder_gradcheck"]

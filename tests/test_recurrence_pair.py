@@ -315,6 +315,24 @@ def test_a_helper_killed_before_the_vjp_raises_and_the_next_pair_starts_another(
     assert cells._helper is not helper
 
 
+def test_a_vjp_whose_helper_was_replaced_raises_helper_error(two_cpus):
+    # The helper that ran the first tape's second direction dies and a new
+    # one starts; the new one holds no history of that tape's pair.
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    tape = Tape()
+    probs, _ = model.forward_batch(tape, batch)
+    helper = cells._helper
+    os.kill(helper.proc.pid, signal.SIGKILL)
+    helper.proc.wait()
+    with pytest.raises(HelperError, match="exit status -9"):
+        model.forward_batch(Tape(), batch)
+    model.forward_batch(Tape(), batch)
+    assert cells._helper is not None and cells._helper is not helper
+    with pytest.raises(HelperError, match="has ended"):
+        backward(tape, objective(probs, batch.labels))
+    assert cells._helper_memory()[1] == 0
+
+
 def test_concurrent_callers_get_their_own_results(two_cpus):
     # Four callers, more than the two CPUs, share the one helper; a short
     # switch interval interleaves them often.

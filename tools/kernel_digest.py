@@ -1,4 +1,5 @@
-"""Print one SHA-256 per recurrent-kernel or training configuration, and gradcheck errors.
+"""Print one SHA-256 per recurrent-kernel or training configuration, one of the data
+path, and gradcheck errors.
 
 A change to the kernel, the tape or the training step that claims to keep
 every bit is checked by running this script in a checkout of the parent
@@ -33,7 +34,15 @@ lines print, with ``repr``, the errors of criterion 1's six
 ``pipeline_gradcheck`` cases, of the cbow pipeline, and of
 ``encoder_gradcheck`` for each recurrent kind, masked or not.
 
-``--quick`` runs a tiny subset of each part.  BLAS is pinned to one
+The ``data`` line is the digest of the set-up path on a seeded corpus
+file written to a temporary directory, whose texts hold sentence
+separators at the edges, doubled, beside tabs and other whitespace, in
+upper case and glued to words: ``read_corpus``'s labels and tokens, the
+tokens of ``build_vocab`` at min_count 1 and 2, and the ids, mask,
+lengths and labels of every batch of ``make_batches``, shuffled and
+sort-bucketed.  It prints first, the same in both modes.
+
+``--quick`` runs a tiny subset of each other part.  BLAS is pinned to one
 thread, since a GEMM's bits can depend on its thread count.  Where the
 process may use two CPUs, each pair's second direction runs in the
 library's helper process, in training and in scoring, so its lines check
@@ -52,13 +61,14 @@ import argparse  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
 import itertools  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from cachedlstm.autodiff import RowSparse, Tape, backward, record  # noqa: E402
 from cachedlstm.cells import (bind_params, final_states, init_params, recurrence,  # noqa: E402
                               recurrence_pair)
-from cachedlstm.data import Document, build_vocab, make_batches  # noqa: E402
+from cachedlstm.data import Document, build_vocab, make_batches, read_corpus  # noqa: E402
 from cachedlstm.gradcheck import encoder_gradcheck, pipeline_gradcheck  # noqa: E402
 from cachedlstm.model import ModelConfig, build_model  # noqa: E402
 from cachedlstm.training import AdagradState, TrainConfig, train_epoch  # noqa: E402
@@ -141,6 +151,45 @@ def configurations(quick: bool = False):
                      f"H={H} B={B} T={T} mask={mask}")
             yield label, dict(kind=kind, n_groups=n_groups, pair=pair, bias=bias, B=B, T=T,
                               mask=mask, d=d, H=H)
+
+
+# Texts draw from these: tied word counts, and separators in every spot tokenize handles.
+DATA_WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "Word", "WORD", "é", "x<sssss>", "<sssss>y")
+DATA_GAPS = (" ", " ", " ", " ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x0b")
+DATA_SEPARATORS = ("<sssss>", "<SSSSS>", "<sssss> <sssss>", "<sssss><sssss>")
+DATA_EDGES = ("", "<sssss> ", "<SSSSS>\t", " <sssss>")
+
+
+def _data_line(rng) -> str:
+    """One ``label<TAB>text`` corpus line with a word in it."""
+    pieces = [str(rng.choice(DATA_WORDS))]
+    for _ in range(int(rng.integers(0, 12))):
+        pieces.append(str(rng.choice(DATA_SEPARATORS if rng.random() < 0.3 else DATA_WORDS)))
+    rng.shuffle(pieces)
+    text = "".join(str(rng.choice(DATA_GAPS)) + piece for piece in pieces)
+    if rng.random() < 0.5:
+        text = text.lstrip()
+    return f"{rng.integers(3)}\t{rng.choice(DATA_EDGES)}{text}{rng.choice(DATA_EDGES)}\n"
+
+
+def data_digest(seed=0) -> str:
+    """The SHA-256 of the set-up path over a seeded corpus file: documents, vocabularies
+    and batches."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(_data_line(rng) for _ in range(80))
+        docs = read_corpus(path, 3)
+    sha = hashlib.sha256(repr([(doc.label, doc.tokens) for doc in docs]).encode())
+    vocabs = [build_vocab(docs, min_count) for min_count in (1, 2)]
+    for vocab in vocabs:
+        sha.update(repr(vocab.tokens).encode())
+    for sort_bucket in (False, True):
+        for batch in make_batches(docs, vocabs[0], 8, seed=seed, sort_bucket=sort_bucket):
+            for a in (batch.ids, batch.mask, batch.lengths, batch.labels):
+                sha.update(a.tobytes())
+    return sha.hexdigest()
 
 
 # Sort-bucketed into batches of 4, these lengths give padded batches and a uniform one.
@@ -234,6 +283,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true", help="run a tiny subset")
     args = parser.parse_args(argv)
+    print(f"{data_digest()}  data read_corpus build_vocab make_batches B=8", flush=True)
     for seed, (label, kwargs) in enumerate(configurations(args.quick)):
         print(f"{digest(seed=seed, **kwargs)}  {label}", flush=True)
     for seed, (label, kwargs) in enumerate(train_configurations(args.quick)):
