@@ -35,7 +35,17 @@ same mask.  The single-step functions run it at T = 1.
 ids), in the same column order and at the same widths, without a tape, and
 keeps only the carried state, for scoring; ``final_states`` runs it for
 each direction of a model.  ``_step`` projects its own b x d input rows,
-so both make the same products.
+so both make the same products.  ``final_state`` keeps the carried (c, h)
+of the live rows only, as one contiguous 2H x b array: when a step is
+narrower than the one before, the ended rows' columns are copied out and
+set aside, and when it is wider (at a run's first step, and as a reverse
+run's rows start), zero columns are appended.  So no step computes on a
+strided view, which numpy copies for ``U h``: a preset-shape direction
+(B = 64, T = 100, rows ending at 64 distinct steps) traced 705.9 kB
+instead of 823.8, one step's working set, whose peak is the ``U h``
+product.  ``_step`` writes write * c~, then tanh(c'), into ``write``, a
+fresh array except for lstm, whose write is a view of ``a`` and so takes
+one H x b temporary.
 
 Inside the kernel the batch runs along columns: a step's activations are
 G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate
@@ -90,18 +100,23 @@ process may use two CPUs, the second direction runs in a helper process
 while the caller runs the first.  The helper is one child Python per
 process, started by the first pair or scoring call that needs it, and it
 exits when the caller closes its socket or dies.  Per forward pass the
-caller sends the second direction's weights, initial state and mask, the
-batch's distinct rows of E with the ids renumbered into them, and its
-numpy error state; the helper keeps that direction's history, keyed by
-the call, and sends back the final state.  The VJP sends the gradient and
-gets back E's rows, dW, dU, db, dc0 and dh0.  Arrays cross the socket as
-raw bytes, read into place, so neither side holds a pickled copy, and E's
-rows are gathered as they are written, a few at a time, so the caller
-never holds a copy of them while it runs its own direction.  Both
-processes run the same code on equal values, so the bits are those of a
-serial run.  Two *threads* were measured before: serial over threaded
-time was 1.72-1.86x at H*B = 15,360 (the preset shape) but 0.61-0.66x at
-the needle shape's 960, where the GIL made them wait on each other.  A
+caller sends the second direction's weights, initial state and mask (as
+bools), the batch's distinct rows of E with the ids renumbered into them,
+and its numpy error state; the helper keeps that direction's history,
+keyed by the call, and sends back the final state.  The VJP sends the
+gradient and gets back E's rows, dW, dU, db, dc0 and dh0.  Arrays cross
+the socket as raw bytes, read into place, so neither side holds a pickled
+copy, and E's rows are gathered as they are written, a few at a time, so
+the caller never holds a copy of them while it runs its own direction.
+The renumbered ids are gathered the same way, from a table with one entry
+per row of E that ``_distinct_rows`` fills: the ids mark their rows, the
+marked rows are the distinct ids, sorted, and each gets its place among
+them.  ``np.unique(ids, return_inverse=True)`` held ~41 bytes per
+position in the caller, most of its peak at T = 2000.  Both processes run
+the same code on equal values, so the bits are those of a serial run.
+Two *threads* were measured before: serial over threaded time was
+1.72-1.86x at H*B = 15,360 (the preset shape) but 0.61-0.66x at the
+needle shape's 960, where the GIL made them wait on each other.  A
 process shares no GIL: with the helper, a padded needle-shape bi-clstm
 training step ran 1.8x faster than serial, and the needle benchmark,
 whose lstm model has one direction, trained 1.33x more tokens per second.
@@ -304,10 +319,13 @@ def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarr
     logistic(a[:-H], out=a[:-H])
     bounded_tanh(a[-H:], out=a[-H:])
     keep, write = _keep_write(kind, a, H, band)
+    # write * c~, then tanh(c'), into one H x b array: write itself, unless
+    # it is lstm's i, a view of ``a``, which the VJP reads.
+    blend = np.multiply(write, a[-H:], out=None if kind == "lstm" else write)
     c_new = c[:, :b]
     c_new *= keep
-    c_new += write * a[-H:]
-    np.multiply(a[-2 * H:-H], bounded_tanh(c_new), out=h[:, :b])
+    c_new += blend
+    np.multiply(a[-2 * H:-H], bounded_tanh(c_new, out=blend), out=h[:, :b])
 
 
 def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
@@ -415,12 +433,23 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     # to scoring's peak.
     run_ids = ids[::-1] if reverse else ids
     band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
-    h = np.zeros((H, B))
-    c = None if p.kind == "rnn" else np.zeros((H, B))
+    gated = p.kind != "rnn"
+    live = np.zeros(((1 + gated) * H, 0))  # [c; h] (h for rnn) of the rows real at the step
+    ended = []  # the columns of rows whose real steps have ended, in the order they ended
     for i, b in enumerate(widths):
-        _step(p.kind, source[run_ids[i][perm[:b]]], p.w, c, h, p.u, p.b, band)
+        n = live.shape[1]
+        if b < n:
+            ended.append(live[:, b:].copy())
+            live = live[:, :b].copy()
+        elif b > n:  # rows whose real steps start here, from zeros
+            live = np.concatenate([live, np.zeros((len(live), b - n))], axis=1)
+        _step(p.kind, source[run_ids[i][perm[:b]]], p.w, live[:H] if gated else None,
+              live[-H:], p.u, p.b, band)
+    # All B columns in perm order; rows with no real step keep the zero state.
+    cols = np.concatenate([live, *ended[::-1], np.zeros((len(live), B - max(widths, default=0)))],
+                          axis=1)
     # Row-major, as the tape's values are: later products see the same layout.
-    return None if c is None else _rows(c, perm), _rows(h, perm)
+    return _rows(cols[:H], perm) if gated else None, _rows(cols[-H:], perm)
 
 
 def _started(prev: np.ndarray, init: np.ndarray, b: int) -> np.ndarray:
@@ -677,14 +706,14 @@ def _send(sock: socket.socket, header, arrays=()) -> None:
 
     An entry of ``arrays`` may be None, an array, or a gathered entry
     (source, index), which arrives as the array source[index] but is
-    gathered and written ``_ROWS_PER_WRITE`` rows at a time, so the sender
-    never holds the whole gather.  Arrays are not pickled, so no second
-    copy of one is made on either side.
+    gathered and written ``_ROWS_PER_WRITE`` rows of ``index`` at a time,
+    so the sender never holds the whole gather.  Arrays are not pickled,
+    so no second copy of one is made on either side.
     """
     def meta(a):
         if isinstance(a, tuple):
             source, index = a
-            return (len(index), *source.shape[1:]), source.dtype.str
+            return (*index.shape, *source.shape[1:]), source.dtype.str
         return None if a is None else (a.shape, a.dtype.str)
 
     blob = pickle.dumps((header, [meta(a) for a in arrays]))
@@ -924,7 +953,8 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
     p, c0, h0 = second
     call = next(_calls)
     arrays = [*_distinct_rows(E.value, ids),
-              *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)), mask]
+              *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)),
+              None if mask is None else np.asarray(mask) != 0]
     helper = _started_helper()
     try:
         first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1, helper)
@@ -945,16 +975,22 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
 
 
 def _distinct_rows(source: np.ndarray, ids) -> list:
-    """[(source, distinct), renumbered]: the request entries of a batch's rows of E.
+    """[(source, distinct), (table, ids)]: the request entries of a batch's rows of E.
 
-    ``distinct`` lists the distinct ids of the T x B array ``ids``, and
-    ``renumbered`` is ``ids`` with each id replaced by its place in that
-    list; ``_send`` gathers the rows as it writes them.  Gathering from
-    equal rows gives equal bits.
+    ``distinct`` lists the distinct ids of the T x B array ``ids``, sorted,
+    and ``table`` maps each of them to its place in that list, so the
+    second entry arrives as ``ids`` renumbered into the first, as
+    ``np.unique(ids, return_inverse=True)`` would give them.  ``_send``
+    gathers both as it writes them, so this process holds neither the rows
+    nor the T x B renumbered ids, only the table, one entry per row of
+    ``source``.  Gathering from equal rows gives equal bits.
     """
     ids = row_ids(ids, len(source), ndim=2)
-    distinct, renumbered = np.unique(ids, return_inverse=True)
-    return [(source, distinct), renumbered.reshape(ids.shape)]
+    table = np.zeros(len(source), np.intp)
+    table[ids] = 1
+    distinct = np.flatnonzero(table)
+    table[distinct] = np.arange(len(distinct))
+    return [(source, distinct), (table, ids)]
 
 
 def final_states(cells: tuple, source: np.ndarray, ids, mask=None) -> list:
@@ -970,7 +1006,8 @@ def final_states(cells: tuple, source: np.ndarray, ids, mask=None) -> list:
     """
     if len(cells) == 2 and _two_cpus():
         first, second = cells
-        arrays = [*_distinct_rows(source, ids), second.w, second.u, second.b, mask]
+        arrays = [*_distinct_rows(source, ids), second.w, second.u, second.b,
+                  None if mask is None else np.asarray(mask) != 0]
         mine, theirs = _overlap(("score", None, (second.kind, second.n_groups)), arrays,
                                 lambda: final_state(first, source, ids, mask))
         return [mine, tuple(theirs)]

@@ -520,3 +520,32 @@ def test_padded_kernel_keeps_history_only_for_real_positions(layout):
         tracemalloc.stop()
     assert 0.45 < lengths.sum() / (T * B) < 0.55
     assert peak / lengths.sum() < G * H * 8 + 230, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("kind", ["lstm", "cifg", "clstm"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scoring_peak_is_one_steps_working_set(kind, reverse):
+    # One preset-shape direction (d=50, H=120, K=3, B=64, T=100) scored on a
+    # padded batch whose 64 rows end at 64 distinct steps.  A step holds its
+    # G*H x b activations and the U h it adds to them, its b x d input rows,
+    # and the carried c and h and clstm's three band arrays, H x B each; the
+    # margin is the ids and column order (traced for clstm: 705.9 kB against
+    # a 701.4 kB working set).  A run that kept c and h B wide, so that a
+    # step copied the strided h for U h, and made three H x b temporaries
+    # for the blend traced 823.8 kB.
+    d, H, B, T = 50, 120, 64, 100
+    G = len(GATES[kind])
+    rng = np.random.default_rng(0)
+    source = rng.normal(size=(500, d))
+    p = init_params(kind, d, H, n_groups=3 if kind == "clstm" else 1, seed=1)
+    ids = rng.integers(0, 500, (T, B))
+    lengths = T - np.arange(B) * 37 % T
+    assert len(set(lengths.tolist())) == B
+    mask = _mask(lengths, T)
+    tracemalloc.start()
+    try:
+        final_state(p, source, ids, mask, reverse=reverse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * G * H * B + 5 * H * B + B * d) * 8 + 8192, f"traced peak {peak} bytes"

@@ -367,29 +367,35 @@ class TestTapeFreeScoring:
         np.testing.assert_array_equal(model.probabilities(batch), taped)
 
     def test_memory_does_not_grow_with_document_length(self):
-        # B=64, T=200 at the preset shape.  The taped forward kept every
-        # step's inputs, activations and tanh(c): ~160 MB here.  Scoring
-        # keeps each direction's carried state, so its peak stays within a
-        # few steps' working set of B x G*H doubles.  On two CPUs the
-        # backward direction runs in the helper process, whose traced peak
-        # (it also holds the batch's rows, ids and mask) counts too.
-        B, T, d, H = 64, 200, 50, 120
+        # B=64 at the preset shape, every third row half as long as the rest.
+        # The taped forward kept every step's inputs, activations and tanh(c):
+        # ~160 MB at T=200.  Scoring keeps each direction's carried state, so
+        # its peak stays within a few steps' working set of B x G*H doubles.
+        # On two CPUs the backward direction runs in the helper process,
+        # whose traced peak (it also holds the batch's rows, renumbered ids
+        # and mask) counts too.  Caller + helper traced 2.228 MB at T=200 and
+        # 25.7 bytes per position at T=2000.  Steps on a B-wide state with
+        # three blend temporaries, ids renumbered by np.unique and a float
+        # mask sent to the helper traced 2.318 MB and 68.1 bytes.
+        B, d, H = 64, 50, 120
         v = build_vocab([Document(0, [f"w{i}" for i in range(500)])])
         model = build_model(ModelConfig(kind="clstm", d=d, H=H, K=3, C=5,
                                         bidirectional=True), v, seed=0)
-        rng = np.random.default_rng(0)
-        lengths = np.where(np.arange(B) % 3 == 0, T // 2, T)
-        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
-        ids = rng.integers(1, len(v), size=(B, T)) * mask.astype(np.int64)
-        batch = Batch(ids=ids, mask=mask, lengths=lengths,
-                      labels=np.zeros(B, dtype=np.int64))
-        tracemalloc.start()
-        try:
-            model.predict_batch(batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak + cells._helper_memory()[0] < 16 * B * 3 * H * 8
+        for T, bound in ((200, 2.25e6), (2000, 32 * B * 2000)):
+            rng = np.random.default_rng(0)
+            lengths = np.where(np.arange(B) % 3 == 0, T // 2, T)
+            mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+            ids = rng.integers(1, len(v), size=(B, T)) * mask.astype(np.int64)
+            batch = Batch(ids=ids, mask=mask, lengths=lengths,
+                          labels=np.zeros(B, dtype=np.int64))
+            tracemalloc.start()
+            try:
+                model.predict_batch(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peak += cells._helper_memory()[0]
+            assert peak < bound, f"T={T}: traced peak {peak} bytes"
 
     @pytest.mark.parametrize("size", [0, -5])
     def test_batch_size_must_be_positive(self, size):

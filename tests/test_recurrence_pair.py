@@ -10,6 +10,7 @@ values, gradients and probabilities must be the same bits.
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -18,6 +19,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cachedlstm import cells, cli
 from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
@@ -446,6 +449,36 @@ def test_scoring_leaves_the_helper_no_history(two_cpus):
     model.predict_batch(batch)
     assert cells._helper is not None  # scoring started it
     assert cells._helper_memory()[1] == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 30), st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "one id", "both ends"]), st.booleans())
+@example(1, 5, 3, 0, "random", True)
+def test_distinct_rows_arrive_as_np_unique_gives_them(n_rows, T, B, seed, fill, view):
+    # The request entries of a batch's rows, sent through a socket pair, give
+    # the helper the rows of np.unique's sorted ids and the T x B inverse, as
+    # intp.  ``view`` passes ids as the transposed view that scoring passes
+    # (batch.ids.T); T > 128 makes ``_send`` gather the ids in parts.
+    rng = np.random.default_rng(seed)
+    if fill == "one id":
+        ids = np.full((B, T), rng.integers(n_rows))
+    else:
+        ids = rng.integers(0, n_rows, (B, T))
+        if fill == "both ends":
+            ids.flat[0], ids.flat[-1] = 0, n_rows - 1
+    ids = ids.T if view else np.ascontiguousarray(ids.T)
+    source = rng.normal(size=(n_rows, 3))
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    entries = cells._distinct_rows(source, ids)
+    assert entries[0][1].tobytes() == distinct.tobytes()
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        cells._send(ours, None, entries)
+        _, (rows, renumbered) = cells._recv(theirs)
+    assert rows.tobytes() == source[distinct].tobytes()
+    assert renumbered.dtype == np.intp and renumbered.shape == (T, B)
+    assert renumbered.tobytes() == inverse.reshape(T, B).astype(np.intp).tobytes()
 
 
 # Scores with a unidirectional clstm model and a cbow model, then prints
