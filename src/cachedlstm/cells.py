@@ -31,35 +31,44 @@ then its padding.  A reverse run (the second direction of
 ``recurrence_pair``) reads the steps last first, so its rows' real steps
 start late and all end at its last step; the kernel builds that from the
 same mask.  The single-step functions run it at T = 1.
-``final_state`` runs the same step function, ``_step``, on the same (E,
-ids), in the same column order and at the same widths, without a tape, and
-keeps only the carried state, for scoring; ``final_states`` runs it for
-each direction of a model.  ``_step`` projects its own b x d input rows,
-so both make the same products.  ``final_state`` keeps the carried (c, h)
-of the live rows only, as one contiguous 2H x b array: when a step is
-narrower than the one before, the ended rows' columns are copied out and
-set aside, and when it is wider (at a run's first step, and as a reverse
-run's rows start), zero columns are appended.  So no step computes on a
-strided view, which numpy copies for ``U h``: a preset-shape direction
-(B = 64, T = 100, rows ending at 64 distinct steps) traced 705.9 kB
-instead of 823.8, one step's working set, whose peak is the ``U h``
-product.  ``_step`` writes write * c~, then tanh(c'), into ``write``, a
-fresh array except for lstm, whose write is a view of ``a`` and so takes
-one H x b temporary.
+
+One kernel, ``_run``, runs every recurrent pass on arrays, and it alone
+calls the step function, ``_step``: ``recurrence`` runs it on the values
+of its Vars and keeps the history its VJP needs; ``final_state`` runs it
+from a zero state without a tape or history, and keeps only the carried
+state, for scoring (``final_states`` runs it for each direction of a
+model); and the helper process (below) runs it on the arrays it receives.
+So training and scoring make the same products in the same column order
+and at the same widths.
 
 Inside the kernel the batch runs along columns: a step's activations are
-G*H x b (``W x_t^T``) and the carried c and h are H x B, so each gate
-block is one contiguous slab of rows.  A padded batch's columns are its
-rows in a stable order of real-step counts, longest first, so the rows
-real at step i of the run are its first b_i columns, and the step computes
-on those alone: ``W x``, ``U h``, the gates and the blend are b_i wide,
-and it writes (c', h') over the first b_i columns of the run's own (c, h),
-whose other columns pass the step untouched.  Padded positions are never
-computed, so nothing masks them out.  An unpadded batch runs the same way:
-its order is the identity and every step is B wide.  The bias is added as
-its G*H x 1 column, and the clstm band offsets and clamps are H x B arrays
-built once per run, of which a step reads its first b_i columns.  The
-per-step history is private to the VJP and kept in this layout: each
+G*H x b (``W x_t^T``) and the carried state is one contiguous 2H x b
+array, [c; h] (h alone, H x b, for rnn), so each gate block, c and h are
+each one contiguous slab of rows.  A padded batch's columns are its rows
+in a stable order of real-step counts, longest first, so the rows real at
+step i of the run are its first b_i columns, and the carried state holds
+those alone: when a step is narrower than the one before, the ended rows'
+columns are copied out and set aside, and when it is wider (at a run's
+first step, and as a reverse run's rows start), the starting rows' columns
+of the initial state are appended.  ``_step`` projects its own b_i x d
+input rows, and ``W x``, ``U h``, the gates and the blend are b_i wide; it
+writes (c', h') over the whole of its (c, h).  So no step computes on a
+strided view, which numpy copies for ``U h`` (a preset-shape scoring
+direction, B = 64, T = 100, rows ending at 64 distinct steps, traced
+705.9 kB instead of 823.8 with a full-width H x B state: one step's
+working set, whose peak is the ``U h`` product), and padded positions are
+never computed, so nothing masks them out.  An unpadded batch runs the
+same way: its order is the identity and every step is B wide.  Scoring's
+zero start is a read-only broadcast of 0.0: 2H x B zeros would add 123 kB
+at B = 64, H = 120.  ``_step`` writes write * c~, then tanh(c'), into
+``write``, a fresh array except for lstm, whose write is a view of ``a``
+and so takes one H x b temporary.  The bias is added as its G*H x 1
+column, and the clstm band offsets and clamps are H x B arrays built once
+per run, of which a step reads its first b_i columns.  Step i reads its
+b_i ids from its row of ``ids`` through perm[:b_i], in the forward pass
+and again in the VJP, so no T x B run-order copy of the ids is made.
+
+The per-step history is kept for the VJP (``_vjp``) in this layout: each
 step's G*H x b_i activations, one slab per step in a list, and, for the
 gated kinds, a checkpoint of the c carried into every S-th step, as an
 H x b slab, with S = ceil(sqrt(T)).  The VJP walks back through the steps
@@ -72,7 +81,7 @@ segment reuses, and keeps each step's keep and write for the gate
 gradients.
 Then, step by step, it takes tanh(c') of the rebuilt c in place, and the h
 the step starts from as o tanh(c') of step i-1, or as h0 for the rows
-whose real steps start at step i (see ``_recurrence``).  So c costs the
+whose real steps start at step i (see ``_vjp``).  So c costs the
 checkpoints and the buffer, about 2 sqrt(T) H x B slabs, instead of T.
 The activations stay stored: rebuilding them too would rerun the whole
 forward pass, measured at +42% kernel time at the needle shape and +36% at
@@ -298,23 +307,22 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
 
 def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias,
           band, out: np.ndarray | None = None) -> None:
-    """One cell step from its b x d input rows x_t, written over the first b columns of (c, h).
+    """One cell step from its b x d input rows x_t, written over its H x b (c, h).
 
-    States are H x B, one column per row of the batch, so each gate block
-    ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
+    States are H x b, one column per row real at the step, so each gate
+    block ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
     G*H x b, into ``out`` (a new array when None), adds U h, then the
     G*H x 1 bias, and overwrites ``a`` with the gate activations (sigmoids,
-    then tanh(a_c)).  Then it overwrites the first b columns of c with c'
-    and of h with h' (for rnn, a copy of ``a``; c is None there).  The
-    other columns pass the step untouched.
+    then tanh(a_c)).  Then it overwrites c with c' and h with h' (for rnn,
+    a copy of ``a``; c is None there).
     """
-    H, b = U.shape[1], len(x)
+    H = U.shape[1]
     a = np.matmul(W, x.T, out=out)
-    a += U @ h[:, :b]
+    a += U @ h
     if bias is not None:
         a += bias
     if kind == "rnn":
-        h[:, :b] = bounded_tanh(a, out=a)
+        h[...] = bounded_tanh(a, out=a)
         return
     logistic(a[:-H], out=a[:-H])
     bounded_tanh(a[-H:], out=a[-H:])
@@ -322,10 +330,9 @@ def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarr
     # write * c~, then tanh(c'), into one H x b array: write itself, unless
     # it is lstm's i, a view of ``a``, which the VJP reads.
     blend = np.multiply(write, a[-H:], out=None if kind == "lstm" else write)
-    c_new = c[:, :b]
-    c_new *= keep
-    c_new += blend
-    np.multiply(a[-2 * H:-H], bounded_tanh(c_new, out=blend), out=h[:, :b])
+    c *= keep
+    c += blend
+    np.multiply(a[-2 * H:-H], bounded_tanh(c, out=blend), out=h)
 
 
 def _gate_grads(kind: str, a: np.ndarray, tc: np.ndarray, c_prev: np.ndarray,
@@ -412,48 +419,8 @@ def _rows(cols: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return cols.T[np.argsort(perm)]
 
 
-def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
-                reverse: bool = False) -> tuple:
-    """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
-
-    ``source`` is the row source E as an array, ``ids`` a T x B array of its
-    row ids and ``mask`` None or a B x T {0, 1} array with each row's real
-    steps first, as in ``recurrence``; with ``reverse`` the run reads
-    ids[T-1] first, and so each row's padding before its real steps.  It
-    runs the rows in the order and at the step widths of ``recurrence``,
-    and keeps only the carried state, so memory does not grow with T.  The
-    values, in input order, equal the value of ``recurrence`` bit for bit;
-    c_T is None for rnn.
-    """
-    ids = row_ids(ids, len(source), ndim=2)
-    (T, B), H = ids.shape, p.hidden_size
-    perm, widths = _order(mask, T, B, reverse)
-    # Step i gathers its ids from run_ids[i]: a T x B copy of the ids in
-    # run order, as ``_recurrence`` makes, would add 8 bytes per position
-    # to scoring's peak.
-    run_ids = ids[::-1] if reverse else ids
-    band = _band(H, p.n_groups, B) if p.kind == "clstm" else None
-    gated = p.kind != "rnn"
-    live = np.zeros(((1 + gated) * H, 0))  # [c; h] (h for rnn) of the rows real at the step
-    ended = []  # the columns of rows whose real steps have ended, in the order they ended
-    for i, b in enumerate(widths):
-        n = live.shape[1]
-        if b < n:
-            ended.append(live[:, b:].copy())
-            live = live[:, :b].copy()
-        elif b > n:  # rows whose real steps start here, from zeros
-            live = np.concatenate([live, np.zeros((len(live), b - n))], axis=1)
-        _step(p.kind, source[run_ids[i][perm[:b]]], p.w, live[:H] if gated else None,
-              live[-H:], p.u, p.b, band)
-    # All B columns in perm order; rows with no real step keep the zero state.
-    cols = np.concatenate([live, *ended[::-1], np.zeros((len(live), B - max(widths, default=0)))],
-                          axis=1)
-    # Row-major, as the tape's values are: later products see the same layout.
-    return _rows(cols[:H], perm) if gated else None, _rows(cols[-H:], perm)
-
-
 def _started(prev: np.ndarray, init: np.ndarray, b: int) -> np.ndarray:
-    """The H x b state a step of width b starts from.
+    """The state a step of width b starts from.
 
     ``prev`` holds the previous step's carried columns, at most b of them;
     the rows whose real steps start at this step take ``init``'s columns.
@@ -462,52 +429,76 @@ def _started(prev: np.ndarray, init: np.ndarray, b: int) -> np.ndarray:
     return prev if n == b else np.concatenate([prev, init[:, n:b]], axis=1)
 
 
-def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
-                mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
-    """The kernel behind ``recurrence``; it reads Var values and records nothing.
+def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: bool = False,
+         history: bool = False) -> tuple:
+    """(value, vjp, acts): the cell run over the rows source[ids[t]], on arrays.
 
-    Returns (value, parents, vjp, acts): the final state B x 2H (B x H for
-    rnn), the Vars it depends on, the VJP from its gradient to one gradient
-    per parent, and the list of the run's G*H x b activation slabs, first
-    step of the run first.  Besides those slabs the VJP keeps only a
-    checkpoint of the carried c every S = ceil(sqrt(T)) steps, and rebuilds
-    every other c from them (see the module docstring).  With ``reverse``
-    the run reads ids last step first; E's gradient rows are still listed
-    by step in ids.  Two calls may run on two threads.  The helper process
-    runs it too, on the second direction of ``recurrence_pair``.
+    ``p`` holds arrays, ``ids`` is T x B and (c0, h0) are B x H arrays, or
+    both None for the zero state; c0 is None for rnn.  ``mask`` and
+    ``reverse`` are as in ``recurrence`` and ``final_state``.  The value is
+    the final state, row-batched in input order: [c_T | h_T], B x 2H, or
+    h_T, B x H, for rnn.  With ``history`` the run keeps ``acts``, the list
+    of its G*H x b activation slabs, first step of the run first, and a
+    checkpoint of the carried c every S = ceil(sqrt(T)) steps, and ``vjp``
+    maps the value's gradient to those of source (one ``RowSparse``), w, u,
+    b (when p has one), c0 (not for rnn) and h0.  Without it both are None
+    and the run keeps only the carried state.  See the module docstring.
     """
-    kind, n_groups = p.kind, p.n_groups
+    kind, H, W, U, bias = p.kind, p.hidden_size, p.w, p.u, p.b
     gated = kind != "rnn"
-    if gated and c0 is None:
-        raise ShapeError(f"{kind}: the initial state needs a memory c")
-    W, U = p.w.value, p.u.value
-    # The source as an array: a Var would tie the VJP to the tape.
-    Ev, shape = E.value, E.shape
-    ids = row_ids(ids, shape[0], ndim=2)
-    (T, B), d = ids.shape, W.shape[1]
-    if shape[1] != d:
-        raise ShapeError(f"input width {shape[1]}, expected {d}")
+    ids = row_ids(ids, len(source), ndim=2)
+    (T, B), (GH, d) = ids.shape, W.shape
+    if source.shape[1] != d:
+        raise ShapeError(f"input width {source.shape[1]}, expected {d}")
     if T == 0:
         raise ValueError("recurrence: empty sequence")
-    GH, H = U.shape
-    bias = None if p.b is None else p.b.value
     perm, widths = _order(mask, T, B, reverse)
-    band = _band(H, n_groups, B) if kind == "clstm" else None
-    run_ids = (ids[::-1] if reverse else ids)[:, perm]  # step i reads run_ids[i, :b]
-
-    # H x B and C-contiguous, as ``final_state``'s zero state is.
-    c0_cols = None if c0 is None else _cols(c0.value, perm)
-    h0_cols = _cols(h0.value, perm)
-    # The run writes its carried state into copies, so (c0, h0) stay intact.
-    c, h = None if c0 is None else c0_cols.copy(), h0_cols.copy()
+    band = _band(H, p.n_groups, B) if kind == "clstm" else None
+    # Step i reads run_ids[i][perm[:b]]: a T x B copy of the ids in run
+    # order would add 8 bytes per position.
+    run_ids = ids[::-1] if reverse else ids
+    if h0 is None:  # a zeros array would add 2H x B floats to scoring's peak
+        init = np.broadcast_to(0.0, ((1 + gated) * H, B))
+    elif gated and c0 is None:
+        raise ShapeError(f"{kind}: the initial state needs a memory c")
+    else:  # [c0; h0] (h0 for rnn) as columns in perm order
+        init = _cols(np.hstack([c0, h0]) if gated else h0, perm)
     S = math.isqrt(T - 1) + 1  # segment length, ceil(sqrt(T))
     acts = []  # acts[i]: step i's activations, written by its ``_step``
-    checkpoints = [c0_cols]  # checkpoints[s]: the c that step s*S-1 carries out, c0 for s = 0
+    # checkpoints[s]: the c that step s*S-1 carries out, c0 for s = 0
+    checkpoints = [init[:H]] if history else None
+    live = np.empty((len(init), 0))  # [c; h] (h for rnn) of the rows real at the step
+    ended = []  # the columns of rows whose real steps have ended, in the order they ended
     for i, b in enumerate(widths):
-        if gated and i and i % S == 0:
-            checkpoints.append(c[:, :widths[i - 1]].copy())
-        acts.append(np.empty((GH, b)))
-        _step(kind, Ev[run_ids[i, :b]], W, c, h, U, bias, band, out=acts[i])
+        if history and gated and i and i % S == 0:
+            checkpoints.append(live[:H].copy())
+        if b < live.shape[1]:
+            ended.append(live[:, b:].copy())
+            live = live[:, :b].copy()
+        live = _started(live, init, b)
+        if history:
+            acts.append(np.empty((GH, b)))
+        _step(kind, source[run_ids[i][perm[:b]]], W, live[:H] if gated else None, live[-H:], U,
+              bias, band, out=acts[i] if history else None)
+    # All B columns in perm order; rows with no real step keep their initial state.
+    value = _rows(np.concatenate([live, *ended[::-1], init[:, max(widths):]], axis=1), perm)
+    if not history:
+        return value, None, None
+    return value, _vjp(p, source, run_ids, perm, widths, init, band, reverse, acts,
+                       checkpoints), acts
+
+
+def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts, checkpoints):
+    """The VJP of one ``_run`` with history, from the arrays of that run.
+
+    A function apart from ``_run``, not a closure in it: the cells of a
+    closure's variables are made at every call, also a scoring call that
+    makes no VJP, which added ~1 kB to a scoring pass's traced peak.
+    """
+    kind, H, W, U, bias = p.kind, p.hidden_size, p.w, p.u, p.b
+    gated = kind != "rnn"
+    (T, B), (GH, d) = (len(widths), len(perm)), W.shape
+    S = math.isqrt(T - 1) + 1  # segment length, as in ``_run``
 
     def vjp(g):
         # Walks back through the steps and drops each step's activations once
@@ -531,6 +522,7 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
         if acts is None:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         steps, saved, acts, checkpoints = acts, checkpoints, None, None
+        c0_cols, h0_cols = init[:H], init[-H:]
         up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
         if gated:
             # One segment's rebuilt c's, each H x b and contiguous; every
@@ -587,8 +579,8 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
             # step of the run first, so no T*B x G*H copy of the step
             # gradients is made.  Their last bits differ from those of one
             # product over all T*B rows.
-            x_ids = run_ids[i, :b]
-            dW += a @ Ev[x_ids]
+            x_ids = run_ids[i][perm[:b]]
+            dW += a @ source[x_ids]
             dU += a @ h_prev.T
             if db is not None:
                 db += a.sum(axis=1, keepdims=True)
@@ -597,12 +589,44 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
         if reverse:  # list step t's rows at T-1-t, as ids[::-1] does
             rows.reverse()
             listed.reverse()
-        dE = RowSparse(np.concatenate(listed), np.concatenate(rows), shape)
+        dE = RowSparse(np.concatenate(listed), np.concatenate(rows), source.shape)
         return ([dE, dW, dU] + ([] if db is None else [db])
                 + ([_rows(dc, perm)] if gated else []) + [_rows(dh, perm)])
 
-    final = h if c is None else np.vstack([c, h])
-    return _rows(final, perm), [E] + _parents(p, c0, h0), vjp, acts
+    return vjp
+
+
+def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
+                reverse: bool = False) -> tuple:
+    """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
+
+    ``source`` is the row source E as an array, ``ids`` a T x B array of its
+    row ids and ``mask`` None or a B x T {0, 1} array with each row's real
+    steps first, as in ``recurrence``; with ``reverse`` the run reads
+    ids[T-1] first, and so each row's padding before its real steps.  It is
+    the kernel of ``recurrence`` from a zero state, which keeps only the
+    carried state, so memory does not grow with T.  The values, in input
+    order, equal the value of ``recurrence`` bit for bit; c_T is None for
+    rnn.  An empty sequence (T = 0) raises ValueError.
+    """
+    value, H = _run(p, source, ids, None, None, mask, reverse)[0], p.hidden_size
+    return value[:, :H] if p.kind != "rnn" else None, value[:, -H:]
+
+
+def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
+                mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
+    """The kernel behind ``recurrence``: ``_run`` with history on the Vars' values.
+
+    Returns (value, parents, vjp, acts): the final state B x 2H (B x H for
+    rnn), the Vars it depends on, the VJP from its gradient to one gradient
+    per parent, and the list of the run's G*H x b activation slabs.  It
+    records nothing.  With ``reverse`` the run reads ids last step first;
+    E's gradient rows are still listed by step in ids.
+    """
+    arrays = [None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)]
+    value, vjp, acts = _run(CellParams(p.kind, p.n_groups, *arrays[:3]), E.value, ids,
+                            *arrays[3:], mask, reverse, history=True)
+    return value, [E] + _parents(p, c0, h0), vjp, acts
 
 
 def _parents(p: CellParams, c0: Var | None, h0: Var) -> list:
@@ -861,14 +885,8 @@ def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
         rows, ids, w, u, b, mask = arrays
         return list(final_state(CellParams(*cell, w, u, b), rows, ids, mask, reverse=True))
     rows, ids, w, u, b, c0, h0, mask = arrays
-    tape = Tape()
-
-    def leaf(a):
-        return None if a is None else tape.leaf(a)
-
-    p = CellParams(*cell, leaf(w), leaf(u), leaf(b))
-    value, _, vjps[call], _ = _recurrence(p, leaf(rows), ids, leaf(c0), leaf(h0), mask,
-                                          reverse=True)
+    value, vjps[call], _ = _run(CellParams(*cell, w, u, b), rows, ids, c0, h0, mask,
+                                reverse=True, history=True)
     return [value]
 
 

@@ -4,7 +4,7 @@ public module-level function and class of the library has a caller, and so
 does every public method and property of a library class.  The library's
 modules form one stack: each imports only modules below it, at its top.
 The recurrent kernel in ``cells`` makes no ``np.where`` or ``np.copyto``
-select over padded positions.
+select over padded positions, and calls its step function from one loop.
 
 Lines marked ``# noqa: F401`` are exempt from the first check only when
 every name they import is one that ``perfbench/tracer.py`` patches in that
@@ -209,3 +209,13 @@ def test_the_kernel_makes_no_masked_selects():
              if isinstance(node, ast.Attribute) and node.attr in ("where", "copyto")
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert not found, found
+
+
+def test_the_kernel_has_one_step_loop():
+    # Training, scoring and the helper run one kernel, ``cells._run``: the
+    # step function has exactly one call site in the library.
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_step"]
+    assert len(calls) == 1, calls

@@ -205,18 +205,29 @@ def test_vjp_raises_on_a_second_call():
         backward(tape, loss)
 
 
-@pytest.mark.parametrize("rows,error,message", [
-    ((2, 2, 3), ShapeError, "step 2: 3 input rows, expected 2"),
-    ((), ValueError, "empty sequence"),
+@pytest.mark.parametrize("entry,rows,error,message", [
+    ("recurrence", (2, 2, 3), ShapeError, "step 2: 3 input rows, expected 2"),
+    ("recurrence", (), ValueError, "stack_steps: empty sequence"),
+    ("recurrence", None, ValueError, "recurrence: empty sequence"),
+    ("final_state", None, ValueError, "recurrence: empty sequence"),
 ])
 @pytest.mark.parametrize("kind", ["rnn", "clstm"])
-def test_empty_or_ragged_steps_are_rejected(kind, rows, error, message):
+def test_empty_or_ragged_steps_are_rejected(kind, entry, rows, error, message):
+    # rows None: T = 0 ids of a two-row batch, which reach the kernel.  The
+    # taped and the scoring entry run one kernel, so neither returns the
+    # initial state.
     tape = Tape()
-    bound, _ = bind_params(tape, init_params(kind, 3, 6, n_groups=2 if kind == "clstm" else 1))
-    xs = [tape.leaf(np.ones((n, 3))) for n in rows]
-    c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
+    params = init_params(kind, 3, 6, n_groups=2 if kind == "clstm" else 1)
+    bound, _ = bind_params(tape, params)
+    empty = np.zeros((0, 2), dtype=int)
     with pytest.raises(error, match=message):
-        recurrence(bound, *_steps(xs), c0, tape.leaf(np.zeros((2, 6))))
+        if entry == "final_state":
+            final_state(params, np.ones((4, 3)), empty)
+        else:
+            E, ids = ((tape.leaf(np.ones((4, 3))), empty) if rows is None
+                      else _steps([tape.leaf(np.ones((n, 3))) for n in rows]))
+            c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
+            recurrence(bound, E, ids, c0, tape.leaf(np.zeros((2, 6))))
 
 
 def test_masked_steps_carry_state():

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition, rule,
+                                 run_state_machine_as_test)
 
 from cachedlstm import cells, cli
 from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
@@ -537,3 +539,111 @@ def test_overflow_in_the_helper_makes_eval_exit_2(tmp_path, capsys, monkeypatch)
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: overflow encountered") and errors[0].count("\n") == 1
+
+
+def _forward(model, batch):
+    """(tape, probs, leaves) of one training forward pass."""
+    tape = Tape()
+    return (tape, *model.forward_batch(tape, batch))
+
+
+def _gradient_bits(batch, tape, probs, leaves):
+    """The bytes of each parameter's gradient after a backward pass through ``tape``."""
+    grads = backward(tape, objective(probs, batch.labels))
+    return {name: np.asarray(grads[v.nid]).tobytes() for name, v in leaves.items()}
+
+
+class _HelperMachine(RuleBasedStateMachine):
+    """Training pairs, scoring and helper deaths in any order, on two CPUs.
+
+    Every forward pass, backward pass and scoring call gives the one-CPU
+    bits (``want``), or raises ``HelperError`` exactly when the helper it
+    needs has died: the current one was killed, or, for a backward pass,
+    the pair's forward ran on a helper that is no longer the current one.
+    The helper holds one history per live pair node whose VJP has not run.
+    """
+
+    def __init__(self, model, batch, want):
+        super().__init__()
+        self.model, self.batch, self.want = model, batch, want
+        self.live = []  # (tape, probs, leaves, the helper that ran the second direction)
+        self.dead = None  # the helper last killed
+        self.seen = set()  # every helper that ran
+        if cells._helper is not None:
+            cells._stop_helper(cells._helper)
+
+    def _alive(self):
+        """Whether the current helper, if any, may answer: it is not the one killed."""
+        return cells._helper is None or cells._helper is not self.dead
+
+    @rule()
+    def forward(self):
+        alive = self._alive()
+        try:
+            tape, probs, leaves = _forward(self.model, self.batch)
+        except HelperError:
+            assert not alive and cells._helper is None  # the next call starts another
+            return
+        assert alive
+        assert probs.value.tobytes() == self.want["probs"]
+        self.live.append((tape, probs, leaves, cells._helper))
+
+    @precondition(lambda self: self.live)
+    @rule(pick=st.integers(0, 7))
+    def drop(self, pick):
+        del self.live[pick % len(self.live)]
+
+    @precondition(lambda self: self.live)
+    @rule(pick=st.integers(0, 7))
+    def backward(self, pick):
+        tape, probs, leaves, helper = self.live.pop(pick % len(self.live))
+        if helper is cells._helper and self._alive():
+            assert _gradient_bits(self.batch, tape, probs, leaves) == self.want["grads"]
+        else:
+            with pytest.raises(HelperError):
+                _gradient_bits(self.batch, tape, probs, leaves)
+
+    @rule()
+    def score(self):
+        alive = self._alive()
+        try:
+            probs = self.model.probabilities(self.batch)
+        except HelperError:
+            assert not alive and cells._helper is None
+            return
+        assert alive and probs.tobytes() == self.want["scores"]
+
+    @precondition(lambda self: cells._helper is not None and self._alive())
+    @rule()
+    def kill(self):
+        self.dead = cells._helper
+        os.kill(self.dead.proc.pid, signal.SIGKILL)
+        self.dead.proc.wait()
+
+    @invariant()
+    def the_helper_holds_the_live_histories(self):
+        helper = cells._helper
+        if helper is not None:
+            self.seen.add(helper)
+        if self._alive():  # a request to a killed helper would find it dead
+            held = sum(entry[-1] is helper for entry in self.live)
+            assert cells._helper_memory()[1] == (held if helper is not None else 0)
+
+    def teardown(self):
+        self.live.clear()
+        if cells._helper is not None:
+            cells._stop_helper(cells._helper)
+        assert all(helper.proc.poll() is not None for helper in self.seen)
+
+
+def test_any_order_of_pairs_scoring_and_helper_deaths(monkeypatch):
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tape, probs, leaves = _forward(model, batch)
+    want = {"probs": probs.value.tobytes(), "scores": model.probabilities(batch).tobytes(),
+            "grads": _gradient_bits(batch, tape, probs, leaves)}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_state_machine_as_test(
+        lambda: _HelperMachine(model, batch, want),
+        settings=settings(derandomize=True, database=None, deadline=None, max_examples=10,
+                          stateful_step_count=12))
