@@ -272,8 +272,11 @@ def row_ids(ids, rows: int, ndim: int = 1) -> np.ndarray:
     """``ids`` as an ndim-D index array; IndexError unless each names one of ``rows`` rows.
 
     numpy would wrap a negative id silently, so every row gather checks here.
+    A signed-integer array keeps its dtype, so int32 ids are not copied to
+    intp; other inputs are converted to intp.
     """
-    idx = np.asarray(ids, dtype=np.intp)
+    signed = isinstance(ids, np.ndarray) and ids.dtype.kind == "i"
+    idx = ids if signed else np.asarray(ids, dtype=np.intp)
     if idx.ndim != ndim:
         raise ShapeError(f"ids must be {ndim}-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= rows):

@@ -42,31 +42,36 @@ So training and scoring make the same products in the same column order
 and at the same widths.
 
 Inside the kernel the batch runs along columns: a step's activations are
-G*H x b (``W x_t^T``) and the carried state is one contiguous 2H x b
-array, [c; h] (h alone, H x b, for rnn), so each gate block, c and h are
-each one contiguous slab of rows.  A padded batch's columns are its rows
-in a stable order of real-step counts, longest first, so the rows real at
-step i of the run are its first b_i columns, and the carried state holds
-those alone: when a step is narrower than the one before, the ended rows'
-columns are copied out and set aside, and when it is wider (at a run's
-first step, and as a reverse run's rows start), the starting rows' columns
-of the initial state are appended.  ``_step`` projects its own b_i x d
-input rows, and ``W x``, ``U h``, the gates and the blend are b_i wide; it
-writes (c', h') over the whole of its (c, h).  So no step computes on a
-strided view, which numpy copies for ``U h`` (a preset-shape scoring
+G*H x b (``W x_t^T``) and the carried state is one contiguous 2H x b array,
+[c; h] (h alone, H x b, for rnn), so each gate block, c and h are each one
+contiguous slab of rows.  A padded batch's columns are its rows in a stable
+order of real-step counts, longest first, so the rows real at step i of the
+run are its first b_i columns, and the carried state holds those alone:
+when a step is narrower than the one before, the ended rows' columns are
+copied out and set aside, and when it is wider (at a run's first step, and
+as a reverse run's rows start), the starting rows' columns of the initial
+state are appended.  ``_step`` gathers its own b_i x d input rows and drops
+them once ``W x`` is made, so they are not alive while ``U h`` is made;
+``W x``, ``U h``, the gates and the blend are b_i wide, and it writes
+(c', h') over the whole of its (c, h).  So no step computes on a strided
+view, which numpy copies for ``U h`` (a preset-shape clstm scoring
 direction, B = 64, T = 100, rows ending at 64 distinct steps, traced
-705.9 kB instead of 823.8 with a full-width H x B state: one step's
-working set, whose peak is the ``U h`` product), and padded positions are
-never computed, so nothing masks them out.  An unpadded batch runs the
-same way: its order is the identity and every step is B wide.  Scoring's
-zero start is a read-only broadcast of 0.0: 2H x B zeros would add 123 kB
-at B = 64, H = 120.  ``_step`` writes write * c~, then tanh(c'), into
-``write``, a fresh array except for lstm, whose write is a view of ``a``
-and so takes one H x b temporary.  The bias is added as its G*H x 1
-column, and the clstm band offsets and clamps are H x B arrays built once
-per run, of which a step reads its first b_i columns.  Step i reads its
-b_i ids from its row of ``ids`` through perm[:b_i], in the forward pass
-and again in the VJP, so no T x B run-order copy of the ids is made.
+705.9 kB instead of 823.8 with a full-width H x B state, and 556.8 kB once
+the band was one array and the input rows were freed before ``U h``: one
+step's working set, whose peak is the ``U h`` product), and padded
+positions are never computed, so nothing masks them out.  An unpadded batch
+runs the same way: its order is the identity and every step is B wide.
+Scoring's zero start is a read-only broadcast of 0.0: 2H x B zeros would
+add 123 kB at B = 64, H = 120.  ``_step`` writes write * c~, then tanh(c'),
+into ``write``, a fresh array except for lstm, whose write is a view of
+``a`` and so takes one H x b temporary.  The bias is added as its G*H x 1
+column.  clstm's z/K is clamped to two scalar bounds, which ``_band``
+derives from K alone, and then gets its group's offset (k-1)/K from one
+H x B array built once per run, of which a step reads its first b_i
+columns; the offset and two clamps of r as three such arrays were 184 kB of
+that scoring peak.  Step i reads its b_i ids from its row of ``ids``
+through perm[:b_i], in the forward pass and again in the VJP, so no T x B
+run-order copy of the ids is made.
 
 The per-step history is kept for the VJP (``_vjp``) in this layout: each
 step's G*H x b_i activations, one slab per step in a list, and, for the
@@ -120,9 +125,11 @@ the caller never holds a copy of them while it runs its own direction.
 The renumbered ids are gathered the same way, from a table with one entry
 per row of E that ``_distinct_rows`` fills: the ids mark their rows, the
 marked rows are the distinct ids, sorted, and each gets its place among
-them.  ``np.unique(ids, return_inverse=True)`` held ~41 bytes per
-position in the caller, most of its peak at T = 2000.  Both processes run
-the same code on equal values, so the bits are those of a serial run.
+them.  The table is int32 for fewer than 2^31 rows, and the helper's kernel
+indexes with the int32 ids it receives.
+``np.unique(ids, return_inverse=True)`` held ~41 bytes per position in the
+caller, most of its peak at T = 2000.  Both processes run the same code on
+equal values, so the bits are those of a serial run.
 Two *threads* were measured before: serial over threaded time was
 1.72-1.86x at H*B = 15,360 (the preset shape) but 0.61-0.66x at the
 needle shape's 960, where the GIL made them wait on each other.  A
@@ -267,31 +274,37 @@ def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1,
 
 
 def _band(hidden: int, n_groups: int, batch: int) -> tuple:
-    """1/K, the per-unit offset (k-1)/K, and the innermost floats of ((k-1)/K, k/K).
+    """(1/K, lo, hi, off): the scale, the scalar bounds of z/K, and the offset (k-1)/K.
 
-    The last three are H x B, each column the same, so the per-step rate
-    arithmetic runs on contiguous arrays without broadcasting.
+    ``off`` is H x B, each column the same, so the per-step rate arithmetic
+    runs on contiguous arrays without broadcasting.  For K >= 2 the bounds
+    are [2^-52, fl(1/K) - 2^-52].  A z/K within them stays as it is, so r
+    has the bits of the unclamped sum; since an offset below 1 has an ulp
+    of at most 2^-53, a clamped one gives a rate strictly inside
+    ((k-1)/K, k/K), 2^-52 above its lower edge or within 2^-51 of its upper
+    one.  For K = 1 they never bite: r is z, which ``logistic`` keeps
+    inside (0, 1).
     """
-    gs = hidden // n_groups
-    off = np.repeat(np.arange(n_groups) / n_groups, gs)
-    top = np.repeat(np.arange(1, n_groups + 1) / n_groups, gs)
-    units = (off, np.nextafter(off, 1.0), np.nextafter(top, 0.0))
-    return (1.0 / n_groups, *(np.repeat(v[:, None], batch, axis=1) for v in units))
+    scale = 1.0 / n_groups
+    lo, hi = (0.0, 1.0) if n_groups == 1 else (2.0 ** -52, scale - 2.0 ** -52)
+    off = np.repeat(np.arange(n_groups) / n_groups, hidden // n_groups)
+    return scale, lo, hi, np.repeat(off[:, None], batch, axis=1)
 
 
 def _rates(z: np.ndarray, band: tuple) -> np.ndarray:
-    """r = z/K + (k-1)/K, clamped so that a saturated z cannot reach a band edge.
+    """r = z/K + (k-1)/K, with z/K clamped so that a saturated z cannot reach a band edge.
 
-    A z of b columns reads the first b columns of the band's arrays.
+    A z of b columns reads the first b columns of the band's offset.
     """
-    scale, off, lo, hi = band
+    scale, lo, hi, off = band
     b = z.shape[1]
     if b != off.shape[1]:  # slicing at full width cost ~5% of a needle-shape run
-        off, lo, hi = off[:, :b], lo[:, :b], hi[:, :b]
+        off = off[:, :b]
     r = z * scale
-    r += off
     np.maximum(r, lo, out=r)
-    return np.minimum(r, hi, out=r)
+    np.minimum(r, hi, out=r)
+    r += off
+    return r
 
 
 def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
@@ -305,19 +318,20 @@ def _keep_write(kind: str, a: np.ndarray, hidden: int, band) -> tuple:
     return 1.0 - r, r
 
 
-def _step(kind: str, x: np.ndarray, W: np.ndarray, c, h: np.ndarray, U: np.ndarray, bias,
-          band, out: np.ndarray | None = None) -> None:
-    """One cell step from its b x d input rows x_t, written over its H x b (c, h).
+def _step(kind: str, source: np.ndarray, ids: np.ndarray, W: np.ndarray, c, h: np.ndarray,
+          U: np.ndarray, bias, band, out: np.ndarray | None = None) -> None:
+    """One cell step over the b input rows x_t = source[ids], written over its H x b (c, h).
 
     States are H x b, one column per row real at the step, so each gate
-    block ``a[g*H:(g+1)*H]`` is one contiguous slab.  Projects a = W x_t^T,
-    G*H x b, into ``out`` (a new array when None), adds U h, then the
+    block ``a[g*H:(g+1)*H]`` is one contiguous slab.  Gathers x_t, projects
+    a = W x_t^T, G*H x b, into ``out`` (a new array when None) and drops
+    x_t, so that it is not alive while U h is made; adds U h, then the
     G*H x 1 bias, and overwrites ``a`` with the gate activations (sigmoids,
     then tanh(a_c)).  Then it overwrites c with c' and h with h' (for rnn,
     a copy of ``a``; c is None there).
     """
     H = U.shape[1]
-    a = np.matmul(W, x.T, out=out)
+    a = np.matmul(W, source[ids].T, out=out)
     a += U @ h
     if bias is not None:
         a += bias
@@ -478,8 +492,8 @@ def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: boo
         live = _started(live, init, b)
         if history:
             acts.append(np.empty((GH, b)))
-        _step(kind, source[run_ids[i][perm[:b]]], W, live[:H] if gated else None, live[-H:], U,
-              bias, band, out=acts[i] if history else None)
+        _step(kind, source, run_ids[i][perm[:b]], W, live[:H] if gated else None, live[-H:],
+              U, bias, band, out=acts[i] if history else None)
     # All B columns in perm order; rows with no real step keep their initial state.
     value = _rows(np.concatenate([live, *ended[::-1], init[:, max(widths):]], axis=1), perm)
     if not history:
@@ -998,13 +1012,14 @@ def _distinct_rows(source: np.ndarray, ids) -> list:
     ``distinct`` lists the distinct ids of the T x B array ``ids``, sorted,
     and ``table`` maps each of them to its place in that list, so the
     second entry arrives as ``ids`` renumbered into the first, as
-    ``np.unique(ids, return_inverse=True)`` would give them.  ``_send``
-    gathers both as it writes them, so this process holds neither the rows
-    nor the T x B renumbered ids, only the table, one entry per row of
-    ``source``.  Gathering from equal rows gives equal bits.
+    ``np.unique(ids, return_inverse=True)`` would give them, as int32 when
+    ``source`` has fewer than 2^31 rows.  ``_send`` gathers both as it
+    writes them, so this process holds neither the rows nor the T x B
+    renumbered ids, only the table, one entry per row of ``source``.
+    Gathering from equal rows gives equal bits.
     """
     ids = row_ids(ids, len(source), ndim=2)
-    table = np.zeros(len(source), np.intp)
+    table = np.zeros(len(source), np.int32 if len(source) < 2 ** 31 else np.intp)
     table[ids] = 1
     distinct = np.flatnonzero(table)
     table[distinct] = np.arange(len(distinct))

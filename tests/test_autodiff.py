@@ -17,6 +17,7 @@ from cachedlstm.autodiff import (
     concat_cols,
     grad_check,
     logistic,
+    row_ids,
     slice_cols,
     softmax,
     stack_steps,
@@ -314,6 +315,20 @@ class TestShapeErrors:
         b = _leaf(t2, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             add(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_row_ids_keeps_a_signed_integer_dtype(self, dtype):
+        # int32 ids, such as the helper's renumbered ones, are not copied to intp.
+        ids = np.array([[0, 2], [1, 2]], dtype=dtype)
+        assert row_ids(ids, 3, ndim=2) is ids
+        for bad in (np.array([0, 3], dtype=dtype), np.array([-1, 0], dtype=dtype)):
+            with pytest.raises(IndexError, match="out of range for 3 rows"):
+                row_ids(bad, 3)
+
+    def test_row_ids_converts_other_inputs_to_intp(self):
+        for ids in ([0, 2], np.array([0, 2], dtype=np.uint8), np.array([0.0, 2.0])):
+            idx = row_ids(ids, 3)
+            assert idx.dtype == np.intp and idx.tolist() == [0, 2]
 
 
 class TestDeterminism:

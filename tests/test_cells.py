@@ -8,6 +8,7 @@ values for zero weights and gradient checks through unrolled steps.
 import numpy as np
 import pytest
 
+from cachedlstm import cells
 from cachedlstm.autodiff import ShapeError, Tape, backward, grad_check
 from cachedlstm.cells import (
     GATES,
@@ -115,6 +116,42 @@ class TestSquash:
                     assert (seg > lo).all() and (seg < hi).all(), (n_groups, bias, k)
                     edge = lo if bias < 0 else hi
                     assert np.abs(seg - edge).max() < 1e-15
+
+    def test_scalar_bounds_keep_the_band_clamps_bits(self):
+        # The rates clamp z/K to two scalar bounds before adding (k-1)/K.
+        # The reference clamps z/K + (k-1)/K itself to the innermost floats
+        # of each band.  Wherever z/K lies within the bounds, neither clamp
+        # bites and the bits are equal.  Outside them the rate is saturated:
+        # strictly inside its band, 2^-52 above its lower edge or within
+        # 2^-51 of its upper one (1/K and (k-1)/K each round, so their sum
+        # can miss k/K: up to 1.5 * 2^-52 below it for K <= 64).  The
+        # reference need not bite there: group 1's z/K below 2^-52 is its
+        # own rate.
+        for K in range(1, 65):
+            scale, lo, hi, _ = cells._band(K, K, 1)
+            z = np.concatenate([[1e-300, 1.0 - 2.0 ** -53], np.geomspace(1e-18, 1e-3, 40),
+                                np.linspace(1e-3, 1.0 - 1e-3, 101)])
+            for e in (lo, hi):  # z at, just inside and just outside each bound
+                z = np.concatenate([z, e * K + np.arange(-4, 5) * np.spacing(e * K)])
+            z = np.unique(np.clip(z, 1e-300, 1.0 - 2.0 ** -53))
+            zs = np.tile(z, (K, 1))  # one unit per group, one column per z
+            r = cells._rates(zs, cells._band(K, K, len(z)))
+            off = (np.arange(K) / K)[:, None]
+            top = (np.arange(1, K + 1) / K)[:, None]
+            ref = np.minimum(np.maximum(zs * (1.0 / K) + off, np.nextafter(off, 1.0)),
+                             np.nextafter(top, 0.0))
+            assert (r > off).all() and (r < top).all(), K
+            q = z * scale
+            inner = (q >= lo) & (q <= hi)
+            assert (ref[:, inner] == zs[:, inner] * scale + off).all(), K  # no clamp bites
+            assert r[:, inner].tobytes() == ref[:, inner].tobytes(), K
+            if K == 1:  # the bounds never bite: r is z
+                assert r.tobytes() == zs.tobytes()
+            else:
+                assert {-1, 0, 1} <= set(np.sign(q - lo)) and {-1, 0, 1} <= set(np.sign(q - hi))
+            below, above = q < lo, q > hi
+            assert (r[:, below] - off <= 2.0 ** -52).all(), K
+            assert (top - r[:, above] <= 2.0 ** -51).all(), K
 
 
 class TestClosedForms:

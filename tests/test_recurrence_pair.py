@@ -460,7 +460,7 @@ def test_scoring_leaves_the_helper_no_history(two_cpus):
 def test_distinct_rows_arrive_as_np_unique_gives_them(n_rows, T, B, seed, fill, view):
     # The request entries of a batch's rows, sent through a socket pair, give
     # the helper the rows of np.unique's sorted ids and the T x B inverse, as
-    # intp.  ``view`` passes ids as the transposed view that scoring passes
+    # int32.  ``view`` passes ids as the transposed view that scoring passes
     # (batch.ids.T); T > 128 makes ``_send`` gather the ids in parts.
     rng = np.random.default_rng(seed)
     if fill == "one id":
@@ -479,8 +479,8 @@ def test_distinct_rows_arrive_as_np_unique_gives_them(n_rows, T, B, seed, fill, 
         cells._send(ours, None, entries)
         _, (rows, renumbered) = cells._recv(theirs)
     assert rows.tobytes() == source[distinct].tobytes()
-    assert renumbered.dtype == np.intp and renumbered.shape == (T, B)
-    assert renumbered.tobytes() == inverse.reshape(T, B).astype(np.intp).tobytes()
+    assert renumbered.dtype == np.int32 and renumbered.shape == (T, B)
+    assert renumbered.tobytes() == inverse.reshape(T, B).astype(np.int32).tobytes()
 
 
 # Scores with a unidirectional clstm model and a cbow model, then prints

@@ -22,6 +22,8 @@ and S^2 + 1 for S = 3, 4 and 6, where the kernel's VJP rebuilds c in
 segments of S = ceil(sqrt(T)) steps; 1, 16 and 17 at the preset shape),
 and no mask or a padded batch's, each row's real steps first (the only
 layout the kernel takes; a pair's second direction runs it in reverse).
+The full run ends with saturated clstm configurations (K = 3, every
+rate-gate bias -40 or +40), whose rates sit at their band edges.
 
 Each ``train`` line is the digest of two epochs of ``train_epoch`` on a
 small three-class corpus, one batch at a time: every batch's loss, then
@@ -78,8 +80,12 @@ MASKS = ("none", "padded")
 V = 13  # rows of the source E
 
 
-def _case(kind, n_groups, pair, bias, B, T, mask, d, H, seed):
-    """(params, source, ids, mask, states, readout) of one configuration, from ``seed``."""
+def _case(kind, n_groups, pair, bias, B, T, mask, d, H, seed, rate_bias=None):
+    """(params, source, ids, mask, states, readout) of one configuration, from ``seed``.
+
+    With ``rate_bias`` every clstm rate-gate bias is set to it, over the
+    drawn one, so that the rates saturate at their band edges.
+    """
     rng = np.random.default_rng(seed)
     params = []
     for s in range(2 if pair else 1):
@@ -88,6 +94,8 @@ def _case(kind, n_groups, pair, bias, B, T, mask, d, H, seed):
         p.u[:] = rng.uniform(-0.6, 0.6, p.u.shape)
         if bias:
             p.b[:] = rng.normal(scale=0.3, size=p.b.shape)
+        if rate_bias is not None:
+            p.b_r[:] = rate_bias
         params.append(p)
     source = rng.normal(size=(V, d))
     ids = rng.integers(0, V, (T, B))
@@ -105,10 +113,10 @@ def _readout(node, weight):
     return record((node.value * weight).sum().reshape(1, 1), [node], lambda g: (g * weight,))
 
 
-def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0) -> str:
+def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0, rate_bias=None) -> str:
     """The SHA-256 of one configuration's values and gradients."""
     params, source, ids, m, states, readout = _case(kind, n_groups, pair, bias, B, T, mask,
-                                                    d, H, seed)
+                                                    d, H, seed, rate_bias)
     tape = Tape()
     bound = [bind_params(tape, p) for p in params]
     E = tape.leaf(source)
@@ -151,6 +159,14 @@ def configurations(quick: bool = False):
                      f"H={H} B={B} T={T} mask={mask}")
             yield label, dict(kind=kind, n_groups=n_groups, pair=pair, bias=bias, B=B, T=T,
                               mask=mask, d=d, H=H)
+    # Saturated clstm rate gates, last so that the seeds above stay: most
+    # rates sit at their band's lower or upper edge.
+    for pair, rate_bias, T, mask in () if quick else itertools.product(
+            (False, True), (-40.0, 40.0), (9, 17), MASKS):
+        label = (f"clstm K=3 dirs={2 if pair else 1} bias=1 rate_bias={rate_bias:+g} d=5 H=6 "
+                 f"B=7 T={T} mask={mask}")
+        yield label, dict(kind="clstm", n_groups=3, pair=pair, bias=True, B=7, T=T, mask=mask,
+                          rate_bias=rate_bias)
 
 
 # Texts draw from these: tied word counts, and separators in every spot tokenize handles.
