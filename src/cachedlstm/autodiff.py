@@ -14,7 +14,7 @@ gets a gradient the size of the batch.  A list of step Vars becomes such a
 source through ``stack_steps``.
 
 The operation set is row gathers (``take_rows``), ``stack_steps``, column
-slicing and concatenation, and ``record``, which adds a fused operation
+slicing, and ``record``, which adds a fused operation
 with a hand-written VJP as one node.  Everything else is such a node: the
 recurrent cells and the bag-of-words encoder run a whole sequence that
 way, and the softmax head and the training loss are one node each.
@@ -33,7 +33,6 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Var",
-    "concat_cols",
     "slice_cols",
     "row_ids",
     "take_rows",
@@ -223,27 +222,6 @@ def _clamp(x: np.ndarray, lo, hi) -> np.ndarray:
     """``np.clip(x, lo, hi, out=x)`` with the same bits, at half its call cost."""
     np.maximum(x, lo, out=x)
     return np.minimum(x, hi, out=x)
-
-
-def concat_cols(parts: Sequence[Var]) -> Var:
-    """Column-wise concatenation of equal-row tensors."""
-    if not parts:
-        raise ValueError("concat_cols: need at least one part")
-    tape = _same_tape(*parts)
-    rows = parts[0].rows
-    for p in parts[1:]:
-        if p.rows != rows:
-            raise ShapeError(
-                f"concat_cols: row counts differ: {parts[0].shape} vs {p.shape}"
-            )
-    widths = [p.cols for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=1)
-    bounds = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(widths)))
-
-    return tape._record(out, tuple(p.nid for p in parts), vjp)
 
 
 def slice_cols(a: Var, start: int, stop: int) -> Var:

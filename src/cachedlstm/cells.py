@@ -61,10 +61,11 @@ the band was one array and the input rows were freed before ``U h``: one
 step's working set, whose peak is the ``U h`` product), and padded
 positions are never computed, so nothing masks them out.  An unpadded batch
 runs the same way: its order is the identity and every step is B wide.
-Scoring's zero start is a read-only broadcast of 0.0: 2H x B zeros would
-add 123 kB at B = 64, H = 120.  ``_step`` writes write * c~, then tanh(c'),
-into ``write``, a fresh array except for lstm, whose write is a view of
-``a`` and so takes one H x b temporary.  The bias is added as its G*H x 1
+The zero start, which scoring and the encoders use, is a read-only
+broadcast of 0.0, not an initial state: 2H x B zeros would add 123 kB at
+B = 64, H = 120.  ``_step`` writes write * c~, then tanh(c'), into
+``write``, a fresh array except for lstm, whose write is a view of ``a``
+and so takes one H x b temporary.  The bias is added as its G*H x 1
 column.  clstm's z/K is clamped to two scalar bounds, which ``_band``
 derives from K alone, and then gets its group's offset (k-1)/K from one
 H x B array built once per run, of which a step reads its first b_i
@@ -81,13 +82,17 @@ in segments of S steps, and rebuilds the rest bit for bit from the
 activations of the steps before step i, which are still intact when it
 reaches step i.  At a segment's last step it reruns ``_step``'s blend,
 c' = keep * c + write * c~, from the segment's checkpoint over the
-segment's stored activations, into one buffer of S*H*B floats that every
+segment's stored activations, into one buffer of S*H*b floats that every
 segment reuses, and keeps each step's keep and write for the gate
-gradients.
+gradients.  Like the gate gradients' scratch, the buffer is as wide as the
+widest step met so far, b, and grows when a wider one comes: a forward
+run's VJP meets its narrowest steps first, so both are small while all the
+history is alive (a reverse run meets its widest first).
 Then, step by step, it takes tanh(c') of the rebuilt c in place, and the h
 the step starts from as o tanh(c') of step i-1, or as h0 for the rows
 whose real steps start at step i (see ``_vjp``).  So c costs the
-checkpoints and the buffer, about 2 sqrt(T) H x B slabs, instead of T.
+checkpoints and the buffer, at most about 2 sqrt(T) H x B slabs, instead
+of T.
 The activations stay stored: rebuilding them too would rerun the whole
 forward pass, measured at +42% kernel time at the needle shape and +36% at
 the preset shape.  The VJP's products run b_i wide too; its dh and dc stay
@@ -114,14 +119,16 @@ process may use two CPUs, the second direction runs in a helper process
 while the caller runs the first.  The helper is one child Python per
 process, started by the first pair or scoring call that needs it, and it
 exits when the caller closes its socket or dies.  Per forward pass the
-caller sends the second direction's weights, initial state and mask (as
-bools), the batch's distinct rows of E with the ids renumbered into them,
+caller sends the second direction's weights and mask (as bools), its
+initial state only when the pair was given one (the encoders start from
+zeros), the batch's distinct rows of E with the ids renumbered into them,
 and its numpy error state; the helper keeps that direction's history,
 keyed by the call, and sends back the final state.  The VJP sends the
-gradient and gets back E's rows, dW, dU, db, dc0 and dh0.  Arrays cross
-the socket as raw bytes, read into place, so neither side holds a pickled
-copy, and E's rows are gathered as they are written, a few at a time, so
-the caller never holds a copy of them while it runs its own direction.
+gradient and gets back E's rows, dW, dU and db, and dc0 and dh0 for a
+given initial state.  Arrays cross the socket as raw bytes, read into
+place, so neither side holds a pickled copy, and E's rows are gathered as
+they are written, a few at a time, so the caller never holds a copy of
+them while it runs its own direction.
 The renumbered ids are gathered the same way, from a table with one entry
 per row of E that ``_distinct_rows`` fills: the ids mark their rows, the
 marked rows are the distinct ids, sorted, and each gets its place among
@@ -455,8 +462,9 @@ def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: boo
     of its G*H x b activation slabs, first step of the run first, and a
     checkpoint of the carried c every S = ceil(sqrt(T)) steps, and ``vjp``
     maps the value's gradient to those of source (one ``RowSparse``), w, u,
-    b (when p has one), c0 (not for rnn) and h0.  Without it both are None
-    and the run keeps only the carried state.  See the module docstring.
+    b (when p has one) and, when the run was given its initial state, c0
+    (not for rnn) and h0.  Without it both are None and the run keeps only
+    the carried state.  See the module docstring.
     """
     kind, H, W, U, bias = p.kind, p.hidden_size, p.w, p.u, p.b
     gated = kind != "rnn"
@@ -471,7 +479,9 @@ def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: boo
     # Step i reads run_ids[i][perm[:b]]: a T x B copy of the ids in run
     # order would add 8 bytes per position.
     run_ids = ids[::-1] if reverse else ids
-    if h0 is None:  # a zeros array would add 2H x B floats to scoring's peak
+    if h0 is None:  # a zeros array would add 2H x B floats to the peak
+        if c0 is not None:
+            raise ValueError(f"{kind}: an initial c needs an initial h")
         init = np.broadcast_to(0.0, ((1 + gated) * H, B))
     elif gated and c0 is None:
         raise ShapeError(f"{kind}: the initial state needs a memory c")
@@ -498,16 +508,19 @@ def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: boo
     value = _rows(np.concatenate([live, *ended[::-1], init[:, max(widths):]], axis=1), perm)
     if not history:
         return value, None, None
-    return value, _vjp(p, source, run_ids, perm, widths, init, band, reverse, acts,
-                       checkpoints), acts
+    return value, _vjp(p, source, run_ids, perm, widths, init, h0 is not None, band, reverse,
+                       acts, checkpoints), acts
 
 
-def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts, checkpoints):
+def _vjp(p: CellParams, source, run_ids, perm, widths, init, given: bool, band, reverse, acts,
+         checkpoints):
     """The VJP of one ``_run`` with history, from the arrays of that run.
 
-    A function apart from ``_run``, not a closure in it: the cells of a
-    closure's variables are made at every call, also a scoring call that
-    makes no VJP, which added ~1 kB to a scoring pass's traced peak.
+    ``given`` says whether the run was given its initial state; only then
+    does the VJP return its gradients.  A function apart from ``_run``, not
+    a closure in it: the cells of a closure's variables are made at every
+    call, also a scoring call that makes no VJP, which added ~1 kB to a
+    scoring pass's traced peak.
     """
     kind, H, W, U, bias = p.kind, p.hidden_size, p.w, p.u, p.b
     gated = kind != "rnn"
@@ -537,11 +550,11 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts
             raise RuntimeError("recurrence: the VJP of this node has already run")
         steps, saved, acts, checkpoints = acts, checkpoints, None, None
         c0_cols, h0_cols = init[:H], init[-H:]
-        up = np.empty((GH - H, B))  # upstream gradients of the sigmoid gates
-        if gated:
-            # One segment's rebuilt c's, each H x b and contiguous; every
-            # segment reuses it.
-            seg = np.empty((S, H * B))
+        # Scratch as wide as the widest step met so far: the upstream
+        # gradients of the sigmoid gates, and one segment's rebuilt c's, each
+        # H x b and contiguous, which every segment reuses.  A forward run
+        # meets its narrowest steps first, while all its history is alive.
+        up, seg = np.empty((GH - H, 0)), np.empty((S, 0))
         rows, listed = [], []  # E's gradient rows and their ids per step, last step first
         dW, dU = np.zeros((GH, d)), np.zeros((GH, H))
         db = None if bias is None else np.zeros((GH, 1))
@@ -550,13 +563,20 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts
         UT = U.T
         for i in reversed(range(T)):
             a, b = steps.pop(), widths[i]
-            if b == B:  # views of all B columns cost ~1.5% of a needle-shape run
-                dh_b, dc_b, up_b = dh, dc, up
+            if b > up.shape[1]:
+                up = np.empty((GH - H, b))
+            # Views of all the columns cost ~1.5% of a needle-shape run.
+            up_b = up if b == up.shape[1] else up[:, :b]
+            if b == B:
+                dh_b, dc_b = dh, dc
             else:
-                dh_b, up_b = dh[:, :b], up[:, :b]
+                dh_b = dh[:, :b]
                 dc_b = dc[:, :b] if gated else None
             k = i % S  # step i's place in its segment
             if gated and (k == S - 1 or i == T - 1):
+                wide = H * max(widths[i - k], b)  # widths are monotone in i
+                if wide > seg.shape[1]:
+                    seg = np.empty((S, wide))
                 # cs[j]: the c that step i-k+j-1 carries out; blends[j]: the
                 # (c, keep, write) of step i-k+j's blend, as ``_step`` made it
                 # (keep None for clstm).
@@ -581,8 +601,8 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts
                 np.multiply(a, a, out=a)
                 np.subtract(1.0, a, out=a)
                 a *= dh_b
-            if i == 0:
-                h_prev = h0_cols[:, :b]
+            if i == 0:  # zeros as an array, not a broadcast, so that BLAS makes dU's product
+                h_prev = h0_cols[:, :b] if given else np.zeros((H, b))
             elif gated:
                 tc_prev = bounded_tanh(cs[-1], out=cs[-1])
                 h_prev = _started(steps[-1][-2 * H:-H, :b] * tc_prev[:, :b], h0_cols, b)
@@ -605,7 +625,8 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, band, reverse, acts
             listed.reverse()
         dE = RowSparse(np.concatenate(listed), np.concatenate(rows), source.shape)
         return ([dE, dW, dU] + ([] if db is None else [db])
-                + ([_rows(dc, perm)] if gated else []) + [_rows(dh, perm)])
+                + ([_rows(dc, perm)] if gated and given else [])
+                + ([_rows(dh, perm)] if given else []))
 
     return vjp
 
@@ -627,15 +648,16 @@ def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
     return value[:, :H] if p.kind != "rnn" else None, value[:, -H:]
 
 
-def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
+def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
                 mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
     """The kernel behind ``recurrence``: ``_run`` with history on the Vars' values.
 
     Returns (value, parents, vjp, acts): the final state B x 2H (B x H for
     rnn), the Vars it depends on, the VJP from its gradient to one gradient
     per parent, and the list of the run's G*H x b activation slabs.  It
-    records nothing.  With ``reverse`` the run reads ids last step first;
-    E's gradient rows are still listed by step in ids.
+    records nothing.  (None, None) is the zero state, which is no parent.
+    With ``reverse`` the run reads ids last step first; E's gradient rows
+    are still listed by step in ids.
     """
     arrays = [None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)]
     value, vjp, acts = _run(CellParams(p.kind, p.n_groups, *arrays[:3]), E.value, ids,
@@ -643,10 +665,10 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     return value, [E] + _parents(p, c0, h0), vjp, acts
 
 
-def _parents(p: CellParams, c0: Var | None, h0: Var) -> list:
+def _parents(p: CellParams, c0: Var | None, h0: Var | None) -> list:
     """A run's parents after E, in the order of its VJP's gradients."""
-    return ([p.w, p.u] + ([p.b] if p.b is not None else [])
-            + ([c0] if p.kind != "rnn" else []) + [h0])
+    state = [] if h0 is None else ([c0] if p.kind != "rnn" else []) + [h0]
+    return [p.w, p.u] + ([p.b] if p.b is not None else []) + state
 
 
 class HelperError(RuntimeError):
@@ -904,7 +926,7 @@ def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
     return [value]
 
 
-def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
+def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
                mask: np.ndarray | None = None) -> Var:
     """Run the cell over the rows E[ids[t]], t = 0 .. T-1, as one tape node.
 
@@ -922,7 +944,10 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var,
     answers in input order.  Gradients flow to E as one ``RowSparse`` over
     the real positions, last step first (``ids[::-1].ravel()`` when no row
     is padded), to w, u and b, and to the initial state (c0 is None for
-    rnn).
+    rnn).  (c0, h0) = (None, None) is the zero state: the kernel starts
+    from a read-only broadcast of 0.0, the node lists no initial state
+    among its parents, and its VJP makes no gradient for one, with the
+    bits of a run from zero leaves otherwise.
     The node's VJP overwrites the activations that the kernel keeps with
     their gradients, so a second backward pass through it raises
     RuntimeError.
@@ -942,7 +967,9 @@ def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
     sums of the two directions'.  When the process may use two CPUs, the
     second direction's kernel, and later its VJP, run in the helper
     process while this one runs the first's; this process records the
-    node.  A helper that dies raises ``HelperError``.
+    node.  A helper that dies raises ``HelperError``.  (None, None) is a
+    direction's zero state, as in ``recurrence``; the helper then receives
+    no initial state.
     """
     (p1, c1, h1), (p2, c2, h2) = first, second
 
@@ -976,8 +1003,8 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
     The helper gets the batch's distinct rows of E with the ids renumbered
     into them; gathering from equal rows gives equal bits.  ``both(g1, g2)``
     runs run1's VJP here while the helper runs its own, and returns run1's
-    gradients and the helper's [E's rows, w, u, b, c0, h0] (b and c0 as
-    the direction has them).  The helper keeps the direction's history
+    gradients and the helper's [E's rows, w, u, b, c0, h0] (b, c0 and h0
+    as the direction has them).  The helper keeps the direction's history
     until then, or until the node is freed without a VJP.  Once that
     helper has ended, ``both`` raises ``HelperError`` and sends nothing:
     a helper started since holds no history of this node.

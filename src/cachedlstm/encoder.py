@@ -21,9 +21,12 @@ arange(T*B).reshape(T, B), and a list of B x 1 mask Vars.  A
 unidirectional run is a ``cells.recurrence`` node whose value is its final
 carried state; a bidirectional run is a ``cells.recurrence_pair`` node
 holding both directions' final states, and E gets the sum of their
-gradients.  Padded positions are not computed: a
-row's state passes its masked steps unchanged, so padding steps are
-bit-neutral to the final state.
+gradients.  Each run starts from the zero state, which the kernel makes
+itself, so the tape holds no zero leaves and the node no initial-state
+parents.  The representation is one more node over the encoder's node,
+which copies each direction's slowest group of h out of it.  Padded
+positions are not computed: a row's state passes its masked steps
+unchanged, so padding steps are bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -41,14 +44,13 @@ from .autodiff import (
     ShapeError,
     Var,
     bounded_tanh,
-    concat_cols,
     record,
     row_ids,
     slice_cols,
     softmax,
     stack_steps,
 )
-from .cells import CELL_KINDS, recurrence, recurrence_pair, zero_state
+from .cells import CELL_KINDS, recurrence, recurrence_pair
 # Not called here: perfbench's tracer patches these names in this module.
 from .cells import clstm_step, lstm_step  # noqa: F401
 from .data import INIT_SCALE
@@ -100,16 +102,28 @@ class EncoderConfig:
 class EncodedSequence:
     """The final states of an encoder run over T steps.
 
-    ``fwd`` is the final state after the last token, B x S: [c_T | h_T],
-    or h_T alone for rnn, so h_T is its last H columns.  ``bwd`` is the
-    reverse run's final state, which has read the tokens last to first, or
-    None for unidirectional runs; bidirectional, both are column slices of
-    one two-direction node.
+    ``final`` is the run's one tape node.  Its value is the final state
+    after the last token, B x S: [c_T | h_T], or h_T alone for rnn, so h_T
+    is its last H columns; bidirectional, it is [final_fwd | final_bwd],
+    B x 2S, where final_bwd is the reverse run's final state, which has read
+    the tokens last to first.  ``fwd`` and ``bwd`` are the directions' final
+    states, views named like ``cells.CellParams``' gate views: ``fwd`` is
+    ``final`` itself for one direction, where ``bwd`` is None, and for two
+    each is a column half of ``final``, recorded as a slice node when read.
     """
 
     cfg: EncoderConfig
-    fwd: Var
-    bwd: Var | None = None
+    final: Var
+
+    def __getattr__(self, name: str):
+        runs = ("fwd", "bwd")
+        if name not in runs or "final" not in self.__dict__:
+            raise AttributeError(name)
+        final, k = self.final, runs.index(name)
+        S = final.cols // len(_starts(self.cfg, final))
+        if S == final.cols:
+            return None if k else final
+        return slice_cols(final, k * S, (k + 1) * S)
 
 
 def _inputs(xs, mask) -> tuple:
@@ -124,21 +138,15 @@ def _inputs(xs, mask) -> tuple:
     return E, ids, mask
 
 
-def _zero(cfg: EncoderConfig, p, E: Var, ids) -> tuple:
-    """(c0, h0), the zero initial state of one run of cell p over ids.
-
-    Raises ValueError, naming the field, if p's kind, H or K is not cfg's.
-    """
+def _check(cfg: EncoderConfig, p) -> None:
+    """ValueError, naming the field, if cell p's kind, H or K is not cfg's."""
     for field, got in (("cell_kind", p.kind), ("H", p.hidden_size), ("K", p.n_groups)):
         if got != (want := getattr(cfg, field)):
             raise ValueError(f"encoder config has {field}={want!r}, its cell weights {got!r}")
-    st = zero_state(E.tape, np.shape(ids)[1], cfg.H, n_groups=cfg.K,
-                    with_memory=cfg.cell_kind != "rnn")
-    return st.c, st.h
 
 
 def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence:
-    """Run the cell left to right over xs.
+    """Run the cell left to right over xs, from the zero state.
 
     xs is a pair (E, ids), a row source Var and a T x B array of its row
     ids, or a list of T B x d Vars.  mask, when given, is a B x T array or
@@ -147,7 +155,8 @@ def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence
     state through the step unchanged.
     """
     E, ids, mask = _inputs(xs, mask)
-    return EncodedSequence(cfg, recurrence(params, E, ids, *_zero(cfg, params, E, ids), mask))
+    _check(cfg, params)
+    return EncodedSequence(cfg, recurrence(params, E, ids, None, None, mask))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
@@ -157,32 +166,47 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     The reverse run consumes tokens last to first, from the same mask: each
     row's padded tail comes first there and is skipped exactly as in the
     forward direction, so the reverse final state reflects the row's first
-    real token.  Both runs are one ``cells.recurrence_pair`` node, which
-    runs the reverse one in a helper process when the process may use two
-    CPUs; ``fwd`` and ``bwd`` are its two halves.
+    real token.  Both runs, from the zero state, are one
+    ``cells.recurrence_pair`` node, which runs the reverse one in a helper
+    process when the process may use two CPUs.
     """
     E, ids, mask = _inputs(xs, mask)
-    both = recurrence_pair(E, ids, mask, (fwd_params, *_zero(cfg, fwd_params, E, ids)),
-                           (bwd_params, *_zero(cfg, bwd_params, E, ids)))
-    S = both.cols // 2
-    return EncodedSequence(cfg=cfg, fwd=slice_cols(both, 0, S), bwd=slice_cols(both, S, 2 * S))
+    _check(cfg, fwd_params)
+    _check(cfg, bwd_params)
+    return EncodedSequence(cfg, recurrence_pair(E, ids, mask, (fwd_params, None, None),
+                                                (bwd_params, None, None)))
+
+
+def _starts(cfg: EncoderConfig, final: Var) -> range:
+    """The first column of each direction's h_T in an encoder's final state."""
+    S = (1 + (cfg.cell_kind != "rnn")) * cfg.H  # [c_T | h_T], or h_T
+    return range(S - cfg.H, final.cols, S)
 
 
 def doc_representation(enc: EncodedSequence) -> Var:
     """Slowest-group final hidden state; both directions when bidirectional.
 
     Width H/K, or 2H/K bidirectional.  With K = 1 this is the whole final
-    hidden state, matching the usual last-state representation.
+    hidden state, matching the usual last-state representation.  It is one
+    tape node over the encoder's node.  Bidirectional, its VJP writes the
+    gradient into one zero array of the pair's shape, each block plus 0.0,
+    as the sum of the two directions' slice gradients made it (so a -0.0
+    arrives as 0.0).
     """
-    cfg = enc.cfg
+    final, width = enc.final, enc.cfg.group_size
+    starts = _starts(enc.cfg, final)
+    if len(starts) == 1:
+        return slice_cols(final, starts[0], starts[0] + width)
+    shape = final.shape
 
-    def first_group(run: Var) -> Var:
-        start = run.cols - cfg.H  # h_T
-        return slice_cols(run, start, start + cfg.group_size)
+    def vjp(g):
+        full = np.zeros(shape)
+        for k, start in enumerate(starts):
+            np.add(g[:, k * width:(k + 1) * width], 0.0, out=full[:, start:start + width])
+        return (full,)
 
-    if enc.bwd is None:
-        return first_group(enc.fwd)
-    return concat_cols([first_group(enc.fwd), first_group(enc.bwd)])
+    value = np.concatenate([final.value[:, s:s + width] for s in starts], axis=1)
+    return record(value, [final], vjp)
 
 
 @dataclass

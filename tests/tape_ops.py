@@ -63,6 +63,13 @@ def pick_cols(a, cols):
     return record(a.value[rows, cols].reshape(-1, 1), [a], vjp)
 
 
+def concat_cols(parts):
+    """Column-wise concatenation of equal-row tensors."""
+    bounds = np.cumsum([0] + [p.cols for p in parts])
+    return record(np.concatenate([p.value for p in parts], axis=1), parts,
+                  lambda g: tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])))
+
+
 def sum_all(a):
     """Sum of all entries as a 1 x 1 tensor."""
     shape = a.shape

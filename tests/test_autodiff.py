@@ -14,7 +14,6 @@ from cachedlstm.autodiff import (
     Tape,
     backward,
     bounded_tanh,
-    concat_cols,
     grad_check,
     logistic,
     row_ids,
@@ -25,7 +24,8 @@ from cachedlstm.autodiff import (
 )
 from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
 from cachedlstm.encoder import cbow_encode
-from tape_ops import add, matmul, mul, mul_const, op_check, softmax_rows, sum_all, tanh_, transpose
+from tape_ops import (add, concat_cols, matmul, mul, mul_const, op_check, softmax_rows, sum_all,
+                      tanh_, transpose)
 
 
 def _leaf(tape, arr):

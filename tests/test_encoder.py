@@ -4,10 +4,11 @@ document representation slice, and the classifier head."""
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import ShapeError, Tape, backward, stack_steps
+from cachedlstm.autodiff import ShapeError, Tape, backward, slice_cols, stack_steps
 from cachedlstm.cells import bind_params, init_params, lstm_step, zero_state
 from cachedlstm.encoder import (
     ClassifierParams,
+    EncodedSequence,
     EncoderConfig,
     cbow_encode,
     classify,
@@ -16,7 +17,7 @@ from cachedlstm.encoder import (
     encode_forward,
     init_classifier,
 )
-from tape_ops import mul, sum_all
+from tape_ops import concat_cols, mul, sum_all
 
 
 def _embed(tape, rng, T, B, d):
@@ -217,6 +218,33 @@ class TestDocRepresentation:
         rep = doc_representation(enc)
         assert rep.shape == (2, 4)
         np.testing.assert_array_equal(rep.value[:, 2:], enc.bwd.value[:, 6:8])
+
+    @pytest.mark.parametrize("kind", ["rnn", "clstm"])
+    def test_bidirectional_node_has_the_bits_of_the_slices_it_replaced(self, kind):
+        # One node in place of two direction slices, two group slices and a
+        # concatenation.  Their gradient summed each block with 0.0, so a
+        # -0.0 arrives at the pair as 0.0, and so it must here.
+        H, K = 6, 3 if kind == "clstm" else 1
+        cfg = EncoderConfig(cell_kind=kind, d=3, H=H, K=K, C=2, bidirectional=True)
+        S, width = (2 * H if kind == "clstm" else H), H // K
+        rng = np.random.default_rng(37)
+        weight = rng.normal(size=(3, 2 * width))
+        weight[0, 0], weight[1, width], weight[2, 1] = -0.0, -0.0, 0.0
+        out = []
+        for composed in (False, True):
+            tape = Tape()
+            final = tape.leaf(rng.normal(size=(3, 2 * S)) if not out else out[0][2])
+            if composed:
+                halves = [slice_cols(final, k * S, (k + 1) * S) for k in (0, 1)]
+                rep = concat_cols([slice_cols(v, S - H, S - H + width) for v in halves])
+            else:
+                rep = doc_representation(EncodedSequence(cfg, final))
+                assert len(tape) == 2  # the leaf and one node
+            grads = backward(tape, sum_all(mul(rep, tape.leaf(weight))))
+            out.append((rep.value, grads[final.nid], final.value))
+        for a, b in zip(*out):
+            assert a.tobytes() == b.tobytes()
+        assert np.signbit(out[0][1]).sum() == np.signbit(weight).sum() - 2
 
 
 class TestClassifier:

@@ -32,11 +32,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from tape_ops import mul, sum_all
+from tape_ops import concat_cols, mul, sum_all
 from test_kernel import _assert_match, _mask, _run_both
 
 from cachedlstm import cells
-from cachedlstm.autodiff import Tape, backward, concat_cols, record
+from cachedlstm.autodiff import Tape, backward, record
 from cachedlstm.cells import CELL_KINDS, bind_params, final_state, init_params, recurrence_pair
 
 KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100,

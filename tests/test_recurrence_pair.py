@@ -25,7 +25,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  run_state_machine_as_test)
 
 from cachedlstm import cells, cli
-from cachedlstm.autodiff import ShapeError, Tape, backward, concat_cols, record, stack_steps
+from cachedlstm.autodiff import ShapeError, Tape, backward, record, stack_steps
 from cachedlstm.cells import (HelperError, bind_params, init_params, recurrence,
                               recurrence_pair)
 from cachedlstm.data import Document, build_vocab, pad_batch
@@ -34,7 +34,7 @@ from cachedlstm.model import ModelConfig, build_model
 from cachedlstm.serialize import save_model
 from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged,
                                  apply_weight_decay, objective, train_epoch)
-from tape_ops import mul, sum_all
+from tape_ops import concat_cols, mul, sum_all
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

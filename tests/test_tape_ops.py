@@ -21,6 +21,7 @@ from tape_ops import (
     add,
     add_const,
     add_rowvec,
+    concat_cols,
     log_floor,
     matmul,
     mul,
@@ -116,6 +117,13 @@ class TestGradChecks:
     def test_scalar_ops(self):
         a = self.rng.normal(size=(3, 3))
         assert op_check(lambda a: sum_all(tanh_(mul_const(a, 0.3))), a) < 1e-6
+
+    def test_concat_cols(self):
+        a = self.rng.normal(size=(4, 3))
+        b = self.rng.normal(size=(4, 2))
+        w = self.rng.normal(size=(4, 5))
+        assert op_check(lambda a, b, w: sum_all(mul(tanh_(concat_cols([a, b])), w)),
+                        a, b, w) < 1e-6
 
     def test_deep_composite_expression(self):
         a = self.rng.normal(size=(4, 4))

@@ -342,8 +342,11 @@ def test_needle_step_memory_bound():
     # second direction runs in a helper process on two CPUs, the figure is
     # this process's traced peak plus the helper's: ~824 + ~817 = ~1,641
     # (~1,579 with both directions here, on one CPU; each process holds its
-    # own VJP temporaries at its peak).  The bound lies just above.
-    assert _needle_peak(1) < 1700
+    # own VJP temporaries at its peak).  With the encoders' runs from the
+    # kernel's own zero state, no zero leaves, the VJP's scratch grown to
+    # the widest step met so far and one representation node: ~796 + ~808
+    # = ~1,604 (~1,537 on one CPU).  The bound lies just above.
+    assert _needle_peak(1) < 1680
 
 
 def test_epoch_frees_each_batch_before_the_next():
@@ -353,9 +356,11 @@ def test_epoch_frees_each_batch_before_the_next():
     # freed batches trace ~3,282 with a T x B x d input per batch, ~3,122
     # without one, ~2,026 with a kernel that keeps only activations and
     # carried c, ~1,619 with one that keeps c only every ceil(sqrt(T))
-    # steps, and ~848 + ~816 = ~1,664 here and in the helper process
-    # (~1,603 on one CPU).
-    assert _needle_peak(2) < 1700
+    # steps, ~848 + ~816 = ~1,664 here and in the helper process (~1,603
+    # on one CPU), and ~820 + ~808 = ~1,628 (~1,562 on one CPU) with no
+    # zero leaves, VJP scratch grown to the steps it meets and one
+    # representation node.
+    assert _needle_peak(2) < 1680
 
 
 def _preset_batch(seed=0, n_steps=100):
@@ -374,12 +379,13 @@ def _preset_batch(seed=0, n_steps=100):
 
 
 def _preset_peak(n_steps):
-    """Traced peak per padded position of one preset-shape training step.
+    """Traced peaks per padded position of one preset-shape training step.
 
-    An untraced step on a model built apart runs first, so that what the
-    first step of a process imports or caches lazily is not traced, and
-    the peak does not depend on what ran before in the process.  On two
-    CPUs the helper process traces too, and its peak is added.
+    Returns (this process's, the helper process's): on one CPU no helper
+    runs and the second is 0.  An untraced step on a model built apart runs
+    first, so that what the first step of a process imports or caches
+    lazily is not traced, and the peak does not depend on what ran before
+    in the process.
     """
     cfg = TrainConfig(learning_rate=0.05, weight_decay=1e-4)
     warm_model, warm_batch = _preset_batch(n_steps=n_steps)
@@ -392,7 +398,7 @@ def _preset_peak(n_steps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak + cells._helper_memory()[0]) / batch.ids.size
+    return peak / batch.ids.size, cells._helper_memory()[0] / batch.ids.size
 
 
 def test_preset_step_memory_bound():
@@ -414,9 +420,21 @@ def test_preset_step_memory_bound():
     # squared copies of the weights and no penalty gradients while the
     # kernel's VJP runs.  With the second direction in a helper process
     # instead of a thread: ~2,007 here + ~2,134 in the helper = ~4,141
-    # (~3,598 on one CPU, where the two VJPs do not run at once).
-    peak = _preset_peak(100)
-    assert peak < 4300, f"traced peak {peak:.0f} bytes per position"
+    # (~3,598 on one CPU, where the two VJPs do not run at once), and
+    # ~1,980 + ~2,111 = ~4,091 (~3,544) by the next measurement.  With the
+    # encoders' runs from the kernel's own zero state (no zero leaves, no
+    # initial-state columns or gradients), the VJP's segment buffer and
+    # gate scratch grown to the widest step met so far, and one
+    # representation node in place of the pair's five slice and
+    # concatenation nodes: ~1,762 + ~2,092 = ~3,854 (~3,307 on one CPU).
+    # Each process has its own bound, just above its figure, so that a
+    # regression in one cannot hide behind a gain in the other.
+    mine, helper = _preset_peak(100)
+    if helper:
+        assert mine < 1850, f"traced peak {mine:.0f} bytes per position here"
+        assert helper < 2200, f"traced peak {helper:.0f} bytes per position in the helper"
+    else:
+        assert mine < 3450, f"traced peak {mine:.0f} bytes per position on one CPU"
 
 
 def test_long_document_step_memory_bound():
@@ -425,10 +443,13 @@ def test_long_document_step_memory_bound():
     # bytes per token position: ~4,219 with a kernel that keeps each step's
     # activations and carried c, ~3,473 with one that keeps c only every
     # ceil(sqrt(T)) = 20 steps, ~3,355 with weight decay applied in the
-    # update instead of on the tape, and ~1,651 here + ~1,707 in the helper
-    # process = ~3,357 with the second direction there (~3,173 on one CPU).
-    peak = _preset_peak(400)
-    assert peak < 3450, f"traced peak {peak:.0f} bytes per position"
+    # update instead of on the tape, ~1,651 here + ~1,707 in the helper
+    # process = ~3,357 with the second direction there (~3,173 on one CPU;
+    # ~1,638 + ~1,698 = ~3,336 and ~3,148 by the next measurement), and
+    # ~1,564 + ~1,693 = ~3,257 (~3,069) with no zero leaves, VJP scratch
+    # grown to the steps it meets and one representation node.
+    peak = sum(_preset_peak(400))
+    assert peak < 3380, f"traced peak {peak:.0f} bytes per position"
 
 
 def test_preset_training_is_deterministic_on_two_processes(monkeypatch):
