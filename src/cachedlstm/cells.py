@@ -110,25 +110,32 @@ kernel's column order.  For an unpadded batch that is
 ``ids[::-1].ravel()``.
 
 ``recurrence_pair`` records the two directions of a bidirectional encoder
-as one node whose value is their final states side by side.  Both read
-one (E, ids); the second runs with ``reverse``, from ids[T-1] to ids[0],
-in the same column order, and lists the same real positions in the same
-order as the first.  The node lists E once, with the second direction's
-rows added into the first's, so nothing is copied in reverse.  When the
-process may use two CPUs, the second direction runs in a helper process
-while the caller runs the first.  The helper is one child Python per
-process, started by the first pair or scoring call that needs it, and it
-exits when the caller closes its socket or dies.  Per forward pass the
-caller sends the second direction's weights and mask (as bools), its
-initial state only when the pair was given one (the encoders start from
-zeros), the batch's distinct rows of E with the ids renumbered into them,
-and its numpy error state; the helper keeps that direction's history,
-keyed by the call, and sends back the final state.  The VJP sends the
-gradient and gets back E's rows, dW, dU and db, and dc0 and dh0 for a
-given initial state.  Arrays cross the socket as raw bytes, read into
-place, so neither side holds a pickled copy, and E's rows are gathered as
-they are written, a few at a time, so the caller never holds a copy of
-them while it runs its own direction.
+as one node whose value is their final states side by side.  Both start
+from the zero state and read one (E, ids); the second runs with
+``reverse``, from ids[T-1] to ids[0], in the same column order, and lists
+the same real positions in the same order as the first.  The node lists E
+once, with the second direction's rows added into the first's, so nothing
+is copied in reverse.  ``_second`` runs every second direction, of
+training and of scoring: when the process may use two CPUs, in a helper
+process while the caller runs the first, else after it, here.  The
+helper is one child Python per process, started by the first pair or
+scoring call that needs it, and it exits when the caller closes its
+socket or dies.  It answers three requests: ``memory`` (its traced
+peak), ``run`` and ``vjp``.  A run request carries six entries, the same
+for training and scoring: the batch's distinct rows of E, the ids
+renumbered into them, the second direction's w, u and b, and its mask
+(as bools); and the caller's numpy error state.  The helper runs the
+reverse kernel from zero and sends back its value.  A training request
+carries a call id, under which the helper keeps the direction's history;
+a scoring request's id is None, and the helper keeps nothing.  The VJP
+request sends the gradient and gets back E's rows, dW, dU and db.
+Arrays cross the socket as raw bytes, read into place, so neither side
+holds a pickled copy, and E's rows are gathered as they are written, a
+few at a time, so the caller never holds a copy of them while it runs
+its own direction.  A read or write of the caller's socket that waits
+600 s (``_ANSWER_TIMEOUT``) stops the helper and raises
+``HelperError``, so a helper that stops answering ends the run instead
+of hanging it.
 The renumbered ids are gathered the same way, from a table with one entry
 per row of E that ``_distinct_rows`` fills: the ids mark their rows, the
 marked rows are the distinct ids, sorted, and each gets its place among
@@ -145,13 +152,12 @@ training step ran 1.8x faster than serial, and the needle benchmark,
 whose lstm model has one direction, trained 1.33x more tokens per second.
 
 Scoring a bidirectional model (``final_states``) splits its directions
-the same way: the helper gets a request like the pair's forward one,
-without an initial state (scoring starts from zeros), runs the second
-direction's ``final_state``, sends back its (c_T, h_T) and keeps nothing.
-Two threads had doubled the calling process's per-step temporaries,
-which are most of scoring's memory; the helper holds its own, so the
-caller's peak does not grow, and the review scoring benchmark scored
-~1.8x more documents per second.
+the same way: the helper sends back the second direction's value,
+[c_T | h_T] (h_T for rnn), the array a training node holds, and keeps
+nothing.  Two threads had doubled the calling process's per-step
+temporaries, which are most of scoring's memory; the helper holds its
+own, so the caller's peak does not grow, and the review scoring
+benchmark scored ~1.8x more documents per second.
 """
 
 from __future__ import annotations
@@ -159,6 +165,7 @@ from __future__ import annotations
 import atexit
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -632,20 +639,19 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, given: bool, band, 
 
 
 def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
-                reverse: bool = False) -> tuple:
-    """(c_T, h_T), B x H each, after running the cell over E[ids[t]], without a tape.
+                reverse: bool = False) -> np.ndarray:
+    """The final state of the cell over E[ids[t]], without a tape: [c_T | h_T], or h_T for rnn.
 
     ``source`` is the row source E as an array, ``ids`` a T x B array of its
     row ids and ``mask`` None or a B x T {0, 1} array with each row's real
     steps first, as in ``recurrence``; with ``reverse`` the run reads
     ids[T-1] first, and so each row's padding before its real steps.  It is
     the kernel of ``recurrence`` from a zero state, which keeps only the
-    carried state, so memory does not grow with T.  The values, in input
-    order, equal the value of ``recurrence`` bit for bit; c_T is None for
-    rnn.  An empty sequence (T = 0) raises ValueError.
+    carried state, so memory does not grow with T.  The value, B x 2H (B x H
+    for rnn) in input order, equals the value of ``recurrence`` bit for
+    bit.  An empty sequence (T = 0) raises ValueError.
     """
-    value, H = _run(p, source, ids, None, None, mask, reverse)[0], p.hidden_size
-    return value[:, :H] if p.kind != "rnn" else None, value[:, -H:]
+    return _run(p, source, ids, None, None, mask, reverse)[0]
 
 
 def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
@@ -659,13 +665,18 @@ def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
     With ``reverse`` the run reads ids last step first; E's gradient rows
     are still listed by step in ids.
     """
-    arrays = [None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)]
-    value, vjp, acts = _run(CellParams(p.kind, p.n_groups, *arrays[:3]), E.value, ids,
-                            *arrays[3:], mask, reverse, history=True)
+    states = [None if v is None else v.value for v in (c0, h0)]
+    value, vjp, acts = _run(_values(p), E.value, ids, *states, mask, reverse, history=True)
     return value, [E] + _parents(p, c0, h0), vjp, acts
 
 
-def _parents(p: CellParams, c0: Var | None, h0: Var | None) -> list:
+def _values(p: CellParams) -> CellParams:
+    """The cell of the values of ``p``'s Vars."""
+    arrays = (None if v is None else v.value for v in (p.w, p.u, p.b))
+    return CellParams(p.kind, p.n_groups, *arrays)
+
+
+def _parents(p: CellParams, c0: Var | None = None, h0: Var | None = None) -> list:
     """A run's parents after E, in the order of its VJP's gradients."""
     state = [] if h0 is None else ([c0] if p.kind != "rnn" else []) + [h0]
     return [p.w, p.u] + ([p.b] if p.b is not None else []) + state
@@ -678,7 +689,8 @@ class HelperError(RuntimeError):
 class _Helper:
     """A child Python that runs ``_serve`` on one end of a socket pair.
 
-    ``lock`` keeps one round trip at a time on ``sock``, the other end.
+    ``lock`` keeps one round trip at a time on ``sock``, the other end,
+    whose reads and writes give up after ``_ANSWER_TIMEOUT`` seconds.
     """
 
     def __init__(self):
@@ -695,9 +707,13 @@ class _Helper:
         except BaseException:
             ours.close()
             raise
+        ours.settimeout(_ANSWER_TIMEOUT)
         self.sock, self.lock = ours, threading.Lock()
 
 
+# Seconds a read or write of the helper's socket may wait before the helper is
+# taken as stopped: far above any step this package runs (seconds at T = 1,600).
+_ANSWER_TIMEOUT = 600.0
 _helper = None  # this process's _Helper, started by the first call that uses one
 _helper_lock = threading.Lock()
 _calls = itertools.count()  # ids that key the helper's histories
@@ -828,8 +844,9 @@ def _io(helper: _Helper, fn, *args):
     except BaseException as exc:
         _stop_helper(helper, timeout=1.0)
         if isinstance(exc, (OSError, EOFError)):
-            raise HelperError("the helper process running a second direction "
-                              f"ended (exit status {helper.proc.returncode}): {exc}") from exc
+            how = "stopped answering" if isinstance(exc, socket.timeout) else "ended"
+            raise HelperError(f"the helper process running a second direction {how} "
+                              f"(exit status {helper.proc.returncode}): {exc}") from exc
         raise
 
 
@@ -874,10 +891,10 @@ def _helper_memory() -> tuple:
 def _serve(fd: int) -> None:
     """The helper's loop: answer requests on socket ``fd`` until the caller's end closes.
 
-    A forward request runs the second direction and keeps its VJP under
-    the call's id until the VJP request for that id, or until the caller
-    lists the id as freed.  A score request runs the second direction's
-    ``final_state`` and keeps nothing.  Errors go back to the caller.
+    A run request runs the second direction in reverse from zero.  With a
+    call id it keeps the run's VJP under that id until the VJP request for
+    it, or until the caller lists the id as freed; with None, for scoring,
+    it keeps nothing.  Errors go back to the caller.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's exit ends this loop
     sock = socket.socket(fileno=fd)
@@ -917,12 +934,11 @@ def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
             raise RuntimeError("recurrence: the VJP of this node has already run")
         dE, *rest = vjp(arrays[0])
         return [dE.rows, *rest]
-    if op == "score":
-        rows, ids, w, u, b, mask = arrays
-        return list(final_state(CellParams(*cell, w, u, b), rows, ids, mask, reverse=True))
-    rows, ids, w, u, b, c0, h0, mask = arrays
-    value, vjps[call], _ = _run(CellParams(*cell, w, u, b), rows, ids, c0, h0, mask,
-                                reverse=True, history=True)
+    rows, ids, w, u, b, mask = arrays
+    value, vjp, _ = _run(CellParams(*cell, w, u, b), rows, ids, None, None, mask, reverse=True,
+                         history=call is not None)
+    if vjp is not None:
+        vjps[call] = vjp
     return [value]
 
 
@@ -955,38 +971,22 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
     return record(*_recurrence(p, E, ids, c0, h0, mask)[:3])
 
 
-def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
+def recurrence_pair(E: Var, ids, mask, first: CellParams, second: CellParams) -> Var:
     """The two directions of a bidirectional encoder over one (E, ids) as one tape node.
 
     E, ids and mask are as in ``recurrence``; ``first`` and ``second`` are
-    each direction's (p, c0, h0), and ``second`` reads ids last step first,
-    so its rows' real steps start late and all end at its last step.  The
-    value, [final_1 | final_2], and the gradients equal those of a
-    ``recurrence`` over (ids, mask) and of the same kernel run with
-    ``reverse``, bit for bit; E gets one ``RowSparse`` whose rows are the
-    sums of the two directions'.  When the process may use two CPUs, the
-    second direction's kernel, and later its VJP, run in the helper
-    process while this one runs the first's; this process records the
-    node.  A helper that dies raises ``HelperError``.  (None, None) is a
-    direction's zero state, as in ``recurrence``; the helper then receives
-    no initial state.
+    each direction's cell, and both start from the zero state.  ``second``
+    reads ids last step first, so its rows' real steps start late and all
+    end at its last step.  The value, [final_1 | final_2], and the
+    gradients equal those of a ``recurrence`` over (ids, mask) and of the
+    same kernel run with ``reverse``, bit for bit; E gets one
+    ``RowSparse`` whose rows are the sums of the two directions'.  When the
+    process may use two CPUs, the second direction's kernel, and later its
+    VJP, run in the helper process while this one runs the first's; this
+    process records the node.  A helper that dies raises ``HelperError``.
     """
-    (p1, c1, h1), (p2, c2, h2) = first, second
-
-    def run1():
-        return _recurrence(p1, E, ids, c1, h1, mask)
-
-    if _two_cpus():
-        (v1, par1, vjp1, _), v2, both = _remote_pair(run1, E, ids, mask, second)
-    else:
-        (v1, par1, vjp1, _), (v2, _, vjp2, _) = (
-            run1(), _recurrence(p2, E, ids, c2, h2, mask, reverse=True))
-
-        def both(g1, g2):
-            out = vjp1(g1)
-            dE, *rest = vjp2(g2)
-            return out, [dE.rows, *rest]
-
+    (v1, par1, _, _), v2, both = _second(_values(second), E.value, ids, mask, functools.partial(
+        _recurrence, first, E, ids, None, None, mask), history=True)
     S = v1.shape[1]
 
     def vjp(g):
@@ -994,34 +994,55 @@ def recurrence_pair(E: Var, ids, mask, first: tuple, second: tuple) -> Var:
         g1[0].rows += rows2  # E, each run's first parent, is listed once
         return g1 + rest2
 
-    return record(np.concatenate([v1, v2], axis=1), par1 + _parents(p2, c2, h2), vjp)
+    return record(np.concatenate([v1, v2], axis=1), par1 + _parents(second), vjp)
 
 
-def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
-    """(run1(), v2, both): ``second``'s reverse run in the helper while run1 runs here.
+def _second(cell: CellParams, source: np.ndarray, ids, mask, local, history: bool) -> tuple:
+    """(local(), value, both): ``cell``'s reverse run from zero, beside ``local``.
 
-    The helper gets the batch's distinct rows of E with the ids renumbered
-    into them; gathering from equal rows gives equal bits.  ``both(g1, g2)``
-    runs run1's VJP here while the helper runs its own, and returns run1's
-    gradients and the helper's [E's rows, w, u, b, c0, h0] (b, c0 and h0
-    as the direction has them).  The helper keeps the direction's history
-    until then, or until the node is freed without a VJP.  Once that
-    helper has ended, ``both`` raises ``HelperError`` and sends nothing:
-    a helper started since holds no history of this node.
+    ``cell`` holds arrays.  On one CPU this process runs local(), then the
+    reverse ``_run``.  On two, the helper runs it on the batch's distinct
+    rows of ``source`` with the ids renumbered into them, while this
+    process runs local(); gathering from equal rows gives equal bits.  The
+    value is the run's final state, B x S.  With ``history``, local()
+    returns what ``_recurrence`` returns, and ``both(g1, g2)`` runs its VJP
+    on g1 and the second run's on g2 and returns the first's gradients and
+    the second's [E's rows, w, u, b] (b when the cell has one); the helper
+    keeps the run's history until then, or until the node is freed without
+    a VJP.  Without it ``both`` is None and nothing is kept.  ``both`` is
+    built outside this function, so that a scoring call makes no closure
+    cells, which show in its traced peak.
     """
-    p, c0, h0 = second
-    call = next(_calls)
-    arrays = [*_distinct_rows(E.value, ids),
-              *(None if v is None else v.value for v in (p.w, p.u, p.b, c0, h0)),
+    if not _two_cpus():
+        mine = local()
+        value, vjp, _ = _run(cell, source, ids, None, None, mask, reverse=True, history=history)
+        return mine, value, functools.partial(_both_here, mine[2], vjp) if history else None
+    call = next(_calls) if history else None
+    arrays = [*_distinct_rows(source, ids), cell.w, cell.u, cell.b,
               None if mask is None else np.asarray(mask) != 0]
     helper = _started_helper()
     try:
-        first, (v2,) = _overlap(("forward", call, (p.kind, p.n_groups)), arrays, run1, helper)
+        mine, (value,) = _overlap(("run", call, (cell.kind, cell.n_groups)), arrays, local,
+                                  helper)
     except BaseException:
-        _freed.append(call)  # the helper may hold its history
+        _freed.append(call)  # the helper may hold its history (None names none)
         raise
-    vjp1 = first[2]
+    return mine, value, _both_remote(mine[2], helper, call) if history else None
 
+
+def _both_here(vjp1, vjp2, g1, g2) -> tuple:
+    """``both`` of a pair whose second run, with VJP ``vjp2``, ran here."""
+    out = vjp1(g1)
+    dE, *rest = vjp2(g2)
+    return out, [dE.rows, *rest]
+
+
+def _both_remote(vjp1, helper: _Helper, call: int):
+    """``both`` of a pair whose second run ran in ``helper`` under ``call``.
+
+    Once that helper has ended, ``both`` raises ``HelperError`` and sends
+    nothing: a helper started since holds no history of this node.
+    """
     def both(g1, g2):
         release.detach()  # the helper drops the history as it runs the VJP
         if _helper is not helper:
@@ -1030,7 +1051,7 @@ def _remote_pair(run1, E: Var, ids, mask, second: tuple) -> tuple:
         return _overlap(("vjp", call, None), [g2], lambda: vjp1(g1), helper)
 
     release = weakref.finalize(both, _freed.append, call)
-    return first, v2, both
+    return both
 
 
 def _distinct_rows(source: np.ndarray, ids) -> list:
@@ -1054,24 +1075,20 @@ def _distinct_rows(source: np.ndarray, ids) -> list:
 
 
 def final_states(cells: tuple, source: np.ndarray, ids, mask=None) -> list:
-    """Each direction's ``final_state`` (c_T, h_T) over one (source, ids, mask), for scoring.
+    """Each direction's ``final_state`` over one (source, ids, mask), for scoring.
 
     ``cells`` holds one or two CellParams of arrays; the second direction
-    reads ids last step first (``reverse``).  When the process may use
-    two CPUs, the second direction runs in the helper process while this
-    one runs the first: the helper gets the batch's distinct rows of
-    ``source`` with the ids renumbered into them, and keeps nothing once
-    it has answered.  The values are those of two ``final_state`` calls
-    here, bit for bit.  A helper that dies raises ``HelperError``.
+    reads ids last step first (``reverse``), and runs in the helper
+    process while this one runs the first when the process may use two
+    CPUs (``_second``); the helper keeps nothing once it has answered.
+    Each value is the direction's B x S final state, [c_T | h_T] or h_T,
+    as ``final_state`` gives it, bit for bit: joining them would add a
+    B x 2S copy to the peak.  A helper that dies raises ``HelperError``.
     """
-    if len(cells) == 2 and _two_cpus():
-        first, second = cells
-        arrays = [*_distinct_rows(source, ids), second.w, second.u, second.b,
-                  None if mask is None else np.asarray(mask) != 0]
-        mine, theirs = _overlap(("score", None, (second.kind, second.n_groups)), arrays,
-                                lambda: final_state(first, source, ids, mask))
-        return [mine, tuple(theirs)]
-    return [final_state(p, source, ids, mask, reverse=bool(i)) for i, p in enumerate(cells)]
+    first = functools.partial(final_state, cells[0], source, ids, mask)
+    if len(cells) == 1:
+        return [first()]
+    return list(_second(cells[1], source, ids, mask, first, history=False)[:2])
 
 
 def _gated_step(kind: str, p: CellParams, x: Var, prev: CellState) -> tuple:

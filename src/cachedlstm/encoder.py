@@ -22,11 +22,12 @@ unidirectional run is a ``cells.recurrence`` node whose value is its final
 carried state; a bidirectional run is a ``cells.recurrence_pair`` node
 holding both directions' final states, and E gets the sum of their
 gradients.  Each run starts from the zero state, which the kernel makes
-itself, so the tape holds no zero leaves and the node no initial-state
-parents.  The representation is one more node over the encoder's node,
-which copies each direction's slowest group of h out of it.  Padded
-positions are not computed: a row's state passes its masked steps
-unchanged, so padding steps are bit-neutral to the final state.
+itself (a pair takes no initial state), so the tape holds no zero leaves
+and the node no initial-state parents.  The representation is one more
+node over the encoder's node, which copies each direction's slowest group
+of h out of it.  Padded positions are not computed: a row's state passes
+its masked steps unchanged, so padding steps are bit-neutral to the final
+state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -173,8 +174,7 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     E, ids, mask = _inputs(xs, mask)
     _check(cfg, fwd_params)
     _check(cfg, bwd_params)
-    return EncodedSequence(cfg, recurrence_pair(E, ids, mask, (fwd_params, None, None),
-                                                (bwd_params, None, None)))
+    return EncodedSequence(cfg, recurrence_pair(E, ids, mask, fwd_params, bwd_params))
 
 
 def _starts(cfg: EncoderConfig, final: Var) -> range:

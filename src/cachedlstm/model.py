@@ -199,9 +199,9 @@ class DocModel:
         if cfg.kind == "cbow":
             rep = cbow_vector(emb, ids, mask)
         else:
-            width = cfg.H // cfg.K  # the slowest group of the final h
-            rep = np.concatenate([h[:, :width]
-                                  for _, h in final_states(self.cells, emb, ids, mask)], axis=1)
+            width = cfg.H // cfg.K  # the slowest group of the final h, the last H columns
+            rep = np.concatenate([v[:, -cfg.H:][:, :width]
+                                  for v in final_states(self.cells, emb, ids, mask)], axis=1)
         return class_probabilities(rep, self.clf.w, self.clf.b)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:

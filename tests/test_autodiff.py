@@ -173,7 +173,7 @@ class TestRowSparseGradients:
             if encoder == "recurrence":
                 node = recurrence(runs[0][0], source, step_ids, *runs[0][1:])
             elif encoder == "recurrence_pair":
-                node = recurrence_pair(source, step_ids, None, *runs)
+                node = recurrence_pair(source, step_ids, None, *(p for p, _, _ in runs))
             else:
                 node = cbow_encode(source, step_ids, np.ones((3, 4)))
             g = backward(tape, sum_all(mul(node, tape.leaf(readout))))[a.nid]

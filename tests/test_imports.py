@@ -17,6 +17,8 @@ import collections
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cachedlstm"
 LIBRARY = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
@@ -211,11 +213,14 @@ def test_the_kernel_makes_no_masked_selects():
     assert not found, found
 
 
-def test_the_kernel_has_one_step_loop():
+@pytest.mark.parametrize("name,sites", [("_step", 1), ("_two_cpus", 1)])
+def test_the_kernel_has_one_step_loop(name, sites):
     # Training, scoring and the helper run one kernel, ``cells._run``: the
-    # step function has exactly one call site in the library.
+    # step function has exactly one call site in the library.  Training
+    # and scoring run the second direction in one place, ``cells._second``,
+    # which alone asks ``cells._two_cpus`` whether the helper may run it.
     calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id == "_step"]
-    assert len(calls) == 1, calls
+             and node.func.id == name]
+    assert len(calls) == sites, calls

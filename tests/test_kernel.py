@@ -253,7 +253,7 @@ def test_kernel_is_one_node():
 
 @pytest.mark.parametrize("kind", ["rnn", "lstm", "cifg", "clstm"])
 def test_value_is_the_final_state(kind):
-    # B x S at any T: [c_T | h_T], or h_T for rnn, as ``final_state`` gives it.
+    # B x S at any T: [c_T | h_T], or h_T for rnn, the bytes ``final_state`` gives.
     rng = np.random.default_rng(12)
     B, d, H, T = 3, 4, 6, 40
     params = init_params(kind, d, H, n_groups=3 if kind == "clstm" else 1, seed=2)
@@ -263,11 +263,9 @@ def test_value_is_the_final_state(kind):
     c0 = None if kind == "rnn" else tape.leaf(np.zeros((B, H)))
     run = recurrence(bound, *_steps([tape.leaf(x) for x in xs_arr]), c0,
                      tape.leaf(np.zeros((B, H))))
-    c, h = final_state(params, np.vstack(xs_arr), np.arange(T * B).reshape(T, B))
-    assert run.shape == (B, H if kind == "rnn" else 2 * H)
-    np.testing.assert_array_equal(run.value[:, -H:], h)
-    if c is not None:
-        np.testing.assert_array_equal(run.value[:, :H], c)
+    value = final_state(params, np.vstack(xs_arr), np.arange(T * B).reshape(T, B))
+    assert run.shape == value.shape == (B, H if kind == "rnn" else 2 * H)
+    assert run.value.tobytes() == value.tobytes()
 
 
 @pytest.mark.parametrize("padded", [False, True])
@@ -323,7 +321,7 @@ def test_an_id_outside_the_source_is_rejected(encoder, bad):
     bound, _ = bind_params(tape, params)
     run = (bound, tape.leaf(np.zeros((2, 4))), tape.leaf(np.zeros((2, 4))))
     call = {"recurrence": lambda: recurrence(*run[:1], source, ids, *run[1:]),
-            "recurrence_pair": lambda: recurrence_pair(source, ids, None, run, run),
+            "recurrence_pair": lambda: recurrence_pair(source, ids, None, bound, bound),
             "final_state": lambda: final_state(params, source.value, ids),
             "cbow_encode": lambda: cbow_encode(source, ids, np.ones((2, 2)))}[encoder]
     with pytest.raises(IndexError, match="id out of range for 6 rows"):
@@ -341,7 +339,7 @@ def _encoders(tape, T=6, B=2):
     cfg = EncoderConfig("lstm", d=3, H=4)
     bi = EncoderConfig("lstm", d=3, H=4, bidirectional=True)
     return {"recurrence": lambda m: recurrence(run[0], source, ids, *run[1:], m),
-            "recurrence_pair": lambda m: recurrence_pair(source, ids, m, run, run),
+            "recurrence_pair": lambda m: recurrence_pair(source, ids, m, bound, bound),
             "final_state": lambda m: final_state(params, source.value, ids, m),
             "encode_forward": lambda m: encode_forward(cfg, bound, (source, ids), m),
             "encode_bidirectional": lambda m: encode_bidirectional(bi, bound, bound,
@@ -398,18 +396,16 @@ def test_a_full_mask_gives_the_bits_of_no_mask(kind, n_groups):
         tape = Tape()
         bound = [bind_params(tape, p) for p in params]
         E = tape.leaf(source)
-        runs = [(b, None if kind == "rnn" else tape.leaf(np.zeros((B, H))),
-                 tape.leaf(np.zeros((B, H)))) for b, _ in bound]
-        one = recurrence(*runs[0][:1], E, ids, *runs[0][1:], mask)
-        pair = recurrence_pair(E, ids, mask, *runs)
+        state = [None if kind == "rnn" else tape.leaf(np.zeros((B, H))),
+                 tape.leaf(np.zeros((B, H)))]
+        one = recurrence(bound[0][0], E, ids, *state, mask)
+        pair = recurrence_pair(E, ids, mask, *(b for b, _ in bound))  # from zero
         grads = backward(tape, sum_all(mul(concat_cols([one, pair]),
                                            tape.leaf(np.hstack([readout[:, :one.cols],
                                                                 readout])))))
-        leaves = [E] + [v for (_, ls), r in zip(bound, runs) for v in (*ls.values(), *r[1:])
-                        if v is not None]
-        got = [one.value, pair.value] + [np.asarray(grads[v.nid]) for v in leaves]
-        got += [a for k, p in enumerate(params)
-                for a in final_state(p, source, ids, mask, reverse=k == 1) if a is not None]
+        leaves = [E] + [v for _, ls in bound for v in ls.values()] + state
+        got = [one.value, pair.value] + [np.asarray(grads[v.nid]) for v in leaves if v is not None]
+        got += [final_state(p, source, ids, mask, reverse=k == 1) for k, p in enumerate(params)]
         out.append(got)
     assert len(out[0]) == len(out[1])
     for a, b in zip(*out):
@@ -439,22 +435,21 @@ def _run_in_row_order(order, bidirectional, B=6, d=3, H=6, T=8, V=11):
     lengths = np.array([8, 6, 5, 3, 2, 1])
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
     source, ids = rng.normal(size=(V, d)), rng.integers(0, V, (T, B))
-    states = [rng.normal(size=(B, H)) for _ in range(4)]
+    states = [rng.normal(size=(B, H)) for _ in range(2)]
     readout = rng.normal(size=(B, (4 if bidirectional else 2) * H))
     tape = Tape()
     bound = [bind_params(tape, p) for p in params]
     E = tape.leaf(source)
-    c1, h1, c2, h2 = (tape.leaf(a[order]) for a in states)
-    runs = (bound[0][0], c1, h1), (bound[1][0], c2, h2)
-    if bidirectional:
-        node = recurrence_pair(E, ids[:, order], mask[order], *runs)
+    c1, h1 = (tape.leaf(a[order]) for a in states)
+    if bidirectional:  # a pair starts from zero
+        node = recurrence_pair(E, ids[:, order], mask[order], bound[0][0], bound[1][0])
     else:
         node = recurrence(bound[0][0], E, ids[:, order], c1, h1, mask[order])
     grads = backward(tape, sum_all(mul(node, tape.leaf(readout[order]))))
     back = np.argsort(order)
     out = {"value": node.value[back], "E": np.asarray(grads[E.nid])}
-    out.update({name: grads[v.nid][back] for name, v in zip(("c1", "h1", "c2", "h2"),
-                                                             (c1, h1, c2, h2))})
+    if not bidirectional:
+        out.update({"c1": grads[c1.nid][back], "h1": grads[h1.nid][back]})
     out.update({f"{k}.{name}": grads[v.nid] for k, (_, leaves) in enumerate(bound)
                 for name, v in leaves.items()})
     return out

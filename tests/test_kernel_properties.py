@@ -14,9 +14,9 @@ VJP rebuilds c.  The properties:
   per-op tape of ``test_kernel`` (``_run_both``), over every prefix of the
   run; a reverse run against the composed tape over the reversed steps;
 - ``final_state`` gives the taped value, byte for byte, in each direction;
-- ``recurrence_pair`` gives the values and gradients of two kernel runs,
-  the second in reverse, byte for byte, with and without the helper, and
-  so does a rerun.
+- ``recurrence_pair`` gives the values and gradients of two kernel runs
+  from zero, the second in reverse, byte for byte, with and without the
+  helper, and so does a rerun.
 
 A second test draws padded batches whose rows have distinct lengths, so
 that the kernel's longest-first column order does not depend on the
@@ -76,8 +76,9 @@ def _taped(run, helper, zero_start=False, order=None):
     in reverse for the "reverse" layout; also returns the parameters,
     inputs and each direction's ``reverse``, for ``final_state``.  With
     ``helper`` the process may use two CPUs, so a pair runs its second
-    direction in the helper process; without, one.  The
-    initial states are random, or zero as in ``final_state`` with
+    direction in the helper process; without, one.  A pair, and the two
+    runs it is checked against, start from the zero state; one direction's
+    initial state is random, or zero leaves as in ``final_state`` with
     ``zero_start``.  With ``order`` the batch's rows
     run in that order, and the per-row results are put back in batch
     order.  The source's rows are distinct, each read at one position, so
@@ -102,6 +103,8 @@ def _taped(run, helper, zero_start=False, order=None):
     if zero_start:
         states = [(None if c0 is None else np.zeros_like(c0), np.zeros_like(h0))
                   for c0, h0 in states]
+    if run["pair"]:  # drawn all the same, so that the readout keeps its draws
+        states = [(None, None)] * len(params)
     width = len(params) * (H if kind == "rnn" else 2 * H)
     readout = rng.normal(size=(B, width))
     inputs = (params, source, ids, mask, reverses)
@@ -109,7 +112,8 @@ def _taped(run, helper, zero_start=False, order=None):
     back = np.argsort(order)
     ids, readout = ids[:, order], readout[order]
     mask = None if mask is None else mask[order]
-    states = [(None if c0 is None else c0[order], h0[order]) for c0, h0 in states]
+    states = [(None if c0 is None else c0[order], None if h0 is None else h0[order])
+              for c0, h0 in states]
     out = []
     for paired in ((True, False) if run["pair"] else (False,)):
         with pytest.MonkeyPatch.context() as mp:
@@ -117,10 +121,10 @@ def _taped(run, helper, zero_start=False, order=None):
             tape = Tape()
             bound = [bind_params(tape, p) for p in params]
             E = tape.leaf(source)
-            dirs = [(b, None if c0 is None else tape.leaf(c0), tape.leaf(h0))
-                    for (b, _), (c0, h0) in zip(bound, states)]
+            dirs = [(b, *(None if a is None else tape.leaf(a) for a in state))
+                    for (b, _), state in zip(bound, states)]
             if paired:
-                node = recurrence_pair(E, ids, mask, *dirs)
+                node = recurrence_pair(E, ids, mask, *(b for b, _ in bound))
             else:
                 node = concat_cols([record(*cells._recurrence(*d[:1], E, ids, *d[1:], mask,
                                                               reverse=r)[:3])
@@ -150,13 +154,10 @@ def test_kernel_keeps_its_contract(run):
     from_zero, (params, source, ids, mask, reverses) = _taped(run, run["helper"],
                                                               zero_start=True)
     value = from_zero[0][0]
-    H, n = run["H"], len(params)
+    n = len(params)
     for k, (p, reverse) in enumerate(zip(params, reverses)):
-        c, h = final_state(p, source, ids, mask, reverse=reverse)
         half = value[:, k * value.shape[1] // n:(k + 1) * value.shape[1] // n]
-        assert half[:, -H:].tobytes() == h.tobytes()
-        if c is not None:
-            assert half[:, :H].tobytes() == c.tobytes()
+        assert half.tobytes() == final_state(p, source, ids, mask, reverse=reverse).tobytes()
     if run["pair"]:
         _same_bytes(taped[0], taped[1])  # recurrence_pair against two recurrences
         _same_bytes(taped[0], _taped(run, not run["helper"])[0][0])
@@ -169,10 +170,12 @@ def test_row_order_and_batch_mates_keep_a_rows_result(run, data):
     order = np.array(data.draw(st.permutations(range(run["B"]))))
     ref, (params, source, ids, mask, reverses) = _taped(run, run["helper"])
     _same_bytes(_taped(run, run["helper"], order=order)[0][0], ref[0])
+    H = run["H"]
+    parts = [slice(-H, None)] + ([] if run["kind"] == "rnn" else [slice(None, H)])  # h, c
     for p, reverse in zip(params, reverses):
         batch = final_state(p, source, ids, mask, reverse=reverse)
         for r in range(run["B"]):
             alone = final_state(p, source, ids[:, [r]], mask[[r]], reverse=reverse)
-            for got, want in zip(batch, alone):
-                if want is not None:
-                    assert np.abs(got[r] - want[0]).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            for part in parts:
+                got, want = batch[r, part], alone[0, part]
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -8,6 +8,7 @@ splits a bidirectional model's directions the same way.  Either way the
 values, gradients and probabilities must be the same bits.
 """
 
+import inspect
 import os
 import signal
 import socket
@@ -53,19 +54,19 @@ def one_cpu(monkeypatch):
 def local_kernels(monkeypatch):
     """What this process runs of each pair: "run" per kernel, "vjp" per VJP."""
     calls = []
-    real = cells._recurrence
+    real = cells._run
 
     def traced(*args, **kwargs):
         calls.append("run")
-        value, parents, vjp, acts = real(*args, **kwargs)
+        value, vjp, acts = real(*args, **kwargs)
 
         def traced_vjp(g):
             calls.append("vjp")
             return vjp(g)
 
-        return value, parents, traced_vjp, acts
+        return value, vjp and traced_vjp, acts
 
-    monkeypatch.setattr(cells, "_recurrence", traced)
+    monkeypatch.setattr(cells, "_run", traced)
     return calls
 
 
@@ -144,17 +145,15 @@ def test_pair_equals_two_recurrences(cpus, monkeypatch):
         tape = Tape()
         (pf, lf), (pb, lb) = (bind_params(tape, p) for p in params)
         xs = [tape.leaf(x) for x in xs_arr]
-        z = [tape.leaf(np.zeros((B, H))) for _ in range(4)]
         ids = np.arange(T * B).reshape(T, B)
         if paired:  # one source, which the second run reads last step first
-            node = recurrence_pair(stack_steps(xs), ids, mask, (pf, z[0], z[1]),
-                                   (pb, z[2], z[3]))
-        else:  # the second a reverse run from the same mask
-            node = concat_cols([recurrence(pf, stack_steps(xs), ids, z[0], z[1], mask),
-                                record(*cells._recurrence(pb, stack_steps(xs), ids, z[2], z[3],
+            node = recurrence_pair(stack_steps(xs), ids, mask, pf, pb)
+        else:  # the second a reverse run from the same mask, both from zero
+            node = concat_cols([recurrence(pf, stack_steps(xs), ids, None, None, mask),
+                                record(*cells._recurrence(pb, stack_steps(xs), ids, None, None,
                                                           mask, reverse=True)[:3])])
         grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
-        leaves = [*lf.values(), *lb.values(), *xs, *z]
+        leaves = [*lf.values(), *lb.values(), *xs]
         out.append([node.value] + [grads[v.nid] for v in leaves])
     for a, b in zip(*out):
         assert a.tobytes() == b.tobytes()
@@ -338,6 +337,31 @@ def test_a_vjp_whose_helper_was_replaced_raises_helper_error(two_cpus):
     assert cells._helper_memory()[1] == 0
 
 
+def test_a_helper_that_stops_answering_ends_the_step(two_cpus):
+    # A stopped helper never answers: a wait on the caller's socket gives
+    # up after ``_ANSWER_TIMEOUT`` seconds, the helper is killed and reaped,
+    # and the next pair starts another.  The running helper's bound is
+    # shortened to 2 s here, after it has started, so that a slow start
+    # cannot trip it.
+    model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=2)
+    want = _step_arrays(model, batch)
+    stopped = cells._helper
+    assert stopped.sock.gettimeout() == cells._ANSWER_TIMEOUT == 600
+    stopped.sock.settimeout(2.0)
+    os.kill(stopped.proc.pid, signal.SIGSTOP)
+    try:
+        start = time.monotonic()
+        with pytest.raises(HelperError, match=r"stopped answering \(exit status -9\)"):
+            _step_arrays(model, batch)
+        assert time.monotonic() - start < 10
+    finally:
+        if cells._helper is stopped:  # kills it
+            cells._stop_helper(stopped)
+    assert stopped.proc.returncode == -signal.SIGKILL and cells._helper is None
+    _assert_same_bits(_step_arrays(model, batch), want)
+    assert cells._helper is not stopped
+
+
 def test_concurrent_callers_get_their_own_results(two_cpus):
     # Four callers, more than the two CPUs, share the one helper; a short
     # switch interval interleaves them often.
@@ -433,13 +457,14 @@ def test_scoring_runs_one_direction_here_on_two_cpus(cpus, here, monkeypatch):
     model, batch = _model_and_batch("clstm", 4, 6, 3, rows=3, n_steps=5, seed=3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     calls = []
-    real = cells.final_state
+    real = cells._run
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("reverse", False))
+    def counted(*args, **kwargs):  # each kernel run's ``reverse``
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("reverse",
+                                                                                 False))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cells, "final_state", counted)
+    monkeypatch.setattr(cells, "_run", counted)
     model.predict_batch(batch)
     assert calls == [False, True][:here]
 

@@ -12,9 +12,10 @@ from ``src/`` of the checkout it sits in:
 
 Each line names a configuration and the digest of, in order: the value of
 ``recurrence`` (one direction) or ``recurrence_pair`` (two), every
-gradient of that node (E's ``RowSparse`` ids and rows, then w, u, b and
-the initial states of each direction), and each direction's (c, h) from
-``final_states``, the scoring entry.  The configurations cover rnn,
+gradient of that node (E's ``RowSparse`` ids and rows, then w, u and b of
+each direction, and the initial state of a one-direction run; a pair
+starts from zero), and each direction's c_T and h_T from the value that
+``final_states``, the scoring entry, gives.  The configurations cover rnn,
 lstm, cifg and clstm (K = 1 and 3), one direction or a pair, bias on or
 off, B in {1, 7, 32} at a small shape and B = 128 at the preset shape
 (d=50, H=120), T in {1, 8, 9, 10, 15, 16, 17, 35, 36, 37} (S^2 - 1, S^2
@@ -120,25 +121,24 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0, rate_bias=N
     tape = Tape()
     bound = [bind_params(tape, p) for p in params]
     E = tape.leaf(source)
-    runs = [(b, None if c0 is None else tape.leaf(c0), tape.leaf(h0))
-            for (b, _), (c0, h0) in zip(bound, states)]
-    if pair:
-        node = recurrence_pair(E, ids, m, *runs)
+    if pair:  # from zero; the drawn states keep the draws of the readout
+        node, initial = recurrence_pair(E, ids, m, *(b for b, _ in bound)), []
     else:
-        node = recurrence(runs[0][0], E, ids, *runs[0][1:], m)
+        c0, h0 = states[0]
+        initial = [None if c0 is None else tape.leaf(c0), tape.leaf(h0)]
+        node = recurrence(bound[0][0], E, ids, *initial, m)
     grads = backward(tape, _readout(node, readout))
     sha = hashlib.sha256(node.value.tobytes())
-    leaves = [E] + [v for (_, leaves), (_, c0, h0) in zip(bound, runs)
-                    for v in (*leaves.values(), c0, h0) if v is not None]
+    leaves = [E] + [v for _, leaves in bound for v in leaves.values()] + initial
+    leaves = [v for v in leaves if v is not None]
     for v in leaves:
         g = grads[v.nid]
         parts = (g.ids, g.rows) if isinstance(g, RowSparse) else (np.asarray(g),)
         for a in parts:
             sha.update(a.tobytes())
-    for state in final_states(params, source, ids, m):
-        for a in state:
-            if a is not None:
-                sha.update(a.tobytes())
+    for v in final_states(params, source, ids, m):
+        for a in ([] if kind == "rnn" else [v[:, :H]]) + [v[:, -H:]]:  # c_T, h_T
+            sha.update(a.tobytes())
     return sha.hexdigest()
 
 
