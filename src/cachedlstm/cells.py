@@ -27,17 +27,19 @@ c.  Its input is a row source E, such as the embedding matrix, and a T x B
 array of row ids: step t reads the rows E[ids[t]], which it gathers
 itself.  Its mask is a B x T {0, 1} array laid out as ``data.pad_batch``
 lays it out, the only layout it takes: each row's real steps come first,
-then its padding.  A reverse run (the second direction of
-``recurrence_pair``) reads the steps last first, so its rows' real steps
-start late and all end at its last step; the kernel builds that from the
-same mask.  The single-step functions run it at T = 1.
+then its padding.  It starts from the zero state, as ``recurrence_pair``
+and ``final_state`` do; only the single-step functions, which run the
+kernel at T = 1 through ``_recurrence``, carry a state into it.  A reverse
+run, which only the second direction of a pair makes (``_second``), reads
+the steps last first, so its rows' real steps start late and all end at
+its last step; the kernel builds that from the same mask.
 
 One kernel, ``_run``, runs every recurrent pass on arrays, and it alone
 calls the step function, ``_step``: ``recurrence`` runs it on the values
 of its Vars and keeps the history its VJP needs; ``final_state`` runs it
-from a zero state without a tape or history, and keeps only the carried
-state, for scoring (``final_states`` runs it for each direction of a
-model); and the helper process (below) runs it on the arrays it receives.
+without a tape or history, and keeps only the carried state, for scoring
+(``final_states`` runs it for each direction of a model); and the helper
+process (below) runs it on the arrays it receives.
 So training and scoring make the same products in the same column order
 and at the same widths.
 
@@ -257,13 +259,13 @@ def ClstmParams(n_groups, w_r, w_o, w_c, u_r, u_o, u_c, b_r=None, b_o=None,
 
 @dataclass
 class CellState:
-    """Memory and hidden state, B x H each; ``c`` is None for the plain RNN.
+    """Memory and hidden state of a gated cell, B x H each.
 
     Group k (1-based) of a K-group state occupies columns
     [(k-1)*H/K, k*H/K).
     """
 
-    c: Var | None
+    c: Var
     h: Var
     n_groups: int = 1
 
@@ -279,12 +281,10 @@ class ForgetRates:
     n_groups: int
 
 
-def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1,
-               with_memory: bool = True) -> CellState:
-    """All-zero initial state at t=0."""
-    z = tape.leaf(np.zeros((batch, hidden)))
-    c = tape.leaf(np.zeros((batch, hidden))) if with_memory else None
-    return CellState(c=c, h=z, n_groups=n_groups)
+def zero_state(tape: Tape, batch: int, hidden: int, n_groups: int = 1) -> CellState:
+    """All-zero initial state at t=0, as two leaves of ``tape``."""
+    h = tape.leaf(np.zeros((batch, hidden)))
+    return CellState(c=tape.leaf(np.zeros((batch, hidden))), h=h, n_groups=n_groups)
 
 
 def _band(hidden: int, n_groups: int, batch: int) -> tuple:
@@ -461,11 +461,14 @@ def _run(p: CellParams, source: np.ndarray, ids, c0, h0, mask=None, reverse: boo
          history: bool = False) -> tuple:
     """(value, vjp, acts): the cell run over the rows source[ids[t]], on arrays.
 
-    ``p`` holds arrays, ``ids`` is T x B and (c0, h0) are B x H arrays, or
-    both None for the zero state; c0 is None for rnn.  ``mask`` and
-    ``reverse`` are as in ``recurrence`` and ``final_state``.  The value is
-    the final state, row-batched in input order: [c_T | h_T], B x 2H, or
-    h_T, B x H, for rnn.  With ``history`` the run keeps ``acts``, the list
+    ``p`` holds arrays, ``ids`` is T x B and ``mask`` is as in
+    ``recurrence``.  (c0, h0) are both None for the zero state, or B x H
+    arrays, which only the single-step functions give (through
+    ``_recurrence``); c0 is None for rnn.  With ``reverse`` the run reads
+    ids[T-1] first, and so each row's padding before its real steps; only
+    ``_second`` runs one.  The value is the final state, row-batched in
+    input order: [c_T | h_T], B x 2H, or h_T, B x H, for rnn.  With
+    ``history`` the run keeps ``acts``, the list
     of its G*H x b activation slabs, first step of the run first, and a
     checkpoint of the carried c every S = ceil(sqrt(T)) steps, and ``vjp``
     maps the value's gradient to those of source (one ``RowSparse``), w, u,
@@ -638,35 +641,33 @@ def _vjp(p: CellParams, source, run_ids, perm, widths, init, given: bool, band, 
     return vjp
 
 
-def final_state(p: CellParams, source: np.ndarray, ids, mask=None,
-                reverse: bool = False) -> np.ndarray:
+def final_state(p: CellParams, source: np.ndarray, ids, mask=None) -> np.ndarray:
     """The final state of the cell over E[ids[t]], without a tape: [c_T | h_T], or h_T for rnn.
 
     ``source`` is the row source E as an array, ``ids`` a T x B array of its
     row ids and ``mask`` None or a B x T {0, 1} array with each row's real
-    steps first, as in ``recurrence``; with ``reverse`` the run reads
-    ids[T-1] first, and so each row's padding before its real steps.  It is
-    the kernel of ``recurrence`` from a zero state, which keeps only the
-    carried state, so memory does not grow with T.  The value, B x 2H (B x H
-    for rnn) in input order, equals the value of ``recurrence`` bit for
-    bit.  An empty sequence (T = 0) raises ValueError.
+    steps first, as in ``recurrence``.  It is the kernel of ``recurrence``
+    from the zero state, which keeps only the carried state, so memory does
+    not grow with T.  The value, B x 2H (B x H for rnn) in input order,
+    equals the value of ``recurrence`` bit for bit.  An empty sequence
+    (T = 0) raises ValueError.
     """
-    return _run(p, source, ids, None, None, mask, reverse)[0]
+    return _run(p, source, ids, None, None, mask)[0]
 
 
 def _recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
-                mask: np.ndarray | None = None, reverse: bool = False) -> tuple:
-    """The kernel behind ``recurrence``: ``_run`` with history on the Vars' values.
+                mask: np.ndarray | None = None) -> tuple:
+    """The kernel behind ``recurrence`` and the single-step functions: ``_run`` with
+    history on the Vars' values.
 
     Returns (value, parents, vjp, acts): the final state B x 2H (B x H for
     rnn), the Vars it depends on, the VJP from its gradient to one gradient
     per parent, and the list of the run's G*H x b activation slabs.  It
-    records nothing.  (None, None) is the zero state, which is no parent.
-    With ``reverse`` the run reads ids last step first; E's gradient rows
-    are still listed by step in ids.
+    records nothing.  (None, None) is the zero state, which is no parent;
+    only the single-step functions pass a state.
     """
     states = [None if v is None else v.value for v in (c0, h0)]
-    value, vjp, acts = _run(_values(p), E.value, ids, *states, mask, reverse, history=True)
+    value, vjp, acts = _run(_values(p), E.value, ids, *states, mask, history=True)
     return value, [E] + _parents(p, c0, h0), vjp, acts
 
 
@@ -942,9 +943,8 @@ def _answer(op: str, call: int, cell, arrays: list, vjps: dict) -> list:
     return [value]
 
 
-def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
-               mask: np.ndarray | None = None) -> Var:
-    """Run the cell over the rows E[ids[t]], t = 0 .. T-1, as one tape node.
+def recurrence(p: CellParams, E: Var, ids, mask: np.ndarray | None = None) -> Var:
+    """Run the cell over the rows E[ids[t]], t = 0 .. T-1, from the zero state, as one tape node.
 
     E is a row source Var of width d and ``ids`` a T x B array of its row
     ids; an id outside E's rows raises IndexError.  The node's value is the
@@ -959,16 +959,14 @@ def recurrence(p: CellParams, E: Var, ids, c0: Var | None, h0: Var | None,
     each step on the rows real there (see the module docstring), and
     answers in input order.  Gradients flow to E as one ``RowSparse`` over
     the real positions, last step first (``ids[::-1].ravel()`` when no row
-    is padded), to w, u and b, and to the initial state (c0 is None for
-    rnn).  (c0, h0) = (None, None) is the zero state: the kernel starts
-    from a read-only broadcast of 0.0, the node lists no initial state
-    among its parents, and its VJP makes no gradient for one, with the
-    bits of a run from zero leaves otherwise.
-    The node's VJP overwrites the activations that the kernel keeps with
-    their gradients, so a second backward pass through it raises
-    RuntimeError.
+    is padded), and to w, u and b.  The zero state is a read-only
+    broadcast of 0.0 that the kernel makes: the node lists no initial state
+    among its parents, and its VJP makes no gradient for one, with the bits
+    of a run from zero leaves otherwise.  The node's VJP overwrites the
+    activations that the kernel keeps with their gradients, so a second
+    backward pass through it raises RuntimeError.
     """
-    return record(*_recurrence(p, E, ids, c0, h0, mask)[:3])
+    return record(*_recurrence(p, E, ids, None, None, mask)[:3])
 
 
 def recurrence_pair(E: Var, ids, mask, first: CellParams, second: CellParams) -> Var:
@@ -979,7 +977,7 @@ def recurrence_pair(E: Var, ids, mask, first: CellParams, second: CellParams) ->
     reads ids last step first, so its rows' real steps start late and all
     end at its last step.  The value, [final_1 | final_2], and the
     gradients equal those of a ``recurrence`` over (ids, mask) and of the
-    same kernel run with ``reverse``, bit for bit; E gets one
+    kernel, ``_run``, with ``reverse``, bit for bit; E gets one
     ``RowSparse`` whose rows are the sums of the two directions'.  When the
     process may use two CPUs, the second direction's kernel, and later its
     VJP, run in the helper process while this one runs the first's; this
@@ -1078,7 +1076,7 @@ def final_states(cells: tuple, source: np.ndarray, ids, mask=None) -> list:
     """Each direction's ``final_state`` over one (source, ids, mask), for scoring.
 
     ``cells`` holds one or two CellParams of arrays; the second direction
-    reads ids last step first (``reverse``), and runs in the helper
+    reads ids last step first (``_run``'s ``reverse``), and runs in the helper
     process while this one runs the first when the process may use two
     CPUs (``_second``); the helper keeps nothing once it has answered.
     Each value is the direction's B x S final state, [c_T | h_T] or h_T,

@@ -22,12 +22,14 @@ unidirectional run is a ``cells.recurrence`` node whose value is its final
 carried state; a bidirectional run is a ``cells.recurrence_pair`` node
 holding both directions' final states, and E gets the sum of their
 gradients.  Each run starts from the zero state, which the kernel makes
-itself (a pair takes no initial state), so the tape holds no zero leaves
-and the node no initial-state parents.  The representation is one more
-node over the encoder's node, which copies each direction's slowest group
-of h out of it.  Padded positions are not computed: a row's state passes
-its masked steps unchanged, so padding steps are bit-neutral to the final
-state.
+itself (no kernel entry takes an initial state), so the tape holds no
+zero leaves and the node no initial-state parents.  An encoder hands back
+that one node.  ``representation`` cuts each direction's slowest group of
+h out of the final states, for scoring from ``cells.final_states``'
+arrays and, as one more node over the encoder's node
+(``doc_representation``), for training.  Padded positions are not
+computed: a row's state passes its masked steps unchanged, so padding
+steps are bit-neutral to the final state.
 
 The bag-of-words encoder (tanh of the sum of token vectors) shares the same
 classifier head and serves as the non-recurrent baseline.
@@ -47,7 +49,6 @@ from .autodiff import (
     bounded_tanh,
     record,
     row_ids,
-    slice_cols,
     softmax,
     stack_steps,
 )
@@ -107,24 +108,11 @@ class EncodedSequence:
     after the last token, B x S: [c_T | h_T], or h_T alone for rnn, so h_T
     is its last H columns; bidirectional, it is [final_fwd | final_bwd],
     B x 2S, where final_bwd is the reverse run's final state, which has read
-    the tokens last to first.  ``fwd`` and ``bwd`` are the directions' final
-    states, views named like ``cells.CellParams``' gate views: ``fwd`` is
-    ``final`` itself for one direction, where ``bwd`` is None, and for two
-    each is a column half of ``final``, recorded as a slice node when read.
+    the tokens last to first.
     """
 
     cfg: EncoderConfig
     final: Var
-
-    def __getattr__(self, name: str):
-        runs = ("fwd", "bwd")
-        if name not in runs or "final" not in self.__dict__:
-            raise AttributeError(name)
-        final, k = self.final, runs.index(name)
-        S = final.cols // len(_starts(self.cfg, final))
-        if S == final.cols:
-            return None if k else final
-        return slice_cols(final, k * S, (k + 1) * S)
 
 
 def _inputs(xs, mask) -> tuple:
@@ -157,7 +145,7 @@ def encode_forward(cfg: EncoderConfig, params, xs, mask=None) -> EncodedSequence
     """
     E, ids, mask = _inputs(xs, mask)
     _check(cfg, params)
-    return EncodedSequence(cfg, recurrence(params, E, ids, None, None, mask))
+    return EncodedSequence(cfg, recurrence(params, E, ids, mask))
 
 
 def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
@@ -177,36 +165,37 @@ def encode_bidirectional(cfg: EncoderConfig, fwd_params, bwd_params, xs,
     return EncodedSequence(cfg, recurrence_pair(E, ids, mask, fwd_params, bwd_params))
 
 
-def _starts(cfg: EncoderConfig, final: Var) -> range:
-    """The first column of each direction's h_T in an encoder's final state."""
-    S = (1 + (cfg.cell_kind != "rnn")) * cfg.H  # [c_T | h_T], or h_T
-    return range(S - cfg.H, final.cols, S)
+def representation(cfg: EncoderConfig, finals) -> np.ndarray:
+    """The document representation, B x rep_width, from each direction's final state.
+
+    ``finals`` lists the directions' B x S final states, [c_T | h_T] or h_T
+    alone for rnn, so h_T is each one's last H columns.  The representation
+    is the slowest group of each h_T, its first H/K columns, side by side.
+    """
+    return np.concatenate([v[:, -cfg.H:][:, :cfg.group_size] for v in finals], axis=1)
 
 
 def doc_representation(enc: EncodedSequence) -> Var:
-    """Slowest-group final hidden state; both directions when bidirectional.
+    """``representation`` of an encoder's final state, as one tape node over it.
 
     Width H/K, or 2H/K bidirectional.  With K = 1 this is the whole final
-    hidden state, matching the usual last-state representation.  It is one
-    tape node over the encoder's node.  Bidirectional, its VJP writes the
-    gradient into one zero array of the pair's shape, each block plus 0.0,
-    as the sum of the two directions' slice gradients made it (so a -0.0
-    arrives as 0.0).
+    hidden state, matching the usual last-state representation.  Its VJP
+    writes the gradient into one zero array of the final state's shape,
+    each entry plus 0.0, as the sum of the two directions' slice gradients
+    made it for a pair, so a -0.0 arrives as 0.0 for one direction or two.
     """
-    final, width = enc.final, enc.cfg.group_size
-    starts = _starts(enc.cfg, final)
-    if len(starts) == 1:
-        return slice_cols(final, starts[0], starts[0] + width)
+    cfg, final = enc.cfg, enc.final
+    runs = final.cols // ((1 + (cfg.cell_kind != "rnn")) * cfg.H)  # S = 2H, or H for rnn
+    # The representation's columns of the final state, as ``representation`` cuts them.
+    cols = representation(cfg, np.split(np.arange(final.cols)[None], runs, axis=1))[0]
     shape = final.shape
 
     def vjp(g):
         full = np.zeros(shape)
-        for k, start in enumerate(starts):
-            np.add(g[:, k * width:(k + 1) * width], 0.0, out=full[:, start:start + width])
+        full[:, cols] = g + 0.0
         return (full,)
 
-    value = np.concatenate([final.value[:, s:s + width] for s in starts], axis=1)
-    return record(value, [final], vjp)
+    return record(representation(cfg, np.split(final.value, runs, axis=1)), [final], vjp)
 
 
 @dataclass

@@ -71,7 +71,7 @@ def encoder_gradcheck(kind: str, n_groups: int, hidden: int, width: int,
         xs = [tape.leaf(a) for a in xs_arr]
         mask = None if mask_arr is None else [tape.leaf(m) for m in mask_arr]
         runs = [encode_forward(cfg, bound, xs[:t + 1],
-                               mask=None if mask is None else mask[:t + 1]).fwd
+                               mask=None if mask is None else mask[:t + 1]).final
                 for t in range(n_steps)]
         loss = _readout(runs, readouts)
         grads = backward(tape, loss)

@@ -31,6 +31,7 @@ from .encoder import (
     encode_bidirectional,
     encode_forward,
     init_classifier,
+    representation,
 )
 
 MODEL_KINDS = ("cbow",) + CELL_KINDS
@@ -189,7 +190,9 @@ class DocModel:
         ``forward_batch`` and keep only each direction's carried state.  A
         bidirectional model's second direction runs in the helper process
         while this one runs the first, when the process may use two CPUs
-        (``cells.final_states``).  The result equals
+        (``cells.final_states``).  ``encoder.representation`` cuts the
+        representation out of their final states, as ``doc_representation``
+        does in training, so the result equals
         ``forward_batch(Tape(), batch)[0].value`` bit for bit.
         """
         cfg = self.config
@@ -199,9 +202,7 @@ class DocModel:
         if cfg.kind == "cbow":
             rep = cbow_vector(emb, ids, mask)
         else:
-            width = cfg.H // cfg.K  # the slowest group of the final h, the last H columns
-            rep = np.concatenate([v[:, -cfg.H:][:, :width]
-                                  for v in final_states(self.cells, emb, ids, mask)], axis=1)
+            rep = representation(cfg.encoder_config(), final_states(self.cells, emb, ids, mask))
         return class_probabilities(rep, self.clf.w, self.clf.b)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:

@@ -6,11 +6,35 @@ loss.  The tests build the same computations from the ops below and
 compare values and gradients.  Each op is an ``autodiff.record`` node with
 the VJP of its elementary operation, and each is checked against central
 differences in ``test_tape_ops``.  ``op_check`` is that check.
+
+``run_kernel`` is no op: it runs the library's recurrent kernel from a
+given state or in reverse, which the tests check and no public entry does.
 """
 
 import numpy as np
 
-from cachedlstm.autodiff import Tape, backward, bounded_tanh, grad_check, logistic, record, softmax
+from cachedlstm import cells
+from cachedlstm.autodiff import (Tape, Var, backward, bounded_tanh, grad_check, logistic, record,
+                                 softmax)
+
+
+def run_kernel(p, E, ids, c0=None, h0=None, mask=None, reverse=False):
+    """The kernel ``cells._run`` over the rows E[ids[t]], from (c0, h0), or in reverse.
+
+    The library's entries start from the zero state, (c0, h0) = (None,
+    None), and only a pair's second direction runs in reverse (reading ids
+    last step first).  With E a Var and p a cell of Vars this is one tape
+    node, recorded as ``cells.recurrence`` records its run, whose VJP also
+    gives the gradients of the initial state's Vars; with E an array and p
+    a cell of arrays it is the final state, as ``cells.final_state`` gives
+    it.
+    """
+    if not isinstance(E, Var):
+        return cells._run(p, E, ids, c0, h0, mask, reverse)[0]
+    states = [None if v is None else v.value for v in (c0, h0)]
+    value, vjp, _ = cells._run(cells._values(p), E.value, ids, *states, mask, reverse,
+                               history=True)
+    return record(value, [E] + cells._parents(p, c0, h0), vjp)
 
 
 def matmul(a, b):

@@ -168,12 +168,11 @@ class TestRowSparseGradients:
             else:
                 source = stack_steps([take_rows(a, ids[t]) for t in range(4)])
                 step_ids = np.arange(12).reshape(4, 3)
-            runs = [(bind_params(tape, p)[0], tape.leaf(np.zeros((3, 4))),
-                     tape.leaf(np.zeros((3, 4)))) for p in params]
+            cells = [bind_params(tape, p)[0] for p in params]
             if encoder == "recurrence":
-                node = recurrence(runs[0][0], source, step_ids, *runs[0][1:])
+                node = recurrence(cells[0], source, step_ids)
             elif encoder == "recurrence_pair":
-                node = recurrence_pair(source, step_ids, None, *(p for p, _, _ in runs))
+                node = recurrence_pair(source, step_ids, None, *cells)
             else:
                 node = cbow_encode(source, step_ids, np.ones((3, 4)))
             g = backward(tape, sum_all(mul(node, tape.leaf(readout))))[a.nid]

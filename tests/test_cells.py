@@ -22,10 +22,9 @@ from cachedlstm.cells import (
     init_params,
     lstm_step,
     named_tensors,
-    recurrence,
     zero_state,
 )
-from tape_ops import mul, sum_all
+from tape_ops import mul, run_kernel, sum_all
 
 
 def _sigmoid(x):
@@ -199,7 +198,7 @@ class TestClosedForms:
         h_arr = rng.normal(size=(B, H))
         tape = Tape()
         bound, _ = bind_params(tape, p)
-        h2 = recurrence(bound, tape.leaf(x_arr), [np.arange(B)], None, tape.leaf(h_arr))
+        h2 = run_kernel(bound, tape.leaf(x_arr), [np.arange(B)], None, tape.leaf(h_arr))
         want = np.tanh(x_arr @ p.w.T + h_arr @ p.u.T + p.b[:, 0])
         np.testing.assert_allclose(h2.value, want, atol=1e-12)
 
@@ -306,7 +305,7 @@ class TestGradientsThroughSteps:
             if kind == "rnn":
                 h = tape.leaf(np.zeros((B, H)))
                 for x in xs:
-                    h = recurrence(bound, tape.leaf(x), [np.arange(B)], None, h)
+                    h = run_kernel(bound, tape.leaf(x), [np.arange(B)], None, h)
                 out = h
             else:
                 st = zero_state(tape, B, H, n_groups=K)

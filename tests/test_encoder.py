@@ -97,9 +97,9 @@ class TestForwardUnroll:
         for x in xs:
             st = lstm_step(bound, x, st)
         # The node holds the final state [c_T | h_T] only.
-        assert enc.fwd.shape == (B, 2 * H)
-        np.testing.assert_array_equal(enc.fwd.value[:, H:], st.h.value)
-        np.testing.assert_array_equal(enc.fwd.value[:, :H], st.c.value)
+        assert enc.final.shape == (B, 2 * H)
+        np.testing.assert_array_equal(enc.final.value[:, H:], st.h.value)
+        np.testing.assert_array_equal(enc.final.value[:, :H], st.c.value)
 
     def test_empty_sequence_rejected(self):
         cfg = EncoderConfig(cell_kind="rnn", d=3, H=4, C=2)
@@ -145,7 +145,7 @@ class TestMasking:
             xs.append(tape.leaf(step))
             mask.append(tape.leaf(m))
         # The padded batch's final state after each prefix of t + 1 steps.
-        finals = [encode_forward(cfg, bound, xs[:t + 1], mask=mask[:t + 1]).fwd.value
+        finals = [encode_forward(cfg, bound, xs[:t + 1], mask=mask[:t + 1]).final.value
                   for t in range(T)]
 
         # Each row alone, no padding.
@@ -153,7 +153,7 @@ class TestMasking:
             tape2 = Tape()
             bound2, _ = bind_params(tape2, p)
             xs2 = [tape2.leaf(row[t:t + 1]) for t in range(lengths[i])]
-            solo = encode_forward(cfg, bound2, xs2).fwd.value
+            solo = encode_forward(cfg, bound2, xs2).final.value
             assert solo.shape == (1, H if kind == "rnn" else 2 * H)
             last = lengths[i] - 1
             for t in (last, T - 1):  # padding steps carry the final state
@@ -188,9 +188,9 @@ class TestBidirectional:
         tape2 = Tape()
         bb2, _ = bind_params(tape2, pb)
         rev = encode_forward(uni, bb2, [tape2.leaf(a) for a in reversed(arrays)])
-        # The reverse node holds the reverse run's final state [c_T | h_T].
-        assert enc.bwd.shape == (B, 2 * H)
-        np.testing.assert_array_equal(enc.bwd.value, rev.fwd.value)
+        # The pair's second half holds the reverse run's final state [c_T | h_T].
+        assert enc.final.shape == (B, 2 * 2 * H)
+        np.testing.assert_array_equal(enc.final.value[:, 2 * H:], rev.final.value)
 
 
 class TestDocRepresentation:
@@ -204,7 +204,7 @@ class TestDocRepresentation:
         rep = doc_representation(enc)
         assert rep.shape == (2, 2)
         # Group 1 of h_T, which follows c_T in the 16-wide final state.
-        np.testing.assert_array_equal(rep.value, enc.fwd.value[:, 8:10])
+        np.testing.assert_array_equal(rep.value, enc.final.value[:, 8:10])
 
     def test_bidirectional_width(self):
         rng = np.random.default_rng(36)
@@ -217,31 +217,37 @@ class TestDocRepresentation:
         enc = encode_bidirectional(cfg, bf, bb, _embed(tape, rng, 4, 2, 3))
         rep = doc_representation(enc)
         assert rep.shape == (2, 4)
-        np.testing.assert_array_equal(rep.value[:, 2:], enc.bwd.value[:, 6:8])
+        # Group 1 of the second direction's h_T, in its 12-wide half of the final state.
+        np.testing.assert_array_equal(rep.value[:, 2:], enc.final.value[:, 12 + 6:12 + 8])
 
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("kind", ["rnn", "clstm"])
-    def test_bidirectional_node_has_the_bits_of_the_slices_it_replaced(self, kind):
-        # One node in place of two direction slices, two group slices and a
-        # concatenation.  Their gradient summed each block with 0.0, so a
-        # -0.0 arrives at the pair as 0.0, and so it must here.
+    def test_bidirectional_node_has_the_bits_of_the_slices_it_replaced(self, kind, runs):
+        # One node in place of the slices of each direction's group 1 and,
+        # for two, the direction slices and a concatenation.  Two direction
+        # slices' gradients summed each block with 0.0, so a -0.0 arrived
+        # at the pair as 0.0; the node's gradient is the slices' plus 0.0,
+        # so a -0.0 arrives as 0.0 for one direction too.
         H, K = 6, 3 if kind == "clstm" else 1
-        cfg = EncoderConfig(cell_kind=kind, d=3, H=H, K=K, C=2, bidirectional=True)
+        cfg = EncoderConfig(cell_kind=kind, d=3, H=H, K=K, C=2, bidirectional=runs == 2)
         S, width = (2 * H if kind == "clstm" else H), H // K
         rng = np.random.default_rng(37)
-        weight = rng.normal(size=(3, 2 * width))
-        weight[0, 0], weight[1, width], weight[2, 1] = -0.0, -0.0, 0.0
+        weight = rng.normal(size=(3, runs * width))
+        weight[0, 0], weight[1, (runs - 1) * width], weight[2, 1] = -0.0, -0.0, 0.0
         out = []
         for composed in (False, True):
             tape = Tape()
-            final = tape.leaf(rng.normal(size=(3, 2 * S)) if not out else out[0][2])
+            final = tape.leaf(rng.normal(size=(3, runs * S)) if not out else out[0][2])
             if composed:
-                halves = [slice_cols(final, k * S, (k + 1) * S) for k in (0, 1)]
+                halves = ([slice_cols(final, k * S, (k + 1) * S) for k in (0, 1)] if runs == 2
+                          else [final])
                 rep = concat_cols([slice_cols(v, S - H, S - H + width) for v in halves])
             else:
                 rep = doc_representation(EncodedSequence(cfg, final))
                 assert len(tape) == 2  # the leaf and one node
             grads = backward(tape, sum_all(mul(rep, tape.leaf(weight))))
-            out.append((rep.value, grads[final.nid], final.value))
+            out.append((rep.value, grads[final.nid] + 0.0 if composed else grads[final.nid],
+                        final.value))
         for a, b in zip(*out):
             assert a.tobytes() == b.tobytes()
         assert np.signbit(out[0][1]).sum() == np.signbit(weight).sum() - 2
@@ -342,7 +348,7 @@ class TestGradientsThroughEncoder:
         from cachedlstm.autodiff import slice_cols
 
         # Group 1 of h_T in the final state [c_T | h_T], 8 wide.
-        loss2 = sum_all(mul(slice_cols(enc2.fwd, 4, 6), tape2.leaf(weight)))
+        loss2 = sum_all(mul(slice_cols(enc2.final, 4, 6), tape2.leaf(weight)))
         grads2 = backward(tape2, loss2)
         for name in leaves:
             np.testing.assert_array_equal(grads[leaves[name].nid],

@@ -2,14 +2,15 @@
 
 ``composed_run`` builds the same computation from elementary tape ops, one
 node per operation and step, and lays every step's [c_t | h_t] side by
-side.  ``cells.recurrence`` records only the final state, so
-``kernel_run`` lays out the final states of the runs over each prefix
-xs[:t+1] the same way.  Values and gradients for every input must agree.
-The per-op graph is built from the ops of ``tape_ops``.  A reverse run,
-the second direction of ``cells.recurrence_pair``, reads a padded batch
-last step first, so its rows' real steps start late: the kernel builds it
-from the batch's own mask, and the composed graph runs over the reversed
-steps with the mask's columns reversed.
+side.  The kernel records only the final state, so ``kernel_run`` lays
+out the final states of the runs over each prefix xs[:t+1] the same way,
+each from the same initial state (``tape_ops.run_kernel``).  Values and
+gradients for every input, the initial state's too, must agree.  The
+per-op graph is built from the ops of ``tape_ops``.  A reverse run, the
+second direction of ``cells.recurrence_pair``, reads a padded batch last
+step first, so its rows' real steps start late: the kernel builds it from
+the batch's own mask, and the composed graph runs over the reversed steps
+with the mask's columns reversed.
 """
 
 import tracemalloc
@@ -17,16 +18,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cachedlstm.autodiff import (ShapeError, Tape, backward, bounded_tanh, record, slice_cols,
-                                 stack_steps)
-from cachedlstm.cells import (GATES, _recurrence, bind_params, final_state, init_params,
+from cachedlstm.autodiff import ShapeError, Tape, backward, bounded_tanh, slice_cols, stack_steps
+from cachedlstm.cells import (GATES, bind_params, final_state, final_states, init_params,
                               recurrence, recurrence_pair)
 from cachedlstm.data import Batch, Document, build_vocab
 from cachedlstm.encoder import (EncoderConfig, cbow_encode, encode_bidirectional,
                                 encode_forward)
 from cachedlstm.model import ModelConfig, build_model
 from tape_ops import (add, add_const, add_rowvec, concat_cols, matmul, mul, mul_colvec, mul_const,
-                      sigmoid, sub_from_one, sum_all, tanh_, transpose)
+                      run_kernel, sigmoid, sub_from_one, sum_all, tanh_, transpose)
 
 CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 2),
          ("clstm", 3)]
@@ -96,9 +96,8 @@ def kernel_run(p, xs, c0, h0, mask, reverse=False):
     T, finals = len(xs), []
     for t in range(T):
         lo, hi = (T - 1 - t, T) if reverse else (0, t + 1)
-        args = (p, *_steps(xs[lo:hi]), c0, h0, None if mask is None else mask[:, lo:hi])
-        finals.append(record(*_recurrence(*args, reverse=True)[:3]) if reverse
-                      else recurrence(*args))
+        finals.append(run_kernel(p, *_steps(xs[lo:hi]), c0, h0,
+                                 None if mask is None else mask[:, lo:hi], reverse))
     return concat_cols(finals)
 
 
@@ -198,7 +197,7 @@ def test_vjp_raises_on_a_second_call():
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 3, 6, n_groups=2, seed=0))
     E, ids = _steps([tape.leaf(np.ones((2, 3))) for _ in range(3)])
-    run = recurrence(bound, E, ids, tape.leaf(np.zeros((2, 6))), tape.leaf(np.zeros((2, 6))))
+    run = recurrence(bound, E, ids)
     loss = sum_all(run)
     backward(tape, loss)
     with pytest.raises(RuntimeError, match="already run"):
@@ -226,8 +225,7 @@ def test_empty_or_ragged_steps_are_rejected(kind, entry, rows, error, message):
         else:
             E, ids = ((tape.leaf(np.ones((4, 3))), empty) if rows is None
                       else _steps([tape.leaf(np.ones((n, 3))) for n in rows]))
-            c0 = None if kind == "rnn" else tape.leaf(np.zeros((2, 6)))
-            recurrence(bound, E, ids, c0, tape.leaf(np.zeros((2, 6))))
+            recurrence(bound, E, ids)
 
 
 def test_masked_steps_carry_state():
@@ -244,10 +242,9 @@ def test_kernel_is_one_node():
     tape = Tape()
     bound, _ = bind_params(tape, init_params("clstm", 5, 6, n_groups=3, seed=5, use_bias=True))
     E, ids = _steps([tape.leaf(np.ones((4, 5))) for _ in range(7)])
-    state = [tape.leaf(np.zeros((4, 6))) for _ in range(2)]
-    before = len(tape)  # w, u, b, 7 inputs, their stack, c0 and h0
-    recurrence(bound, E, ids, *state)
-    assert (before, len(tape)) == (3 + 7 + 1 + 2, 3 + 7 + 1 + 2 + 1)
+    before = len(tape)  # w, u, b, 7 inputs and their stack
+    recurrence(bound, E, ids)
+    assert (before, len(tape)) == (3 + 7 + 1, 3 + 7 + 1 + 1)
     assert ref_nodes > 7 * 20
 
 
@@ -260,9 +257,7 @@ def test_value_is_the_final_state(kind):
     tape = Tape()
     bound, _ = bind_params(tape, params)
     xs_arr = [rng.normal(size=(B, d)) for _ in range(T)]
-    c0 = None if kind == "rnn" else tape.leaf(np.zeros((B, H)))
-    run = recurrence(bound, *_steps([tape.leaf(x) for x in xs_arr]), c0,
-                     tape.leaf(np.zeros((B, H))))
+    run = recurrence(bound, *_steps([tape.leaf(x) for x in xs_arr]))
     value = final_state(params, np.vstack(xs_arr), np.arange(T * B).reshape(T, B))
     assert run.shape == value.shape == (B, H if kind == "rnn" else 2 * H)
     assert run.value.tobytes() == value.tobytes()
@@ -319,8 +314,7 @@ def test_an_id_outside_the_source_is_rejected(encoder, bad):
     ids = np.array([[0, 5], [bad, 2]])
     params = init_params("lstm", 3, 4, seed=0)
     bound, _ = bind_params(tape, params)
-    run = (bound, tape.leaf(np.zeros((2, 4))), tape.leaf(np.zeros((2, 4))))
-    call = {"recurrence": lambda: recurrence(*run[:1], source, ids, *run[1:]),
+    call = {"recurrence": lambda: recurrence(bound, source, ids),
             "recurrence_pair": lambda: recurrence_pair(source, ids, None, bound, bound),
             "final_state": lambda: final_state(params, source.value, ids),
             "cbow_encode": lambda: cbow_encode(source, ids, np.ones((2, 2)))}[encoder]
@@ -335,10 +329,9 @@ def _encoders(tape, T=6, B=2):
     ids = np.zeros((T, B), dtype=np.int64)
     params = init_params("lstm", 3, 4, seed=0)
     bound, _ = bind_params(tape, params)
-    run = (bound, tape.leaf(np.zeros((B, 4))), tape.leaf(np.zeros((B, 4))))
     cfg = EncoderConfig("lstm", d=3, H=4)
     bi = EncoderConfig("lstm", d=3, H=4, bidirectional=True)
-    return {"recurrence": lambda m: recurrence(run[0], source, ids, *run[1:], m),
+    return {"recurrence": lambda m: recurrence(bound, source, ids, m),
             "recurrence_pair": lambda m: recurrence_pair(source, ids, m, bound, bound),
             "final_state": lambda m: final_state(params, source.value, ids, m),
             "encode_forward": lambda m: encode_forward(cfg, bound, (source, ids), m),
@@ -398,14 +391,14 @@ def test_a_full_mask_gives_the_bits_of_no_mask(kind, n_groups):
         E = tape.leaf(source)
         state = [None if kind == "rnn" else tape.leaf(np.zeros((B, H))),
                  tape.leaf(np.zeros((B, H)))]
-        one = recurrence(bound[0][0], E, ids, *state, mask)
+        one = run_kernel(bound[0][0], E, ids, *state, mask)
         pair = recurrence_pair(E, ids, mask, *(b for b, _ in bound))  # from zero
         grads = backward(tape, sum_all(mul(concat_cols([one, pair]),
                                            tape.leaf(np.hstack([readout[:, :one.cols],
                                                                 readout])))))
         leaves = [E] + [v for _, ls in bound for v in ls.values()] + state
         got = [one.value, pair.value] + [np.asarray(grads[v.nid]) for v in leaves if v is not None]
-        got += [final_state(p, source, ids, mask, reverse=k == 1) for k, p in enumerate(params)]
+        got += final_states(params, source, ids, mask)
         out.append(got)
     assert len(out[0]) == len(out[1])
     for a, b in zip(*out):
@@ -444,7 +437,7 @@ def _run_in_row_order(order, bidirectional, B=6, d=3, H=6, T=8, V=11):
     if bidirectional:  # a pair starts from zero
         node = recurrence_pair(E, ids[:, order], mask[order], bound[0][0], bound[1][0])
     else:
-        node = recurrence(bound[0][0], E, ids[:, order], c1, h1, mask[order])
+        node = run_kernel(bound[0][0], E, ids[:, order], c1, h1, mask[order])
     grads = backward(tape, sum_all(mul(node, tape.leaf(readout[order]))))
     back = np.argsort(order)
     out = {"value": node.value[back], "E": np.asarray(grads[E.nid])}
@@ -489,7 +482,7 @@ def test_kernel_keeps_only_activations_and_c_checkpoints():
                                                  rng.normal(size=(B, 2 * H))))
     tracemalloc.start()
     try:
-        backward(tape, sum_all(mul(recurrence(bound, source, ids, c0, h0), readout)))
+        backward(tape, sum_all(mul(run_kernel(bound, source, ids, c0, h0), readout)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -525,8 +518,7 @@ def test_padded_kernel_keeps_history_only_for_real_positions(layout):
                                                  rng.normal(size=(B, 2 * H))))
     tracemalloc.start()
     try:
-        run = record(*_recurrence(bound, source, ids, c0, h0, mask,
-                                  reverse=layout == "reverse")[:3])
+        run = run_kernel(bound, source, ids, c0, h0, mask, layout == "reverse")
         backward(tape, sum_all(mul(run, readout)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -559,7 +551,10 @@ def test_scoring_peak_is_one_steps_working_set(kind, reverse):
     mask = _mask(lengths, T)
     tracemalloc.start()
     try:
-        final_state(p, source, ids, mask, reverse=reverse)
+        if reverse:
+            run_kernel(p, source, ids, mask=mask, reverse=True)
+        else:
+            final_state(p, source, ids, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

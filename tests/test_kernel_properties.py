@@ -13,7 +13,9 @@ VJP rebuilds c.  The properties:
 - the value and every gradient agree within 1e-12 with the composed
   per-op tape of ``test_kernel`` (``_run_both``), over every prefix of the
   run; a reverse run against the composed tape over the reversed steps;
-- ``final_state`` gives the taped value, byte for byte, in each direction;
+- the kernel's scoring run (``final_state``, or ``tape_ops.run_kernel``
+  on arrays for a reverse run) gives the taped value, byte for byte, in
+  each direction;
 - ``recurrence_pair`` gives the values and gradients of two kernel runs
   from zero, the second in reverse, byte for byte, with and without the
   helper, and so does a rerun.
@@ -32,11 +34,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from tape_ops import concat_cols, mul, sum_all
+from tape_ops import concat_cols, mul, run_kernel, sum_all
 from test_kernel import _assert_match, _mask, _run_both
 
-from cachedlstm import cells
-from cachedlstm.autodiff import Tape, backward, record
+from cachedlstm.autodiff import Tape, backward
 from cachedlstm.cells import CELL_KINDS, bind_params, final_state, init_params, recurrence_pair
 
 KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100,
@@ -73,8 +74,9 @@ def _taped(run, helper, zero_start=False, order=None):
 
     With ``run["pair"]`` that is one ``recurrence_pair`` node and then a
     forward and a reverse kernel run side by side, else one kernel run,
-    in reverse for the "reverse" layout; also returns the parameters,
-    inputs and each direction's ``reverse``, for ``final_state``.  With
+    in reverse for the "reverse" layout (``tape_ops.run_kernel``); also
+    returns the parameters, inputs and each direction's ``reverse``, for
+    the scoring runs.  With
     ``helper`` the process may use two CPUs, so a pair runs its second
     direction in the helper process; without, one.  A pair, and the two
     runs it is checked against, start from the zero state; one direction's
@@ -126,8 +128,7 @@ def _taped(run, helper, zero_start=False, order=None):
             if paired:
                 node = recurrence_pair(E, ids, mask, *(b for b, _ in bound))
             else:
-                node = concat_cols([record(*cells._recurrence(*d[:1], E, ids, *d[1:], mask,
-                                                              reverse=r)[:3])
+                node = concat_cols([run_kernel(d[0], E, ids, *d[1:], mask, r)
                                     for d, r in zip(dirs, reverses)])
             grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         rows = [node] + [v for _, c0, h0 in dirs for v in (c0, h0) if v is not None]
@@ -135,6 +136,13 @@ def _taped(run, helper, zero_start=False, order=None):
         out.append([node.value[back]] + [np.asarray(grads[v.nid])[back] for v in rows[1:]]
                    + [np.asarray(grads[v.nid]) for v in shared])
     return out, inputs
+
+
+def _scored(p, source, ids, mask, reverse):
+    """A direction's final state from the scoring kernel: ``final_state``, or a reverse run."""
+    if reverse:
+        return run_kernel(p, source, ids, mask=mask, reverse=True)
+    return final_state(p, source, ids, mask)
 
 
 def _same_bytes(a, b):
@@ -157,7 +165,7 @@ def test_kernel_keeps_its_contract(run):
     n = len(params)
     for k, (p, reverse) in enumerate(zip(params, reverses)):
         half = value[:, k * value.shape[1] // n:(k + 1) * value.shape[1] // n]
-        assert half.tobytes() == final_state(p, source, ids, mask, reverse=reverse).tobytes()
+        assert half.tobytes() == _scored(p, source, ids, mask, reverse).tobytes()
     if run["pair"]:
         _same_bytes(taped[0], taped[1])  # recurrence_pair against two recurrences
         _same_bytes(taped[0], _taped(run, not run["helper"])[0][0])
@@ -173,9 +181,9 @@ def test_row_order_and_batch_mates_keep_a_rows_result(run, data):
     H = run["H"]
     parts = [slice(-H, None)] + ([] if run["kind"] == "rnn" else [slice(None, H)])  # h, c
     for p, reverse in zip(params, reverses):
-        batch = final_state(p, source, ids, mask, reverse=reverse)
+        batch = _scored(p, source, ids, mask, reverse)
         for r in range(run["B"]):
-            alone = final_state(p, source, ids[:, [r]], mask[[r]], reverse=reverse)
+            alone = _scored(p, source, ids[:, [r]], mask[[r]], reverse)
             for part in parts:
                 got, want = batch[r, part], alone[0, part]
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -26,7 +26,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  run_state_machine_as_test)
 
 from cachedlstm import cells, cli
-from cachedlstm.autodiff import ShapeError, Tape, backward, record, stack_steps
+from cachedlstm.autodiff import ShapeError, Tape, backward, stack_steps
 from cachedlstm.cells import (HelperError, bind_params, init_params, recurrence,
                               recurrence_pair)
 from cachedlstm.data import Document, build_vocab, pad_batch
@@ -35,7 +35,7 @@ from cachedlstm.model import ModelConfig, build_model
 from cachedlstm.serialize import save_model
 from cachedlstm.training import (AdagradState, TrainConfig, TrainingDiverged,
                                  apply_weight_decay, objective, train_epoch)
-from tape_ops import concat_cols, mul, sum_all
+from tape_ops import concat_cols, mul, run_kernel, sum_all
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -149,9 +149,8 @@ def test_pair_equals_two_recurrences(cpus, monkeypatch):
         if paired:  # one source, which the second run reads last step first
             node = recurrence_pair(stack_steps(xs), ids, mask, pf, pb)
         else:  # the second a reverse run from the same mask, both from zero
-            node = concat_cols([recurrence(pf, stack_steps(xs), ids, None, None, mask),
-                                record(*cells._recurrence(pb, stack_steps(xs), ids, None, None,
-                                                          mask, reverse=True)[:3])])
+            node = concat_cols([recurrence(pf, stack_steps(xs), ids, mask),
+                                run_kernel(pb, stack_steps(xs), ids, mask=mask, reverse=True)])
         grads = backward(tape, sum_all(mul(node, tape.leaf(readout))))
         leaves = [*lf.values(), *lb.values(), *xs]
         out.append([node.value] + [grads[v.nid] for v in leaves])
@@ -579,13 +578,15 @@ def _gradient_bits(batch, tape, probs, leaves):
 
 
 class _HelperMachine(RuleBasedStateMachine):
-    """Training pairs, scoring and helper deaths in any order, on two CPUs.
+    """Training pairs, scoring, helper deaths and forks in any order, on two CPUs.
 
     Every forward pass, backward pass and scoring call gives the one-CPU
     bits (``want``), or raises ``HelperError`` exactly when the helper it
     needs has died: the current one was killed, or, for a backward pass,
     the pair's forward ran on a helper that is no longer the current one.
     The helper holds one history per live pair node whose VJP has not run.
+    A forked child starts a helper of its own and gets the one-CPU bits
+    from it, and the parent's helper keeps the parent's histories.
     """
 
     def __init__(self, model, batch, want):
@@ -594,6 +595,7 @@ class _HelperMachine(RuleBasedStateMachine):
         self.live = []  # (tape, probs, leaves, the helper that ran the second direction)
         self.dead = None  # the helper last killed
         self.seen = set()  # every helper that ran
+        self.forked = False  # one fork per run: each child starts a helper, ~0.4 s
         if cells._helper is not None:
             cells._stop_helper(cells._helper)
 
@@ -637,6 +639,26 @@ class _HelperMachine(RuleBasedStateMachine):
             assert not alive and cells._helper is None
             return
         assert alive and probs.tobytes() == self.want["scores"]
+
+    @precondition(lambda self: self.live and not self.forked and hasattr(os, "fork"))
+    @rule()
+    def fork(self):
+        self.forked = True
+        parent = None if cells._helper is None else cells._helper.proc.pid
+        pid = os.fork()
+        if pid == 0:  # the child: one step and one scoring call, then its verdict
+            ok = False
+            try:
+                tape, probs, leaves = _forward(self.model, self.batch)
+                ok = (cells._helper.proc.pid != parent
+                      and probs.value.tobytes() == self.want["probs"]
+                      and _gradient_bits(self.batch, tape, probs, leaves) == self.want["grads"]
+                      and self.model.probabilities(self.batch).tobytes() == self.want["scores"])
+                cells._stop_helper(cells._helper)
+            finally:
+                os._exit(0 if ok else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        self.the_helper_holds_the_live_histories()
 
     @precondition(lambda self: cells._helper is not None and self._alive())
     @rule()

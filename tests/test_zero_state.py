@@ -8,9 +8,13 @@ initial state.  A pair always starts from zero, and must give the bits of
 a forward and a reverse run from zero leaves.  Its helper gets the same
 run request as scoring's, and a bidirectional model's taped forward pass
 records no zero leaf and one representation node between the pair and the
-classifier.
+classifier.  No public kernel entry takes an initial state or runs in
+reverse: only the single-step functions carry a state into the kernel,
+and an encoder hands back its one node.
 """
 
+import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -20,7 +24,9 @@ from cachedlstm import cells
 from cachedlstm.autodiff import Tape
 from cachedlstm.cells import bind_params, init_params, recurrence, recurrence_pair
 from cachedlstm.data import Document, build_vocab, pad_batch
+from cachedlstm.encoder import EncodedSequence, EncoderConfig
 from cachedlstm.model import ModelConfig, build_model
+from tape_ops import run_kernel
 
 CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 3)]
 
@@ -28,28 +34,25 @@ CASES = [("rnn", 1), ("lstm", 1), ("cifg", 1), ("clstm", 1), ("clstm", 3)]
 def _parts(params, source, ids, mask, zero_leaves):
     """(E, weight leaves, parts) of a run of each cell in ``params``, the second in reverse.
 
-    Each part is the (value, parent ids, vjp) of one kernel run.  From zero
-    leaves every run is a ``_recurrence`` of its own; from the zero state
-    they are one ``recurrence`` or ``recurrence_pair`` node.
+    Each part is the (value, parent ids, vjp) of one kernel node.  From
+    zero leaves every run is a ``tape_ops.run_kernel`` node of its own; from
+    the zero state they are one ``recurrence`` or ``recurrence_pair`` node.
     """
     tape = Tape()
     bound = [bind_params(tape, p) for p in params]
     E = tape.leaf(source)
     weights = [v for _, leaves in bound for v in leaves.values()]
     B, H = ids.shape[1], params[0].hidden_size
-    if zero_leaves:
-        parts = []
-        for k, (p, _) in enumerate(bound):
-            c0 = None if p.kind == "rnn" else tape.leaf(np.zeros((B, H)))
-            value, parents, vjp, _ = cells._recurrence(p, E, ids, c0, tape.leaf(np.zeros((B, H))),
-                                                       mask, reverse=k == 1)
-            parts.append((value, [v.nid for v in parents], vjp))
-        return E, weights, parts
     first, *second = (p for p, _ in bound)
-    node = (recurrence_pair(E, ids, mask, first, *second) if second
-            else recurrence(first, E, ids, None, None, mask))
+    if zero_leaves:
+        nodes = [run_kernel(p, E, ids, None if p.kind == "rnn" else tape.leaf(np.zeros((B, H))),
+                            tape.leaf(np.zeros((B, H))), mask, reverse=k == 1)
+                 for k, (p, _) in enumerate(bound)]
+    else:
+        nodes = [recurrence_pair(E, ids, mask, first, *second) if second
+                 else recurrence(first, E, ids, mask)]
     return E, weights, [(node.value, list(tape._nodes[node.nid].parents),
-                         tape._nodes[node.nid].vjp)]
+                         tape._nodes[node.nid].vjp) for node in nodes]
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
@@ -125,3 +128,14 @@ def test_bidirectional_forward_batch_records_one_node_past_the_pair(cpus, monkey
     assert (pair, rep) == (probs.nid - 2, probs.nid - 1)
     cell_leaves = [v.nid for name, v in leaves.items() if name not in ("clf.w", "clf.b")]
     assert nodes[pair].parents == tuple(cell_leaves)
+
+
+def test_public_runs_start_from_zero_and_the_encoder_hands_back_one_node():
+    for entry in (cells.recurrence, cells.recurrence_pair, cells.final_state,
+                  cells.final_states):
+        names = set(inspect.signature(entry).parameters)
+        assert not names & {"c0", "h0", "reverse"}, entry.__name__
+    assert "with_memory" not in inspect.signature(cells.zero_state).parameters
+    assert [f.name for f in dataclasses.fields(EncodedSequence)] == ["cfg", "final"]
+    enc = EncodedSequence(EncoderConfig("lstm", 3, 4), Tape().leaf(np.zeros((2, 8))))
+    assert not hasattr(enc, "fwd") and not hasattr(enc, "bwd")

@@ -11,11 +11,14 @@ from ``src/`` of the checkout it sits in:
     diff before.txt after.txt
 
 Each line names a configuration and the digest of, in order: the value of
-``recurrence`` (one direction) or ``recurrence_pair`` (two), every
-gradient of that node (E's ``RowSparse`` ids and rows, then w, u and b of
-each direction, and the initial state of a one-direction run; a pair
-starts from zero), and each direction's c_T and h_T from the value that
-``final_states``, the scoring entry, gives.  The configurations cover rnn,
+one kernel node, every gradient of that node (E's ``RowSparse`` ids and
+rows, then w, u and b of each direction, and the initial state of a
+one-direction run), and each direction's c_T and h_T from the value that
+``final_states``, the scoring entry, gives.  For one direction the node is
+the kernel's run from a drawn initial state, which no public entry takes:
+``cells._recurrence``, the kernel behind ``recurrence`` and the
+single-step functions, recorded as ``recurrence`` records it.  For two it
+is ``recurrence_pair``, which starts from zero.  The configurations cover rnn,
 lstm, cifg and clstm (K = 1 and 3), one direction or a pair, bias on or
 off, B in {1, 7, 32} at a small shape and B = 128 at the preset shape
 (d=50, H=120), T in {1, 8, 9, 10, 15, 16, 17, 35, 36, 37} (S^2 - 1, S^2
@@ -69,7 +72,7 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cachedlstm.autodiff import RowSparse, Tape, backward, record  # noqa: E402
-from cachedlstm.cells import (bind_params, final_states, init_params, recurrence,  # noqa: E402
+from cachedlstm.cells import (_recurrence, bind_params, final_states, init_params,  # noqa: E402
                               recurrence_pair)
 from cachedlstm.data import Document, build_vocab, make_batches, read_corpus  # noqa: E402
 from cachedlstm.gradcheck import encoder_gradcheck, pipeline_gradcheck  # noqa: E402
@@ -126,7 +129,7 @@ def digest(kind, n_groups, pair, bias, B, T, mask, d=5, H=6, seed=0, rate_bias=N
     else:
         c0, h0 = states[0]
         initial = [None if c0 is None else tape.leaf(c0), tape.leaf(h0)]
-        node = recurrence(bound[0][0], E, ids, *initial, m)
+        node = record(*_recurrence(bound[0][0], E, ids, *initial, m)[:3])
     grads = backward(tape, _readout(node, readout))
     sha = hashlib.sha256(node.value.tobytes())
     leaves = [E] + [v for _, leaves in bound for v in leaves.values()] + initial
